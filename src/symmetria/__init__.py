@@ -6,17 +6,3 @@ claimed to satisfy, exactly where possible and numerically elsewhere.
 """
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    cli,
-    elliptic,
-    fullerene,
-    hopf,
-    laplace,
-    liealg,
-    numerics,
-    report,
-    sklyanin,
-    spacetime,
-    suites,
-)

@@ -112,6 +112,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     if args.kind == "algebra":
         doc = {
             "galilei": liealg.structure_to_json(liealg.galilei_structure()),
@@ -139,6 +141,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
+        if args.seed < 0:
+            raise UsageError("--seed must be non-negative")
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_dump(args)

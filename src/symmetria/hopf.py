@@ -240,7 +240,7 @@ def planck_scale_ops(N: int = 256, L: float = 5.0, hbar: float = 1.0,
     X = np.diag(x)
     deform = 1.0 - np.exp(-x / l)
     D = derivative_matrix(N, spacing)
-    P = -1j * hbar * np.diag(deform) @ D
+    P = -1j * hbar * (deform[:, None] * D)
     return GridOperatorPair(N=N, L=L, hbar=hbar, l=l, X=X.astype(complex),
                             P=P, deform=deform)
 
@@ -249,6 +249,12 @@ def _gaussian_probes(x: np.ndarray, L: float) -> list:
     centers = (-0.3 * L, 0.0, 0.25 * L)
     width = L / 6.0
     return [np.exp(-((x - c) ** 2) / (2.0 * width ** 2)) for c in centers]
+
+
+def _xp_commutator(ops: GridOperatorPair) -> np.ndarray:
+    """[X, P] with X diagonal: row scaling minus column scaling of P."""
+    x = np.diag(ops.X)
+    return x[:, None] * ops.P - ops.P * x[None, :]
 
 
 def planck_commutator_residual(ops: GridOperatorPair) -> float:
@@ -260,7 +266,7 @@ def planck_commutator_residual(ops: GridOperatorPair) -> float:
     """
     x = np.diag(ops.X).real
     target = 1j * ops.hbar * ops.deform
-    comm = ops.X @ ops.P - ops.P @ ops.X
+    comm = _xp_commutator(ops)
     inner = ops.interior()
     worst = 0.0
     for psi in _gaussian_probes(x, ops.L):
@@ -276,7 +282,7 @@ def planck_coproduct_residual(ops: GridOperatorPair) -> float:
     product probes psi x phi (the tensor operators factor on those)."""
     x = np.diag(ops.X).real
     E = 1.0 - ops.deform
-    comm = ops.X @ ops.P - ops.P @ ops.X
+    comm = _xp_commutator(ops)
     inner = ops.interior()
     probes = _gaussian_probes(x, ops.L)
     worst = 0.0

@@ -8,10 +8,20 @@ weighted analogues, so that R(u) = 1 + sum W_a sigma_a x sigma_a.  Index
 triples (alpha, beta, gamma) in the quadratic relations run over cyclic
 permutations of (1,2,3); the alternative free-sum reading collapses by
 antisymmetry and is kept only as a reported control.
+
+The r/R-matrices are weighted sums of the constant sigma_a x sigma_a,
+built once at import.  Every tensor-leg placement (R12, R13, R23 in the
+Yang-Baxter residuals; R, L', L'' in the exchange relation) goes through
+one embedding: reshape the two-site operator into its four leg indices,
+take the outer product with the identity on the third leg, transpose the
+legs into place and reshape back.  Inputs are validated once, where they
+enter (``_embed_pair``, ``SklyaninRep``), not inside the sweeps.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +29,7 @@ import numpy as np
 
 from .elliptic import EllipticPoleError, quarter_period, sn_cn_dn_complex, sn_cn_dn_real
 from .liealg import PhasePolynomial
-from .numerics import commutator, kron, sup_norm
+from .numerics import as_matrix, commutator, sup_norm
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -27,6 +37,10 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+# sigma_a x sigma_a on C^2 x C^2; the r- and R-matrices are weighted sums
+# of these.
+SIGMA_PAIR = tuple(np.kron(s, s) for s in SIGMA)
 
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -81,46 +95,65 @@ def classical_quadric(p: ClassicalRParams) -> dict:
 def classical_r(u: float, p: ClassicalRParams) -> np.ndarray:
     """r(u) = sum_a w_a(u) sigma_a x sigma_a, a 4x4 matrix."""
     w = classical_w(u, p)
-    out = np.zeros((4, 4), dtype=complex)
-    for a in (1, 2, 3):
-        out += w[a - 1] * kron(SIGMA[a], SIGMA[a])
-    return out
+    return w[0] * SIGMA_PAIR[1] + w[1] * SIGMA_PAIR[2] + w[2] * SIGMA_PAIR[3]
+
+
+def _leg_axes(legs: tuple[int, int]) -> tuple:
+    """Transpose taking the axes (row_i, row_j, col_i, col_j, row_free,
+    col_free) of a two-leg operator times the identity to (row_0, row_1,
+    row_2, col_0, col_1, col_2) for legs = (i, j)."""
+    free = 3 - legs[0] - legs[1]
+    axes = [0] * 6
+    axes[legs[0]], axes[legs[1]], axes[free] = 0, 1, 4
+    axes[3 + legs[0]], axes[3 + legs[1]], axes[3 + free] = 2, 3, 5
+    return tuple(axes)
+
+
+_LEG_AXES = {legs: _leg_axes(legs) for legs in itertools.permutations(range(3), 2)}
+
+
+def _on_legs(m: np.ndarray, legs: tuple[int, int], dims: tuple[int, int, int]) -> np.ndarray:
+    """m, acting on factors legs[0] x legs[1] of a three-factor space with
+    factor dimensions `dims`, tensored with the identity on the third
+    factor.  Exact: every entry is an entry of m or zero."""
+    legs = tuple(legs)
+    if legs not in _LEG_AXES:
+        raise ValueError(f"legs must be two distinct indices in 0..2, got {legs!r}")
+    i, j = legs
+    n = dims[0] * dims[1] * dims[2]
+    t = np.multiply.outer(m.reshape(dims[i], dims[j], dims[i], dims[j]), np.eye(dims[3 - i - j]))
+    return t.transpose(_LEG_AXES[legs]).reshape(n, n)
 
 
 def _embed_pair(m4: np.ndarray, legs: tuple[int, int]) -> np.ndarray:
-    """Embed a two-site operator sum c_ab A_a x B_b given as a 4x4 matrix on
-    C^2 x C^2 into three tensor legs."""
-    out = np.zeros((8, 8), dtype=complex)
-    # expand the 4x4 matrix in the Pauli x Pauli basis and re-kron on legs
-    for a in range(4):
-        for b in range(4):
-            coeff = np.trace(kron(SIGMA[a], SIGMA[b]).conj().T @ m4) / 4.0
-            if abs(coeff) < 1e-300:
-                continue
-            ops = [np.eye(2, dtype=complex)] * 3
-            ops[legs[0]] = SIGMA[a]
-            ops[legs[1]] = SIGMA[b]
-            out += coeff * kron(kron(ops[0], ops[1]), ops[2])
-    return out
+    """Embed a two-site operator, a 4x4 matrix on C^2 x C^2, into legs
+    (i, j) of C^2 x C^2 x C^2 with the identity on the remaining leg."""
+    m = as_matrix(m4)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 two-site operator, got shape {m.shape}")
+    return _on_legs(m, legs, (2, 2, 2))
 
 
 def cybe_residual(u: float, v: float, p: ClassicalRParams) -> float:
     """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)]."""
-    for arg in (u, v, u - v):
-        _require_off_zero_lattice(arg, p.k)
     r12 = _embed_pair(classical_r(u - v, p), (0, 1))
     r13 = _embed_pair(classical_r(u, p), (0, 2))
     r23 = _embed_pair(classical_r(v, p), (1, 2))
-    total = commutator(r12, r13) + commutator(r12, r23) + commutator(r13, r23)
+    total = (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
     return sup_norm(total)
+
+
+@functools.lru_cache(maxsize=64)
+def _weights_at_shift(eta: float, k: float) -> tuple[complex, complex, complex]:
+    """sn, cn, dn at i eta: the u-independent factors of the quantum weights."""
+    return sn_cn_dn_complex(complex(0.0, eta), k)
 
 
 def quantum_W(u: float, p: QuantumRParams) -> tuple[complex, complex, complex]:
     """(W1, W2, W3) built from sn, cn, dn at u + i eta and at i eta."""
     z = complex(u, p.eta)
-    ze = complex(0.0, p.eta)
     s, c, d = sn_cn_dn_complex(z, p.k)
-    se, ce, de = sn_cn_dn_complex(ze, p.k)
+    se, ce, de = _weights_at_shift(p.eta, p.k)
     if abs(s) < 1e-12:
         raise EllipticPoleError(z, 0j)
     return se / s, (d / s) * (se / de), (c / s) * (se / ce)
@@ -139,10 +172,8 @@ def quantum_curve(p: QuantumRParams, u_ref: float = 0.7) -> dict:
 def quantum_R(u: float, p: QuantumRParams) -> np.ndarray:
     """R(u) = 1 + sum_a W_a(u) sigma_a x sigma_a."""
     W = quantum_W(u, p)
-    out = np.eye(4, dtype=complex)
-    for a in (1, 2, 3):
-        out += W[a - 1] * kron(SIGMA[a], SIGMA[a])
-    return out
+    return (np.eye(4, dtype=complex)
+            + W[0] * SIGMA_PAIR[1] + W[1] * SIGMA_PAIR[2] + W[2] * SIGMA_PAIR[3])
 
 
 def qybe_residual(u: float, v: float, p: QuantumRParams) -> float:
@@ -164,6 +195,12 @@ class SklyaninRep:
     dim: int
     S: tuple
     J: tuple
+
+    def __post_init__(self):
+        S = tuple(as_matrix(g) for g in self.S)
+        if len(S) != 4 or any(g.shape != (self.dim, self.dim) for g in S):
+            raise ValueError(f"a representation needs four {self.dim}x{self.dim} generators")
+        object.__setattr__(self, "S", S)
 
     def J_pair(self, a: int, b: int) -> float:
         """J_ab = -(J_a - J_b)/J_c with c the remaining index."""
@@ -218,30 +255,25 @@ def sklyanin_residual(rep: SklyaninRep, convention: str = "cyclic") -> float:
 def L_operator(u: float, rep: SklyaninRep, p: QuantumRParams) -> np.ndarray:
     """L(u) = sigma_0 x S_0 + sum_a W_a(u) sigma_a x S_a on aux x quantum."""
     W = quantum_W(u, p)
-    out = kron(SIGMA[0], rep.S[0])
+    out = np.kron(SIGMA[0], rep.S[0])
     for a in (1, 2, 3):
-        out += W[a - 1] * kron(SIGMA[a], rep.S[a])
+        out += W[a - 1] * np.kron(SIGMA[a], rep.S[a])
     return out
+
+
+def _rll_factors(u: float, v: float, rep: SklyaninRep, p: QuantumRParams) -> tuple:
+    """R(u-v), L'(u) and L''(v) on aux1 x aux2 x quantum: R on the two
+    auxiliary legs, L(u) on aux1 x quantum, L(v) on aux2 x quantum."""
+    dims = (2, 2, rep.dim)
+    return (_on_legs(quantum_R(u - v, p), (0, 1), dims),
+            _on_legs(L_operator(u, rep, p), (0, 2), dims),
+            _on_legs(L_operator(v, rep, p), (1, 2), dims))
 
 
 def rll_residual(u: float, v: float, rep: SklyaninRep, p: QuantumRParams) -> float:
     """Sup norm of R(u-v) L'(u) L''(v) - L''(v) L'(u) R(u-v) on
     aux1 x aux2 x quantum (dimension 4 d)."""
-    d = rep.dim
-    one_d = np.eye(d, dtype=complex)
-    one_2 = np.eye(2, dtype=complex)
-    R = kron(quantum_R(u - v, p), one_d)
-
-    def embed_L(w: float, first_leg: bool) -> np.ndarray:
-        W = quantum_W(w, p)
-        out = kron(kron(SIGMA[0], one_2) if first_leg else kron(one_2, SIGMA[0]), rep.S[0])
-        for a in (1, 2, 3):
-            aux = kron(SIGMA[a], one_2) if first_leg else kron(one_2, SIGMA[a])
-            out += W[a - 1] * kron(aux, rep.S[a])
-        return out
-
-    Lp = embed_L(u, True)
-    Lpp = embed_L(v, False)
+    R, Lp, Lpp = _rll_factors(u, v, rep, p)
     return sup_norm(R @ Lp @ Lpp - Lpp @ Lp @ R)
 
 

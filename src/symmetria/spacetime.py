@@ -356,7 +356,6 @@ def _riemann_sup(metric: Callable[[np.ndarray], np.ndarray], xv: np.ndarray, h: 
         e[c] = h
         dgam[c] = (christoffel(xv + e) - christoffel(xv - e)) / (2.0 * h)
     gam0 = christoffel(xv)
-    riem = np.einsum("cadb->abcd", np.zeros((4, 4, 4, 4)))
     riem = np.zeros((4, 4, 4, 4))
     for a in range(4):
         for b in range(4):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import symmetria
 from symmetria.cli import main
 from symmetria.report import Check, CheckReport, render_json
 
@@ -48,6 +52,30 @@ def test_env_tolerance_and_flag_precedence(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "x.txt")]) == 1
     assert run(["verify", "sklyanin", "--tol", "1e-9", "--samples", "20",
                 "--out", str(tmp_path / "y.txt")]) == 0
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    assert run(["verify", "rotations", "--seed", "-1"]) == 2
+    assert "error: --seed" in capsys.readouterr().err
+    assert run(["dump", "sweep", "--seed", "-1", "--out", str(tmp_path / "s.json")]) == 2
+    assert "error: --seed" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_dump_needs_a_sample(tmp_path, capsys):
+    assert run(["dump", "sweep", "--samples", "0", "--out", str(tmp_path / "s.json")]) == 2
+    assert "error: --samples" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symmetria.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "symmetria.cli", "verify", "rotations",
+                           "--samples", "5"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_unwritable_out_is_usage_error(tmp_path):

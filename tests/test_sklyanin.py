@@ -4,6 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from symmetria import suites
+from symmetria import sklyanin as sklyanin_module
 from symmetria.elliptic import EllipticPoleError
 from symmetria.numerics import kron, sup_norm
 from symmetria.sklyanin import (
@@ -34,6 +36,8 @@ from symmetria.sklyanin import (
     tensor_bracket,
     L_operator,
     _coord,
+    _embed_pair,
+    _rll_factors,
 )
 
 SWAP = np.zeros((4, 4), dtype=complex)
@@ -93,7 +97,6 @@ def test_cybe_detects_perturbation():
     p = ClassicalRParams(rho=1.0, k=0.5)
     u, v = 1.1, 0.4
     w = classical_w(u - v, p)
-    from symmetria.sklyanin import _embed_pair
     mutated = sum(wv * kron(SIGMA[a], SIGMA[a])
                   for a, wv in enumerate((w[0] * 1.01, w[1], w[2]), start=1))
     r12 = _embed_pair(mutated, (0, 1))
@@ -166,12 +169,95 @@ def test_qybe_residual_small():
 
 def test_qybe_v0_braid_reduction():
     p = QuantumRParams(eta=0.3, k=0.5)
-    from symmetria.sklyanin import _embed_pair
     u = 1.1
     r12 = _embed_pair(quantum_R(u, p), (0, 1))
     r13 = _embed_pair(quantum_R(u, p), (0, 2))
     p23 = _embed_pair(2.0 * SWAP, (1, 2))
     assert sup_norm(r12 @ r13 @ p23 - p23 @ r13 @ r12) < 1e-12
+
+
+def _kron_reference(m4, legs):
+    # expand m4 in the product basis e_ij x e_kl and place each factor on
+    # its leg with plain Kronecker products
+    out = np.zeros((8, 8), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    ops = [np.eye(2, dtype=complex)] * 3
+                    ops[legs[0]] = np.outer(np.eye(2)[i], np.eye(2)[j])
+                    ops[legs[1]] = np.outer(np.eye(2)[k], np.eye(2)[l])
+                    out += m4[2 * i + k, 2 * j + l] * np.kron(np.kron(ops[0], ops[1]), ops[2])
+    return out
+
+
+def test_embed_pair_matches_kron_reference():
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        m4 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert sup_norm(_embed_pair(m4, (0, 1)) - np.kron(m4, np.eye(2))) <= 1e-14
+        assert sup_norm(_embed_pair(m4, (1, 2)) - np.kron(np.eye(2), m4)) <= 1e-14
+        for legs in ((0, 1), (0, 2), (1, 2), (2, 0)):
+            assert sup_norm(_embed_pair(m4, legs) - _kron_reference(m4, legs)) <= 1e-14, legs
+
+
+def test_embed_pair_validates_its_input():
+    bad = np.eye(4, dtype=complex)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        _embed_pair(bad, (0, 1))
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError):
+        _embed_pair(bad, (0, 2))
+    with pytest.raises(ValueError):
+        _embed_pair(np.eye(8), (0, 1))
+    with pytest.raises(ValueError):
+        _embed_pair(np.eye(4), (1, 1))
+
+
+def test_rll_factors_match_kron_reference():
+    p = QuantumRParams(eta=0.3, k=0.5)
+    one_2 = np.eye(2, dtype=complex)
+    u, v = 0.9, 0.4
+    for r in (rep2(), rep3(1.0, 2.0, 3.0)):
+        R, Lp, Lpp = _rll_factors(u, v, r, p)
+        assert sup_norm(R - np.kron(quantum_R(u - v, p), np.eye(r.dim))) <= 1e-14
+        for L, w, aux in ((Lp, u, lambda s: np.kron(s, one_2)),
+                          (Lpp, v, lambda s: np.kron(one_2, s))):
+            W = (1.0,) + quantum_W(w, p)
+            ref = sum(W[a] * np.kron(aux(SIGMA[a]), r.S[a]) for a in range(4))
+            assert sup_norm(L - ref) <= 1e-14
+
+
+def test_rep_rejects_non_finite_or_misshapen_generators():
+    r = rep2()
+    bad = r.S[1].copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        SklyaninRep(dim=2, S=(r.S[0], bad, r.S[2], r.S[3]), J=r.J)
+    with pytest.raises(ValueError):
+        SklyaninRep(dim=3, S=r.S, J=r.J)
+
+
+@pytest.mark.parametrize("name, row", [
+    ("cybe_residual", "classical_yang_baxter"),
+    ("qybe_residual", "quantum_yang_baxter"),
+    ("rll_residual", "exchange_relation_pauli"),
+])
+def test_nan_sample_fails_sweep_row(monkeypatch, name, row):
+    real = getattr(sklyanin_module, name)
+    calls = []
+
+    def nan_on_third(*args):
+        calls.append(args)
+        return float("nan") if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(sklyanin_module, name, nan_on_third)
+    report = suites.run_sklyanin(suites.suite_rng(42, "sklyanin"), 1e-9, 20)
+    assert len(calls) > 3
+    status = {c.name: c.status for c in report.checks}
+    assert status[row] == "fail"
+    assert sum(s == "fail" for s in status.values()) == 1
 
 
 def test_rep2_relations_exact():
