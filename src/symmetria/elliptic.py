@@ -9,6 +9,7 @@ parameter m = k^2) everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,11 +38,19 @@ _AGM_MAX_STEPS = 40
 
 
 def quarter_period(k: float) -> float:
-    """Complete elliptic integral K(k) by the arithmetic-geometric mean."""
-    if k < 0.0 or k > 1.0:
+    """Complete elliptic integral K(k) by the arithmetic-geometric mean.
+
+    The modulus is checked on every call; the AGM itself is memoized, since
+    the pole search asks for the same one or two moduli on every sample."""
+    if not 0.0 <= k <= 1.0:
         raise EllipticDomainError(f"modulus must lie in [0,1), got {k!r}")
     if k == 1.0:
         raise EllipticDivergenceError("K(k) diverges logarithmically as k -> 1")
+    return _agm_quarter_period(k)
+
+
+@functools.lru_cache(maxsize=64)
+def _agm_quarter_period(k: float) -> float:
     a, b = 1.0, math.sqrt(1.0 - k * k)
     for _ in range(_AGM_MAX_STEPS):
         if abs(a - b) <= _AGM_TOL * a:

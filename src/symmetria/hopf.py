@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import kron, sup_norm
+from .numerics import kron, sup_norm, worst_of
 
 
 def q_number(n: float, q: float) -> float:
@@ -77,7 +77,7 @@ def relations_residual(H, Xp, Xm, q: float) -> float:
     r1 = sup_norm(H @ Xp - Xp @ H - 2.0 * Xp)
     r2 = sup_norm(H @ Xm - Xm @ H + 2.0 * Xm)
     r3 = sup_norm(Xp @ Xm - Xm @ Xp - (qH - qHm) / (q - 1.0 / q))
-    return max(r1, r2, r3)
+    return worst_of(r1, r2, r3)
 
 
 def _matrix_q_power(H: np.ndarray, q: float, exponent: float) -> np.ndarray:
@@ -98,17 +98,21 @@ class CoproductRep:
     Xm: np.ndarray
 
 
-def coproduct_rep(rep: UqSu2Rep) -> CoproductRep:
+def coproduct_rep(rep: UqSu2Rep, right: UqSu2Rep | None = None) -> CoproductRep:
     """Delta(H) = H x 1 + 1 x H,
-    Delta(X+-) = X+- x q^(H/2) + q^(-H/2) x X+-."""
-    d = rep.dim
-    one = np.eye(d, dtype=complex)
-    qh = q_power_H(rep, 0.5)
+    Delta(X+-) = X+- x q^(H/2) + q^(-H/2) x X+-,
+    on rep x right (the tensor square of rep when right is omitted)."""
+    right = rep if right is None else right
+    if right.q != rep.q:
+        raise ValueError(f"tensor legs need one deformation parameter, got {rep.q} and {right.q}")
+    one_l = np.eye(rep.dim, dtype=complex)
+    one_r = np.eye(right.dim, dtype=complex)
+    qh = q_power_H(right, 0.5)
     qmh = q_power_H(rep, -0.5)
     return CoproductRep(
-        H=kron(rep.H, one) + kron(one, rep.H),
-        Xp=kron(rep.Xp, qh) + kron(qmh, rep.Xp),
-        Xm=kron(rep.Xm, qh) + kron(qmh, rep.Xm),
+        H=kron(rep.H, one_r) + kron(one_l, right.H),
+        Xp=kron(rep.Xp, qh) + kron(qmh, right.Xp),
+        Xm=kron(rep.Xm, qh) + kron(qmh, right.Xm),
     )
 
 
@@ -132,7 +136,7 @@ def coassociativity_residual(rep: UqSu2Rep) -> float:
         dX = kron(X, qh) + kron(qmh, X)
         lhs = kron(dX, qh) + kron(kron(qmh, qmh), X)
         rhs = kron(X, kron(qh, qh)) + kron(qmh, dX)
-        worst = max(worst, sup_norm(lhs - rhs))
+        worst = worst_of(worst, sup_norm(lhs - rhs))
     return worst
 
 
@@ -140,18 +144,22 @@ def counit_antipode_residuals(rep: UqSu2Rep) -> dict:
     """Residuals of the counit axiom (eps x id)Delta = id and the antipode
     axiom m(S x id)Delta = unit * eps = m(id x S)Delta, in the representation.
 
-    Counit: eps(H) = eps(X+-) = 0, eps(q^(+-H/2)) = 1.  Antipode:
-    S(H) = -H, S(X+-) = -q^(+-1) X+-, S(q^(+-H/2)) = q^(-+H/2); the X+ power
-    follows from solving the 2x2 axiom, which fixes the convention.
+    Counit: eps(H) = eps(X+-) = 0, eps(q^(+-H/2)) = 1, which is the trivial
+    one-dimensional (spin-0) representation; (eps x id)Delta and
+    (id x eps)Delta are the coproduct with that representation on one leg.
+    Antipode: S(H) = -H, S(X+-) = -q^(+-1) X+-, S(q^(+-H/2)) = q^(-+H/2); the
+    X+ power follows from solving the 2x2 axiom, which fixes the convention.
     """
     d = rep.dim
     qh = q_power_H(rep, 0.5)
     qmh = q_power_H(rep, -0.5)
     res = {}
-    # counit applied to the first tensor leg of each coproduct
-    res["counit_H"] = sup_norm((0.0 * rep.H + rep.H) - rep.H)
-    res["counit_Xp"] = sup_norm((0.0 * qh + 1.0 * rep.Xp) - rep.Xp)
-    res["counit_Xm"] = sup_norm((0.0 * qh + 1.0 * rep.Xm) - rep.Xm)
+    counit = uq_su2_rep(0.0, rep.q)
+    left, right = coproduct_rep(counit, rep), coproduct_rep(rep, counit)
+    for key in ("H", "Xp", "Xm"):
+        target = getattr(rep, key)
+        res[f"counit_{key}"] = worst_of(sup_norm(getattr(left, key) - target),
+                                        sup_norm(getattr(right, key) - target))
     # antipode axiom, multiply after applying S to one leg
     q = rep.q
     SH, SXp, SXm = -rep.H, -q * rep.Xp, -(1.0 / q) * rep.Xm
@@ -272,7 +280,7 @@ def planck_commutator_residual(ops: GridOperatorPair) -> float:
     for psi in _gaussian_probes(x, ops.L):
         lhs = comm @ psi
         rhs = target * psi
-        worst = max(worst, float(np.max(np.abs((lhs - rhs)[inner]))))
+        worst = worst_of(worst, sup_norm((lhs - rhs)[inner]))
     return worst
 
 
@@ -291,5 +299,5 @@ def planck_coproduct_residual(ops: GridOperatorPair) -> float:
             # [DX, DP](psi x phi) = ([X,P] psi) x (E phi) + psi x ([X,P] phi)
             lhs = np.outer(comm @ psi, E * phi) + np.outer(psi, comm @ phi)
             rhs = 1j * ops.hbar * (np.outer(psi, phi) - np.outer(E * psi, E * phi))
-            worst = max(worst, float(np.max(np.abs((lhs - rhs)[inner, inner]))))
+            worst = worst_of(worst, sup_norm((lhs - rhs)[inner, inner]))
     return worst

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureRule, integrate_periodic
+from .numerics import QuadratureRule, integrate_periodic, worst_of
 
 
 class SingularPointError(ValueError):
@@ -185,7 +185,7 @@ def calibrate_proportionality(n: int, h: int, points: Sequence[Sequence[float]],
         if ref is None:
             ref = ratio
         else:
-            spread = max(spread, abs(ratio - ref) / abs(ref))
+            spread = worst_of(spread, abs(ratio - ref) / abs(ref))
     return ref, spread
 
 

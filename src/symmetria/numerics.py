@@ -8,6 +8,7 @@ package are measured in the sup norm (max absolute entry).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +40,23 @@ def as_matrix(entries) -> np.ndarray:
 def sup_norm(m) -> float:
     """Max absolute entry; the residual norm used throughout."""
     return float(np.max(np.abs(np.asarray(m))))
+
+
+def worst_of(*values: float) -> float:
+    """Largest of the values as a float, or NaN if any of them is NaN.
+
+    This is the one fold rule for residuals.  Builtin ``max`` drops a NaN
+    that is not its first argument (``max(0.0, nan) == 0.0``), so a broken
+    sample would vanish from a running worst and its check would pass.
+    """
+    out = -math.inf
+    for v in values:
+        v = float(v)
+        if v != v:
+            return math.nan
+        if v > out:
+            out = v
+    return out
 
 
 def kron(a, b) -> np.ndarray:

@@ -1,16 +1,22 @@
 """Check records and report aggregation/rendering for the batch runner.
 
 A Check is one named verification with an optional residual/tolerance pair;
-a CheckReport groups the checks of one suite with pass/fail tallies.  JSON
-output is deterministic: sorted keys, full float precision, and no timing
-fields (timings appear only in the text rendering, which is not required to
-be byte-stable across runs).
+a CheckReport groups the checks of one suite with pass/fail tallies and
+records new rows through ``CheckReport.check``, which times each row and
+folds its residuals.  JSON output is deterministic: sorted keys, full float
+precision, and no timing fields.  Row times are float milliseconds and
+appear only in the text rendering, which is not required to be byte-stable
+across runs.
 """
 
 from __future__ import annotations
 
 import json
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from .numerics import worst_of
 
 
 @dataclass
@@ -30,7 +36,7 @@ class Check:
     samples: int = 1
     detail: str = ""
     status: str = ""
-    elapsed_ms: int = 0
+    elapsed_ms: float | None = None
 
     def __post_init__(self):
         if not self.status:
@@ -55,9 +61,82 @@ class Check:
 
 
 @dataclass
+class Row:
+    """A row being recorded by ``CheckReport.check``.
+
+    ``observe`` folds residuals with ``worst_of``, so one NaN anywhere makes
+    the row's residual NaN and fails it.  ``require`` adds a condition that
+    must hold.  With ``tol`` the row passes when its residual is at most
+    ``tol``; with ``detect`` (a mutation control) when its residual exceeds
+    that threshold; with neither when every condition holds.
+    """
+
+    name: str
+    ref: str
+    tol: float | None = None
+    samples: int = 1
+    detect: float | None = None
+    detail: str = ""
+    skipped: bool = False
+    residual: float | None = field(default=None, init=False)
+    ok: bool = field(default=True, init=False)
+    elapsed_ms: float | None = field(default=None, init=False)
+    siblings: list[Row] = field(default_factory=list, init=False)
+
+    def observe(self, *residuals: float) -> None:
+        if self.residual is not None:
+            residuals = (self.residual, *residuals)
+        self.residual = worst_of(*residuals)
+
+    def require(self, condition: bool) -> None:
+        self.ok = self.ok and bool(condition)
+
+    def sibling(self, name: str, ref: str, **kwargs) -> Row:
+        """Another row fed by the same block; the block's time is recorded
+        once, on this row."""
+        row = Row(name, ref, **kwargs)
+        self.siblings.append(row)
+        return row
+
+    def to_check(self) -> Check:
+        passed = self.ok
+        detail = self.detail
+        if self.detect is not None:
+            passed = passed and self.residual > self.detect
+            detail = detail or f"mutation must push the residual above {self.detect:g}"
+        elif self.tol is not None:
+            passed = passed and self.residual <= self.tol
+        return Check(name=self.name, ref=self.ref, passed=passed, residual=self.residual,
+                     tolerance=self.tol, samples=self.samples, detail=detail,
+                     status="skipped" if self.skipped else "", elapsed_ms=self.elapsed_ms)
+
+
+@dataclass
 class CheckReport:
     suite: str
     checks: list[Check] = field(default_factory=list)
+
+    @contextmanager
+    def check(self, name: str, ref: str, **kwargs):
+        """Record one row (plus its siblings) from the block this wraps.
+
+        Keyword arguments are those of ``Row``.  The block's wall time goes
+        to the row as float milliseconds; a block that raises records
+        nothing."""
+        row = Row(name, ref, **kwargs)
+        t0 = time.perf_counter()
+        yield row
+        row.elapsed_ms = 1000.0 * (time.perf_counter() - t0)
+        self.checks += [r.to_check() for r in (row, *row.siblings)]
+
+    def extend(self, make_checks, *args) -> None:
+        """Append the ready-made checks ``make_checks(*args)`` returns; the
+        call is timed once and its time goes to the first of them."""
+        t0 = time.perf_counter()
+        checks = list(make_checks(*args))
+        if checks:
+            checks[0].elapsed_ms = 1000.0 * (time.perf_counter() - t0)
+        self.checks += checks
 
     @property
     def total(self) -> int:
@@ -110,7 +189,7 @@ def render_text(reports: list[CheckReport], config: dict) -> str:
             mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c.status]
             lines.append(f"  {mark:4s}  {c.name:44s} residual={_fmt(c.residual):>12s}"
                          f"  tol={_fmt(c.tolerance):>9s}  n={c.samples:<4d} [{c.ref}]"
-                         + (f"  ({c.elapsed_ms} ms)" if c.elapsed_ms else ""))
+                         + (f"  ({c.elapsed_ms:.3f} ms)" if c.elapsed_ms is not None else ""))
         lines.append(f"  -- {rep.passed}/{rep.total} passed, {rep.failed} failed, "
                      f"{rep.skipped} informative")
         total += rep.total

@@ -29,7 +29,7 @@ import numpy as np
 
 from .elliptic import EllipticPoleError, quarter_period, sn_cn_dn_complex, sn_cn_dn_real
 from .liealg import PhasePolynomial
-from .numerics import as_matrix, commutator, sup_norm
+from .numerics import as_matrix, commutator, sup_norm, worst_of
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -247,8 +247,8 @@ def sklyanin_residual(rep: SklyaninRep, convention: str = "cyclic") -> float:
                         rhs1 += -1j * rep.J_pair(bb, cc) * commutator(S[bb], S[cc], "plus")
         else:
             raise ValueError(f"unknown convention {convention!r}")
-        worst = max(worst, sup_norm(commutator(S[a], S[0]) - rhs1))
-        worst = max(worst, sup_norm(commutator(S[a], S[b]) - 1j * commutator(S[0], S[c], "plus")))
+        worst = worst_of(worst, sup_norm(commutator(S[a], S[0]) - rhs1),
+                         sup_norm(commutator(S[a], S[b]) - 1j * commutator(S[0], S[c], "plus")))
     return worst
 
 
@@ -438,7 +438,7 @@ def classical_sklyanin_bracket_residual(p: ClassicalRParams, u: float, v: float,
                     for m in range(4):
                         rhs = rhs + prod[m][col].scale(complex(r[row, m]))
                         rhs = rhs - prod[row][m].scale(complex(r[m, col]))
-                    worst = max(worst, (lhs - rhs).max_abs_coeff())
+                    worst = worst_of(worst, (lhs - rhs).max_abs_coeff())
     return worst
 
 

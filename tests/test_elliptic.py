@@ -164,3 +164,24 @@ def test_complex_pole_error_carries_location():
     with pytest.raises(EllipticPoleError) as err:
         sn_cn_dn_complex(pole + 1e-9, k)
     assert abs(err.value.pole - pole) < 1e-12
+
+
+def test_quarter_period_rejects_nan_on_every_call():
+    for _ in range(2):
+        with pytest.raises(EllipticDomainError):
+            quarter_period(math.nan)
+        with pytest.raises(EllipticDivergenceError):
+            quarter_period(1.0)
+
+
+def test_quarter_period_is_memoized():
+    from symmetria.elliptic import _agm_quarter_period
+
+    k = 0.123456789
+    quarter_period(k)
+    before = _agm_quarter_period.cache_info()
+    for _ in range(5):
+        assert quarter_period(k) == quarter_period(k)
+    after = _agm_quarter_period.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 10

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from symmetria import hopf as hopf_module
 from symmetria.hopf import (
     antipode_convention_solve,
     coassociativity_residual,
@@ -159,3 +162,58 @@ def test_planck_flat_limit():
 def test_planck_coproduct_homomorphism():
     ops = planck_scale_ops(256, 5.0, 1.0, 2.0)
     assert planck_coproduct_residual(ops) < 1e-5
+
+
+def test_coproduct_of_two_representations():
+    half, one = uq_su2_rep(0.5, 1.3), uq_su2_rep(1.0, 1.3)
+    cp = coproduct_rep(half, one)
+    assert cp.H.shape == (6, 6)
+    assert relations_residual(cp.H, cp.Xp, cp.Xm, 1.3) < 1e-12
+    same = coproduct_rep(half, half)
+    assert np.array_equal(same.Xp, coproduct_rep(half).Xp)
+    with pytest.raises(ValueError):
+        coproduct_rep(half, uq_su2_rep(0.5, 2.0))
+
+
+def test_wrong_counit_is_detected(monkeypatch):
+    # eps(q^(-H/2)) = 0 instead of 1 on the trivial representation
+    real = hopf_module.q_power_H
+
+    def wrong_counit(rep, exponent):
+        out = real(rep, exponent)
+        return 0.0 * out if rep.dim == 1 and exponent < 0 else out
+
+    monkeypatch.setattr(hopf_module, "q_power_H", wrong_counit)
+    for j in (0.5, 1.0):
+        res = counit_antipode_residuals(uq_su2_rep(j, 1.3))
+        assert res["counit_Xp"] > 1e-3 and res["counit_Xm"] > 1e-3
+        assert res["counit_H"] == 0.0
+
+
+def test_nan_propagates_through_relations_residual():
+    rep = uq_su2_rep(1.0, 1.3)
+    # only the [X+, X-] defect sees q, so the NaN is the last of the three
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(relations_residual(rep.H, rep.Xp, rep.Xm, float("nan")))
+
+
+def test_nan_propagates_through_coassociativity(monkeypatch):
+    real = hopf_module.sup_norm
+    calls = []
+
+    def nan_on_second(m):
+        calls.append(m)
+        return float("nan") if len(calls) == 2 else real(m)
+
+    monkeypatch.setattr(hopf_module, "sup_norm", nan_on_second)
+    assert np.isnan(coassociativity_residual(uq_su2_rep(1.0, 1.3)))
+    assert len(calls) == 3
+
+
+def test_nan_propagates_through_planck_residuals():
+    ops = planck_scale_ops(128, 5.0, 1.0, 2.0)
+    deform = ops.deform.copy()
+    deform[ops.N // 2] = np.nan
+    broken = dataclasses.replace(ops, deform=deform)
+    assert np.isnan(planck_commutator_residual(broken))
+    assert np.isnan(planck_coproduct_residual(broken))

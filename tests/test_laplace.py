@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from symmetria import laplace as laplace_module
 from symmetria.laplace import (
     CoordinateSingularityError,
     SingularPointError,
@@ -222,3 +223,18 @@ def test_symbol():
         R = rotation_about(rng.normal(size=3), rng.uniform(0, 6))
         k = rng.normal(size=3)
         assert abs(symbol(R @ k) - symbol(k)) < 1e-12
+
+
+@pytest.mark.parametrize("nan_call", [1, 2, 3])
+def test_calibrate_proportionality_propagates_nan(monkeypatch, nan_call):
+    real = laplace_module.integral_rep
+    calls = []
+
+    def nan_once(*args):
+        calls.append(args)
+        return complex("nan") if len(calls) == nan_call else real(*args)
+
+    monkeypatch.setattr(laplace_module, "integral_rep", nan_once)
+    pts = [(0.1, -0.4, 1.2), (0.9, 0.2, -0.7), (-0.5, 0.8, 0.3)]
+    _, spread = calibrate_proportionality(1, 0, pts)
+    assert math.isnan(spread)

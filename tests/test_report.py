@@ -1,0 +1,267 @@
+"""The check recorder (``CheckReport.check``), the NaN-sticky fold behind
+it, per-row timing, and the row contract of the full report."""
+
+import json
+import math
+import time
+
+import pytest
+
+from symmetria import suites
+from symmetria.cli import main as cli_main
+from symmetria.numerics import worst_of
+from symmetria.report import Check, CheckReport, render_text
+
+NAN = math.nan
+
+# (suite, name, status, tolerance, samples) of every row of
+# `verify all --seed 42 --samples 20 --format json`, in report order.
+ROW_CONTRACT = {
+    "rotations": [
+        ("identity_is_proper", "pass", None, 1),
+        ("product_of_rotations_is_rotation", "pass", 1e-09, 20),
+        ("reflection_is_improper", "pass", None, 1),
+        ("shear_rejected", "pass", None, 1),
+    ],
+    "galilei": [
+        ("compose_matches_sequential_action", "pass", 1e-09, 20),
+        ("composition_associative", "pass", 1e-10, 11),
+        ("galilei_antisymmetry", "pass", 0.0, 1),
+        ("galilei_generator_count", "pass", 0.0, 1),
+        ("galilei_jacobi", "pass", 0.0, 1),
+        ("galilei_realization", "pass", 0.0, 1),
+        ("inverse_roundtrip", "pass", 1e-12, 11),
+        ("mutation_control_bad_structure_constant", "pass", None, 1),
+        ("simultaneous_distances_preserved", "pass", 1e-12, 11),
+    ],
+    "poincare": [
+        ("boost_action_reference_value", "pass", 1e-12, 1),
+        ("colinear_velocity_addition", "pass", 1e-12, 1),
+        ("compose_matches_sequential_action", "pass", 1e-09, 20),
+        ("composition_associative", "pass", 1e-10, 10),
+        ("discrete_inversions_involutive", "pass", 0.0, 1),
+        ("interval_preserved", "pass", 1e-09, 20),
+        ("poincare_antisymmetry", "pass", 0.0, 1),
+        ("poincare_generator_count", "pass", 0.0, 1),
+        ("poincare_jacobi", "pass", 0.0, 1),
+        ("poincare_realization", "pass", 0.0, 1),
+    ],
+    "conformal": [
+        ("dilation_identity", "pass", 1e-08, 1),
+        ("dilation_pullback_factor", "pass", 1e-08, 5),
+        ("flatness_constant_rescaling", "pass", 0.0001, 1),
+        ("flatness_inverse_interval_rescaling", "pass", 0.0001, 1),
+        ("inversion_pullback_factor", "pass", 1e-06, 3),
+        ("massless_field_stays_solution", "pass", 1e-06, 1),
+        ("mutation_control_nonflat_rescaling", "pass", None, 1),
+        ("wave_operator_dilation_scaling", "pass", 1e-06, 9),
+    ],
+    "laplace": [
+        ("azimuthal_equivariance", "pass", 1e-08, 2),
+        ("exterior_family_regularity", "pass", 1e-12, 1),
+        ("fundamental_solution_harmonic", "pass", 1e-05, 15),
+        ("homogeneity_degree_n", "pass", 1e-08, 2),
+        ("integral_representation_harmonic", "pass", 1e-05, 12),
+        ("integral_representation_proportionality", "pass", 1e-08, 32),
+        ("kelvin_transform_involutive", "pass", 1e-10, 10),
+        ("kelvin_transform_preserves_harmonicity", "pass", 1e-05, 15),
+        ("polar_cartesian_agreement", "pass", 0.0001, 2),
+        ("symbol_rotation_invariant", "pass", 1e-12, 50),
+        ("unit_flux_normalization", "pass", 1e-08, 6),
+    ],
+    "fullerene": [
+        ("automorphism_order", "pass", 0.0, 1),
+        ("edge_partition", "pass", 0.0, 1),
+        ("euler_characteristic", "pass", 0.0, 1),
+        ("face_census", "pass", 0.0, 1),
+        ("isolated_pentagons", "pass", None, 1),
+        ("kekule_assignment", "pass", 0.0, 1),
+        ("mutation_control_deleted_face", "pass", None, 1),
+        ("mutation_control_merged_pentagons", "pass", None, 1),
+        ("three_regular", "pass", None, 1),
+        ("vertex_transitive_embedding", "pass", 1e-09, 60),
+    ],
+    "hopf": [
+        ("coassociativity", "pass", 1e-10, 9),
+        ("coproduct_classical_limit", "pass", 0.2, 4),
+        ("coproduct_is_homomorphism", "pass", 1e-10, 9),
+        ("counit_antipode_axioms", "pass", 1e-11, 6),
+        ("deformed_coproduct_homomorphism", "pass", 1e-05, 1),
+        ("deformed_su2_relations", "pass", 1e-11, 9),
+        ("position_momentum_deformed_commutator", "pass", 1e-05, 1),
+    ],
+    "sklyanin": [
+        ("classical_bracket_exchange_identity", "pass", 1e-08, 6),
+        ("classical_limit_orders", "pass", None, 5),
+        ("classical_quadric_constancy", "pass", 1e-10, 20),
+        ("classical_yang_baxter", "pass", 1e-09, 20),
+        ("exchange_relation_pauli", "pass", 1e-09, 30),
+        ("exchange_relation_threedim_exploratory", "skipped", None, 1),
+        ("index_convention_discrimination", "pass", None, 1),
+        ("mutation_control_flipped_generator", "pass", None, 1),
+        ("mutation_control_perturbed_weight", "pass", None, 1),
+        ("quadratic_relations_pauli", "pass", 0.0, 1),
+        ("quadratic_relations_threedim", "pass", 1e-12, 3),
+        ("quantum_curve_constancy", "pass", 1e-09, 20),
+        ("quantum_yang_baxter", "pass", 1e-09, 40),
+        ("threedim_self_adjoint", "pass", 1e-12, 3),
+        ("volume_contraction_poisson_tensor", "pass", 0.0, 20),
+    ],
+}
+
+# Rows fed by a block whose time is recorded on another row: the siblings of
+# one sweep loop, and the rows after the first that one liealg call returns.
+ROWS_WITHOUT_OWN_SPAN = {
+    ("galilei", "galilei_jacobi"),
+    ("poincare", "poincare_jacobi"),
+    ("poincare", "interval_preserved"),
+    ("laplace", "azimuthal_equivariance"),
+    ("hopf", "coproduct_is_homomorphism"),
+    ("hopf", "coassociativity"),
+    ("sklyanin", "threedim_self_adjoint"),
+}
+
+
+def test_worst_of_is_nan_sticky():
+    assert worst_of(0.0, 3.0, 2.0) == 3.0
+    assert worst_of(-1.0) == -1.0
+    assert worst_of(1, 2) == 2.0 and isinstance(worst_of(1, 2), float)
+    for values in ((NAN, 1.0, 2.0), (1.0, NAN, 2.0), (1.0, 2.0, NAN)):
+        assert math.isnan(worst_of(*values))
+    assert worst_of(1.0, math.inf) == math.inf
+
+
+# Each sample observes two residuals; the NaN is never the first value of the
+# whole fold, so a builtin-max fold would drop it.
+@pytest.mark.parametrize("samples", [
+    [(1e-12, NAN), (2e-12, 0.0), (3e-12, 0.0)],
+    [(1e-12, 0.0), (NAN, 2e-12), (3e-12, 0.0)],
+    [(1e-12, 0.0), (2e-12, 0.0), (3e-12, NAN)],
+], ids=["first", "middle", "last"])
+def test_nan_sample_fails_residual_row(samples):
+    rep = CheckReport("unit")
+    with rep.check("row", "ref", tol=1e-9, samples=len(samples)) as c:
+        for pair in samples:
+            c.observe(*pair)
+    (check,) = rep.checks
+    assert math.isnan(check.residual)
+    assert check.status == "fail"
+
+
+def test_nan_sample_fails_detection_row():
+    rep = CheckReport("unit")
+    with rep.check("control", "ref", detect=1e-3) as c:
+        c.observe(2.0)
+        c.observe(NAN)
+    (check,) = rep.checks
+    assert math.isnan(check.residual)
+    assert check.status == "fail"
+    assert check.tolerance is None
+    assert check.detail == "mutation must push the residual above 0.001"
+
+
+def test_recorder_verdicts():
+    rep = CheckReport("unit")
+    with rep.check("within", "ref", tol=1e-9, samples=2) as c:
+        c.observe(1e-12)
+        c.observe(5e-10, 2e-10)
+    with rep.check("above", "ref", tol=1e-9) as c:
+        c.observe(1e-6)
+    with rep.check("condition", "ref") as c:
+        c.require(True)
+        c.require(False)
+    with rep.check("detected", "ref", detect=1e-3, detail="custom") as c:
+        c.observe(0.5)
+    with rep.check("informative", "ref", skipped=True) as c:
+        c.observe(7.0)
+    got = {ch.name: (ch.status, ch.residual, ch.samples, ch.detail) for ch in rep.checks}
+    assert got == {
+        "within": ("pass", 5e-10, 2, ""),
+        "above": ("fail", 1e-6, 1, ""),
+        "condition": ("fail", None, 1, ""),
+        "detected": ("pass", 0.5, 1, "custom"),
+        "informative": ("skipped", 7.0, 1, ""),
+    }
+
+
+def test_block_that_raises_records_nothing():
+    rep = CheckReport("unit")
+    with pytest.raises(ZeroDivisionError):
+        with rep.check("row", "ref", tol=1.0) as c:
+            c.observe(1.0 / 0.0)
+    assert rep.checks == []
+
+
+def test_shared_span_is_recorded_once():
+    rep = CheckReport("unit")
+    with rep.check("owner", "ref", tol=1.0) as c:
+        sibling = c.sibling("sibling", "ref", tol=1.0)
+        c.observe(0.5)
+        sibling.observe(2.0)
+        time.sleep(0.002)
+    owner, other = rep.checks
+    assert (owner.name, owner.status, other.name, other.status) == ("owner", "pass", "sibling", "fail")
+    assert owner.elapsed_ms >= 2.0
+    assert other.elapsed_ms is None
+
+    def ready_made():
+        time.sleep(0.002)
+        return [Check("first", "ref", passed=True), Check("second", "ref", passed=True)]
+
+    rep.extend(ready_made)
+    assert rep.checks[2].elapsed_ms >= 2.0
+    assert rep.checks[3].elapsed_ms is None
+
+
+def test_nan_fd_laplacian_sample_fails_harmonicity_row(monkeypatch):
+    real = suites.fd_laplacian
+    calls = []
+
+    def nan_on_second(*args):
+        calls.append(args)
+        return NAN if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(suites, "fd_laplacian", nan_on_second)
+    report = suites.run_laplace(suites.suite_rng(42, "laplace"), 1e-9, 20)
+    status = {c.name: c.status for c in report.checks}
+    assert status["fundamental_solution_harmonic"] == "fail"
+    assert sum(s == "fail" for s in status.values()) == 1
+
+
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_row_times_fit_in_suite_wall_time(name):
+    t0 = time.perf_counter()
+    report = suites.SUITES[name](suites.suite_rng(42, name), 1e-9, 100)
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    spans = [c.elapsed_ms for c in report.checks if c.elapsed_ms is not None]
+    assert all(ms > 0.0 for ms in spans)
+    assert sum(spans) <= wall_ms
+
+
+def test_text_report_times_every_row_that_owns_a_span():
+    untimed, shown = set(), []
+    for rep in suites.run_suites(suites.SUITE_NAMES, seed=42, tol=1e-9, samples=20):
+        rows = {line.split()[1]: line for line in render_text([rep], {}).splitlines()
+                if line.startswith(("  PASS", "  FAIL", "  SKIP"))}
+        for c in rep.checks:
+            if c.elapsed_ms is None:
+                untimed.add((rep.suite, c.name))
+                assert not rows[c.name].endswith(" ms)")
+            else:
+                assert rows[c.name].endswith(f"  ({c.elapsed_ms:.3f} ms)")
+                shown.append(c.elapsed_ms)
+    assert untimed == ROWS_WITHOUT_OWN_SPAN
+    assert len(shown) == 74 - len(ROWS_WITHOUT_OWN_SPAN)
+    assert min(shown) < 1.0  # sub-millisecond rows print a time too
+
+
+def test_row_contract_is_frozen(tmp_path):
+    out = tmp_path / "report.json"
+    code = cli_main(["verify", "all", "--seed", "42", "--samples", "20",
+                     "--format", "json", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    got = {r["suite"]: [(c["name"], c["status"], c["tolerance"], c["samples"])
+                        for c in r["checks"]] for r in doc["reports"]}
+    assert got == ROW_CONTRACT
+    assert sum(len(rows) for rows in got.values()) == 74

@@ -405,3 +405,14 @@ def test_sweep_samples_avoid_poles():
     for u, v in sweep_samples(rng, k, 50):
         for arg in (u, v, u - v):
             assert abs(arg - 2 * K * round(arg / (2 * K))) >= 0.05
+
+
+def test_nan_propagates_through_quadratic_relations_residual():
+    r3 = rep3(1.0, 2.0, 3.0)
+    # J_2 enters the first relation of the first cyclic triple
+    assert math.isnan(sklyanin_residual(SklyaninRep(dim=3, S=r3.S, J=(1.0, math.nan, 3.0))))
+
+
+def test_nan_propagates_through_classical_bracket_residual():
+    p = ClassicalRParams(rho=math.nan, k=0.5)
+    assert math.isnan(classical_sklyanin_bracket_residual(p, 0.9, 0.4))
