@@ -24,8 +24,10 @@ class Check:
     """One verification outcome.
 
     ``passed`` is authoritative; when both residual and tolerance are
-    present they must agree with it (residual <= tolerance iff passed).
-    ``status`` may be set to "skipped" for informative, non-asserted checks.
+    present, a passing check must have its residual within tolerance.  A
+    failing one may not: a failed condition fails a row whose residual is
+    small.  ``status`` may be set to "skipped" for informative, non-asserted
+    checks.
     """
 
     name: str
@@ -42,8 +44,7 @@ class Check:
         if not self.status:
             self.status = "pass" if self.passed else "fail"
         if self.residual is not None and self.tolerance is not None and self.status != "skipped":
-            consistent = (self.residual <= self.tolerance) == self.passed
-            if not consistent:
+            if self.passed and not (self.residual <= self.tolerance):
                 raise ValueError(
                     f"check {self.name!r}: passed={self.passed} inconsistent with "
                     f"residual={self.residual} tolerance={self.tolerance}")

@@ -453,10 +453,10 @@ def classical_limit_probe(u: float, p_base: ClassicalRParams, h_sequence) -> dic
     for h in hs:
         qp = QuantumRParams(eta=p_base.rho * h, k=p_base.k)
         W = quantum_W(u, qp)
-        e1.append(max(abs(W[a] - 1j * h * w[a]) for a in range(3)))
+        e1.append(worst_of(*(abs(W[a] - 1j * h * w[a]) for a in range(3))))
         e2.append(sup_norm(quantum_R(u, qp) - np.eye(4) - 1j * h * r))
         Jq = quantum_curve(qp, u_ref=u)
-        e3.append(max(abs(Jq[(a, b)] - h * h * Jcl[(a, b)]) for (a, b) in Jcl))
+        e3.append(worst_of(*(abs(Jq[(a, b)] - h * h * Jcl[(a, b)]) for (a, b) in Jcl)))
 
     def slope(errs):
         return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

@@ -2,7 +2,8 @@
 
 Rotation classification, Galilei transformations with their composition
 law, Poincare transformations in the displacement/boost/rotation
-factorization (composed through a 5x5 affine embedding), the discrete
+factorization (composed through a 5x5 affine embedding), both applied to
+(N, 4) arrays of (t, x, y, z) events by one kernel per group, the discrete
 inversions, and conformal dilations/inversions with pullback-metric,
 flatness, and wave-operator scaling checks.
 
@@ -18,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .numerics import FDStencil, JACOBIAN_STENCIL, fd_jacobian, sup_norm
+from .numerics import FDStencil, JACOBIAN_STENCIL, fd_jacobian, sup_norm, worst_of
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -29,10 +30,13 @@ class NullConeError(ValueError):
     """Evaluation point too close to an excluded null cone."""
 
 
-def minkowski_interval(dx) -> float:
-    """eta(dx, dx) for a 4-vector difference (t, x, y, z)."""
+def minkowski_interval(dx):
+    """eta(dx, dx) over the last axis: a float for one 4-vector difference
+    (t, x, y, z), an (N,) array for an (N, 4) stack of them."""
     dx = np.asarray(dx, dtype=float)
-    return float(dx @ ETA @ dx)
+    # a (1, 4) @ (4, 1) product per row: np.vecdot would need numpy >= 2
+    s = ((dx @ ETA)[..., None, :] @ dx[..., :, None])[..., 0, 0]
+    return float(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,24 @@ class SpacetimePoint:
 
     def as4(self) -> np.ndarray:
         return np.concatenate([[self.t], self.r])
+
+
+def _events(X) -> np.ndarray:
+    """Validate an (N, 4) array of finite (t, x, y, z) events."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 4 or not np.isfinite(X).all():
+        raise ValueError("events must be an (N, 4) array of finite (t, x, y, z) rows")
+    return X
+
+
+def _require_finite(group: str, R: np.ndarray, shift: float, *vectors: np.ndarray) -> None:
+    """The element's vector parameters are 3-vectors, and its rotation
+    block, time shift and vectors are finite (checked in one pass, since
+    elements are built once per sample)."""
+    if any(x.shape != (3,) for x in vectors):
+        raise ValueError(f"{group} vector parameters must have shape (3,)")
+    if not (math.isfinite(shift) and np.isfinite(np.concatenate((R.ravel(), *vectors))).all()):
+        raise ValueError(f"{group} parameters must be finite")
 
 
 def classify_rotation(m, tol: float = ROTATION_TOL) -> str:
@@ -93,6 +115,7 @@ class GalileiElement:
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
+        _require_finite("Galilei", self.R, self.tau, self.v, self.xi)
         if classify_rotation(self.R) != "proper":
             raise ValueError("Galilei rotation block must be proper orthogonal")
 
@@ -101,8 +124,17 @@ class GalileiElement:
         return GalileiElement(np.eye(3), np.zeros(3), np.zeros(3), 0.0)
 
 
+def galilei_apply_events(g: GalileiElement, X) -> np.ndarray:
+    """Apply g to each row of an (N, 4) event array: t' = t + tau,
+    r' = R r + v t + xi."""
+    X = _events(X)
+    t = X[:, :1]
+    return np.hstack((t + g.tau, X[:, 1:] @ g.R.T + t * g.v + g.xi))
+
+
 def galilei_apply(g: GalileiElement, pt: SpacetimePoint) -> SpacetimePoint:
-    return SpacetimePoint(pt.t + g.tau, g.R @ pt.r + g.v * pt.t + g.xi)
+    out = galilei_apply_events(g, pt.as4()[None])[0]
+    return SpacetimePoint(out[0], out[1:])
 
 
 def galilei_compose(g2: GalileiElement, g1: GalileiElement) -> GalileiElement:
@@ -145,7 +177,8 @@ class PoincareElement:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        if np.linalg.norm(self.v) >= 1.0:
+        _require_finite("Poincare", self.R, self.b, self.a, self.v)
+        if not np.linalg.norm(self.v) < 1.0:
             raise ValueError("boost velocity must satisfy |v| < 1")
         if classify_rotation(self.R) != "proper":
             raise ValueError("Poincare rotation block must be proper orthogonal")
@@ -179,11 +212,17 @@ def _homogeneous(T: PoincareElement) -> np.ndarray:
     return boost_matrix(T.v) @ L
 
 
-def poincare_apply(T: PoincareElement, pt: SpacetimePoint) -> SpacetimePoint:
-    """r' = a + transverse(R r) + v (v.Rr - v^2 t)/(v^2 sqrt(1-v^2)),
+def poincare_apply_events(T: PoincareElement, X) -> np.ndarray:
+    """Apply T to each row of an (N, 4) event array:
+    r' = a + transverse(R r) + v (v.Rr - v^2 t)/(v^2 sqrt(1-v^2)),
     t' = b + (t - v.Rr)/sqrt(1-v^2); reduces to a + R r, b + t as v -> 0."""
-    out = _homogeneous(T) @ pt.as4()
-    return SpacetimePoint(out[0] + T.b, out[1:] + T.a)
+    X = _events(X)
+    return X @ _homogeneous(T).T + np.concatenate(([T.b], T.a))
+
+
+def poincare_apply(T: PoincareElement, pt: SpacetimePoint) -> SpacetimePoint:
+    out = poincare_apply_events(T, pt.as4()[None])[0]
+    return SpacetimePoint(out[0], out[1:])
 
 
 class CompositionError(ValueError):
@@ -206,15 +245,16 @@ def poincare_compose(T2: PoincareElement, T1: PoincareElement) -> PoincareElemen
     M = affine(T2) @ affine(T1)
     L = M[:4, :4]
     gamma = L[0, 0]
-    if gamma < 1.0 - 1e-12:
+    # Written as not (x <= bound) so that a NaN fails every guard.
+    if not (1.0 - 1e-12 <= gamma):
         raise CompositionError(f"invalid time-time entry {gamma!r} in composition")
     v = -L[1:, 0] / gamma
-    if np.linalg.norm(v) >= 1.0:
+    if not (np.linalg.norm(v) < 1.0):
         raise CompositionError(f"extracted boost velocity |v| >= 1: {v!r}")
     D = boost_matrix(-v) @ L
     R = D[1:, 1:]
-    residual = max(sup_norm(D[0, 1:]), sup_norm(D[1:, 0]), abs(D[0, 0] - 1.0))
-    if residual > 1e-8 or classify_rotation(R, 1e-8) != "proper":
+    residual = worst_of(sup_norm(D[0, 1:]), sup_norm(D[1:, 0]), abs(D[0, 0] - 1.0))
+    if not (residual <= 1e-8) or classify_rotation(R, 1e-8) != "proper":
         raise CompositionError("composed element does not factor as boost * rotation")
     return PoincareElement(a=M[1:4, 4], b=M[0, 4], v=v, R=R)
 

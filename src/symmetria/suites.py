@@ -79,11 +79,11 @@ def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
         for _ in range(samples):
             g1, g2 = random_elem(), random_elem()
             g21 = spacetime.galilei_compose(g2, g1)
-            for _ in range(20):
-                pt = spacetime.SpacetimePoint(float(rng.normal()), rng.normal(size=3))
-                once = spacetime.galilei_apply(g21, pt)
-                twice = spacetime.galilei_apply(g2, spacetime.galilei_apply(g1, pt))
-                c.observe(abs(once.t - twice.t), sup_norm(once.r - twice.r))
+            # 20 events (t, x, y, z), drawn in the order of 20 (t, r) draws
+            events = rng.normal(size=(20, 4))
+            once = spacetime.galilei_apply_events(g21, events)
+            twice = spacetime.galilei_apply_events(g2, spacetime.galilei_apply_events(g1, events))
+            c.observe(*np.abs(once - twice).max(axis=1))
 
     half = samples // 2 + 1
     with rep.check("composition_associative", "group axioms for Galilei transformations",
@@ -162,15 +162,16 @@ def run_poincare(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         for _ in range(samples):
             T1, T2 = random_elem(), random_elem()
             T21 = spacetime.poincare_compose(T2, T1)
-            for _ in range(20):
-                pt = spacetime.SpacetimePoint(float(rng.normal()), rng.normal(size=3))
-                qt = spacetime.SpacetimePoint(float(rng.normal()), rng.normal(size=3))
-                once = spacetime.poincare_apply(T21, pt)
-                twice = spacetime.poincare_apply(T2, spacetime.poincare_apply(T1, pt))
-                c.observe(abs(once.t - twice.t), sup_norm(once.r - twice.r))
-                a1, a2 = spacetime.poincare_apply(T1, pt), spacetime.poincare_apply(T1, qt)
-                interval.observe(abs(spacetime.minkowski_interval(a1.as4() - a2.as4())
-                                     - spacetime.minkowski_interval(pt.as4() - qt.as4())))
+            # 20 event pairs, columns (pt.t, pt.r, qt.t, qt.r) in draw order
+            pairs = rng.normal(size=(20, 8))
+            pt, qt = pairs[:, :4], pairs[:, 4:]
+            moved = spacetime.poincare_apply_events(T1, pairs.reshape(-1, 4)).reshape(pairs.shape)
+            a1, a2 = moved[:, :4], moved[:, 4:]
+            once = spacetime.poincare_apply_events(T21, pt)
+            twice = spacetime.poincare_apply_events(T2, a1)
+            c.observe(*np.abs(once - twice).max(axis=1))
+            interval.observe(*np.abs(spacetime.minkowski_interval(a1 - a2)
+                                     - spacetime.minkowski_interval(pt - qt)))
 
     n_assoc = max(10, samples // 10)
     with rep.check("composition_associative", "group axioms for Poincare transformations",

@@ -11,7 +11,7 @@ import numpy as np
 
 from symmetria import fullerene, hopf, laplace, liealg, sklyanin, spacetime
 from symmetria.cli import main as cli_main
-from symmetria.numerics import fd_laplacian, kron, sup_norm
+from symmetria.numerics import fd_laplacian, kron, sup_norm, worst_of
 from symmetria.suites import suite_rng
 
 
@@ -66,13 +66,13 @@ def test_criterion_2_group_action_equivalence():
             qt = spacetime.SpacetimePoint(float(rng.normal()), rng.normal(size=3))
             a = spacetime.galilei_apply(g21, pt)
             b = spacetime.galilei_apply(g2, spacetime.galilei_apply(g1, pt))
-            worst_gal = max(worst_gal, abs(a.t - b.t), float(np.max(np.abs(a.r - b.r))))
+            worst_gal = worst_of(worst_gal, abs(a.t - b.t), float(np.max(np.abs(a.r - b.r))))
             c = spacetime.poincare_apply(T21, pt)
             d = spacetime.poincare_apply(T2, spacetime.poincare_apply(T1, pt))
-            worst_poi = max(worst_poi, abs(c.t - d.t), float(np.max(np.abs(c.r - d.r))))
+            worst_poi = worst_of(worst_poi, abs(c.t - d.t), float(np.max(np.abs(c.r - d.r))))
             e = spacetime.poincare_apply(T1, pt)
             f = spacetime.poincare_apply(T1, qt)
-            worst_int = max(worst_int, abs(
+            worst_int = worst_of(worst_int, abs(
                 spacetime.minkowski_interval(e.as4() - f.as4())
                 - spacetime.minkowski_interval(pt.as4() - qt.as4())))
     ok = worst_gal < 1e-10 and worst_poi < 1e-10 and worst_int < 1e-10

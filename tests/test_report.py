@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from symmetria import suites
+from symmetria import spacetime, suites
 from symmetria.cli import main as cli_main
 from symmetria.numerics import worst_of
 from symmetria.report import Check, CheckReport, render_text
@@ -182,6 +182,42 @@ def test_recorder_verdicts():
         "detected": ("pass", 0.5, 1, "custom"),
         "informative": ("skipped", 7.0, 1, ""),
     }
+
+
+def test_failed_condition_with_small_residual_records_fail():
+    rep = CheckReport("unit")
+    with rep.check("c", "r", tol=1e-9) as c:
+        c.observe(1e-15)
+        c.require(False)
+    (check,) = rep.checks
+    assert (check.status, check.residual) == ("fail", 1e-15)
+
+
+def test_consistency_rule_rejects_only_a_pass_outside_tolerance():
+    assert Check("c", "r", passed=False, residual=1e-15, tolerance=1e-9).status == "fail"
+    assert Check("c", "r", passed=False, residual=1.0, tolerance=1e-9).status == "fail"
+    for residual in (1.0, NAN):
+        with pytest.raises(ValueError, match="inconsistent"):
+            Check("c", "r", passed=True, residual=residual, tolerance=1e-9)
+
+
+def test_improper_product_fails_rotation_row(monkeypatch):
+    real = spacetime.classify_rotation
+    calls = []
+
+    def improper_once(m, *args):
+        # calls 1 and 2 are the identity and reflection rows; 3 is the
+        # first product of the closure sweep
+        calls.append(m)
+        return "improper" if len(calls) == 3 else real(m, *args)
+
+    monkeypatch.setattr(spacetime, "classify_rotation", improper_once)
+    report = suites.run_rotations(suites.suite_rng(42, "rotations"), 1e-9, 20)
+    status = {c.name: c.status for c in report.checks}
+    assert status == {"identity_is_proper": "pass", "reflection_is_improper": "pass",
+                      "product_of_rotations_is_rotation": "fail", "shear_rejected": "pass"}
+    (row,) = [c for c in report.checks if c.name == "product_of_rotations_is_rotation"]
+    assert row.residual <= row.tolerance
 
 
 def test_block_that_raises_records_nothing():

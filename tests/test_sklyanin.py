@@ -397,6 +397,37 @@ def test_classical_limit_slopes():
         assert out["e3_slope"] >= 3.8
 
 
+# The NaN sits in the middle of each fold, where builtin max would drop it.
+def test_nan_propagates_through_classical_limit_weight_error(monkeypatch):
+    real = sklyanin_module.classical_w
+
+    def nan_middle_weight(u, p):
+        w1, _, w3 = real(u, p)
+        return w1, math.nan, w3
+
+    monkeypatch.setattr(sklyanin_module, "classical_w", nan_middle_weight)
+    hs = [10.0 ** (-e) for e in (1.0, 1.5, 2.0)]
+    out = classical_limit_probe(0.8, ClassicalRParams(rho=1.0, k=0.5), hs)
+    assert all(math.isnan(e) for e in out["e1"])
+    assert math.isnan(out["e1_slope"])
+    assert all(math.isfinite(e) for e in out["e3"])
+
+
+def test_nan_propagates_through_classical_limit_curve_error(monkeypatch):
+    real = sklyanin_module.classical_quadric
+
+    def nan_middle_constant(p):
+        J = real(p)
+        return {**J, (1, 3): math.nan}
+
+    monkeypatch.setattr(sklyanin_module, "classical_quadric", nan_middle_constant)
+    hs = [10.0 ** (-e) for e in (1.0, 1.5, 2.0)]
+    out = classical_limit_probe(0.8, ClassicalRParams(rho=1.0, k=0.5), hs)
+    assert all(math.isnan(e) for e in out["e3"])
+    assert math.isnan(out["e3_slope"])
+    assert all(math.isfinite(e) for e in out["e1"])
+
+
 def test_sweep_samples_avoid_poles():
     rng = np.random.default_rng(76)
     from symmetria.elliptic import quarter_period

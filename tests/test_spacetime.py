@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from symmetria import spacetime, suites
 from symmetria.spacetime import (
+    CompositionError,
     Dilation,
     GalileiElement,
     Inversion,
     NullConeError,
     PoincareElement,
     SpacetimePoint,
+    boost_matrix,
     classify_rotation,
     conformal_flatness_check,
     conformal_pullback_check,
@@ -19,10 +22,12 @@ from symmetria.spacetime import (
     element_from_json,
     element_to_json,
     galilei_apply,
+    galilei_apply_events,
     galilei_compose,
     galilei_inverse,
     minkowski_interval,
     poincare_apply,
+    poincare_apply_events,
     poincare_compose,
     rotation_about,
 )
@@ -245,6 +250,224 @@ def test_element_json_roundtrip():
     assert T2.b == T.b
     with pytest.raises(ValueError):
         element_from_json({"euclid": {}})
+
+
+# --- element validation -----------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", [NAN, 0.0, 0.0]), ("a", [0.0, INF, 0.0]), ("a", [0.0, 0.0]),
+    ("b", NAN), ("b", -INF),
+    ("v", [NAN, 0.0, 0.0]), ("v", [0.0, 0.0, INF]), ("v", [0.1, 0.0]),
+    ("R", np.diag([1.0, NAN, 1.0])), ("R", np.diag([INF, 1.0, 1.0])),
+])
+def test_poincare_element_rejects_non_finite_parameters(field, value):
+    params = {"a": np.zeros(3), "b": 0.0, "v": np.zeros(3), "R": np.eye(3)}
+    params[field] = value
+    with pytest.raises(ValueError):
+        PoincareElement(**params)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("R", np.diag([1.0, 1.0, NAN])), ("R", np.diag([1.0, INF, 1.0])),
+    ("v", [0.0, NAN, 0.0]), ("v", [INF, 0.0, 0.0]), ("v", [0.0, 0.0]),
+    ("xi", [0.0, 0.0, NAN]), ("xi", [-INF, 0.0, 0.0]),
+    ("tau", NAN), ("tau", INF),
+])
+def test_galilei_element_rejects_non_finite_parameters(field, value):
+    params = {"R": np.eye(3), "v": np.zeros(3), "xi": np.zeros(3), "tau": 0.0}
+    params[field] = value
+    with pytest.raises(ValueError):
+        GalileiElement(**params)
+
+
+# --- NaN guards in poincare_compose ------------------------------------------
+
+def _nan_in_homogeneous(monkeypatch, row, col):
+    real = spacetime._homogeneous
+
+    def poisoned(T):
+        L = real(T)
+        L[row, col] = NAN
+        return L
+
+    monkeypatch.setattr(spacetime, "_homogeneous", poisoned)
+
+
+def _boosts():
+    return (PoincareElement(np.zeros(3), 0.0, np.array([0.3, 0.0, 0.0]), np.eye(3)),
+            PoincareElement(np.zeros(3), 0.0, np.array([0.0, 0.4, 0.0]), np.eye(3)))
+
+
+def test_compose_rejects_nan_time_time_entry(monkeypatch):
+    T2, T1 = _boosts()
+    _nan_in_homogeneous(monkeypatch, 0, 0)
+    with pytest.raises(CompositionError, match="time-time"):
+        poincare_compose(T2, T1)
+
+
+def test_compose_rejects_nan_boost_velocity(monkeypatch):
+    T2, T1 = _boosts()
+    # a NaN in row 1 of each factor reaches L[1, 0] but not L[0, 0]
+    _nan_in_homogeneous(monkeypatch, 1, 3)
+    with pytest.raises(CompositionError, match="velocity"):
+        poincare_compose(T2, T1)
+
+
+def test_compose_rejects_nan_factor_residual(monkeypatch):
+    T2, T1 = _boosts()
+    real = spacetime.sup_norm
+    calls = []
+
+    def nan_on_second(m):
+        # the second sup_norm in poincare_compose is the middle term of the
+        # factor residual, where builtin max would drop a NaN
+        calls.append(m)
+        return NAN if len(calls) == 2 else real(m)
+
+    monkeypatch.setattr(spacetime, "sup_norm", nan_on_second)
+    with pytest.raises(CompositionError, match="does not factor"):
+        poincare_compose(T2, T1)
+
+
+# --- (N, 4) event kernels ----------------------------------------------------
+
+def poincare_reference(T, X):
+    """Per event: boost(v) diag(1, R) x + (b, a)."""
+    L = boost_matrix(T.v) @ np.block([[np.ones((1, 1)), np.zeros((1, 3))],
+                                      [np.zeros((3, 1)), T.R]])
+    return np.array([L @ x + np.concatenate(([T.b], T.a)) for x in X])
+
+
+def galilei_reference(g, X):
+    """Per event: (t + tau, R r + v t + xi)."""
+    return np.array([np.concatenate(([x[0] + g.tau], g.R @ x[1:] + g.v * x[0] + g.xi))
+                     for x in X])
+
+
+def slow_poincare(rng):
+    v = rng.normal(size=3)
+    v *= rng.uniform(0.0, 1e-8) / np.linalg.norm(v)
+    return PoincareElement(a=rng.normal(size=3), b=float(rng.normal()), v=v,
+                           R=rotation_about(rng.normal(size=3), rng.uniform(0, 6)))
+
+
+@pytest.mark.parametrize("make", [random_poincare, slow_poincare], ids=["random", "small_v"])
+def test_poincare_kernel_matches_per_event_reference(make):
+    rng = np.random.default_rng(52)
+    for _ in range(50):
+        T = make(rng)
+        if make is slow_poincare:
+            assert np.linalg.norm(T.v) < spacetime._SMALL_V
+        X = rng.normal(size=(20, 4))
+        got = poincare_apply_events(T, X)
+        assert got.shape == (20, 4)
+        assert np.max(np.abs(got - poincare_reference(T, X))) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9], ids=["random", "small_v"])
+def test_galilei_kernel_matches_per_event_reference(scale):
+    rng = np.random.default_rng(54)
+    for _ in range(50):
+        g = random_galilei(rng)
+        g = GalileiElement(g.R, g.v * scale, g.xi, g.tau)
+        X = rng.normal(size=(20, 4))
+        got = galilei_apply_events(g, X)
+        assert got.shape == (20, 4)
+        assert np.max(np.abs(got - galilei_reference(g, X))) <= 1e-14
+
+
+@pytest.mark.parametrize("kernel, element", [
+    (poincare_apply_events, PoincareElement.identity()),
+    (galilei_apply_events, GalileiElement.identity()),
+], ids=["poincare", "galilei"])
+@pytest.mark.parametrize("bad", [
+    [[0.0, NAN, 0.0, 0.0]], [[INF, 0.0, 0.0, 0.0]], np.zeros(4), np.zeros((5, 3)),
+], ids=["nan", "inf", "one_dim", "three_columns"])
+def test_kernels_reject_bad_events(kernel, element, bad):
+    with pytest.raises(ValueError, match="events"):
+        kernel(element, np.asarray(bad, dtype=float))
+
+
+def test_single_event_wrappers_agree_with_kernel_rows():
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        T, g = random_poincare(rng), random_galilei(rng)
+        X = rng.normal(size=(20, 4))
+        for apply, kernel, elem in ((poincare_apply, poincare_apply_events, T),
+                                    (galilei_apply, galilei_apply_events, g)):
+            block = kernel(elem, X)
+            for i in (0, 7, 19):
+                out = apply(elem, SpacetimePoint(X[i, 0], X[i, 1:]))
+                assert isinstance(out, SpacetimePoint)
+                # one event is the kernel on a one-row block, bit for bit;
+                # inside a larger block the matmul may round differently
+                assert np.array_equal(out.as4(), kernel(elem, X[i:i + 1])[0])
+                assert np.max(np.abs(out.as4() - block[i])) <= 1e-14
+
+
+def test_minkowski_interval_folds_over_the_last_axis():
+    rng = np.random.default_rng(56)
+    X = rng.normal(size=(20, 4))
+    stacked = minkowski_interval(X)
+    assert stacked.shape == (20,)
+    assert [float(s) for s in stacked] == [minkowski_interval(x) for x in X]
+    assert isinstance(minkowski_interval(X[0]), float)
+    assert minkowski_interval([1.0, 1.0, 0.0, 0.0]) == 0.0
+
+
+def _poison_second_pair(monkeypatch, row):
+    """Put a NaN into event `row` of every block the Poincare kernel maps
+    for the second element pair of the compose sweep (three calls a pair)."""
+    real = spacetime.poincare_apply_events
+    blocks = []
+
+    def poisoned(T, X):
+        out = real(T, X)
+        if len(X) > 1:
+            blocks.append(X)
+            if 4 <= len(blocks) <= 6:
+                out[row, 1] = NAN
+        return out
+
+    monkeypatch.setattr(spacetime, "poincare_apply_events", poisoned)
+    return blocks
+
+
+def test_nan_event_fails_poincare_compose_sweep_rows(monkeypatch):
+    # The last row of each block is never mapped again: it is an output of
+    # T21 or T2, or the qt half of T1's (pt, qt) block.
+    blocks = _poison_second_pair(monkeypatch, -1)
+    report = suites.run_poincare(suites.suite_rng(42, "poincare"), 1e-9, 5)
+    assert len(blocks) == 15
+    failed = {c.name: c for c in report.checks if c.status == "fail"}
+    assert set(failed) == {"compose_matches_sequential_action", "interval_preserved"}
+    for c in failed.values():
+        assert math.isnan(c.residual) and c.samples == 5
+
+
+def test_nan_event_fed_to_the_next_element_is_rejected(monkeypatch):
+    # Row 0 of T1's block is pt, which T2 then maps: the kernel refuses it.
+    _poison_second_pair(monkeypatch, 0)
+    with pytest.raises(ValueError, match="events"):
+        suites.run_poincare(suites.suite_rng(42, "poincare"), 1e-9, 5)
+
+
+def test_block_draws_replay_the_sequential_draws():
+    """The sweeps draw each pair's events as one block; the block must hold
+    the same numbers, in the same order, as one (t, r) draw per event."""
+    for suite, width in (("poincare", 8), ("galilei", 4)):
+        block = suites.suite_rng(42, suite).normal(size=(20, width))
+        rng = suites.suite_rng(42, suite)
+        rows = []
+        for _ in range(20):
+            row = []
+            for _ in range(width // 4):
+                row += [rng.normal(), *rng.normal(size=3)]
+            rows.append(row)
+        assert np.array_equal(block, np.array(rows))
 
 
 # --- conformal --------------------------------------------------------------
