@@ -293,7 +293,6 @@ def automorphism_order(g: PolyhedralGraph) -> int:
     count = 0
     image = [-1] * n
     used = [False] * n
-    mapped = []
 
     def extend(pos: int):
         nonlocal count
@@ -311,15 +310,15 @@ def automorphism_order(g: PolyhedralGraph) -> int:
         for cand in sorted(candidates):
             if used[cand] or invariant[cand] != invariant[v]:
                 continue
-            # adjacency preserved both ways against everything mapped so far
-            ok = all((w in adj[v]) == (image[w] in adj[cand]) for w in mapped)
-            if not ok:
+            # cand already neighbours the images of v's mapped neighbours;
+            # non-adjacency is preserved too exactly when cand neighbours no
+            # other used vertex.  A complete edge-preserving bijection is an
+            # automorphism anyway, so this only prunes dead partial maps.
+            if sum(used[x] for x in adj[cand]) != len(mapped_nb):
                 continue
             image[v] = cand
             used[cand] = True
-            mapped.append(v)
             extend(pos + 1)
-            mapped.pop()
             image[v] = -1
             used[cand] = False
 

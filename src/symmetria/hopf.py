@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import kron, sup_norm, worst_of
+from .numerics import as_matrix, sup_norm, worst_of
 
 
 def q_number(n: float, q: float) -> float:
@@ -26,13 +26,26 @@ def q_number(n: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class UqSu2Rep:
-    """Spin-j matrices H, X+, X- of the q-deformed su(2) relations."""
+    """Spin-j matrices H, X+, X- of the q-deformed su(2) relations.
+
+    The generators are validated once, here: each must be a finite square
+    complex matrix of side ``dim``.  The tensor-power identities below then
+    take plain ``np.kron`` products of them.
+    """
 
     q: float
     j: float
     H: np.ndarray
     Xp: np.ndarray
     Xm: np.ndarray
+
+    def __post_init__(self):
+        for name in ("H", "Xp", "Xm"):
+            m = as_matrix(getattr(self, name))
+            if m.shape != (self.dim, self.dim):
+                raise ValueError(f"{name} must be {self.dim}x{self.dim} for spin {self.j}, "
+                                 f"got shape {m.shape}")
+            object.__setattr__(self, name, m)
 
     @property
     def dim(self) -> int:
@@ -110,9 +123,9 @@ def coproduct_rep(rep: UqSu2Rep, right: UqSu2Rep | None = None) -> CoproductRep:
     qh = q_power_H(right, 0.5)
     qmh = q_power_H(rep, -0.5)
     return CoproductRep(
-        H=kron(rep.H, one_r) + kron(one_l, right.H),
-        Xp=kron(rep.Xp, qh) + kron(qmh, right.Xp),
-        Xm=kron(rep.Xm, qh) + kron(qmh, right.Xm),
+        H=np.kron(rep.H, one_r) + np.kron(one_l, right.H),
+        Xp=np.kron(rep.Xp, qh) + np.kron(qmh, right.Xp),
+        Xm=np.kron(rep.Xm, qh) + np.kron(qmh, right.Xm),
     )
 
 
@@ -128,14 +141,14 @@ def coassociativity_residual(rep: UqSu2Rep) -> float:
     qmh = q_power_H(rep, -0.5)
 
     # H is primitive: both orders give the threefold sum
-    dH = kron(rep.H, one) + kron(one, rep.H)
-    lhs_h = kron(dH, one) + kron(kron(one, one), rep.H)
-    rhs_h = kron(rep.H, kron(one, one)) + kron(one, dH)
+    dH = np.kron(rep.H, one) + np.kron(one, rep.H)
+    lhs_h = np.kron(dH, one) + np.kron(np.kron(one, one), rep.H)
+    rhs_h = np.kron(rep.H, np.kron(one, one)) + np.kron(one, dH)
     worst = sup_norm(lhs_h - rhs_h)
     for X in (rep.Xp, rep.Xm):
-        dX = kron(X, qh) + kron(qmh, X)
-        lhs = kron(dX, qh) + kron(kron(qmh, qmh), X)
-        rhs = kron(X, kron(qh, qh)) + kron(qmh, dX)
+        dX = np.kron(X, qh) + np.kron(qmh, X)
+        lhs = np.kron(dX, qh) + np.kron(np.kron(qmh, qmh), X)
+        rhs = np.kron(X, np.kron(qh, qh)) + np.kron(qmh, dX)
         worst = worst_of(worst, sup_norm(lhs - rhs))
     return worst
 

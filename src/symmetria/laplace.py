@@ -63,7 +63,7 @@ def _sphere_area_by_quadrature(n: int, nodes: int) -> float:
     area = 2.0 * math.pi
     rule = QuadratureRule(node_count=nodes if nodes % 2 == 1 else nodes + 1)
     for j in range(1, n - 1):
-        s = integrate_periodic(lambda th, j=j: math.sin(th) ** j, 0.0, math.pi, rule)
+        s = integrate_periodic(lambda th, j=j: np.sin(th) ** j, 0.0, math.pi, rule)
         area *= s.real
     return area
 
@@ -154,8 +154,8 @@ def integral_rep(n: int, h: int, point: Sequence[float],
         raise ValueError("degree must be nonnegative")
     xv, yv, zv = (float(c) for c in point)
 
-    def integrand(t: float) -> complex:
-        return (zv + 1j * xv * math.cos(t) + 1j * yv * math.sin(t)) ** n * cmath.exp(1j * h * t)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return (zv + 1j * xv * np.cos(t) + 1j * yv * np.sin(t)) ** n * np.exp(1j * h * t)
 
     return integrate_periodic(integrand, -math.pi, math.pi, rule)
 

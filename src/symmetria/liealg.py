@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
+from .numerics import worst_of
 from .report import Check
 
 # Phase-space variables, in storage order: x^0..x^3 then p_0..p_3.
@@ -89,7 +91,7 @@ class PhasePolynomial:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(map(add, m1, m2))
                 s = out.get(mono, 0) + c1 * c2
                 if s == 0:
                     out.pop(mono, None)
@@ -122,7 +124,11 @@ class PhasePolynomial:
         return res
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        """Largest coefficient modulus as a float, NaN if any coefficient is
+        NaN, 0.0 for the zero polynomial."""
+        if not self.terms:
+            return 0.0
+        return worst_of(*(abs(c) for c in self.terms.values()))
 
     def __repr__(self):
         if not self.terms:
@@ -258,12 +264,14 @@ def check_structure(structure: LieStructure) -> list[Check]:
     through the dense rank-3 array.
     """
     labels = structure.basis_labels
+    table = structure.constants
+    empty: dict = {}
 
     anti_bad = []
     for a in labels:
         for b in labels:
-            fwd = structure.bracket(a, b)
-            rev = structure.bracket(b, a)
+            fwd = table.get((a, b), empty)
+            rev = table.get((b, a), empty)
             if {g: -c for g, c in rev.items()} != fwd:
                 anti_bad.append((a, b))
     checks = [Check(
@@ -279,8 +287,8 @@ def check_structure(structure: LieStructure) -> list[Check]:
         # {sum_d combo[d] X_d, X_e} as a sparse coefficient map
         out: dict = {}
         for d, coeff in combo.items():
-            for g, c2 in structure.bracket(d, e).items():
-                s = out.get(g, Fraction(0)) + coeff * c2
+            for g, c2 in table.get((d, e), empty).items():
+                s = out.get(g, 0) + coeff * c2
                 if s == 0:
                     out.pop(g, None)
                 else:
@@ -292,11 +300,11 @@ def check_structure(structure: LieStructure) -> list[Check]:
         for b in labels:
             for e in labels:
                 total: dict = {}
-                for part in (bracket_with(structure.bracket(a, b), e),
-                             bracket_with(structure.bracket(b, e), a),
-                             bracket_with(structure.bracket(e, a), b)):
+                for part in (bracket_with(table.get((a, b), empty), e),
+                             bracket_with(table.get((b, e), empty), a),
+                             bracket_with(table.get((e, a), empty), b)):
                     for g, coeff in part.items():
-                        s = total.get(g, Fraction(0)) + coeff
+                        s = total.get(g, 0) + coeff
                         if s == 0:
                             total.pop(g, None)
                         else:

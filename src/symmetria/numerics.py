@@ -79,51 +79,41 @@ def commutator(a, b, sign: str = "minus") -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """1-D quadrature: composite Simpson (odd node count) or Gauss-Legendre."""
+    """Composite Simpson on an odd number of equally spaced nodes."""
 
     node_count: int = 129
-    kind: str = "composite-simpson"
 
     def __post_init__(self):
-        if self.kind not in ("composite-simpson", "gauss-legendre"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.node_count < 3:
             raise ValueError("node_count must be >= 3")
-        if self.kind == "composite-simpson" and self.node_count % 2 == 0:
+        if self.node_count % 2 == 0:
             raise ValueError("composite Simpson requires an odd node_count")
 
 
-def integrate_periodic(f: Callable[[float], complex], a: float, b: float,
+def integrate_periodic(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                        rule: QuadratureRule = QuadratureRule()) -> complex:
-    """Quadrature of int_a^b f(t) dt.
+    """Composite Simpson quadrature of int_a^b f(t) dt.
 
-    Composite Simpson converges geometrically for integrands that are
-    smooth and periodic on [a, b]; Gauss-Legendre handles the rest.
+    ``f`` is called once, on the whole array of nodes, and returns the array
+    of integrand values.  The rule converges geometrically for integrands
+    that are smooth and periodic on [a, b].  A non-finite value raises
+    ``QuadratureEvaluationError`` naming the first node that produced one.
     """
     if not b > a:
         raise ValueError("integration interval requires b > a")
-    if rule.kind == "composite-simpson":
-        nodes = np.linspace(a, b, rule.node_count)
-        vals = np.empty(rule.node_count, dtype=complex)
-        for i, t in enumerate(nodes):
-            v = complex(f(float(t)))
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise QuadratureEvaluationError(float(t), v)
-            vals[i] = v
-        h = (b - a) / (rule.node_count - 1)
-        w = np.ones(rule.node_count)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return complex(h / 3.0 * np.sum(w * vals))
-    x, w = np.polynomial.legendre.leggauss(rule.node_count)
-    t = 0.5 * (b - a) * x + 0.5 * (b + a)
-    vals = np.empty(rule.node_count, dtype=complex)
-    for i, ti in enumerate(t):
-        v = complex(f(float(ti)))
-        if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-            raise QuadratureEvaluationError(float(ti), v)
-        vals[i] = v
-    return complex(0.5 * (b - a) * np.sum(w * vals))
+    nodes = np.linspace(a, b, rule.node_count)
+    vals = np.asarray(f(nodes), dtype=complex)
+    if vals.shape != nodes.shape:
+        raise ValueError(f"integrand returned shape {vals.shape} for {nodes.size} nodes")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmax(~finite))
+        raise QuadratureEvaluationError(float(nodes[i]), complex(vals[i]))
+    h = (b - a) / (rule.node_count - 1)
+    w = np.ones(rule.node_count)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return complex(h / 3.0 * np.sum(w * vals))
 
 
 @dataclass(frozen=True)
@@ -151,13 +141,6 @@ def fd_second_derivative(f: Callable[[float], float], x: float, stencil: FDStenc
         return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
     return (-f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * f(x)
             + 16.0 * f(x - h) - f(x - 2 * h)) / (12.0 * h * h)
-
-
-def fd_derivative(f: Callable[[float], float], x: float, stencil: FDStencil) -> float:
-    h = stencil.step
-    if stencil.order == 2:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    return (-f(x + 2 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
 
 
 def fd_laplacian(field: Callable[[np.ndarray], float], point: Sequence[float],

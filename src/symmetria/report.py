@@ -2,11 +2,11 @@
 
 A Check is one named verification with an optional residual/tolerance pair;
 a CheckReport groups the checks of one suite with pass/fail tallies and
-records new rows through ``CheckReport.check``, which times each row and
-folds its residuals.  JSON output is deterministic: sorted keys, full float
-precision, and no timing fields.  Row times are float milliseconds and
-appear only in the text rendering, which is not required to be byte-stable
-across runs.
+records new rows through ``CheckReport.check``, which times each row,
+folds its residuals, and turns a raising row into a FAIL row.  JSON output
+is deterministic: sorted keys, full float precision, and no timing fields.
+Row times are float milliseconds and appear only in the text rendering,
+which is not required to be byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -122,11 +122,19 @@ class CheckReport:
         """Record one row (plus its siblings) from the block this wraps.
 
         Keyword arguments are those of ``Row``.  The block's wall time goes
-        to the row as float milliseconds; a block that raises records
-        nothing."""
+        to the row as float milliseconds.  A block that raises ``ValueError``
+        (every package error is one) or ``ArithmeticError`` stops there: the
+        row and its siblings are recorded as FAIL with the exception in
+        ``detail``, and the suite goes on to its next row.  Other exceptions
+        are programming errors; they propagate and record nothing."""
         row = Row(name, ref, **kwargs)
         t0 = time.perf_counter()
-        yield row
+        try:
+            yield row
+        except (ValueError, ArithmeticError) as exc:
+            for r in (row, *row.siblings):
+                r.ok = False
+                r.detail = f"{type(exc).__name__}: {exc}"
         row.elapsed_ms = 1000.0 * (time.perf_counter() - t0)
         self.checks += [r.to_check() for r in (row, *row.siblings)]
 
@@ -191,6 +199,8 @@ def render_text(reports: list[CheckReport], config: dict) -> str:
             lines.append(f"  {mark:4s}  {c.name:44s} residual={_fmt(c.residual):>12s}"
                          f"  tol={_fmt(c.tolerance):>9s}  n={c.samples:<4d} [{c.ref}]"
                          + (f"  ({c.elapsed_ms:.3f} ms)" if c.elapsed_ms is not None else ""))
+            if c.status == "fail" and c.detail:
+                lines.append(f"        {c.detail}")
         lines.append(f"  -- {rep.passed}/{rep.total} passed, {rep.failed} failed, "
                      f"{rep.skipped} informative")
         total += rep.total

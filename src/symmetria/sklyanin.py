@@ -299,8 +299,9 @@ def epsilon4(i: int, j: int, k: int, l: int) -> int:
 
 def _coord(i: int):
     # the Poisson-tensor checks reuse the phase-polynomial engine on the
-    # first four variable slots
-    return PhasePolynomial.variable(f"x{i}")
+    # first four variable slots; the int coefficient is exact and keeps
+    # integer specs in integer arithmetic
+    return PhasePolynomial.variable(f"x{i}", 1)
 
 
 @dataclass(frozen=True)
@@ -335,13 +336,15 @@ def poisson_tensor(spec: PoissonTensorSpec) -> dict:
 def tensor_bracket(table: dict, f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     """{f, g} = sum_{k<l} B_kl (d_k f d_l g - d_l f d_k g) for the quadratic
     bracket table B."""
+    df = [f.derivative(k) for k in range(4)]
+    dg = [g.derivative(k) for k in range(4)]
     out = PhasePolynomial.zero()
     for k in range(4):
         for l in range(k + 1, 4):
             B = table[(k, l)]
             if not B:
                 continue
-            out = out + B * (f.derivative(k) * g.derivative(l) - f.derivative(l) * g.derivative(k))
+            out = out + B * (df[k] * dg[l] - df[l] * dg[k])
     return out
 
 

@@ -169,6 +169,32 @@ def test_automorphism_order_against_vf2(c60):
     assert sum(1 for _ in gm.isomorphisms_iter()) == 120
 
 
+def _faceless(nx_graph):
+    g = nx.convert_node_labels_to_integers(nx_graph)
+    return PolyhedralGraph(vertices=[np.zeros(3)] * g.number_of_nodes(),
+                           edges=list(g.edges), faces=[])
+
+
+def _vf2_count(nx_graph):
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(
+        nx_graph, nx_graph).isomorphisms_iter())
+
+
+@pytest.mark.parametrize("name,graph,order", [
+    ("petersen", nx.petersen_graph(), 120),
+    ("K4", nx.complete_graph(4), 24),
+    ("K33", nx.complete_bipartite_graph(3, 3), 72),
+    ("5-prism", nx.circular_ladder_graph(5), 20),
+    ("moebius-kantor", nx.moebius_kantor_graph(), 96),
+    ("heawood", nx.heawood_graph(), 336),
+] + [(f"cubic-12-seed{s}", nx.random_regular_graph(3, 12, seed=s), None) for s in range(5)])
+def test_automorphism_order_against_vf2_on_faceless_graphs(name, graph, order):
+    expected = _vf2_count(graph)
+    if order is not None:
+        assert expected == order
+    assert automorphism_order(_faceless(graph)) == expected, name
+
+
 def test_automorphism_small_graphs():
     pent = PolyhedralGraph(vertices=[np.zeros(3)] * 5,
                            edges=[(i, (i + 1) % 5) for i in range(5)], faces=[])

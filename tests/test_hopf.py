@@ -5,6 +5,7 @@ import pytest
 
 from symmetria import hopf as hopf_module
 from symmetria.hopf import (
+    UqSu2Rep,
     antipode_convention_solve,
     coassociativity_residual,
     coproduct_rep,
@@ -39,6 +40,20 @@ def test_rep_validation():
         uq_su2_rep(0.3, 1.5)
     with pytest.raises(ValueError):
         uq_su2_rep(0.5, -2.0)
+
+
+def test_rep_rejects_nan_or_non_square_generators():
+    rep = uq_su2_rep(1.0, 1.3)
+    bad = rep.Xp.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        UqSu2Rep(q=rep.q, j=rep.j, H=rep.H, Xp=bad, Xm=rep.Xm)
+    with pytest.raises(ValueError, match="3x3"):
+        UqSu2Rep(q=rep.q, j=rep.j, H=rep.H[:, :2], Xp=rep.Xp, Xm=rep.Xm)
+    with pytest.raises(ValueError, match="3x3"):
+        UqSu2Rep(q=rep.q, j=rep.j, H=rep.H, Xp=rep.Xp, Xm=np.eye(2))
+    ok = UqSu2Rep(q=rep.q, j=rep.j, H=rep.H.real, Xp=rep.Xp, Xm=rep.Xm)
+    assert ok.H.dtype == complex
 
 
 def test_spin_half_commutator_is_h():

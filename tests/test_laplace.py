@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -142,6 +143,26 @@ def test_legendre_against_scipy_including_negative_order():
 def test_integral_rep_reference_values():
     assert abs(integral_rep(1, 0, (0.0, 0.0, 2.0)) - 4 * math.pi) < 1e-12
     assert abs(integral_rep(0, 0, (1.0, 2.0, 3.0)) - 2 * math.pi) < 1e-12
+
+
+def _integral_rep_per_node(n, h, point, nodes=129):
+    """The circle integral by composite Simpson with one scalar integrand
+    evaluation per node: the reference for the array integrand."""
+    xv, yv, zv = (float(c) for c in point)
+    ts = np.linspace(-math.pi, math.pi, nodes)
+    vals = [(zv + 1j * xv * math.cos(t) + 1j * yv * math.sin(t)) ** n * cmath.exp(1j * h * t)
+            for t in ts]
+    w = np.ones(nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return complex((ts[1] - ts[0]) / 3.0 * np.sum(w * np.array(vals)))
+
+
+@pytest.mark.parametrize("n,h", [(1, 0), (2, 1), (3, 2), (4, -3)])
+def test_integral_rep_matches_the_per_node_reference(n, h):
+    for point in ((0.3, -1.1, 0.8), (1.7, 0.4, -0.6), (-0.9, -0.2, 1.3)):
+        ref = _integral_rep_per_node(n, h, point)
+        assert abs(integral_rep(n, h, point) - ref) <= 1e-13 * abs(ref), (n, h, point)
 
 
 def test_integral_rep_proportionality():

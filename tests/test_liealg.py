@@ -89,6 +89,18 @@ def test_bracket_jacobi_identity():
         assert not total
 
 
+def test_max_abs_coeff_folds_with_worst_of():
+    poly = x(1).scale(Fraction(-7, 2)) + p(2) + x(3).scale(2)
+    assert poly.max_abs_coeff() == 3.5 and type(poly.max_abs_coeff()) is float
+    assert PhasePolynomial.zero().max_abs_coeff() == 0.0
+    # a NaN in a coefficient that is not the first is not dropped
+    mixed = PhasePolynomial({(1, 0, 0, 0, 0, 0, 0, 0): 2.0 + 1.0j,
+                             (0, 1, 0, 0, 0, 0, 0, 0): complex(float("nan"), 0.0),
+                             (0, 0, 1, 0, 0, 0, 0, 0): 5.0})
+    assert list(mixed.terms)[0] == (1, 0, 0, 0, 0, 0, 0, 0)
+    assert np.isnan(mixed.max_abs_coeff())
+
+
 def test_galilei_table_exact():
     structure = galilei_structure()
     assert structure.dimension() == 10

@@ -76,37 +76,28 @@ def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(node_count=2)
     with pytest.raises(ValueError):
-        QuadratureRule(node_count=10, kind="composite-simpson")
-    with pytest.raises(ValueError):
-        QuadratureRule(node_count=5, kind="monte-carlo")
+        QuadratureRule(node_count=10)
 
 
 def test_integrate_cos_squared():
-    val = integrate_periodic(lambda t: math.cos(t) ** 2, -math.pi, math.pi,
+    val = integrate_periodic(lambda t: np.cos(t) ** 2, -math.pi, math.pi,
                              QuadratureRule(node_count=65))
     assert abs(val - math.pi) < 1e-10
 
 
 def test_integrate_full_period_oscillation():
-    val = integrate_periodic(lambda t: complex(math.cos(t), math.sin(t)),
-                             -math.pi, math.pi)
+    val = integrate_periodic(lambda t: np.cos(t) + 1j * np.sin(t), -math.pi, math.pi)
     assert abs(val) < 1e-12
 
 
 def test_integrate_against_trapezoid_oracle():
-    f = lambda t: (1 + 1j * math.cos(t)) ** 3 * complex(math.cos(-t), math.sin(-t))
+    f = lambda t: (1 + 1j * np.cos(t)) ** 3 * (np.cos(-t) + 1j * np.sin(-t))
     val = integrate_periodic(f, -math.pi, math.pi)
     assert abs(val - OSCILLATORY_INTEGRAL) < 1e-9
 
 
-def test_integrate_gauss_legendre():
-    val = integrate_periodic(lambda t: t * t, 0.0, 1.0,
-                             QuadratureRule(node_count=16, kind="gauss-legendre"))
-    assert abs(val - 1.0 / 3.0) < 1e-13
-
-
 def test_integrate_convergence_order():
-    f = lambda t: math.exp(math.sin(3 * t))
+    f = lambda t: np.exp(np.sin(3 * t))
     ref = integrate_periodic(f, -math.pi, math.pi, QuadratureRule(node_count=2049))
     e1 = abs(integrate_periodic(f, -math.pi, math.pi, QuadratureRule(node_count=17)) - ref)
     e2 = abs(integrate_periodic(f, -math.pi, math.pi, QuadratureRule(node_count=33)) - ref)
@@ -115,11 +106,35 @@ def test_integrate_convergence_order():
 
 def test_integrate_nonfinite_propagates_node():
     def f(t):
-        return math.inf if t == 0.0 else 1.0 / t
+        with np.errstate(divide="ignore"):
+            return np.where(t == 0.0, math.inf, 1.0 / t)
 
     with pytest.raises(QuadratureEvaluationError) as err:
         integrate_periodic(f, -1.0, 1.0, QuadratureRule(node_count=5))
     assert err.value.node == 0.0
+
+
+def test_integrate_names_the_first_of_several_nonfinite_nodes():
+    # nodes -1, -0.5, 0, 0.5, 1: the value is NaN at 0 and infinite at 0.5 and 1
+    def f(t):
+        return np.where(t > 0.25, math.inf, np.where(t == 0.0, math.nan, 1.0 + t))
+
+    with pytest.raises(QuadratureEvaluationError) as err:
+        integrate_periodic(f, -1.0, 1.0, QuadratureRule(node_count=5))
+    assert err.value.node == 0.0
+    assert math.isnan(err.value.value.real)
+
+
+def test_integrand_is_called_once_on_the_node_array():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.ones_like(t)
+
+    val = integrate_periodic(f, 0.0, 2.0, QuadratureRule(node_count=9))
+    assert abs(val - 2.0) < 1e-15
+    assert len(calls) == 1 and np.array_equal(calls[0], np.linspace(0.0, 2.0, 9))
 
 
 def test_fd_laplacian_quadratic_exact():

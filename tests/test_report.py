@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from symmetria import spacetime, suites
+from symmetria import laplace, spacetime, suites
 from symmetria.cli import main as cli_main
 from symmetria.numerics import worst_of
 from symmetria.report import Check, CheckReport, render_text
@@ -221,11 +221,95 @@ def test_improper_product_fails_rotation_row(monkeypatch):
 
 
 def test_block_that_raises_records_nothing():
+    # a TypeError is a programming error, not a failed identity
     rep = CheckReport("unit")
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(TypeError):
         with rep.check("row", "ref", tol=1.0) as c:
-            c.observe(1.0 / 0.0)
+            c.observe(None + 1.0)
     assert rep.checks == []
+
+
+@pytest.mark.parametrize("error", [AttributeError("a"), KeyError("k")])
+def test_other_programming_errors_propagate(error):
+    rep = CheckReport("unit")
+    with pytest.raises(type(error)):
+        with rep.check("row", "ref", tol=1.0):
+            raise error
+    assert rep.checks == []
+
+
+def test_block_that_raises_an_arithmetic_error_records_a_fail_row():
+    rep = CheckReport("unit")
+    with rep.check("row", "ref", tol=1.0) as c:
+        sibling = c.sibling("sibling", "ref", detect=1e-3)
+        c.observe(0.5)
+        c.observe(1.0 / 0.0)
+    with rep.check("next", "ref", tol=1.0) as c:
+        c.observe(0.25)
+    row, sib, nxt = rep.checks
+    assert (row.status, sib.status, nxt.status) == ("fail", "fail", "pass")
+    assert row.detail == sib.detail == "ZeroDivisionError: float division by zero"
+    assert row.residual == 0.5 and sib.residual is None
+    assert row.elapsed_ms is not None and sib.elapsed_ms is None
+
+
+def test_raising_compose_fails_its_rows_and_the_run_goes_on(monkeypatch, tmp_path, capsys):
+    real = spacetime.poincare_compose
+    calls = []
+
+    def raise_on_third(T2, T1):
+        # call 1 is the velocity-addition row; 2 on are the compose sweep
+        calls.append(1)
+        if len(calls) == 3:
+            raise spacetime.CompositionError("composed boost leaves the light cone")
+        return real(T2, T1)
+
+    monkeypatch.setattr(spacetime, "poincare_compose", raise_on_third)
+    out = tmp_path / "report.json"
+    code = cli_main(["verify", "all", "--seed", "42", "--samples", "20",
+                     "--format", "json", "--out", str(out)])
+    assert code == 1
+    doc = json.loads(out.read_text())
+    rows = {(r["suite"], c["name"]): c for r in doc["reports"] for c in r["checks"]}
+    assert len(rows) == 74
+    failed = {key for key, c in rows.items() if c["status"] == "fail"}
+    assert failed == {("poincare", "compose_matches_sequential_action"),
+                      ("poincare", "interval_preserved")}
+    for key in failed:
+        assert rows[key]["detail"] == "CompositionError: composed boost leaves the light cone"
+
+    calls.clear()
+    assert cli_main(["verify", "poincare", "--seed", "42", "--samples", "20"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "        CompositionError: composed boost leaves the light cone" in captured.out
+
+
+def test_nan_integrand_fails_the_proportionality_row(monkeypatch):
+    real = laplace.integrate_periodic
+
+    def nan_integral_rep(f, a, b, rule):
+        # integral_rep integrates over [-pi, pi]; the sphere-area
+        # quadrature of the flux row over [0, pi] is left alone
+        if a != -math.pi:
+            return real(f, a, b, rule)
+
+        def poisoned(t):
+            vals = f(t)
+            vals[5] = math.nan
+            return vals
+
+        return real(poisoned, a, b, rule)
+
+    monkeypatch.setattr(laplace, "integrate_periodic", nan_integral_rep)
+    report = suites.run_laplace(suites.suite_rng(42, "laplace"), 1e-9, 20)
+    rows = {c.name: c for c in report.checks}
+    row = rows["integral_representation_proportionality"]
+    assert row.status == "fail"
+    assert row.detail.startswith("QuadratureEvaluationError: integrand non-finite at t=")
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert failed == {"integral_representation_proportionality", "integral_representation_harmonic",
+                      "homogeneity_degree_n", "azimuthal_equivariance"}
 
 
 def test_shared_span_is_recorded_once():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from symmetria import suites
 from symmetria import sklyanin as sklyanin_module
 from symmetria.elliptic import EllipticPoleError
+from symmetria.liealg import PhasePolynomial
 from symmetria.numerics import kron, sup_norm
 from symmetria.sklyanin import (
     CYCLIC,
@@ -373,6 +375,23 @@ def test_tensor_bracket_leibniz():
     lhs = tensor_bracket(table, f, g * h)
     rhs = tensor_bracket(table, f, g) * h + g * tensor_bracket(table, f, h)
     assert not (lhs - rhs)
+
+
+def _as_fractions(poly):
+    return PhasePolynomial({m: Fraction(c) for m, c in poly.terms.items()})
+
+
+def test_tensor_bracket_int_coefficients_match_fractions():
+    table = poisson_tensor(PoissonTensorSpec(a=(3, -1, 4, 2), b=(0, 5, -2, 1)))
+    c = _coord
+    f = c(0) * c(1) + (c(2) * c(2) * c(3)).scale(-3)
+    g = (c(1) * c(3)).scale(7) + c(0) * c(0) * c(2)
+    exact = tensor_bracket(table, f, g)
+    table_q = {key: _as_fractions(poly) for key, poly in table.items()}
+    as_q = tensor_bracket(table_q, _as_fractions(f), _as_fractions(g))
+    assert exact and exact == as_q
+    assert all(type(v) is int for v in exact.terms.values())
+    assert all(type(v) is Fraction for v in as_q.terms.values())
 
 
 def test_classical_bracket_exchange_identity():

@@ -449,10 +449,15 @@ def test_nan_event_fails_poincare_compose_sweep_rows(monkeypatch):
 
 
 def test_nan_event_fed_to_the_next_element_is_rejected(monkeypatch):
-    # Row 0 of T1's block is pt, which T2 then maps: the kernel refuses it.
+    # Row 0 of T1's block is pt, which T2 then maps: the kernel refuses it,
+    # and the refusal fails the sweep's row and its sibling.
     _poison_second_pair(monkeypatch, 0)
-    with pytest.raises(ValueError, match="events"):
-        suites.run_poincare(suites.suite_rng(42, "poincare"), 1e-9, 5)
+    report = suites.run_poincare(suites.suite_rng(42, "poincare"), 1e-9, 5)
+    failed = {c.name: c for c in report.checks if c.status == "fail"}
+    assert set(failed) == {"compose_matches_sequential_action", "interval_preserved"}
+    for c in failed.values():
+        assert c.detail.startswith("ValueError: events must be an (N, 4) array")
+    assert len(report.checks) == 10
 
 
 def test_block_draws_replay_the_sequential_draws():
