@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import fullerene, liealg, sklyanin
 from .report import render_json, render_text
 from .suites import SUITE_NAMES, run_suites, suite_rng
@@ -125,10 +127,9 @@ def cmd_dump(args) -> int:
     else:
         p = sklyanin.QuantumRParams(eta=0.3, k=0.5)
         rng = suite_rng(args.seed, "sklyanin-sweep")
-        doc = [
-            {"u": u, "v": v, "residual": sklyanin.qybe_residual(u, v, p)}
-            for u, v in sklyanin.sweep_samples(rng, p.k, args.samples)
-        ]
+        pairs = sklyanin.sweep_samples(rng, p.k, args.samples)
+        residuals = sklyanin.qybe_residual(*np.array(pairs).T, p)
+        doc = [{"u": u, "v": v, "residual": r} for (u, v), r in zip(pairs, residuals.tolist())]
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 

@@ -5,6 +5,10 @@ amplitude recursion; complex arguments are assembled from real evaluations
 through the addition theorem and the imaginary-argument transformation
 sn(iy,k) = i sn(y,k')/cn(y,k').  The modulus convention is k (not the
 parameter m = k^2) everywhere.
+
+Arguments may be scalars or arrays.  The AGM scales depend on the modulus
+alone and are run once per call; the Landen steps then act elementwise on
+the whole array.  A scalar argument is evaluated as a one-element array.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class EllipticDomainError(ValueError):
@@ -23,12 +29,15 @@ class EllipticDivergenceError(ValueError):
 
 
 class EllipticPoleError(ValueError):
-    """Argument too close to a pole of sn/cn/dn; carries the nearest pole."""
+    """Argument too close to a pole of sn/cn/dn; carries the nearest pole
+    and, for an array argument, the flat index of the first bad entry."""
 
-    def __init__(self, z: complex, pole: complex):
+    def __init__(self, z: complex, pole: complex, index: int | None = None):
         self.z = z
         self.pole = pole
-        super().__init__(f"argument {z!r} within 1e-6 of pole at {pole!r}")
+        self.index = index
+        at = "" if index is None else f" (index {index})"
+        super().__init__(f"argument {z!r}{at} within 1e-6 of pole at {pole!r}")
 
 
 # Quadratic convergence makes 8 AGM steps plenty for double precision, but the
@@ -79,93 +88,107 @@ class EllipticModulus:
         object.__setattr__(self, "quarter_period_K_prime", Kp)
 
 
-def sn_cn_dn_real(u: float, k: float) -> tuple[float, float, float]:
-    """Simultaneous sn, cn, dn at real argument.
+def sn_cn_dn_real(u, k: float):
+    """Simultaneous sn, cn, dn at real argument: floats for a scalar u,
+    arrays of u's shape for an array.
 
-    Descending Landen: run the AGM scales a_n, b_n, c_n, seed the amplitude
-    with phi_N = 2^N a_N u, then halve back down.  dn is recovered from the
-    stable identity dn^2 = k'^2 + k^2 cn^2.
+    Descending Landen: run the AGM scales a_n, b_n, c_n of the modulus once,
+    seed the amplitude with phi_N = 2^N a_N u, then halve back down,
+    elementwise over u.  dn is recovered from the stable identity
+    dn^2 = k'^2 + k^2 cn^2.
     """
     if not 0.0 <= k <= 1.0:
         raise EllipticDomainError(f"modulus must lie in [0,1], got {k!r}")
+    x = np.asarray(u, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
     if k < 1e-14:
-        return math.sin(u), math.cos(u), 1.0
-    if k > 1.0 - 1e-14:
-        return math.tanh(u), 1.0 / math.cosh(u), 1.0 / math.cosh(u)
-    a = [1.0]
-    c = [k]
-    b = math.sqrt(1.0 - k * k)
-    for _ in range(_AGM_MAX_STEPS):
-        if abs(c[-1]) <= _AGM_TOL * a[-1]:
-            break
-        a_next = 0.5 * (a[-1] + b)
-        c.append(0.5 * (a[-1] - b))
-        b = math.sqrt(a[-1] * b)
-        a.append(a_next)
-    n = len(a) - 1
-    phi = (2.0 ** n) * a[n] * u
-    for i in range(n, 0, -1):
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, (c[i] / a[i]) * math.sin(phi)))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt((1.0 - k * k) + (k * cn) ** 2)
+        sn, cn, dn = np.sin(x), np.cos(x), np.ones_like(x)
+    elif k > 1.0 - 1e-14:
+        sn, cn = np.tanh(x), 1.0 / np.cosh(x)
+        dn = cn.copy()
+    else:
+        a = [1.0]
+        c = [k]
+        b = math.sqrt(1.0 - k * k)
+        for _ in range(_AGM_MAX_STEPS):
+            if abs(c[-1]) <= _AGM_TOL * a[-1]:
+                break
+            a_next = 0.5 * (a[-1] + b)
+            c.append(0.5 * (a[-1] - b))
+            b = math.sqrt(a[-1] * b)
+            a.append(a_next)
+        n = len(a) - 1
+        phi = (2.0 ** n) * a[n] * x
+        for i in range(n, 0, -1):
+            phi = 0.5 * (phi + np.arcsin(np.clip((c[i] / a[i]) * np.sin(phi), -1.0, 1.0)))
+        sn = np.sin(phi)
+        cn = np.cos(phi)
+        dn = np.sqrt((1.0 - k * k) + (k * cn) ** 2)
+    if scalar:
+        return float(sn[0]), float(cn[0]), float(dn[0])
     return sn, cn, dn
 
 
-def _sn_cn_dn_imag(y: float, k: float) -> tuple[complex, complex, complex]:
+def _sn_cn_dn_imag(y: np.ndarray, k: float) -> tuple:
     # Jacobi imaginary transformation: values at iy from the complementary modulus.
     kp = math.sqrt(max(0.0, 1.0 - k * k))
     s, c, d = sn_cn_dn_real(y, kp)
     return 1j * s / c, 1.0 / c, d / c
 
 
-def nearest_pole(z: complex, k: float) -> complex:
-    """Nearest point of the pole lattice iK' + 2mK + 2inK'.
+def _complex(re, im) -> np.ndarray:
+    # re + i im entry by entry; re + 1j * im would turn an infinite im
+    # into a NaN real part
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def nearest_pole(z, k: float):
+    """Nearest point of the pole lattice iK' + 2mK + 2inK', entry by entry
+    for an array of z.
 
     For k = 0 the lattice recedes to infinity (sin and cos are entire)."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
     if k < 1e-14:
-        return complex(z.real, math.copysign(math.inf, z.imag if z.imag else 1.0))
-    K = quarter_period(k)
-    Kp = quarter_period(math.sqrt(max(0.0, 1.0 - k * k)))
-    m = round(z.real / (2.0 * K))
-    n = round((z.imag - Kp) / (2.0 * Kp))
-    return complex(2.0 * m * K, (2.0 * n + 1.0) * Kp)
+        pole = _complex(zz.real, np.copysign(math.inf, np.where(zz.imag != 0.0, zz.imag, 1.0)))
+    else:
+        K = quarter_period(k)
+        Kp = quarter_period(math.sqrt(max(0.0, 1.0 - k * k)))
+        m = np.round(zz.real / (2.0 * K))
+        n = np.round((zz.imag - Kp) / (2.0 * Kp))
+        pole = _complex(2.0 * m * K, (2.0 * n + 1.0) * Kp)
+    return complex(pole[0]) if np.ndim(z) == 0 else pole
 
 
-def sn_cn_dn_complex(z: complex, k: float) -> tuple[complex, complex, complex]:
-    """sn, cn, dn at a complex argument, away from the pole lattice."""
+def sn_cn_dn_complex(z, k: float):
+    """sn, cn, dn at a complex argument, away from the pole lattice:
+    complex numbers for a scalar z, arrays of z's shape for an array.
+
+    Every argument is checked against its nearest pole first; the error
+    names the first one within 1e-6 of a pole, by flat index for an array."""
     if not 0.0 <= k < 1.0:
         raise EllipticDomainError(f"modulus must lie in [0,1), got {k!r}")
-    z = complex(z)
-    pole = nearest_pole(z, k)
-    if abs(z - pole) < 1e-6:
-        raise EllipticPoleError(z, pole)
-    x, y = z.real, z.imag
-    if abs(y) < 1e-300:
-        s, c, d = sn_cn_dn_real(x, k)
-        return complex(s), complex(c), complex(d)
+    scalar = np.ndim(z) == 0
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    pole = nearest_pole(zz, k)
+    near = np.abs(zz - pole) < 1e-6
+    if near.any():
+        i = int(np.flatnonzero(near)[0])
+        raise EllipticPoleError(complex(zz.flat[i]), complex(pole.flat[i]),
+                                None if scalar else i)
+    x, y = zz.real, zz.imag
     s1, c1, d1 = sn_cn_dn_real(x, k)
     s2, c2, d2 = _sn_cn_dn_imag(y, k)
     denom = 1.0 - (k * s1 * s2) ** 2
     sn = (s1 * c2 * d2 + s2 * c1 * d1) / denom
     cn = (c1 * c2 - s1 * d1 * s2 * d2) / denom
     dn = (d1 * d2 - k * k * s1 * c1 * s2 * c2) / denom
+    # on the real axis the real-argument values are exact as they stand
+    real_axis = np.abs(y) < 1e-300
+    sn, cn, dn = (np.where(real_axis, r, w) for r, w in ((s1, sn), (c1, cn), (d1, dn)))
+    if scalar:
+        return complex(sn[0]), complex(cn[0]), complex(dn[0])
     return sn, cn, dn
 
-
-def sn(z, k: float):
-    if isinstance(z, complex):
-        return sn_cn_dn_complex(z, k)[0]
-    return sn_cn_dn_real(float(z), k)[0]
-
-
-def cn(z, k: float):
-    if isinstance(z, complex):
-        return sn_cn_dn_complex(z, k)[1]
-    return sn_cn_dn_real(float(z), k)[1]
-
-
-def dn(z, k: float):
-    if isinstance(z, complex):
-        return sn_cn_dn_complex(z, k)[2]
-    return sn_cn_dn_real(float(z), k)[2]

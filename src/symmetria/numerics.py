@@ -42,15 +42,21 @@ def sup_norm(m) -> float:
     return float(np.max(np.abs(np.asarray(m))))
 
 
-def worst_of(*values: float) -> float:
+def worst_of(*values) -> float:
     """Largest of the values as a float, or NaN if any of them is NaN.
 
     This is the one fold rule for residuals.  Builtin ``max`` drops a NaN
     that is not its first argument (``max(0.0, nan) == 0.0``), so a broken
     sample would vanish from a running worst and its check would pass.
+    A value may be an ndarray of per-sample residuals; it is folded whole
+    (any NaN in it gives NaN, else its max) and an empty one adds nothing.
     """
     out = -math.inf
     for v in values:
+        if isinstance(v, np.ndarray):
+            if v.size == 0:
+                continue
+            v = math.nan if np.isnan(v).any() else v.max()
         v = float(v)
         if v != v:
             return math.nan

@@ -66,7 +66,8 @@ class Row:
     """A row being recorded by ``CheckReport.check``.
 
     ``observe`` folds residuals with ``worst_of``, so one NaN anywhere makes
-    the row's residual NaN and fails it.  ``require`` adds a condition that
+    the row's residual NaN and fails it; a residual may be an ndarray of
+    per-sample residuals, folded whole.  ``require`` adds a condition that
     must hold.  With ``tol`` the row passes when its residual is at most
     ``tol``; with ``detect`` (a mutation control) when its residual exceeds
     that threshold; with neither when every condition holds.
@@ -140,9 +141,17 @@ class CheckReport:
 
     def extend(self, make_checks, *args) -> None:
         """Append the ready-made checks ``make_checks(*args)`` returns; the
-        call is timed once and its time goes to the first of them."""
+        call is timed once and its time goes to the first of them.  A call
+        that raises ``ValueError`` or ``ArithmeticError`` returns no rows to
+        fail, so it records one FAIL row named after ``make_checks``, with
+        the exception in ``detail``, and the suite goes on."""
         t0 = time.perf_counter()
-        checks = list(make_checks(*args))
+        try:
+            checks = list(make_checks(*args))
+        except (ValueError, ArithmeticError) as exc:
+            name = make_checks.__name__
+            checks = [Check(name, f"the checks {name} returns", passed=False,
+                            detail=f"{type(exc).__name__}: {exc}")]
         if checks:
             checks[0].elapsed_ms = 1000.0 * (time.perf_counter() - t0)
         self.checks += checks

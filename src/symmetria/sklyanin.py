@@ -16,6 +16,13 @@ one embedding: reshape the two-site operator into its four leg indices,
 take the outer product with the identity on the third leg, transpose the
 legs into place and reshape back.  Inputs are validated once, where they
 enter (``_embed_pair``, ``SklyaninRep``), not inside the sweeps.
+
+The weights, matrices and residuals take a scalar u (and v) or arrays of
+them.  A sweep passes its whole u, v arrays: the weights of every sample
+are computed and checked in one pass, then the (B, 8, 8) matrix stacks
+and their products are built at most ``_BLOCK`` samples at a time, and
+the residual comes back as one sup norm per sample.  A scalar call is the
+same computation on one sample.
 """
 
 from __future__ import annotations
@@ -69,15 +76,22 @@ class QuantumRParams:
             raise ValueError("modulus must lie in [0,1)")
 
 
-def _require_off_zero_lattice(u: float, k: float, margin: float = 1e-6):
+def _require_off_zero_lattice(u, k: float, margin: float = 1e-6) -> None:
+    """Every u at least `margin` away from the real zero lattice 2K Z of sn;
+    the error names the first u that is not (by flat index for an array)."""
+    x = np.atleast_1d(np.asarray(u, dtype=float))
     K = quarter_period(k)
-    d = abs(u - 2.0 * K * round(u / (2.0 * K)))
-    if d < margin:
-        raise EllipticPoleError(complex(u), complex(2.0 * K * round(u / (2.0 * K))))
+    zero = 2.0 * K * np.round(x / (2.0 * K))
+    near = np.abs(x - zero) < margin
+    if near.any():
+        i = int(np.flatnonzero(near)[0])
+        raise EllipticPoleError(complex(x.flat[i]), complex(zero.flat[i]),
+                                None if np.ndim(u) == 0 else i)
 
 
-def classical_w(u: float, p: ClassicalRParams) -> tuple[float, float, float]:
-    """(w1, w2, w3) = rho (1, dn, cn)/sn at (u, k); poles at sn = 0."""
+def classical_w(u, p: ClassicalRParams) -> tuple:
+    """(w1, w2, w3) = rho (1, dn, cn)/sn at (u, k); poles at sn = 0.
+    Floats for a scalar u, arrays of u's shape for an array."""
     _require_off_zero_lattice(u, p.k)
     s, c, d = sn_cn_dn_real(u, p.k)
     return p.rho / s, p.rho * d / s, p.rho * c / s
@@ -92,10 +106,18 @@ def classical_quadric(p: ClassicalRParams) -> dict:
     }
 
 
-def classical_r(u: float, p: ClassicalRParams) -> np.ndarray:
-    """r(u) = sum_a w_a(u) sigma_a x sigma_a, a 4x4 matrix."""
-    w = classical_w(u, p)
-    return w[0] * SIGMA_PAIR[1] + w[1] * SIGMA_PAIR[2] + w[2] * SIGMA_PAIR[3]
+def _pair_sum(w) -> np.ndarray:
+    """sum_a w_a sigma_a x sigma_a for weights w of shape (..., 3): a 4x4
+    matrix per weight triple, stacked over the leading axes."""
+    w = np.asarray(w)
+    return (w[..., 0, None, None] * SIGMA_PAIR[1] + w[..., 1, None, None] * SIGMA_PAIR[2]
+            + w[..., 2, None, None] * SIGMA_PAIR[3])
+
+
+def classical_r(u, p: ClassicalRParams) -> np.ndarray:
+    """r(u) = sum_a w_a(u) sigma_a x sigma_a: a 4x4 matrix, or an (n, 4, 4)
+    stack for n arguments."""
+    return _pair_sum(np.stack(classical_w(u, p), axis=-1))
 
 
 def _leg_axes(legs: tuple[int, int]) -> tuple:
@@ -115,32 +137,69 @@ _LEG_AXES = {legs: _leg_axes(legs) for legs in itertools.permutations(range(3), 
 def _on_legs(m: np.ndarray, legs: tuple[int, int], dims: tuple[int, int, int]) -> np.ndarray:
     """m, acting on factors legs[0] x legs[1] of a three-factor space with
     factor dimensions `dims`, tensored with the identity on the third
-    factor.  Exact: every entry is an entry of m or zero."""
+    factor.  Leading axes of m are batch axes: an (n, a, a) stack embeds
+    into an (n, N, N) stack.  Exact: every entry is an entry of m or zero."""
     legs = tuple(legs)
     if legs not in _LEG_AXES:
         raise ValueError(f"legs must be two distinct indices in 0..2, got {legs!r}")
     i, j = legs
     n = dims[0] * dims[1] * dims[2]
-    t = np.multiply.outer(m.reshape(dims[i], dims[j], dims[i], dims[j]), np.eye(dims[3 - i - j]))
-    return t.transpose(_LEG_AXES[legs]).reshape(n, n)
+    batch = m.shape[:-2]
+    t = np.multiply.outer(m.reshape(*batch, dims[i], dims[j], dims[i], dims[j]),
+                          np.eye(dims[3 - i - j]))
+    lead = tuple(range(len(batch)))
+    return t.transpose(lead + tuple(len(batch) + a for a in _LEG_AXES[legs])).reshape(*batch, n, n)
 
 
-def _embed_pair(m4: np.ndarray, legs: tuple[int, int]) -> np.ndarray:
-    """Embed a two-site operator, a 4x4 matrix on C^2 x C^2, into legs
-    (i, j) of C^2 x C^2 x C^2 with the identity on the remaining leg."""
-    m = as_matrix(m4)
-    if m.shape != (4, 4):
+def _embed_pair(m4, legs: tuple[int, int]) -> np.ndarray:
+    """Embed a two-site operator, a 4x4 matrix on C^2 x C^2 (or an (n, 4, 4)
+    stack of them), into legs (i, j) of C^2 x C^2 x C^2 with the identity
+    on the remaining leg.  Every matrix must be finite; the error names the
+    first one that is not."""
+    m = np.asarray(m4, dtype=complex)
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-site operator, got shape {m.shape}")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        at = "" if m.ndim == 2 else f" (operator {int(np.flatnonzero(~finite)[0])})"
+        raise ValueError(f"matrix entries must be finite{at}")
     return _on_legs(m, legs, (2, 2, 2))
 
 
-def cybe_residual(u: float, v: float, p: ClassicalRParams) -> float:
-    """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)]."""
-    r12 = _embed_pair(classical_r(u - v, p), (0, 1))
-    r13 = _embed_pair(classical_r(u, p), (0, 2))
-    r23 = _embed_pair(classical_r(v, p), (1, 2))
-    total = (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
-    return sup_norm(total)
+# Samples per block of the batched residuals: bounds the (block, 8, 8)
+# temporaries of a long sweep.
+_BLOCK = 128
+
+
+def _sup_per_sample(defect, u, v):
+    """Sup norm of defect(b) for each sample, where defect(b) builds the
+    (len, N, N) defect stack of the samples in slice b, at most _BLOCK at
+    a time.  A float for scalar u, v; an array of u's length otherwise."""
+    n = np.broadcast(u, v).size
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        out[b] = np.abs(defect(b)).max(axis=(-2, -1))
+    return float(out[0]) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
+
+
+def _weights(w) -> np.ndarray:
+    # a weight triple as one (..., 3) array, at least one sample long
+    return np.atleast_2d(np.stack(w, axis=-1))
+
+
+def cybe_residual(u, v, p: ClassicalRParams):
+    """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)]:
+    a float for scalar u, v, one residual per sample for arrays."""
+    w12, w13, w23 = (_weights(classical_w(x, p)) for x in (u - v, u, v))
+
+    def defect(b):
+        r12 = _embed_pair(_pair_sum(w12[b]), (0, 1))
+        r13 = _embed_pair(_pair_sum(w13[b]), (0, 2))
+        r23 = _embed_pair(_pair_sum(w23[b]), (1, 2))
+        return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
+
+    return _sup_per_sample(defect, u, v)
 
 
 @functools.lru_cache(maxsize=64)
@@ -149,19 +208,26 @@ def _weights_at_shift(eta: float, k: float) -> tuple[complex, complex, complex]:
     return sn_cn_dn_complex(complex(0.0, eta), k)
 
 
-def quantum_W(u: float, p: QuantumRParams) -> tuple[complex, complex, complex]:
-    """(W1, W2, W3) built from sn, cn, dn at u + i eta and at i eta."""
-    z = complex(u, p.eta)
+def quantum_W(u, p: QuantumRParams) -> tuple:
+    """(W1, W2, W3) built from sn, cn, dn at u + i eta and at i eta.
+    Complex numbers for a scalar u, arrays of u's shape for an array; a
+    scalar is evaluated as a one-element array.  Every |sn(u + i eta)| must
+    be at least 1e-12; the error names the first that is not."""
+    x = np.atleast_1d(np.asarray(u, dtype=float))
+    z = x + 1j * p.eta
     s, c, d = sn_cn_dn_complex(z, p.k)
     se, ce, de = _weights_at_shift(p.eta, p.k)
-    if abs(s) < 1e-12:
-        raise EllipticPoleError(z, 0j)
-    return se / s, (d / s) * (se / de), (c / s) * (se / ce)
+    small = np.abs(s) < 1e-12
+    if small.any():
+        i = int(np.flatnonzero(small)[0])
+        raise EllipticPoleError(complex(z.flat[i]), 0j, None if np.ndim(u) == 0 else i)
+    W = (se / s, (d / s) * (se / de), (c / s) * (se / ce))
+    return tuple(complex(w[0]) for w in W) if np.ndim(u) == 0 else W
 
 
-def quantum_curve(p: QuantumRParams, u_ref: float = 0.7) -> dict:
-    """J_ab = (W_a^2 - W_b^2)/(W_c^2 - 1) at a reference argument; the
-    constancy in u is verified separately."""
+def quantum_curve(p: QuantumRParams, u_ref=0.7) -> dict:
+    """J_ab = (W_a^2 - W_b^2)/(W_c^2 - 1) at a reference argument (or an
+    array of them); the constancy in u is verified separately."""
     W = quantum_W(u_ref, p)
     out = {}
     for a, b, c in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
@@ -169,19 +235,29 @@ def quantum_curve(p: QuantumRParams, u_ref: float = 0.7) -> dict:
     return out
 
 
-def quantum_R(u: float, p: QuantumRParams) -> np.ndarray:
-    """R(u) = 1 + sum_a W_a(u) sigma_a x sigma_a."""
-    W = quantum_W(u, p)
-    return (np.eye(4, dtype=complex)
-            + W[0] * SIGMA_PAIR[1] + W[1] * SIGMA_PAIR[2] + W[2] * SIGMA_PAIR[3])
+def _R_of(w) -> np.ndarray:
+    # R = 1 + sum_a W_a sigma_a x sigma_a for quantum weights w of shape (..., 3)
+    return np.eye(4, dtype=complex) + _pair_sum(w)
 
 
-def qybe_residual(u: float, v: float, p: QuantumRParams) -> float:
-    """Sup norm of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v)."""
-    r12 = _embed_pair(quantum_R(u - v, p), (0, 1))
-    r13 = _embed_pair(quantum_R(u, p), (0, 2))
-    r23 = _embed_pair(quantum_R(v, p), (1, 2))
-    return sup_norm(r12 @ r13 @ r23 - r23 @ r13 @ r12)
+def quantum_R(u, p: QuantumRParams) -> np.ndarray:
+    """R(u) = 1 + sum_a W_a(u) sigma_a x sigma_a: a 4x4 matrix, or an
+    (n, 4, 4) stack for n arguments."""
+    return _R_of(np.stack(quantum_W(u, p), axis=-1))
+
+
+def qybe_residual(u, v, p: QuantumRParams):
+    """Sup norm of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v): a float
+    for scalar u, v, one residual per sample for arrays."""
+    w12, w13, w23 = (_weights(quantum_W(x, p)) for x in (u - v, u, v))
+
+    def defect(b):
+        r12 = _embed_pair(_R_of(w12[b]), (0, 1))
+        r13 = _embed_pair(_R_of(w13[b]), (0, 2))
+        r23 = _embed_pair(_R_of(w23[b]), (1, 2))
+        return r12 @ r13 @ r23 - r23 @ r13 @ r12
+
+    return _sup_per_sample(defect, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +328,42 @@ def sklyanin_residual(rep: SklyaninRep, convention: str = "cyclic") -> float:
     return worst
 
 
-def L_operator(u: float, rep: SklyaninRep, p: QuantumRParams) -> np.ndarray:
-    """L(u) = sigma_0 x S_0 + sum_a W_a(u) sigma_a x S_a on aux x quantum."""
-    W = quantum_W(u, p)
+def _L_of(w, rep: SklyaninRep) -> np.ndarray:
+    # L = sigma_0 x S_0 + sum_a W_a sigma_a x S_a for weights w of shape (..., 3)
+    w = np.asarray(w)
     out = np.kron(SIGMA[0], rep.S[0])
     for a in (1, 2, 3):
-        out += W[a - 1] * np.kron(SIGMA[a], rep.S[a])
+        out = out + w[..., a - 1, None, None] * np.kron(SIGMA[a], rep.S[a])
     return out
 
 
-def _rll_factors(u: float, v: float, rep: SklyaninRep, p: QuantumRParams) -> tuple:
-    """R(u-v), L'(u) and L''(v) on aux1 x aux2 x quantum: R on the two
-    auxiliary legs, L(u) on aux1 x quantum, L(v) on aux2 x quantum."""
+def L_operator(u, rep: SklyaninRep, p: QuantumRParams) -> np.ndarray:
+    """L(u) = sigma_0 x S_0 + sum_a W_a(u) sigma_a x S_a on aux x quantum:
+    a 2d x 2d matrix, or an (n, 2d, 2d) stack for n arguments."""
+    return _L_of(np.stack(quantum_W(u, p), axis=-1), rep)
+
+
+def _rll_factors(w_uv, w_u, w_v, rep: SklyaninRep) -> tuple:
+    """R(u-v), L'(u) and L''(v) on aux1 x aux2 x quantum from the weight
+    stacks (n, 3) at u-v, u and v: R on the two auxiliary legs, L(u) on
+    aux1 x quantum, L(v) on aux2 x quantum."""
     dims = (2, 2, rep.dim)
-    return (_on_legs(quantum_R(u - v, p), (0, 1), dims),
-            _on_legs(L_operator(u, rep, p), (0, 2), dims),
-            _on_legs(L_operator(v, rep, p), (1, 2), dims))
+    return (_on_legs(_R_of(w_uv), (0, 1), dims),
+            _on_legs(_L_of(w_u, rep), (0, 2), dims),
+            _on_legs(_L_of(w_v, rep), (1, 2), dims))
 
 
-def rll_residual(u: float, v: float, rep: SklyaninRep, p: QuantumRParams) -> float:
+def rll_residual(u, v, rep: SklyaninRep, p: QuantumRParams):
     """Sup norm of R(u-v) L'(u) L''(v) - L''(v) L'(u) R(u-v) on
-    aux1 x aux2 x quantum (dimension 4 d)."""
-    R, Lp, Lpp = _rll_factors(u, v, rep, p)
-    return sup_norm(R @ Lp @ Lpp - Lpp @ Lp @ R)
+    aux1 x aux2 x quantum (dimension 4 d): a float for scalar u, v, one
+    residual per sample for arrays."""
+    w = [_weights(quantum_W(x, p)) for x in (u - v, u, v)]
+
+    def defect(b):
+        R, Lp, Lpp = _rll_factors(*(x[b] for x in w), rep)
+        return R @ Lp @ Lpp - Lpp @ Lp @ R
+
+    return _sup_per_sample(defect, u, v)
 
 
 # ---------------------------------------------------------------------------

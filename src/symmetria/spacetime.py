@@ -7,6 +7,12 @@ factorization (composed through a 5x5 affine embedding), both applied to
 inversions, and conformal dilations/inversions with pullback-metric,
 flatness, and wave-operator scaling checks.
 
+A group element whose fields carry a leading axis of length M is a stack
+of M elements.  Rotations, boosts, composition, inversion and the event
+kernels act on stacks element by element with the same formulas as on one
+element, and every validation or composition guard runs once per stack
+and names the first element that fails it.
+
 Conventions: Minkowski metric diag(-1,1,1,1); natural units c = 1; boosts
 use the passive form r' = -gamma v t at r = 0.
 """
@@ -19,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .numerics import FDStencil, JACOBIAN_STENCIL, fd_jacobian, sup_norm, worst_of
+from .numerics import FDStencil, JACOBIAN_STENCIL, fd_jacobian, sup_norm
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -53,49 +59,107 @@ class SpacetimePoint:
         return np.concatenate([[self.t], self.r])
 
 
-def _events(X) -> np.ndarray:
-    """Validate an (N, 4) array of finite (t, x, y, z) events."""
+def _first_false(ok) -> tuple | None:
+    """None if every entry of the boolean array `ok` holds, else the index
+    of the first that does not: () for a 0-d `ok`, (i,) in a stack."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+
+
+def _element(at: tuple) -> str:
+    """Where in a stack a failure happened, for an error message."""
+    return "" if not at else f" (element {at[0] if len(at) == 1 else at})"
+
+
+def vector_norm(x) -> np.ndarray:
+    """Euclidean norm over the last axis, one (1, n) @ (n, 1) product per
+    vector: the same bits as np.linalg.norm of each vector on its own."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for stacks of matrices and vectors."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _events(X, batch: tuple) -> np.ndarray:
+    """Validate the events an element with leading batch shape `batch`
+    acts on: an (N, 4) array of finite (t, x, y, z) rows per element.
+    The error names the first element whose block is not finite."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 4 or not np.isfinite(X).all():
-        raise ValueError("events must be an (N, 4) array of finite (t, x, y, z) rows")
+    if X.ndim != len(batch) + 2 or X.shape[:len(batch)] != batch or X.shape[-1] != 4:
+        raise ValueError("events must be an (N, 4) array of finite (t, x, y, z) rows "
+                         f"per element, got shape {X.shape}")
+    at = _first_false(np.isfinite(X).all(axis=(-2, -1)))
+    if at is not None:
+        raise ValueError("events must be an (N, 4) array of finite (t, x, y, z) rows"
+                         + _element(at))
     return X
 
 
-def _require_finite(group: str, R: np.ndarray, shift: float, *vectors: np.ndarray) -> None:
-    """The element's vector parameters are 3-vectors, and its rotation
-    block, time shift and vectors are finite (checked in one pass, since
-    elements are built once per sample)."""
-    if any(x.shape != (3,) for x in vectors):
+def _require_finite(group: str, R: np.ndarray, shift, *vectors: np.ndarray) -> None:
+    """The element's rotation blocks are 3x3 and its vector parameters
+    3-vectors over one batch shape, and every rotation block, time shift
+    and vector is finite (checked in one pass over the stack; the error
+    names the first element that is not)."""
+    batch = R.shape[:-2]
+    if R.shape[-2:] != (3, 3) or np.shape(shift) != batch:
+        raise ValueError(f"{group} rotation blocks must be 3x3, one with each time shift")
+    if any(x.shape != batch + (3,) for x in vectors):
         raise ValueError(f"{group} vector parameters must have shape (3,)")
-    if not (math.isfinite(shift) and np.isfinite(np.concatenate((R.ravel(), *vectors))).all()):
-        raise ValueError(f"{group} parameters must be finite")
+    finite = np.isfinite(shift) & np.isfinite(R).all(axis=(-2, -1))
+    for x in vectors:
+        finite = finite & np.isfinite(x).all(axis=-1)
+    at = _first_false(finite)
+    if at is not None:
+        raise ValueError(f"{group} parameters must be finite{_element(at)}")
 
 
-def classify_rotation(m, tol: float = ROTATION_TOL) -> str:
+def classify_rotation(m, tol: float = ROTATION_TOL):
     """'proper', 'improper', or 'not_orthogonal' by the six orthonormality
-    conditions on rows plus the determinant sign."""
+    conditions on rows plus the determinant sign.  A string for one 3x3
+    matrix, an array of them for an (M, 3, 3) stack."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
+    if m.ndim < 2 or m.shape[-2:] != (3, 3):
         raise ValueError("rotation candidates are 3x3")
-    gram = m @ m.T
-    if sup_norm(gram - np.eye(3)) > tol:
-        return "not_orthogonal"
-    det = float(np.linalg.det(m))
-    if abs(det - 1.0) <= tol:
-        return "proper"
-    if abs(det + 1.0) <= tol:
-        return "improper"
-    return "not_orthogonal"
+    gram = m @ np.swapaxes(m, -1, -2)
+    # written as x <= tol so that a NaN is never orthogonal
+    orthogonal = np.abs(gram - np.eye(3)).max(axis=(-2, -1)) <= tol
+    with np.errstate(invalid="ignore"):  # a NaN candidate is already not orthogonal
+        det = np.linalg.det(m)
+    kind = np.where(orthogonal & (np.abs(det - 1.0) <= tol), "proper",
+                    np.where(orthogonal & (np.abs(det + 1.0) <= tol), "improper",
+                             "not_orthogonal"))
+    return str(kind) if kind.ndim == 0 else kind
 
 
-def rotation_about(axis, angle: float) -> np.ndarray:
-    """Proper rotation by `angle` about a 3-vector axis (Rodrigues form)."""
+def _require_proper(group: str, R: np.ndarray) -> None:
+    at = _first_false(classify_rotation(R) == "proper")
+    if at is not None:
+        raise ValueError(f"{group} rotation block must be proper orthogonal{_element(at)}")
+
+
+def rotation_about(axis, angle) -> np.ndarray:
+    """Proper rotation by `angle` about a 3-vector axis (Rodrigues form);
+    (M, 3) axes with M angles give an (M, 3, 3) stack."""
     a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
-    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+    a = a / vector_norm(a)[..., None]
+    zero = np.zeros(a.shape[:-1])
+    K = np.stack((zero, -a[..., 2], a[..., 1],
+                  a[..., 2], zero, -a[..., 0],
+                  -a[..., 1], a[..., 0], zero), axis=-1).reshape(a.shape[:-1] + (3, 3))
+    angle = np.asarray(angle, dtype=float)[..., None, None]
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def _shift(x):
+    # a time shift: a float for one element, an array for a stack
+    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +168,11 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GalileiElement:
-    """G(R, v, xi, tau): x' = R x + v t + xi, t' = t + tau."""
+    """G(R, v, xi, tau): x' = R x + v t + xi, t' = t + tau.
+
+    One element, or a stack of M elements when the fields carry a leading
+    axis: R (M, 3, 3), v and xi (M, 3), tau (M,).  Every law below acts
+    element by element on a stack."""
 
     R: np.ndarray
     v: np.ndarray
@@ -115,9 +183,9 @@ class GalileiElement:
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
+        object.__setattr__(self, "tau", _shift(self.tau))
         _require_finite("Galilei", self.R, self.tau, self.v, self.xi)
-        if classify_rotation(self.R) != "proper":
-            raise ValueError("Galilei rotation block must be proper orthogonal")
+        _require_proper("Galilei", self.R)
 
     @staticmethod
     def identity() -> "GalileiElement":
@@ -126,10 +194,13 @@ class GalileiElement:
 
 def galilei_apply_events(g: GalileiElement, X) -> np.ndarray:
     """Apply g to each row of an (N, 4) event array: t' = t + tau,
-    r' = R r + v t + xi."""
-    X = _events(X)
-    t = X[:, :1]
-    return np.hstack((t + g.tau, X[:, 1:] @ g.R.T + t * g.v + g.xi))
+    r' = R r + v t + xi.  A stack of M elements maps an (M, N, 4) stack,
+    block i by element i."""
+    X = _events(X, g.R.shape[:-2])
+    t = X[..., :1]
+    tau = np.asarray(g.tau)[..., None, None]
+    return np.concatenate((t + tau, X[..., 1:] @ np.swapaxes(g.R, -1, -2)
+                           + t * g.v[..., None, :] + g.xi[..., None, :]), axis=-1)
 
 
 def galilei_apply(g: GalileiElement, pt: SpacetimePoint) -> SpacetimePoint:
@@ -141,18 +212,18 @@ def galilei_compose(g2: GalileiElement, g1: GalileiElement) -> GalileiElement:
     """Parameters of g2 g1: (R2 R1, R2 v1 + v2, R2 xi1 + xi2 + v2 tau1, tau2 + tau1)."""
     return GalileiElement(
         R=g2.R @ g1.R,
-        v=g2.R @ g1.v + g2.v,
-        xi=g2.R @ g1.xi + g2.xi + g2.v * g1.tau,
+        v=_mv(g2.R, g1.v) + g2.v,
+        xi=_mv(g2.R, g1.xi) + g2.xi + g2.v * np.asarray(g1.tau)[..., None],
         tau=g2.tau + g1.tau,
     )
 
 
 def galilei_inverse(g: GalileiElement) -> GalileiElement:
-    rt = g.R.T
+    rt = np.swapaxes(g.R, -1, -2)
     return GalileiElement(
         R=rt,
-        v=-rt @ g.v,
-        xi=-rt @ (g.xi - g.v * g.tau),
+        v=_mv(-rt, g.v),
+        xi=_mv(-rt, g.xi - g.v * np.asarray(g.tau)[..., None]),
         tau=-g.tau,
     )
 
@@ -166,7 +237,10 @@ _SMALL_V = 1e-8
 
 @dataclass(frozen=True)
 class PoincareElement:
-    """T(a, b, v, R) factored as space shift * time shift * boost * rotation."""
+    """T(a, b, v, R) factored as space shift * time shift * boost * rotation.
+
+    One element, or a stack of M elements when the fields carry a leading
+    axis: a and v (M, 3), b (M,), R (M, 3, 3)."""
 
     a: np.ndarray
     b: float
@@ -175,13 +249,14 @@ class PoincareElement:
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "b", _shift(self.b))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         _require_finite("Poincare", self.R, self.b, self.a, self.v)
-        if not np.linalg.norm(self.v) < 1.0:
-            raise ValueError("boost velocity must satisfy |v| < 1")
-        if classify_rotation(self.R) != "proper":
-            raise ValueError("Poincare rotation block must be proper orthogonal")
+        at = _first_false(vector_norm(self.v) < 1.0)
+        if at is not None:
+            raise ValueError(f"boost velocity must satisfy |v| < 1{_element(at)}")
+        _require_proper("Poincare", self.R)
 
     @staticmethod
     def identity() -> "PoincareElement":
@@ -189,35 +264,38 @@ class PoincareElement:
 
 
 def boost_matrix(v) -> np.ndarray:
-    """4x4 pure boost on (t, r); the 1/v^2 terms are removable at v -> 0."""
+    """4x4 pure boost on (t, r), or an (M, 4, 4) stack for (M, 3) velocities;
+    the 1/v^2 terms are removable at v -> 0 and expanded to second order
+    below |v| = 1e-8."""
     v = np.asarray(v, dtype=float)
-    v2 = float(v @ v)
-    L = np.eye(4)
-    if v2 < _SMALL_V ** 2:
-        L[1:, 1:] += 0.5 * np.outer(v, v)
-        L[0, 1:] = -v
-        L[1:, 0] = -v
-        return L
-    gamma = 1.0 / math.sqrt(1.0 - v2)
-    L[0, 0] = gamma
-    L[0, 1:] = -gamma * v
-    L[1:, 0] = -gamma * v
-    L[1:, 1:] = np.eye(3) + (gamma - 1.0) / v2 * np.outer(v, v)
+    v2 = (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    small = v2 < _SMALL_V ** 2
+    safe = np.where(small, 0.0, v2)
+    gamma = np.where(small, 1.0, 1.0 / np.sqrt(1.0 - safe))
+    coeff = np.where(small, 0.5, (gamma - 1.0) / np.where(small, 1.0, safe))
+    L = np.empty(v.shape[:-1] + (4, 4))
+    L[..., 0, 0] = gamma
+    L[..., 0, 1:] = -gamma[..., None] * v
+    L[..., 1:, 0] = -gamma[..., None] * v
+    L[..., 1:, 1:] = np.eye(3) + coeff[..., None, None] * (v[..., :, None] * v[..., None, :])
     return L
 
 
 def _homogeneous(T: PoincareElement) -> np.ndarray:
-    L = np.eye(4)
-    L[1:, 1:] = T.R
+    L = np.zeros(T.R.shape[:-2] + (4, 4))
+    L[..., 0, 0] = 1.0
+    L[..., 1:, 1:] = T.R
     return boost_matrix(T.v) @ L
 
 
 def poincare_apply_events(T: PoincareElement, X) -> np.ndarray:
     """Apply T to each row of an (N, 4) event array:
     r' = a + transverse(R r) + v (v.Rr - v^2 t)/(v^2 sqrt(1-v^2)),
-    t' = b + (t - v.Rr)/sqrt(1-v^2); reduces to a + R r, b + t as v -> 0."""
-    X = _events(X)
-    return X @ _homogeneous(T).T + np.concatenate(([T.b], T.a))
+    t' = b + (t - v.Rr)/sqrt(1-v^2); reduces to a + R r, b + t as v -> 0.
+    A stack of M elements maps an (M, N, 4) stack, block i by element i."""
+    X = _events(X, T.R.shape[:-2])
+    shift = np.concatenate((np.asarray(T.b)[..., None], T.a), axis=-1)
+    return X @ np.swapaxes(_homogeneous(T), -1, -2) + shift[..., None, :]
 
 
 def poincare_apply(T: PoincareElement, pt: SpacetimePoint) -> SpacetimePoint:
@@ -229,58 +307,48 @@ class CompositionError(ValueError):
     """Could not re-extract (a, b, v, R) from a composed transformation."""
 
 
+def _affine(T: PoincareElement) -> np.ndarray:
+    """The 5x5 affine embedding of T on (t, r, 1), stacked like T."""
+    M = np.zeros(T.R.shape[:-2] + (5, 5))
+    M[..., :4, :4] = _homogeneous(T)
+    M[..., 0, 4] = T.b
+    M[..., 1:4, 4] = T.a
+    M[..., 4, 4] = 1.0
+    return M
+
+
 def poincare_compose(T2: PoincareElement, T1: PoincareElement) -> PoincareElement:
-    """Compose through the 5x5 affine embedding on (t, r, 1), then refactor.
+    """Compose through the 5x5 affine embedding on (t, r, 1), then refactor;
+    stacks compose element by element.
 
     The boost velocity is read off the time column of the homogeneous
-    block; the rotation is what remains after undoing that boost.
+    block; the rotation is what remains after undoing that boost.  Every
+    guard holds element by element, and the error names the first element
+    of a stack that fails one.
     """
-    def affine(T: PoincareElement) -> np.ndarray:
-        M = np.eye(5)
-        M[:4, :4] = _homogeneous(T)
-        M[0, 4] = T.b
-        M[1:4, 4] = T.a
-        return M
-
-    M = affine(T2) @ affine(T1)
-    L = M[:4, :4]
-    gamma = L[0, 0]
-    # Written as not (x <= bound) so that a NaN fails every guard.
-    if not (1.0 - 1e-12 <= gamma):
-        raise CompositionError(f"invalid time-time entry {gamma!r} in composition")
-    v = -L[1:, 0] / gamma
-    if not (np.linalg.norm(v) < 1.0):
-        raise CompositionError(f"extracted boost velocity |v| >= 1: {v!r}")
+    M = _affine(T2) @ _affine(T1)
+    L = M[..., :4, :4]
+    gamma = L[..., 0, 0]
+    # Written as x <= bound, not x > bound, so that a NaN fails every guard.
+    at = _first_false(1.0 - 1e-12 <= gamma)
+    if at is not None:
+        raise CompositionError(f"invalid time-time entry {gamma[at]!r} in composition"
+                               + _element(at))
+    v = -L[..., 1:, 0] / gamma[..., None]
+    at = _first_false(vector_norm(v) < 1.0)
+    if at is not None:
+        raise CompositionError(f"extracted boost velocity |v| >= 1: {v[at]!r}" + _element(at))
     D = boost_matrix(-v) @ L
-    R = D[1:, 1:]
-    residual = worst_of(sup_norm(D[0, 1:]), sup_norm(D[1:, 0]), abs(D[0, 0] - 1.0))
-    if not (residual <= 1e-8) or classify_rotation(R, 1e-8) != "proper":
-        raise CompositionError("composed element does not factor as boost * rotation")
-    return PoincareElement(a=M[1:4, 4], b=M[0, 4], v=v, R=R)
-
-
-def element_to_json(element) -> dict:
-    """Wire format for scripted checks: {"galilei": {R, v, xi, tau}} or
-    {"poincare": {a, b, v, R}}."""
-    if isinstance(element, GalileiElement):
-        return {"galilei": {"R": element.R.tolist(), "v": element.v.tolist(),
-                            "xi": element.xi.tolist(), "tau": element.tau}}
-    if isinstance(element, PoincareElement):
-        return {"poincare": {"a": element.a.tolist(), "b": element.b,
-                             "v": element.v.tolist(), "R": element.R.tolist()}}
-    raise TypeError(f"not a serializable group element: {element!r}")
-
-
-def element_from_json(doc: dict):
-    if set(doc) == {"galilei"}:
-        g = doc["galilei"]
-        return GalileiElement(R=np.array(g["R"]), v=np.array(g["v"]),
-                              xi=np.array(g["xi"]), tau=float(g["tau"]))
-    if set(doc) == {"poincare"}:
-        t = doc["poincare"]
-        return PoincareElement(a=np.array(t["a"]), b=float(t["b"]),
-                               v=np.array(t["v"]), R=np.array(t["R"]))
-    raise ValueError(f"unrecognized group-element document with keys {sorted(doc)}")
+    R = D[..., 1:, 1:]
+    # NaN-sticky, like worst_of: np.maximum keeps a NaN from any term
+    residual = np.maximum(np.maximum(np.abs(D[..., 0, 1:]).max(axis=-1),
+                                     np.abs(D[..., 1:, 0]).max(axis=-1)),
+                          np.abs(D[..., 0, 0] - 1.0))
+    at = _first_false((residual <= 1e-8) & (classify_rotation(R, 1e-8) == "proper"))
+    if at is not None:
+        raise CompositionError("composed element does not factor as boost * rotation"
+                               + _element(at))
+    return PoincareElement(a=M[..., 1:4, 4], b=M[..., 0, 4], v=v, R=R)
 
 
 def discrete_apply(which: str, pt: SpacetimePoint) -> SpacetimePoint:

@@ -31,8 +31,53 @@ def suite_rng(seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
 
 
+def _draws(rng: np.random.Generator, count: int, *draws) -> list:
+    """Call each draw(rng) in turn, `count` rounds over: the draw order of a
+    loop that draws one sample at a time.  One list of results per draw."""
+    out = [[] for _ in draws]
+    for _ in range(count):
+        for draw, results in zip(draws, out):
+            results.append(draw(rng))
+    return out
+
+
+def _rotation_params(rng: np.random.Generator) -> tuple:
+    """Axis and angle of one random rotation, in draw order."""
+    return rng.normal(size=3), rng.uniform(0.0, 2.0 * math.pi)
+
+
+def _rotations(params) -> np.ndarray:
+    """The (M, 3, 3) Rodrigues rotations of M (axis, angle) draws."""
+    axes, angles = zip(*params)
+    return spacetime.rotation_about(np.array(axes), np.array(angles))
+
+
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    return spacetime.rotation_about(rng.normal(size=3), rng.uniform(0.0, 2.0 * math.pi))
+    return spacetime.rotation_about(*_rotation_params(rng))
+
+
+def _galilei_params(rng: np.random.Generator) -> tuple:
+    """One Galilei element's draws in order: rotation axis and angle, v, xi, tau."""
+    return (*_rotation_params(rng), rng.normal(size=3), rng.normal(size=3), rng.normal())
+
+
+def _galilei_stack(params) -> spacetime.GalileiElement:
+    axis, angle, v, xi, tau = (np.array(x) for x in zip(*params))
+    return spacetime.GalileiElement(spacetime.rotation_about(axis, angle), v, xi, tau)
+
+
+def _poincare_params(rng: np.random.Generator) -> tuple:
+    """One Poincare element's draws in order: v, its speed factor, a, b,
+    rotation axis and angle."""
+    return (rng.uniform(-1.0, 1.0, 3), rng.uniform(0.0, 0.9), rng.normal(size=3),
+            rng.normal(), *_rotation_params(rng))
+
+
+def _poincare_stack(params) -> spacetime.PoincareElement:
+    v, speed, a, b, axis, angle = (np.array(x) for x in zip(*params))
+    # each v scaled to the speed factor times at most 1/|v|
+    v = v * (speed / np.maximum(1.0, spacetime.vector_norm(v)))[:, None]
+    return spacetime.PoincareElement(a, b, v, spacetime.rotation_about(axis, angle))
 
 
 def run_rotations(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
@@ -46,10 +91,10 @@ def run_rotations(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
 
     with rep.check("product_of_rotations_is_rotation",
                    "closure of the rotation group under matrix product", tol=tol, samples=samples) as c:
-        for _ in range(samples):
-            prod = _random_rotation(rng) @ _random_rotation(rng)
-            c.require(spacetime.classify_rotation(prod) == "proper")
-            c.observe(sup_norm(prod @ prod.T - np.eye(3)))
+        first, second = _draws(rng, samples, _rotation_params, _rotation_params)
+        prod = _rotations(first) @ _rotations(second)
+        c.require((spacetime.classify_rotation(prod) == "proper").all())
+        c.observe(np.abs(prod @ np.swapaxes(prod, -1, -2) - np.eye(3)))
 
     with rep.check("shear_rejected",
                    "orthonormality conditions on the rows of a rotation candidate") as c:
@@ -68,51 +113,47 @@ def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
         c.observe(abs(structure.dimension() - 10))
     rep.extend(liealg.verify_realization, structure, liealg.galilei_realization())
 
-    def random_elem() -> spacetime.GalileiElement:
-        return spacetime.GalileiElement(
-            R=_random_rotation(rng), v=rng.normal(size=3),
-            xi=rng.normal(size=3), tau=float(rng.normal()))
-
     with rep.check("compose_matches_sequential_action",
                    "Galilei multiplication law against pointwise application",
                    tol=tol, samples=samples) as c:
-        for _ in range(samples):
-            g1, g2 = random_elem(), random_elem()
-            g21 = spacetime.galilei_compose(g2, g1)
-            # 20 events (t, x, y, z), drawn in the order of 20 (t, r) draws
-            events = rng.normal(size=(20, 4))
-            once = spacetime.galilei_apply_events(g21, events)
-            twice = spacetime.galilei_apply_events(g2, spacetime.galilei_apply_events(g1, events))
-            c.observe(*np.abs(once - twice).max(axis=1))
+        # per pair: two elements, then 20 events (t, x, y, z) drawn in the
+        # order of 20 (t, r) draws
+        p1, p2, events = _draws(rng, samples, _galilei_params, _galilei_params,
+                                lambda rng: rng.normal(size=(20, 4)))
+        g1, g2 = _galilei_stack(p1), _galilei_stack(p2)
+        g21 = spacetime.galilei_compose(g2, g1)
+        events = np.array(events)
+        once = spacetime.galilei_apply_events(g21, events)
+        twice = spacetime.galilei_apply_events(g2, spacetime.galilei_apply_events(g1, events))
+        c.observe(np.abs(once - twice))
 
     half = samples // 2 + 1
     with rep.check("composition_associative", "group axioms for Galilei transformations",
                    tol=1e-10, samples=half) as c:
-        for _ in range(half):
-            g1, g2, g3 = random_elem(), random_elem(), random_elem()
-            lhs = spacetime.galilei_compose(spacetime.galilei_compose(g3, g2), g1)
-            rhs = spacetime.galilei_compose(g3, spacetime.galilei_compose(g2, g1))
-            c.observe(sup_norm(lhs.R - rhs.R), sup_norm(lhs.v - rhs.v),
-                      sup_norm(lhs.xi - rhs.xi), abs(lhs.tau - rhs.tau))
+        g1, g2, g3 = map(_galilei_stack, _draws(rng, half, *[_galilei_params] * 3))
+        lhs = spacetime.galilei_compose(spacetime.galilei_compose(g3, g2), g1)
+        rhs = spacetime.galilei_compose(g3, spacetime.galilei_compose(g2, g1))
+        c.observe(np.abs(lhs.R - rhs.R), np.abs(lhs.v - rhs.v),
+                  np.abs(lhs.xi - rhs.xi), np.abs(lhs.tau - rhs.tau))
 
     with rep.check("inverse_roundtrip", "group axioms for Galilei transformations",
                    tol=1e-12, samples=half) as c:
-        for _ in range(half):
-            g = random_elem()
-            gid = spacetime.galilei_compose(g, spacetime.galilei_inverse(g))
-            c.observe(sup_norm(gid.R - np.eye(3)), sup_norm(gid.v),
-                      sup_norm(gid.xi), abs(gid.tau))
+        (params,) = _draws(rng, half, _galilei_params)
+        g = _galilei_stack(params)
+        gid = spacetime.galilei_compose(g, spacetime.galilei_inverse(g))
+        c.observe(np.abs(gid.R - np.eye(3)), np.abs(gid.v), np.abs(gid.xi), np.abs(gid.tau))
 
     with rep.check("simultaneous_distances_preserved",
                    "Galilei transformations preserve time differences and simultaneous distances",
                    tol=1e-12, samples=half) as c:
-        for _ in range(half):
-            g = random_elem()
-            p1 = spacetime.SpacetimePoint(0.7, rng.normal(size=3))
-            p2 = spacetime.SpacetimePoint(0.7, rng.normal(size=3))
-            q1, q2 = spacetime.galilei_apply(g, p1), spacetime.galilei_apply(g, p2)
-            c.observe(abs((q1.t - q2.t) - (p1.t - p2.t)),
-                      abs(np.linalg.norm(q1.r - q2.r) - np.linalg.norm(p1.r - p2.r)))
+        # per element: its draws, then two events at t = 0.7
+        params, events = _draws(rng, half, _galilei_params,
+                                lambda rng: [[0.7, *rng.normal(size=3)] for _ in range(2)])
+        events = np.array(events)
+        q = spacetime.galilei_apply_events(_galilei_stack(params), events)
+        c.observe(np.abs((q[:, 0, 0] - q[:, 1, 0]) - (events[:, 0, 0] - events[:, 1, 0])),
+                  np.abs(spacetime.vector_norm(q[:, 0, 1:] - q[:, 1, 1:])
+                         - spacetime.vector_norm(events[:, 0, 1:] - events[:, 1, 1:])))
 
     with rep.check("mutation_control_bad_structure_constant",
                    "a flipped rotation bracket must break the Jacobi identity", detect=0.0) as c:
@@ -147,41 +188,37 @@ def run_poincare(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         T12 = spacetime.poincare_compose(T1, T1)
         c.observe(abs(T12.v[0] - 0.8) + abs(T12.v[1]) + abs(T12.v[2]))
 
-    def random_elem() -> spacetime.PoincareElement:
-        v = rng.uniform(-1.0, 1.0, 3)
-        v *= rng.uniform(0.0, 0.9) / max(1.0, np.linalg.norm(v))
-        return spacetime.PoincareElement(rng.normal(size=3), float(rng.normal()),
-                                         v, _random_rotation(rng))
-
     with rep.check("compose_matches_sequential_action",
                    "composition through the affine embedding against pointwise application",
                    tol=tol, samples=samples) as c:
         interval = c.sibling("interval_preserved",
                              "invariance of the Minkowski interval between event pairs",
                              tol=tol, samples=samples)
-        for _ in range(samples):
-            T1, T2 = random_elem(), random_elem()
-            T21 = spacetime.poincare_compose(T2, T1)
-            # 20 event pairs, columns (pt.t, pt.r, qt.t, qt.r) in draw order
-            pairs = rng.normal(size=(20, 8))
-            pt, qt = pairs[:, :4], pairs[:, 4:]
-            moved = spacetime.poincare_apply_events(T1, pairs.reshape(-1, 4)).reshape(pairs.shape)
-            a1, a2 = moved[:, :4], moved[:, 4:]
-            once = spacetime.poincare_apply_events(T21, pt)
-            twice = spacetime.poincare_apply_events(T2, a1)
-            c.observe(*np.abs(once - twice).max(axis=1))
-            interval.observe(*np.abs(spacetime.minkowski_interval(a1 - a2)
-                                     - spacetime.minkowski_interval(pt - qt)))
+        # per pair: two elements, then 20 event pairs, columns
+        # (pt.t, pt.r, qt.t, qt.r) in draw order
+        p1, p2, pairs = _draws(rng, samples, _poincare_params, _poincare_params,
+                               lambda rng: rng.normal(size=(20, 8)))
+        T1, T2 = _poincare_stack(p1), _poincare_stack(p2)
+        T21 = spacetime.poincare_compose(T2, T1)
+        pairs = np.array(pairs)
+        pt, qt = pairs[..., :4], pairs[..., 4:]
+        moved = spacetime.poincare_apply_events(T1, pairs.reshape(samples, -1, 4))
+        moved = moved.reshape(pairs.shape)
+        a1, a2 = moved[..., :4], moved[..., 4:]
+        once = spacetime.poincare_apply_events(T21, pt)
+        twice = spacetime.poincare_apply_events(T2, a1)
+        c.observe(np.abs(once - twice))
+        interval.observe(np.abs(spacetime.minkowski_interval(a1 - a2)
+                                - spacetime.minkowski_interval(pt - qt)))
 
     n_assoc = max(10, samples // 10)
     with rep.check("composition_associative", "group axioms for Poincare transformations",
                    tol=1e-10, samples=n_assoc) as c:
-        for _ in range(n_assoc):
-            T1, T2, T3 = random_elem(), random_elem(), random_elem()
-            lhs = spacetime.poincare_compose(spacetime.poincare_compose(T3, T2), T1)
-            rhs = spacetime.poincare_compose(T3, spacetime.poincare_compose(T2, T1))
-            c.observe(sup_norm(lhs.R - rhs.R), sup_norm(lhs.v - rhs.v),
-                      sup_norm(lhs.a - rhs.a), abs(lhs.b - rhs.b))
+        T1, T2, T3 = map(_poincare_stack, _draws(rng, n_assoc, *[_poincare_params] * 3))
+        lhs = spacetime.poincare_compose(spacetime.poincare_compose(T3, T2), T1)
+        rhs = spacetime.poincare_compose(T3, spacetime.poincare_compose(T2, T1))
+        c.observe(np.abs(lhs.R - rhs.R), np.abs(lhs.v - rhs.v),
+                  np.abs(lhs.a - rhs.a), np.abs(lhs.b - rhs.b))
 
     with rep.check("discrete_inversions_involutive",
                    "space, time, and combined inversions square to the identity and compose",
@@ -485,13 +522,18 @@ def run_hopf(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
 
     with rep.check("position_momentum_deformed_commutator",
                    "the grid pair reproduces the exponentially deformed commutator", tol=1e-5) as c:
+        coproduct = c.sibling("deformed_coproduct_homomorphism",
+                              "the twisted momentum coproduct preserves the deformed commutator",
+                              tol=1e-5)
         ops = hopf.planck_scale_ops(256, 5.0, 1.0, 2.0)
         c.observe(hopf.planck_commutator_residual(ops))
-
-    with rep.check("deformed_coproduct_homomorphism",
-                   "the twisted momentum coproduct preserves the deformed commutator", tol=1e-5) as c:
-        c.observe(hopf.planck_coproduct_residual(ops))
+        coproduct.observe(hopf.planck_coproduct_residual(ops))
     return rep
+
+
+def _sweep(rng: np.random.Generator, k: float, count: int) -> np.ndarray:
+    """The u and v arrays of `count` seeded sweep pairs at modulus k."""
+    return np.array(sklyanin.sweep_samples(rng, k, count)).T
 
 
 def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
@@ -502,34 +544,29 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
     with rep.check("classical_quadric_constancy",
                    "squared classical weights differ by constants on the quadric",
                    tol=1e-10, samples=20) as c:
-        J = sklyanin.classical_quadric(p_cl)
-        for u, _ in sklyanin.sweep_samples(rng, p_cl.k, 20):
-            w = sklyanin.classical_w(u, p_cl)
-            for (a, b), val in J.items():
-                c.observe(abs(w[a - 1] ** 2 - w[b - 1] ** 2 - val))
+        u, _ = _sweep(rng, p_cl.k, 20)
+        w = sklyanin.classical_w(u, p_cl)
+        for (a, b), val in sklyanin.classical_quadric(p_cl).items():
+            c.observe(np.abs(w[a - 1] ** 2 - w[b - 1] ** 2 - val))
 
     with rep.check("quantum_curve_constancy",
                    "the quantum weights lie on a spectral-parameter-independent curve",
                    tol=1e-9, samples=20) as c:
         ref = sklyanin.quantum_curve(p_q, u_ref=0.7)
-        for u, _ in sklyanin.sweep_samples(rng, p_q.k, 20):
-            cur = sklyanin.quantum_curve(p_q, u_ref=u)
-            c.observe(*(abs(cur[key] - ref[key]) for key in ref))
+        cur = sklyanin.quantum_curve(p_q, u_ref=_sweep(rng, p_q.k, 20)[0])
+        c.observe(*(np.abs(cur[key] - ref[key]) for key in ref))
 
     with rep.check("classical_yang_baxter",
                    "the elliptic classical r-matrix solves its Yang-Baxter equation",
                    tol=tol, samples=samples) as c:
-        for u, v in sklyanin.sweep_samples(rng, p_cl.k, samples):
-            c.observe(sklyanin.cybe_residual(u, v, p_cl))
+        c.observe(sklyanin.cybe_residual(*_sweep(rng, p_cl.k, samples), p_cl))
 
     with rep.check("quantum_yang_baxter",
                    "the elliptic quantum R-matrix solves its Yang-Baxter equation",
                    tol=tol, samples=samples + 20) as c:
-        for u, v in sklyanin.sweep_samples(rng, p_q.k, samples):
-            c.observe(sklyanin.qybe_residual(u, v, p_q))
+        c.observe(sklyanin.qybe_residual(*_sweep(rng, p_q.k, samples), p_q))
         p_q0 = sklyanin.QuantumRParams(eta=0.3, k=0.0)
-        for u, v in sklyanin.sweep_samples(rng, 0.0, 20):
-            c.observe(sklyanin.qybe_residual(u, v, p_q0))
+        c.observe(sklyanin.qybe_residual(*_sweep(rng, 0.0, 20), p_q0))
 
     per_point = max(5, samples // 20)
     r2 = sklyanin.rep2()
@@ -539,8 +576,7 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         for eta in (0.2, 0.3):
             for k in (0.0, 0.3, 0.5):
                 pq = sklyanin.QuantumRParams(eta=eta, k=k)
-                for u, v in sklyanin.sweep_samples(rng, k, per_point):
-                    c.observe(sklyanin.rll_residual(u, v, r2, pq))
+                c.observe(sklyanin.rll_residual(*_sweep(rng, k, per_point), r2, pq))
 
     with rep.check("quadratic_relations_pauli",
                    "the Pauli representation satisfies the quadratic algebra exactly", tol=0.0) as c:
@@ -630,8 +666,7 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
                    "whether the three-dimensional representation intertwines at this "
                    "normalization is left open", skipped=True,
                    detail="reported informatively; only the quadratic relations are asserted") as c:
-        c.observe(np.min([sklyanin.rll_residual(u, v, r3, p_q)
-                          for (u, v) in sklyanin.sweep_samples(rng, p_q.k, 5)]))
+        c.observe(np.min(sklyanin.rll_residual(*_sweep(rng, p_q.k, 5), r3, p_q)))
     return rep
 
 

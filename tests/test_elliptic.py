@@ -185,3 +185,60 @@ def test_quarter_period_is_memoized():
     after = _agm_quarter_period.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 10
+
+
+# --- array arguments ---------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0.0, 5e-15, 0.4, 0.8, 1.0 - 5e-15, 1.0],
+                         ids=["k0", "below_1e-14", "k0.4", "k0.8", "above_1-1e-14", "k1"])
+def test_real_array_matches_scalar_and_mpmath(k):
+    u = np.linspace(-6.0, 6.0, 41)
+    s, c, d = sn_cn_dn_real(u, k)
+    assert s.shape == c.shape == d.shape == u.shape
+    grid = np.array([[mp.ellipfun(f, x, m=k * k) for f in ("sn", "cn", "dn")] for x in u],
+                    dtype=float)
+    assert np.max(np.abs(np.stack((s, c, d), axis=1) - grid)) < 1e-12
+    for i in (0, 17, 40):
+        # a scalar argument is the one-element array, bit for bit
+        assert sn_cn_dn_real(float(u[i]), k) == (s[i], c[i], d[i])
+        assert sn_cn_dn_real(u[i:i + 1], k)[0][0] == s[i]
+    assert all(isinstance(x, float) for x in sn_cn_dn_real(0.3, k))
+
+
+def test_real_array_keeps_shape_and_nan():
+    u = np.array([[0.1, math.nan], [2.0, -1.0]])
+    s, c, d = sn_cn_dn_real(u, 0.6)
+    assert s.shape == (2, 2)
+    assert np.isnan(s[0, 1]) and np.isnan(c[0, 1]) and np.isnan(d[0, 1])
+    assert np.isfinite(np.delete(s.ravel(), 1)).all()
+
+
+@pytest.mark.parametrize("k", [0.0, 0.3, 0.8])
+def test_complex_array_matches_scalar_and_mpmath(k):
+    rng = np.random.default_rng(24)
+    z = rng.uniform(-2.0, 2.0, 30) + 1j * rng.uniform(-1.2, 1.2, 30)
+    z[3] = 0.9  # on the real axis
+    s, c, d = sn_cn_dn_complex(z, k)
+    assert s.dtype == complex and s.shape == (30,)
+    for i, zi in enumerate(z):
+        assert sn_cn_dn_complex(complex(zi), k) == (s[i], c[i], d[i])
+        zz = mp.mpc(zi.real, zi.imag)
+        ref = [complex(mp.ellipfun(f, zz, k=k)) for f in ("sn", "cn", "dn")]
+        scale = max(1.0, *map(abs, ref))
+        assert max(abs(s[i] - ref[0]), abs(c[i] - ref[1]), abs(d[i] - ref[2])) < 1e-10 * scale
+    assert (s[3], c[3], d[3]) == tuple(complex(x) for x in sn_cn_dn_real(0.9, k))
+
+
+def test_complex_array_pole_names_the_first_bad_index():
+    k = 0.6
+    K = quarter_period(k)
+    Kp = quarter_period(math.sqrt(1 - k * k))
+    z = np.array([0.3 + 0.2j, 2 * K + 1j * Kp + 1e-9, 0.5j, 1j * Kp, -0.4 + 0.1j])
+    with pytest.raises(EllipticPoleError, match=r"\(index 1\)") as err:
+        sn_cn_dn_complex(z, k)
+    assert err.value.index == 1
+    assert abs(err.value.pole - complex(2 * K, Kp)) < 1e-12
+    assert err.value.z == z[1]
+    with pytest.raises(EllipticPoleError) as err:
+        sn_cn_dn_complex(complex(z[3]), k)
+    assert err.value.index is None and "index" not in str(err.value)

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
-from symmetria import laplace, spacetime, suites
+import numpy as np
+
+from symmetria import hopf, laplace, liealg, spacetime, suites
 from symmetria.cli import main as cli_main
 from symmetria.numerics import worst_of
 from symmetria.report import Check, CheckReport, render_text
@@ -118,6 +120,7 @@ ROWS_WITHOUT_OWN_SPAN = {
     ("laplace", "azimuthal_equivariance"),
     ("hopf", "coproduct_is_homomorphism"),
     ("hopf", "coassociativity"),
+    ("hopf", "deformed_coproduct_homomorphism"),
     ("sklyanin", "threedim_self_adjoint"),
 }
 
@@ -129,6 +132,21 @@ def test_worst_of_is_nan_sticky():
     for values in ((NAN, 1.0, 2.0), (1.0, NAN, 2.0), (1.0, 2.0, NAN)):
         assert math.isnan(worst_of(*values))
     assert worst_of(1.0, math.inf) == math.inf
+
+
+def test_worst_of_folds_arrays_nan_sticky():
+    residuals = np.array([1e-12, 3e-12, 2e-12, NAN])
+    assert math.isnan(worst_of(residuals))
+    assert math.isnan(worst_of(0.5, residuals, 4.0))
+    assert worst_of(residuals[:3]) == 3e-12 and isinstance(worst_of(residuals[:3]), float)
+    assert worst_of(1.0, np.zeros((2, 3)), np.array([0.5, math.inf])) == math.inf
+    assert worst_of(2.0, np.array([])) == 2.0
+    rep = CheckReport("unit")
+    with rep.check("row", "ref", tol=1e-9, samples=4) as c:
+        c.observe(residuals)
+        c.observe(1e-15)
+    (check,) = rep.checks
+    assert math.isnan(check.residual) and check.status == "fail"
 
 
 # Each sample observes two residuals; the NaN is never the first value of the
@@ -207,9 +225,14 @@ def test_improper_product_fails_rotation_row(monkeypatch):
 
     def improper_once(m, *args):
         # calls 1 and 2 are the identity and reflection rows; 3 is the
-        # first product of the closure sweep
+        # closure sweep's whole product stack, whose first product is
+        # reported improper
         calls.append(m)
-        return "improper" if len(calls) == 3 else real(m, *args)
+        kind = real(m, *args)
+        if len(calls) == 3:
+            kind = kind.copy()
+            kind[0] = "improper"
+        return kind
 
     monkeypatch.setattr(spacetime, "classify_rotation", improper_once)
     report = suites.run_rotations(suites.suite_rng(42, "rotations"), 1e-9, 20)
@@ -257,14 +280,15 @@ def test_raising_compose_fails_its_rows_and_the_run_goes_on(monkeypatch, tmp_pat
     real = spacetime.poincare_compose
     calls = []
 
-    def raise_on_third(T2, T1):
-        # call 1 is the velocity-addition row; 2 on are the compose sweep
+    def raise_on_sweep(T2, T1):
+        # call 1 is the velocity-addition row; call 2 composes the compose
+        # sweep's whole stack of pairs; the associativity row comes after
         calls.append(1)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise spacetime.CompositionError("composed boost leaves the light cone")
         return real(T2, T1)
 
-    monkeypatch.setattr(spacetime, "poincare_compose", raise_on_third)
+    monkeypatch.setattr(spacetime, "poincare_compose", raise_on_sweep)
     out = tmp_path / "report.json"
     code = cli_main(["verify", "all", "--seed", "42", "--samples", "20",
                      "--format", "json", "--out", str(out)])
@@ -385,3 +409,45 @@ def test_row_contract_is_frozen(tmp_path):
                         for c in r["checks"]] for r in doc["reports"]}
     assert got == ROW_CONTRACT
     assert sum(len(rows) for rows in got.values()) == 74
+
+
+def test_raising_make_checks_fails_one_row_and_the_suite_goes_on(monkeypatch, tmp_path, capsys):
+    real = liealg.galilei_realization
+
+    def without_H():
+        return liealg.Realization({k: v for k, v in real().assignment.items() if k != "H"})
+
+    monkeypatch.setattr(liealg, "galilei_realization", without_H)
+    assert cli_main(["verify", "galilei"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "  FAIL  verify_realization" in captured.out
+    assert "        IncompleteRealizationError: realization missing generators: H" in captured.out
+
+    out = tmp_path / "report.json"
+    assert cli_main(["verify", "galilei", "--format", "json", "--out", str(out)]) == 1
+    (report,) = json.loads(out.read_text())["reports"]
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["verify_realization"]
+    assert failed[0]["detail"] == "IncompleteRealizationError: realization missing generators: H"
+    # the rows after the failed call are still recorded
+    names = [c["name"] for c in report["checks"]]
+    assert "compose_matches_sequential_action" in names and "inverse_roundtrip" in names
+
+
+def test_raising_planck_ops_fails_both_grid_rows(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("grid needs at least 64 points")
+
+    monkeypatch.setattr(hopf, "planck_scale_ops", broken)
+    report = suites.run_hopf(suites.suite_rng(42, "hopf"), 1e-9, 20)
+    failed = [c for c in report.checks if c.status == "fail"]
+    assert [c.name for c in failed] == ["position_momentum_deformed_commutator",
+                                        "deformed_coproduct_homomorphism"]
+    assert all(c.detail == "ValueError: grid needs at least 64 points" for c in failed)
+    assert len(report.checks) == 7
+
+    assert cli_main(["verify", "hopf"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.out.count("        ValueError: grid needs at least 64 points") == 2

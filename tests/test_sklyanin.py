@@ -222,7 +222,8 @@ def test_rll_factors_match_kron_reference():
     one_2 = np.eye(2, dtype=complex)
     u, v = 0.9, 0.4
     for r in (rep2(), rep3(1.0, 2.0, 3.0)):
-        R, Lp, Lpp = _rll_factors(u, v, r, p)
+        weights = [np.stack(quantum_W(x, p), axis=-1) for x in (u - v, u, v)]
+        R, Lp, Lpp = _rll_factors(*weights, r)
         assert sup_norm(R - np.kron(quantum_R(u - v, p), np.eye(r.dim))) <= 1e-14
         for L, w, aux in ((Lp, u, lambda s: np.kron(s, one_2)),
                           (Lpp, v, lambda s: np.kron(one_2, s))):
@@ -250,13 +251,18 @@ def test_nan_sample_fails_sweep_row(monkeypatch, name, row):
     real = getattr(sklyanin_module, name)
     calls = []
 
-    def nan_on_third(*args):
+    def nan_at_third_sample(*args):
+        # the sweep hands the kernel whole u, v arrays; the third sample of
+        # its first call goes NaN, with samples after it in the same array
         calls.append(args)
-        return float("nan") if len(calls) == 3 else real(*args)
+        out = real(*args)
+        if len(calls) == 1:
+            out[2] = float("nan")
+        return out
 
-    monkeypatch.setattr(sklyanin_module, name, nan_on_third)
+    monkeypatch.setattr(sklyanin_module, name, nan_at_third_sample)
     report = suites.run_sklyanin(suites.suite_rng(42, "sklyanin"), 1e-9, 20)
-    assert len(calls) > 3
+    assert len(calls[0][0]) > 3
     status = {c.name: c.status for c in report.checks}
     assert status[row] == "fail"
     assert sum(s == "fail" for s in status.values()) == 1
@@ -466,3 +472,60 @@ def test_nan_propagates_through_quadratic_relations_residual():
 def test_nan_propagates_through_classical_bracket_residual():
     p = ClassicalRParams(rho=math.nan, k=0.5)
     assert math.isnan(classical_sklyanin_bracket_residual(p, 0.9, 0.4))
+
+
+# --- batched residuals -------------------------------------------------------
+
+def test_qybe_per_sample_vector_matches_kron_embedding():
+    p = QuantumRParams(eta=0.3, k=0.5)
+    u, v = np.array(sweep_samples(np.random.default_rng(78), p.k, 5)).T
+    got = qybe_residual(u, v, p)
+    assert got.shape == (5,)
+    for i in range(5):
+        r12 = np.kron(quantum_R(u[i] - v[i], p), np.eye(2))
+        r13 = _kron_reference(quantum_R(u[i], p), (0, 2))
+        r23 = np.kron(np.eye(2), quantum_R(v[i], p))
+        want = sup_norm(r12 @ r13 @ r23 - r23 @ r13 @ r12)
+        assert abs(got[i] - want) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["cybe", "qybe", "rll"])
+def test_batched_residuals_equal_scalar_calls_across_blocks(kind):
+    # more samples than one block, so the second block starts mid-sweep
+    n = sklyanin_module._BLOCK + 7
+    if kind == "cybe":
+        p = ClassicalRParams(rho=1.0, k=0.5)
+        residual = lambda u, v: cybe_residual(u, v, p)
+    elif kind == "qybe":
+        p = QuantumRParams(eta=0.3, k=0.5)
+        residual = lambda u, v: qybe_residual(u, v, p)
+    else:
+        p = QuantumRParams(eta=0.2, k=0.3)
+        residual = lambda u, v: rll_residual(u, v, rep3(1.0, 2.0, 3.0), p)
+    u, v = np.array(sweep_samples(np.random.default_rng(79), p.k, n)).T
+    got = residual(u, v)
+    assert got.shape == (n,)
+    for i in (0, 1, n - 8, n - 7, n - 1):
+        want = residual(float(u[i]), float(v[i]))
+        assert isinstance(want, float)
+        assert abs(got[i] - want) <= 1e-14 * max(1.0, want)
+
+
+def test_batched_pole_error_names_the_global_sample():
+    p = ClassicalRParams(rho=1.0, k=0.5)
+    K = sklyanin_module.quarter_period(p.k)
+    n = sklyanin_module._BLOCK + 30
+    u, v = np.array(sweep_samples(np.random.default_rng(80), p.k, n)).T
+    u[150] = 2.0 * K
+    with pytest.raises(EllipticPoleError, match=r"\(index 150\)") as err:
+        cybe_residual(u, v, p)
+    assert err.value.index == 150
+
+
+def test_embed_pair_stack_names_the_first_non_finite_operator():
+    stack = np.repeat(np.eye(4, dtype=complex)[None], 6, axis=0)
+    stack[4, 2, 1] = np.inf
+    stack[5, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"\(operator 4\)"):
+        _embed_pair(stack, (0, 2))
+    assert _embed_pair(stack[:4], (1, 2)).shape == (4, 8, 8)

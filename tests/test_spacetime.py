@@ -19,8 +19,6 @@ from symmetria.spacetime import (
     dalembert,
     dalembert_dilation_check,
     discrete_apply,
-    element_from_json,
-    element_to_json,
     galilei_apply,
     galilei_apply_events,
     galilei_compose,
@@ -231,27 +229,6 @@ def test_discrete_operations():
     assert chain.t == direct.t and np.all(chain.r == direct.r)
 
 
-def test_element_json_roundtrip():
-    import json
-    rng = np.random.default_rng(51)
-    g = random_galilei(rng)
-    doc = json.loads(json.dumps(element_to_json(g)))
-    g2 = element_from_json(doc)
-    assert np.max(np.abs(g2.R - g.R)) < 1e-15
-    assert np.max(np.abs(g2.v - g.v)) < 1e-15
-    assert np.max(np.abs(g2.xi - g.xi)) < 1e-15
-    assert g2.tau == g.tau
-    T = random_poincare(rng)
-    doc = json.loads(json.dumps(element_to_json(T)))
-    T2 = element_from_json(doc)
-    assert np.max(np.abs(T2.R - T.R)) < 1e-15
-    assert np.max(np.abs(T2.v - T.v)) < 1e-15
-    assert np.max(np.abs(T2.a - T.a)) < 1e-15
-    assert T2.b == T.b
-    with pytest.raises(ValueError):
-        element_from_json({"euclid": {}})
-
-
 # --- element validation -----------------------------------------------------
 
 NAN, INF = math.nan, math.inf
@@ -318,18 +295,24 @@ def test_compose_rejects_nan_boost_velocity(monkeypatch):
 
 def test_compose_rejects_nan_factor_residual(monkeypatch):
     T2, T1 = _boosts()
-    real = spacetime.sup_norm
+    real = spacetime.boost_matrix
     calls = []
 
-    def nan_on_second(m):
-        # the second sup_norm in poincare_compose is the middle term of the
-        # factor residual, where builtin max would drop a NaN
-        calls.append(m)
-        return NAN if len(calls) == 2 else real(m)
+    def nan_on_third(v):
+        # calls 1 and 2 build the factors' homogeneous blocks; call 3 undoes
+        # the extracted boost.  A NaN in its time row spoils the time row of
+        # the factor residual and leaves the rotation block finite, so only
+        # a NaN-sticky fold of the residual terms can catch it
+        calls.append(v)
+        L = real(v)
+        if len(calls) == 3:
+            L[..., 0, 2] = NAN
+        return L
 
-    monkeypatch.setattr(spacetime, "sup_norm", nan_on_second)
+    monkeypatch.setattr(spacetime, "boost_matrix", nan_on_third)
     with pytest.raises(CompositionError, match="does not factor"):
         poincare_compose(T2, T1)
+    assert len(calls) == 3
 
 
 # --- (N, 4) event kernels ----------------------------------------------------
@@ -419,17 +402,17 @@ def test_minkowski_interval_folds_over_the_last_axis():
 
 
 def _poison_second_pair(monkeypatch, row):
-    """Put a NaN into event `row` of every block the Poincare kernel maps
-    for the second element pair of the compose sweep (three calls a pair)."""
+    """Put a NaN into event `row` of the second element pair's block in
+    every (pairs, events, 4) stack the Poincare kernel maps for the compose
+    sweep (three stacked calls)."""
     real = spacetime.poincare_apply_events
     blocks = []
 
     def poisoned(T, X):
         out = real(T, X)
-        if len(X) > 1:
+        if np.ndim(X) == 3:
             blocks.append(X)
-            if 4 <= len(blocks) <= 6:
-                out[row, 1] = NAN
+            out[1, row, 1] = NAN
         return out
 
     monkeypatch.setattr(spacetime, "poincare_apply_events", poisoned)
@@ -441,7 +424,7 @@ def test_nan_event_fails_poincare_compose_sweep_rows(monkeypatch):
     # T21 or T2, or the qt half of T1's (pt, qt) block.
     blocks = _poison_second_pair(monkeypatch, -1)
     report = suites.run_poincare(suites.suite_rng(42, "poincare"), 1e-9, 5)
-    assert len(blocks) == 15
+    assert [len(X) for X in blocks] == [5, 5, 5]
     failed = {c.name: c for c in report.checks if c.status == "fail"}
     assert set(failed) == {"compose_matches_sequential_action", "interval_preserved"}
     for c in failed.values():
@@ -450,13 +433,15 @@ def test_nan_event_fails_poincare_compose_sweep_rows(monkeypatch):
 
 def test_nan_event_fed_to_the_next_element_is_rejected(monkeypatch):
     # Row 0 of T1's block is pt, which T2 then maps: the kernel refuses it,
-    # and the refusal fails the sweep's row and its sibling.
+    # naming the second pair, and the refusal fails the sweep's row and its
+    # sibling.
     _poison_second_pair(monkeypatch, 0)
     report = suites.run_poincare(suites.suite_rng(42, "poincare"), 1e-9, 5)
     failed = {c.name: c for c in report.checks if c.status == "fail"}
     assert set(failed) == {"compose_matches_sequential_action", "interval_preserved"}
     for c in failed.values():
         assert c.detail.startswith("ValueError: events must be an (N, 4) array")
+        assert c.detail.endswith("(element 1)")
     assert len(report.checks) == 10
 
 
@@ -536,3 +521,84 @@ def test_massless_wave_stays_solution():
     lhs = dalembert(phi, x) + phi(x)
     rhs = k * k * (dalembert(wave, k * x) + wave(k * x))
     assert abs(lhs - rhs) > 1e-3
+
+
+# --- stacked elements ----------------------------------------------------------
+
+def _stack(elements):
+    """The elements as one stacked element of their type."""
+    fields = type(elements[0]).__dataclass_fields__
+    return type(elements[0])(**{f: np.array([getattr(e, f) for e in elements]) for f in fields})
+
+
+def test_stacked_laws_equal_the_per_element_laws():
+    rng = np.random.default_rng(57)
+    for make, compose in ((random_galilei, galilei_compose), (random_poincare, poincare_compose)):
+        firsts, seconds = [make(rng) for _ in range(6)], [make(rng) for _ in range(6)]
+        stacked = compose(_stack(seconds), _stack(firsts))
+        for i, (g2, g1) in enumerate(zip(seconds, firsts)):
+            one = compose(g2, g1)
+            for f in type(one).__dataclass_fields__:
+                assert np.array_equal(getattr(stacked, f)[i], getattr(one, f)), f
+    gs = [random_galilei(rng) for _ in range(6)]
+    inv = galilei_inverse(_stack(gs))
+    for i, g in enumerate(gs):
+        assert np.array_equal(inv.R[i], galilei_inverse(g).R)
+        assert np.array_equal(inv.xi[i], galilei_inverse(g).xi)
+    X = rng.normal(size=(6, 20, 4))
+    for make, kernel in ((random_galilei, galilei_apply_events),
+                         (random_poincare, poincare_apply_events)):
+        elements = [make(rng) for _ in range(6)]
+        block = kernel(_stack(elements), X)
+        for i, e in enumerate(elements):
+            assert np.array_equal(block[i], kernel(e, X[i]))
+
+
+def test_stacked_rotations_and_classification():
+    rng = np.random.default_rng(58)
+    axes, angles = rng.normal(size=(8, 3)), rng.uniform(0, 6, 8)
+    R = rotation_about(axes, angles)
+    for i in range(8):
+        assert np.array_equal(R[i], rotation_about(axes[i], angles[i]))
+    R[2] = np.diag([1.0, 1.0, -1.0])
+    R[5] = np.eye(3) * 1.001
+    R[6, 0, 0] = NAN
+    kinds = classify_rotation(R)
+    assert list(kinds) == ["proper", "proper", "improper", "proper", "proper",
+                           "not_orthogonal", "not_orthogonal", "proper"]
+    assert [classify_rotation(m) for m in R] == list(kinds)
+
+
+def test_stacked_elements_name_the_first_bad_element():
+    rng = np.random.default_rng(59)
+    T = _stack([random_poincare(rng) for _ in range(5)])
+    with pytest.raises(ValueError, match=r"\|v\| < 1 \(element 3\)"):
+        PoincareElement(T.a, T.b, np.where(np.arange(5)[:, None] >= 3, 0.7, T.v), T.R)
+    b = T.b.copy()
+    b[4] = INF
+    with pytest.raises(ValueError, match=r"finite \(element 4\)"):
+        PoincareElement(T.a, b, T.v, T.R)
+    R = T.R.copy()
+    R[1] = -R[1]
+    with pytest.raises(ValueError, match=r"proper orthogonal \(element 1\)"):
+        PoincareElement(T.a, T.b, T.v, R)
+    g = _stack([random_galilei(rng) for _ in range(5)])
+    xi = g.xi.copy()
+    xi[2, 1] = NAN
+    with pytest.raises(ValueError, match=r"finite \(element 2\)"):
+        GalileiElement(g.R, g.v, xi, g.tau)
+    with pytest.raises(ValueError, match="events"):
+        galilei_apply_events(g, rng.normal(size=(20, 4)))
+
+
+def test_stacked_compose_names_the_element_that_leaves_the_light_cone():
+    rng = np.random.default_rng(60)
+    elements = [random_poincare(rng) for _ in range(5)]
+    # two boosts at 1 - 1e-12 compose to a speed that rounds to 1
+    fast = PoincareElement(np.zeros(3), 0.0, np.array([1.0 - 1e-12, 0.0, 0.0]), np.eye(3))
+    elements[2] = fast
+    with pytest.raises(CompositionError, match=r"\|v\| >= 1.*\(element 2\)"):
+        poincare_compose(_stack(elements), _stack(elements))
+    with pytest.raises(CompositionError, match="velocity") as err:
+        poincare_compose(fast, fast)
+    assert "element" not in str(err.value)
