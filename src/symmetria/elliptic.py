@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,15 +28,19 @@ class EllipticDivergenceError(ValueError):
 
 
 class EllipticPoleError(ValueError):
-    """Argument too close to a pole of sn/cn/dn; carries the nearest pole
-    and, for an array argument, the flat index of the first bad entry."""
+    """Argument too close to a pole of sn/cn/dn, or of a function built
+    from them; carries the nearest pole and, for an array argument, the
+    flat index of the first bad entry.  ``condition`` states the test the
+    argument failed, by default its distance to the pole."""
 
-    def __init__(self, z: complex, pole: complex, index: int | None = None):
+    def __init__(self, z: complex, pole: complex, index: int | None = None,
+                 condition: str | None = None):
         self.z = z
         self.pole = pole
         self.index = index
         at = "" if index is None else f" (index {index})"
-        super().__init__(f"argument {z!r}{at} within 1e-6 of pole at {pole!r}")
+        condition = condition or f"within 1e-6 of pole at {pole!r}"
+        super().__init__(f"argument {z!r}{at} {condition}")
 
 
 # Quadratic convergence makes 8 AGM steps plenty for double precision, but the
@@ -66,26 +69,6 @@ def _agm_quarter_period(k: float) -> float:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Modulus k with its complement and both quarter periods."""
-
-    k: float
-    k_prime: float = field(init=False)
-    quarter_period_K: float = field(init=False)
-    quarter_period_K_prime: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.k <= 1.0:
-            raise EllipticDomainError(f"modulus must lie in [0,1], got {self.k!r}")
-        kp = math.sqrt(max(0.0, 1.0 - self.k * self.k))
-        object.__setattr__(self, "k_prime", kp)
-        K = math.inf if self.k == 1.0 else quarter_period(self.k)
-        Kp = math.inf if self.k == 0.0 else quarter_period(kp)
-        object.__setattr__(self, "quarter_period_K", K)
-        object.__setattr__(self, "quarter_period_K_prime", Kp)
 
 
 def sn_cn_dn_real(u, k: float):

@@ -294,7 +294,7 @@ def automorphism_order(g: PolyhedralGraph) -> int:
     image = [-1] * n
     used = [False] * n
 
-    def extend(pos: int):
+    def place(pos: int):
         nonlocal count
         if pos == n:
             count += 1
@@ -318,11 +318,11 @@ def automorphism_order(g: PolyhedralGraph) -> int:
                 continue
             image[v] = cand
             used[cand] = True
-            extend(pos + 1)
+            place(pos + 1)
             image[v] = -1
             used[cand] = False
 
-    extend(0)
+    place(0)
     return count
 
 

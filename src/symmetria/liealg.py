@@ -2,20 +2,22 @@
 with a polynomial Poisson-bracket engine on T*R^4 that realizes the
 generators as phase-space functions and re-derives the bracket tables.
 
-Everything here is exact: coefficients are rationals (or any commutative
-ring element such as complex floats, which the Sklyanin module reuses),
-and a reported zero means zero.
+Everything here is exact: the tables and realizations have integer
+coefficients, and a reported zero means zero.  The polynomial engine
+works over any commutative ring (the Sklyanin module reuses it with
+complex floats), and ``bracket`` is its one Poisson bracket: the
+canonical bracket and the quadratic Sklyanin brackets are both
+``bracket`` on a table of bracket coefficients.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
 from typing import Mapping
 
 from .numerics import worst_of
-from .report import Check
 
 # Phase-space variables, in storage order: x^0..x^3 then p_0..p_3.
 VARIABLES = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3")
@@ -49,7 +51,7 @@ class PhasePolynomial:
         return PhasePolynomial({(0,) * NVARS: c})
 
     @staticmethod
-    def variable(name: str, coeff=Fraction(1)) -> "PhasePolynomial":
+    def variable(name: str, coeff=1) -> "PhasePolynomial":
         mono = [0] * NVARS
         mono[VARIABLES.index(name)] = 1
         return PhasePolynomial({tuple(mono): coeff})
@@ -150,24 +152,42 @@ def p(i: int) -> PhasePolynomial:
     return PhasePolynomial.variable(f"p{i}")
 
 
-def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """Canonical bracket sum_mu (df/dx^mu dg/dp_mu - df/dp_mu dg/dx^mu)."""
+def bracket(table: Mapping, f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
+    """{f, g} = sum of B_kl (d_k f d_l g - d_l f d_k g) over the entries
+    (k, l) -> B_kl of `table` with k < l, in (k, l) order.
+
+    B_kl is a polynomial or a ring element; each partial derivative of f
+    and g is taken once."""
+    df: dict = {}
+    dg: dict = {}
     out = PhasePolynomial()
-    for mu in range(4):
-        out = out + f.derivative(mu) * g.derivative(mu + 4)
-        out = out - f.derivative(mu + 4) * g.derivative(mu)
+    for k, l in sorted(table):
+        B = table[k, l]
+        if k >= l or not B:
+            continue
+        for i in (k, l):
+            if i not in df:
+                df[i], dg[i] = f.derivative(i), g.derivative(i)
+        out = out + B * (df[k] * dg[l] - df[l] * dg[k])
     return out
 
 
-EPS3 = {}
-for _perm, _sign in ((("1", "2", "3"), 1), (("2", "3", "1"), 1), (("3", "1", "2"), 1),
-                     (("3", "2", "1"), -1), (("1", "3", "2"), -1), (("2", "1", "3"), -1)):
-    EPS3[tuple(int(s) for s in _perm)] = _sign
+# {x^mu, p_mu} = 1: the canonical bracket table on T*R^4.
+_CANONICAL = {(mu, mu + 4): 1 for mu in range(4)}
 
 
-def epsilon3(a: int, b: int, c: int) -> int:
-    """Levi-Civita symbol with indices 1..3 and eps(1,2,3) = +1."""
-    return EPS3.get((a, b, c), 0)
+def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
+    """Canonical bracket sum_mu (df/dx^mu dg/dp_mu - df/dp_mu dg/dx^mu)."""
+    return bracket(_CANONICAL, f, g)
+
+
+def levi_civita(*idx: int) -> int:
+    """Levi-Civita symbol: the sign of the permutation that sorts `idx`,
+    0 if an index repeats; eps(1,2,3) = eps(0,1,2,3) = +1."""
+    if len(set(idx)) < len(idx):
+        return 0
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -178,22 +198,19 @@ class LieStructure:
     basis_labels: tuple[str, ...]
     constants: dict = field(repr=False)
 
-    def bracket(self, a: str, b: str) -> dict[str, Fraction]:
+    def bracket(self, a: str, b: str) -> dict[str, int]:
         return dict(self.constants.get((a, b), {}))
 
     def dimension(self) -> int:
         return len(self.basis_labels)
 
 
-def _table_from_pairs(pairs: dict[tuple[str, str], dict[str, Fraction]],
-                      labels: tuple[str, ...]) -> dict:
-    """Antisymmetric completion of an upper-triangle bracket specification."""
+def _table_from_pairs(pairs: dict[tuple[str, str], dict[str, int]]) -> dict:
+    """Antisymmetric completion of a bracket specification."""
     table = {}
     for (a, b), out in pairs.items():
-        table[(a, b)] = {g: Fraction(c) for g, c in out.items() if c != 0}
-        table[(b, a)] = {g: -Fraction(c) for g, c in out.items() if c != 0}
-    for a in labels:
-        table.setdefault((a, a), {})
+        table[(a, b)] = dict(out)
+        table[(b, a)] = {g: -c for g, c in out.items()}
     return table
 
 
@@ -204,26 +221,11 @@ def galilei_structure() -> LieStructure:
     {H,G_a} = -P_a, all remaining brackets zero.
     """
     labels = ("M1", "M2", "M3", "P1", "P2", "P3", "G1", "G2", "G3", "H")
-    pairs = {}
-    for a in range(1, 4):
-        for b in range(1, 4):
-            if a >= b:
-                continue
-            g = ({1, 2, 3} - {a, b}).pop()
-            s = epsilon3(a, b, g)
-            pairs[(f"M{a}", f"M{b}")] = {f"M{g}": Fraction(s)}
-        for b in range(1, 4):
-            g = ({1, 2, 3} - {a, b}).pop() if a != b else None
-            if g is not None:
-                s = epsilon3(a, b, g)
-                pairs[(f"M{a}", f"P{b}")] = {f"P{g}": Fraction(s)}
-                pairs[(f"M{a}", f"G{b}")] = {f"G{g}": Fraction(s)}
-            else:
-                pairs[(f"M{a}", f"P{b}")] = {}
-                pairs[(f"M{a}", f"G{b}")] = {}
-    for a in range(1, 4):
-        pairs[(f"H", f"G{a}")] = {f"P{a}": Fraction(-1)}
-    return LieStructure("galilei", labels, _table_from_pairs(pairs, labels))
+    pairs = {("H", f"G{a}"): {f"P{a}": -1} for a in range(1, 4)}
+    for a, b, g in itertools.permutations(range(1, 4)):
+        for X in "MPG":
+            pairs[(f"M{a}", f"{X}{b}")] = {f"{X}{g}": levi_civita(a, b, g)}
+    return LieStructure("galilei", labels, _table_from_pairs(pairs))
 
 
 def poincare_structure() -> LieStructure:
@@ -235,91 +237,56 @@ def poincare_structure() -> LieStructure:
     labels = ("J1", "J2", "J3", "P1", "P2", "P3", "K1", "K2", "K3", "H")
     pairs = {}
     for j in range(1, 4):
-        for k in range(1, 4):
-            if j < k:
-                l = ({1, 2, 3} - {j, k}).pop()
-                s = epsilon3(j, k, l)
-                pairs[(f"J{j}", f"J{k}")] = {f"J{l}": Fraction(s)}
-                pairs[(f"K{j}", f"K{k}")] = {f"J{l}": Fraction(-s)}
-            if j != k:
-                l = ({1, 2, 3} - {j, k}).pop()
-                s = epsilon3(j, k, l)
-                pairs[(f"J{j}", f"P{k}")] = {f"P{l}": Fraction(s)}
-                pairs[(f"J{j}", f"K{k}")] = {f"K{l}": Fraction(s)}
-            else:
-                pairs[(f"J{j}", f"P{k}")] = {}
-                pairs[(f"J{j}", f"K{k}")] = {}
-        pairs[(f"K{j}", f"P{j}")] = {"H": Fraction(1)}
-        pairs[(f"K{j}", "H")] = {f"P{j}": Fraction(1)}
-        pairs[(f"J{j}", "H")] = {}
-    return LieStructure("poincare", labels, _table_from_pairs(pairs, labels))
+        pairs[(f"K{j}", f"P{j}")] = {"H": 1}
+        pairs[(f"K{j}", "H")] = {f"P{j}": 1}
+    for j, k, l in itertools.permutations(range(1, 4)):
+        s = levi_civita(j, k, l)
+        for X in "JPK":
+            pairs[(f"J{j}", f"{X}{k}")] = {f"{X}{l}": s}
+        pairs[(f"K{j}", f"K{k}")] = {f"J{l}": -s}
+    return LieStructure("poincare", labels, _table_from_pairs(pairs))
 
 
-def check_structure(structure: LieStructure) -> list[Check]:
+def check_structure(structure: LieStructure) -> tuple[list, list]:
     """Antisymmetry and Jacobi identity, verified exactly.
 
-    Violations become failing report entries naming the offending pair or
-    triple; an empty failure list certifies the table.  The tables are
-    sparse, so the cyclic sum is composed bracket-by-bracket rather than
-    through the dense rank-3 array.
+    Returns the pairs (a, b) where {X_a, X_b} != -{X_b, X_a}, in basis
+    order, and the sorted triples (a, b, e) whose cyclic sum
+    {{X_a, X_b}, X_e} + {{X_b, X_e}, X_a} + {{X_e, X_a}, X_b} is nonzero;
+    two empty lists certify the table.  The tables are sparse, so the
+    cyclic sum is composed bracket-by-bracket rather than through the
+    dense rank-3 array.
     """
     labels = structure.basis_labels
     table = structure.constants
     empty: dict = {}
 
-    anti_bad = []
-    for a in labels:
-        for b in labels:
-            fwd = table.get((a, b), empty)
-            rev = table.get((b, a), empty)
-            if {g: -c for g, c in rev.items()} != fwd:
-                anti_bad.append((a, b))
-    checks = [Check(
-        name=f"{structure.name}_antisymmetry",
-        ref="bracket antisymmetry of the structure-constant table",
-        passed=not anti_bad,
-        residual=float(len(anti_bad)),
-        tolerance=0.0,
-        detail="exact" if not anti_bad else f"violations at {anti_bad[:3]}",
-    )]
+    bad_pairs = [(a, b) for a in labels for b in labels
+                 if {g: -c for g, c in table.get((b, a), empty).items()}
+                 != table.get((a, b), empty)]
 
-    def bracket_with(combo: dict, e: str) -> dict:
-        # {sum_d combo[d] X_d, X_e} as a sparse coefficient map
-        out: dict = {}
+    def add_to(out: dict, g: str, coeff) -> None:
+        s = out.get(g, 0) + coeff
+        if s == 0:
+            out.pop(g, None)
+        else:
+            out[g] = s
+
+    def bracket_with(combo: dict, e: str, total: dict) -> None:
+        # adds {sum_d combo[d] X_d, X_e} to the sparse coefficient map total
         for d, coeff in combo.items():
             for g, c2 in table.get((d, e), empty).items():
-                s = out.get(g, 0) + coeff * c2
-                if s == 0:
-                    out.pop(g, None)
-                else:
-                    out[g] = s
-        return out
+                add_to(total, g, coeff * c2)
 
-    jacobi_bad = []
-    for a in labels:
-        for b in labels:
-            for e in labels:
-                total: dict = {}
-                for part in (bracket_with(table.get((a, b), empty), e),
-                             bracket_with(table.get((b, e), empty), a),
-                             bracket_with(table.get((e, a), empty), b)):
-                    for g, coeff in part.items():
-                        s = total.get(g, 0) + coeff
-                        if s == 0:
-                            total.pop(g, None)
-                        else:
-                            total[g] = s
-                if total:
-                    jacobi_bad.append((a, b, e))
-    checks.append(Check(
-        name=f"{structure.name}_jacobi",
-        ref="Jacobi identity of the structure-constant table",
-        passed=not jacobi_bad,
-        residual=float(len(jacobi_bad)),
-        tolerance=0.0,
-        detail="exact" if not jacobi_bad else f"violating triples {sorted(set(jacobi_bad))[:5]}",
-    ))
-    return checks
+    bad_triples = []
+    for a, b, e in itertools.product(labels, repeat=3):
+        total: dict = {}
+        bracket_with(table.get((a, b), empty), e, total)
+        bracket_with(table.get((b, e), empty), a, total)
+        bracket_with(table.get((e, a), empty), b, total)
+        if total:
+            bad_triples.append((a, b, e))
+    return bad_pairs, sorted(bad_triples)
 
 
 @dataclass(frozen=True)
@@ -335,19 +302,19 @@ class IncompleteRealizationError(ValueError):
         super().__init__(f"realization missing generators: {', '.join(self.missing)}")
 
 
+def _angular_momentum(a: int) -> PhasePolynomial:
+    """eps_abg x^b p_g, the rotation generator about axis a."""
+    b, g = (i for i in range(1, 4) if i != a)
+    return (x(b) * p(g) - x(g) * p(b)).scale(levi_civita(a, b, g))
+
+
 def galilei_realization() -> Realization:
     """M_a = eps_abg x^b p_g, P_a = p_a, G_a = x^0 p_a, H = p_0."""
     asn = {"H": p(0)}
     for a in range(1, 4):
         asn[f"P{a}"] = p(a)
         asn[f"G{a}"] = x(0) * p(a)
-        m = PhasePolynomial.zero()
-        for b in range(1, 4):
-            for g in range(1, 4):
-                s = epsilon3(a, b, g)
-                if s:
-                    m = m + (x(b) * p(g)).scale(Fraction(s))
-        asn[f"M{a}"] = m
+        asn[f"M{a}"] = _angular_momentum(a)
     return Realization(asn)
 
 
@@ -355,45 +322,35 @@ def poincare_realization() -> Realization:
     """J_j = eps_jkl x^k p_l, P_j = p_j, K_j = p_0 x^j + x^0 p_j, H = p_0.
 
     Signs fixed so that {K_j,P_k} = delta_jk H and {K_j,H} = P_j come out of
-    the canonical bracket; the engine below certifies the full table.
+    the canonical bracket; ``verify_realization`` certifies the full table.
     """
     asn = {"H": p(0)}
     for j in range(1, 4):
         asn[f"P{j}"] = p(j)
         asn[f"K{j}"] = p(0) * x(j) + x(0) * p(j)
-        m = PhasePolynomial.zero()
-        for k in range(1, 4):
-            for l in range(1, 4):
-                s = epsilon3(j, k, l)
-                if s:
-                    m = m + (x(k) * p(l)).scale(Fraction(s))
-        asn[f"J{j}"] = m
+        asn[f"J{j}"] = _angular_momentum(j)
     return Realization(asn)
 
 
-def verify_realization(structure: LieStructure, realization: Realization) -> list[Check]:
-    """Exact check that the realized brackets reproduce the table."""
+def verify_realization(structure: LieStructure, realization: Realization) -> list:
+    """Exact check that the realized brackets reproduce the table.
+
+    Returns the mismatches (a, b, {X_a, X_b} - sum_g c_abg X_g) in basis
+    order; an empty list certifies the realization.  A realization that
+    leaves a generator out raises ``IncompleteRealizationError``."""
     missing = [lab for lab in structure.basis_labels if lab not in realization.assignment]
     if missing:
         raise IncompleteRealizationError(missing)
+    asn = realization.assignment
     mismatches = []
     for a in structure.basis_labels:
         for b in structure.basis_labels:
-            lhs = poisson_bracket(realization.assignment[a], realization.assignment[b])
-            rhs = PhasePolynomial.zero()
+            diff = poisson_bracket(asn[a], asn[b])
             for g, coeff in structure.bracket(a, b).items():
-                rhs = rhs + realization.assignment[g].scale(Fraction(coeff))
-            if lhs - rhs:
-                mismatches.append((a, b, lhs - rhs))
-    return [Check(
-        name=f"{structure.name}_realization",
-        ref="phase-space realization reproduces the bracket table",
-        passed=not mismatches,
-        residual=float(len(mismatches)),
-        tolerance=0.0,
-        detail="all brackets reproduced exactly" if not mismatches
-        else "; ".join(f"{{{a},{b}}} off by {d!r}" for a, b, d in mismatches[:4]),
-    )]
+                diff = diff - asn[g].scale(coeff)
+            if diff:
+                mismatches.append((a, b, diff))
+    return mismatches
 
 
 def structure_to_json(structure: LieStructure) -> dict:

@@ -1,8 +1,8 @@
 """Check records and report aggregation/rendering for the batch runner.
 
 A Check is one named verification with an optional residual/tolerance pair;
-a CheckReport groups the checks of one suite with pass/fail tallies and
-records new rows through ``CheckReport.check``, which times each row,
+a CheckReport groups the checks of one suite with pass/fail tallies.
+``CheckReport.check`` is the one way a row is recorded: it times the row,
 folds its residuals, and turns a raising row into a FAIL row.  JSON output
 is deterministic: sorted keys, full float precision, and no timing fields.
 Row times are float milliseconds and appear only in the text rendering,
@@ -138,23 +138,6 @@ class CheckReport:
                 r.detail = f"{type(exc).__name__}: {exc}"
         row.elapsed_ms = 1000.0 * (time.perf_counter() - t0)
         self.checks += [r.to_check() for r in (row, *row.siblings)]
-
-    def extend(self, make_checks, *args) -> None:
-        """Append the ready-made checks ``make_checks(*args)`` returns; the
-        call is timed once and its time goes to the first of them.  A call
-        that raises ``ValueError`` or ``ArithmeticError`` returns no rows to
-        fail, so it records one FAIL row named after ``make_checks``, with
-        the exception in ``detail``, and the suite goes on."""
-        t0 = time.perf_counter()
-        try:
-            checks = list(make_checks(*args))
-        except (ValueError, ArithmeticError) as exc:
-            name = make_checks.__name__
-            checks = [Check(name, f"the checks {name} returns", passed=False,
-                            detail=f"{type(exc).__name__}: {exc}")]
-        if checks:
-            checks[0].elapsed_ms = 1000.0 * (time.perf_counter() - t0)
-        self.checks += checks
 
     @property
     def total(self) -> int:

@@ -23,6 +23,12 @@ are computed and checked in one pass, then the (B, 8, 8) matrix stacks
 and their products are built at most ``_BLOCK`` samples at a time, and
 the residual comes back as one sup norm per sample.  A scalar call is the
 same computation on one sample.
+
+The quadratic Poisson brackets (the volume-contraction tensors and the
+classical Sklyanin bracket) are tables of polynomials in x0..x3, the first
+four variables of ``liealg.PhasePolynomial``, and are evaluated by
+``liealg.bracket``: the one bracket engine, which also gives the
+canonical bracket of the Galilei and Poincare realizations.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticPoleError, quarter_period, sn_cn_dn_complex, sn_cn_dn_real
-from .liealg import PhasePolynomial
+from .liealg import PhasePolynomial, bracket, levi_civita, x
 from .numerics import as_matrix, commutator, sup_norm, worst_of
 
 SIGMA = (
@@ -220,7 +226,9 @@ def quantum_W(u, p: QuantumRParams) -> tuple:
     small = np.abs(s) < 1e-12
     if small.any():
         i = int(np.flatnonzero(small)[0])
-        raise EllipticPoleError(complex(z.flat[i]), 0j, None if np.ndim(u) == 0 else i)
+        raise EllipticPoleError(complex(z.flat[i]), 0j, None if np.ndim(u) == 0 else i,
+                                condition=f"has |sn(u + i eta)| = {abs(s.flat[i]):.3g} < 1e-12, "
+                                          "a pole of the quantum weights")
     W = (se / s, (d / s) * (se / de), (c / s) * (se / ce))
     return tuple(complex(w[0]) for w in W) if np.ndim(u) == 0 else W
 
@@ -370,29 +378,6 @@ def rll_residual(u, v, rep: SklyaninRep, p: QuantumRParams):
 # Poisson tensors from volume contraction
 # ---------------------------------------------------------------------------
 
-EPS4 = {}
-for _p in ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2), (1, 0, 3, 2), (1, 2, 0, 3),
-           (1, 3, 2, 0), (2, 0, 1, 3), (2, 1, 3, 0), (2, 3, 0, 1), (3, 0, 2, 1),
-           (3, 1, 0, 2), (3, 2, 1, 0)):
-    EPS4[_p] = 1
-for _p in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1), (1, 0, 2, 3), (1, 2, 3, 0),
-           (1, 3, 0, 2), (2, 0, 3, 1), (2, 1, 0, 3), (2, 3, 1, 0), (3, 0, 1, 2),
-           (3, 1, 2, 0), (3, 2, 0, 1)):
-    EPS4[_p] = -1
-
-
-def epsilon4(i: int, j: int, k: int, l: int) -> int:
-    """Levi-Civita symbol on indices 0..3 with eps(0,1,2,3) = +1."""
-    return EPS4.get((i, j, k, l), 0)
-
-
-def _coord(i: int):
-    # the Poisson-tensor checks reuse the phase-polynomial engine on the
-    # first four variable slots; the int coefficient is exact and keeps
-    # integer specs in integer arithmetic
-    return PhasePolynomial.variable(f"x{i}", 1)
-
-
 @dataclass(frozen=True)
 class PoissonTensorSpec:
     a: tuple
@@ -405,36 +390,14 @@ class PoissonTensorSpec:
 
 def poisson_tensor(spec: PoissonTensorSpec) -> dict:
     """Bracket table {x_k, x_l} = eps_klij (a_i b_j - b_i a_j) x_i x_j,
-    one term per unordered pair {i, j} (the free double sum doubles it)."""
-    table = {}
-    for k in range(4):
-        for l in range(4):
-            poly = PhasePolynomial.zero()
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    s = epsilon4(k, l, i, j)
-                    if s == 0:
-                        continue
-                    coeff = s * (spec.a[i] * spec.b[j] - spec.b[i] * spec.a[j])
-                    if coeff != 0:
-                        poly = poly + (_coord(i) * _coord(j)).scale(coeff)
-            table[(k, l)] = poly
+    one term per unordered pair {i, j} (the free double sum doubles it).
+    For k != l the only such pair is the complement i < j of {k, l}."""
+    table = {(k, l): PhasePolynomial.zero() for k in range(4) for l in range(4)}
+    for k, l, i, j in itertools.permutations(range(4)):
+        coeff = spec.a[i] * spec.b[j] - spec.b[i] * spec.a[j]
+        if i < j and coeff != 0:
+            table[(k, l)] = (x(i) * x(j)).scale(levi_civita(k, l, i, j) * coeff)
     return table
-
-
-def tensor_bracket(table: dict, f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """{f, g} = sum_{k<l} B_kl (d_k f d_l g - d_l f d_k g) for the quadratic
-    bracket table B."""
-    df = [f.derivative(k) for k in range(4)]
-    dg = [g.derivative(k) for k in range(4)]
-    out = PhasePolynomial.zero()
-    for k in range(4):
-        for l in range(k + 1, 4):
-            B = table[(k, l)]
-            if not B:
-                continue
-            out = out + B * (df[k] * dg[l] - df[l] * dg[k])
-    return out
 
 
 def poisson_jacobi_defect(table: dict) -> PhasePolynomial:
@@ -444,10 +407,10 @@ def poisson_jacobi_defect(table: dict) -> PhasePolynomial:
     for i in range(4):
         for j in range(i + 1, 4):
             for k in range(j + 1, 4):
-                xi, xj, xk = _coord(i), _coord(j), _coord(k)
-                cyc = tensor_bracket(table, xi, tensor_bracket(table, xj, xk))
-                cyc = cyc + tensor_bracket(table, xj, tensor_bracket(table, xk, xi))
-                cyc = cyc + tensor_bracket(table, xk, tensor_bracket(table, xi, xj))
+                xi, xj, xk = x(i), x(j), x(k)
+                cyc = bracket(table, xi, bracket(table, xj, xk))
+                cyc = cyc + bracket(table, xj, bracket(table, xk, xi))
+                cyc = cyc + bracket(table, xk, bracket(table, xi, xj))
                 total = total + cyc * cyc
     return total
 
@@ -469,16 +432,16 @@ def _sklyanin_bracket_table(p: ClassicalRParams, convention: str = "cyclic") -> 
     table = {(k, l): PhasePolynomial.zero() for k in range(4) for l in range(4)}
     for a, b, c in CYCLIC:
         if convention == "cyclic":
-            sa_s0 = (_coord(b) * _coord(c)).scale(2.0 * jpair(b, c))
+            sa_s0 = (x(b) * x(c)).scale(2.0 * jpair(b, c))
         else:
             sa_s0 = PhasePolynomial.zero()
             for bb in (1, 2, 3):
                 for cc in (1, 2, 3):
                     if bb != cc:
-                        sa_s0 = sa_s0 + (_coord(bb) * _coord(cc)).scale(2.0 * jpair(bb, cc))
+                        sa_s0 = sa_s0 + (x(bb) * x(cc)).scale(2.0 * jpair(bb, cc))
         table[(a, 0)] = sa_s0
         table[(0, a)] = sa_s0.scale(-1.0)
-        sab = (_coord(0) * _coord(c)).scale(-2.0)
+        sab = (x(0) * x(c)).scale(-2.0)
         table[(a, b)] = sab
         table[(b, a)] = sab.scale(-1.0)
     return table
@@ -491,11 +454,11 @@ def classical_L_poly(u: float, p: ClassicalRParams) -> list:
     L = [[PhasePolynomial.zero() for _ in range(2)] for _ in range(2)]
     for i in range(2):
         for j in range(2):
-            L[i][j] = L[i][j] + _coord(0).scale(complex(SIGMA[0][i, j]))
+            L[i][j] = L[i][j] + x(0).scale(complex(SIGMA[0][i, j]))
             for a in (1, 2, 3):
                 coeff = 1j * w[a - 1] * SIGMA[a][i, j]
                 if coeff != 0:
-                    L[i][j] = L[i][j] + _coord(a).scale(complex(coeff))
+                    L[i][j] = L[i][j] + x(a).scale(complex(coeff))
     return L
 
 
@@ -524,7 +487,7 @@ def classical_sklyanin_bracket_residual(p: ClassicalRParams, u: float, v: float,
         for i2 in range(2):
             for j1 in range(2):
                 for j2 in range(2):
-                    lhs = tensor_bracket(table, Lu[i1][j1], Lv[i2][j2])
+                    lhs = bracket(table, Lu[i1][j1], Lv[i2][j2])
                     rhs = PhasePolynomial.zero()
                     row, col = idx(i1, i2), idx(j1, j2)
                     for m in range(4):

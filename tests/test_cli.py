@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -68,12 +69,16 @@ def test_dump_needs_a_sample(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
-def test_module_entry_point_runs_without_runtime_warning():
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout of symmetria."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(symmetria.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "symmetria.cli", "verify", "rotations",
-                           "--samples", "5"], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    proc = _python("-m", "symmetria.cli", "verify", "rotations", "--samples", "5")
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 
@@ -99,6 +104,34 @@ def test_dump_algebra(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["poincare"]["basis"]) == 10
     assert len(doc["galilei"]["basis"]) == 10
+
+
+def test_dump_algebra_bytes_are_frozen(tmp_path):
+    # the tables are exact integers, so the bytes do not depend on the platform
+    out = tmp_path / "alg.json"
+    assert run(["dump", "algebra", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "26420b0b93dad682669eedaf252e31810e15755d6850abd8ffca34ad1bb4ac57")
+
+
+def _modules_after_import(module: str) -> set:
+    proc = _python("-c", f"import sys, {module}; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_exact_layer_imports_stay_lean():
+    assert not {"fractions", "decimal"} & _modules_after_import("symmetria.cli")
+    assert "symmetria.report" not in _modules_after_import("symmetria.liealg")
+
+
+def test_repeated_algebra_and_sweep_runs_give_identical_bytes(tmp_path, capsys):
+    argv = ["verify", "galilei", "poincare", "sklyanin", "--format", "json", "--samples", "20"]
+    outputs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_dump_graph(tmp_path):

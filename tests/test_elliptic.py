@@ -8,7 +8,6 @@ import pytest
 from symmetria.elliptic import (
     EllipticDivergenceError,
     EllipticDomainError,
-    EllipticModulus,
     EllipticPoleError,
     quarter_period,
     sn_cn_dn_complex,
@@ -43,13 +42,6 @@ def test_quarter_period_divergence_and_domain():
         quarter_period(1.5)
     with pytest.raises(EllipticDomainError):
         quarter_period(-0.1)
-
-
-def test_modulus_record():
-    m = EllipticModulus(0.6)
-    assert abs(m.k ** 2 + m.k_prime ** 2 - 1.0) < 1e-14
-    assert m.quarter_period_K >= math.pi / 2.0
-    assert abs(EllipticModulus(0.0).quarter_period_K - math.pi / 2.0) < 1e-15
 
 
 def test_real_degenerate_moduli():

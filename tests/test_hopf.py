@@ -190,6 +190,15 @@ def test_coproduct_of_two_representations():
         coproduct_rep(half, uq_su2_rep(0.5, 2.0))
 
 
+def test_relations_residual_rejects_a_non_diagonal_H():
+    rep = uq_su2_rep(1.0, 1.3)
+    for i, j in ((0, 1), (2, 0)):
+        H = rep.H.copy()
+        H[i, j] = 1e-9
+        with pytest.raises(ValueError, match="diagonal H"):
+            relations_residual(H, rep.Xp, rep.Xm, 1.3)
+
+
 def test_wrong_counit_is_detected(monkeypatch):
     # eps(q^(-H/2)) = 0 instead of 1 on the trivial representation
     real = hopf_module.q_power_H

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,11 @@ from symmetria.liealg import (
     LieStructure,
     PhasePolynomial,
     Realization,
+    bracket,
     check_structure,
     galilei_realization,
     galilei_structure,
+    levi_civita,
     p,
     poincare_realization,
     poincare_structure,
@@ -19,10 +22,6 @@ from symmetria.liealg import (
     verify_realization,
     x,
 )
-
-
-def all_pass(checks):
-    return all(c.status == "pass" for c in checks)
 
 
 def test_canonical_pair():
@@ -104,7 +103,7 @@ def test_max_abs_coeff_folds_with_worst_of():
 def test_galilei_table_exact():
     structure = galilei_structure()
     assert structure.dimension() == 10
-    assert all_pass(check_structure(structure))
+    assert check_structure(structure) == ([], [])
     # spot values from the stated table
     assert structure.bracket("M1", "M2") == {"M3": Fraction(1)}
     assert structure.bracket("H", "G2") == {"P2": Fraction(-1)}
@@ -115,7 +114,7 @@ def test_galilei_table_exact():
 def test_poincare_table_exact():
     structure = poincare_structure()
     assert structure.dimension() == 10
-    assert all_pass(check_structure(structure))
+    assert check_structure(structure) == ([], [])
     assert structure.bracket("K1", "P1") == {"H": Fraction(1)}
     assert structure.bracket("K1", "K2") == {"J3": Fraction(-1)}
     assert structure.bracket("K2", "H") == {"P2": Fraction(1)}
@@ -123,7 +122,7 @@ def test_poincare_table_exact():
 
 
 def test_galilei_realization_reproduces_table():
-    assert all_pass(verify_realization(galilei_structure(), galilei_realization()))
+    assert verify_realization(galilei_structure(), galilei_realization()) == []
 
 
 def test_galilei_realization_boost_bracket_sign():
@@ -136,7 +135,7 @@ def test_galilei_realization_boost_bracket_sign():
 def test_poincare_realization_reproduces_full_table():
     # the chosen boost polynomials K_j = p0 x^j + x^0 p_j close the entire
     # table, not only the displacement sector
-    assert all_pass(verify_realization(poincare_structure(), poincare_realization()))
+    assert verify_realization(poincare_structure(), poincare_realization()) == []
 
 
 def test_empty_realization_reports_missing():
@@ -151,11 +150,29 @@ def test_mutated_table_fails_jacobi():
     bad[("J2", "J3")] = {"J1": Fraction(-1)}
     bad[("J3", "J2")] = {"J1": Fraction(1)}
     mutated = LieStructure("mutated", structure.basis_labels, bad)
-    checks = {c.name: c for c in check_structure(mutated)}
-    assert checks["mutated_antisymmetry"].status == "pass"
-    assert checks["mutated_jacobi"].status == "fail"
+    bad_pairs, bad_triples = check_structure(mutated)
+    assert bad_pairs == []
+    assert bad_triples == sorted(bad_triples) and len(set(bad_triples)) == len(bad_triples)
     # the violations implicate the mutated rotation pair
-    assert "J2" in checks["mutated_jacobi"].detail
+    assert all({"J2", "J3"} & set(t) for t in bad_triples)
+    assert ("J2", "J3", "P2") in bad_triples
+
+
+def test_antisymmetry_defect_names_the_pair():
+    structure = galilei_structure()
+    bad = {**structure.constants, ("P1", "G1"): {"H": 1}}
+    bad_pairs, _ = check_structure(LieStructure("lopsided", structure.basis_labels, bad))
+    assert bad_pairs == [("P1", "G1"), ("G1", "P1")]
+
+
+def test_realization_mismatch_is_returned_not_raised():
+    real = galilei_realization()
+    flipped = Realization({**real.assignment, "H": -real.assignment["H"]})
+    mismatches = verify_realization(galilei_structure(), flipped)
+    # only the {H, G_a} brackets involve H nontrivially
+    assert [(a, b) for a, b, _ in mismatches] == [
+        ("G1", "H"), ("G2", "H"), ("G3", "H"), ("H", "G1"), ("H", "G2"), ("H", "G3")]
+    assert mismatches[-1][2] == p(3).scale(2)
 
 
 def test_structure_json_roundtrip_shape():
@@ -164,3 +181,44 @@ def test_structure_json_roundtrip_shape():
     entries = {(b["a"], b["b"]): b["out"] for b in doc["brackets"]}
     assert entries[("K1", "P1")] == [{"gen": "H", "coeff": "1"}]
     assert all(len(out) >= 1 for out in entries.values())
+
+
+def test_levi_civita_matches_permutation_parity():
+    for base in ((0, 1, 2), (1, 2, 3), (0, 1, 2, 3)):
+        for perm in itertools.permutations(base):
+            # parity by counting the transpositions that sort perm
+            seq, swaps = list(perm), 0
+            for i, want in enumerate(base):
+                j = seq.index(want)
+                if j != i:
+                    seq[i], seq[j] = seq[j], seq[i]
+                    swaps += 1
+            assert levi_civita(*perm) == (-1) ** swaps, perm
+        assert levi_civita(*base) == 1
+        assert levi_civita(base[0], *base[:-1]) == 0
+        assert levi_civita(*base[:-1], base[0]) == 0
+
+
+def test_bracket_reads_only_the_k_lt_l_entries():
+    # {x1, x2} = B_12; the (2, 1) and diagonal entries are never read
+    table = {(1, 2): 3, (2, 1): 5, (2, 2): 7}
+    assert bracket(table, x(1), x(2)) == PhasePolynomial.constant(3)
+    assert bracket(table, x(2), x(1)) == PhasePolynomial.constant(-3)
+
+
+def test_bracket_is_ring_generic():
+    f = x(1).scale(Fraction(1, 2)) * p(2)
+    g = x(2) * p(1)
+    as_q = poisson_bracket(f, g)
+    assert as_q == (x(2) * p(2) - x(1) * p(1)).scale(Fraction(1, 2))
+    assert all(type(c) is Fraction for c in as_q.terms.values())
+    as_c = bracket({(1, 2): 1j}, x(1).scale(2.0 + 0j), x(2) * x(3))
+    assert as_c == (x(3)).scale(2j)
+
+
+def test_tables_and_realizations_have_int_coefficients():
+    for structure in (galilei_structure(), poincare_structure()):
+        assert all(type(c) is int for out in structure.constants.values() for c in out.values())
+    for real in (galilei_realization(), poincare_realization()):
+        assert all(type(c) is int for poly in real.assignment.values()
+                   for c in poly.terms.values())

@@ -112,7 +112,7 @@ ROW_CONTRACT = {
 }
 
 # Rows fed by a block whose time is recorded on another row: the siblings of
-# one sweep loop, and the rows after the first that one liealg call returns.
+# one sweep loop or of one structure-table check.
 ROWS_WITHOUT_OWN_SPAN = {
     ("galilei", "galilei_jacobi"),
     ("poincare", "poincare_jacobi"),
@@ -348,14 +348,6 @@ def test_shared_span_is_recorded_once():
     assert owner.elapsed_ms >= 2.0
     assert other.elapsed_ms is None
 
-    def ready_made():
-        time.sleep(0.002)
-        return [Check("first", "ref", passed=True), Check("second", "ref", passed=True)]
-
-    rep.extend(ready_made)
-    assert rep.checks[2].elapsed_ms >= 2.0
-    assert rep.checks[3].elapsed_ms is None
-
 
 def test_nan_fd_laplacian_sample_fails_harmonicity_row(monkeypatch):
     real = suites.fd_laplacian
@@ -421,18 +413,20 @@ def test_raising_make_checks_fails_one_row_and_the_suite_goes_on(monkeypatch, tm
     assert cli_main(["verify", "galilei"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
-    assert "  FAIL  verify_realization" in captured.out
+    assert "  FAIL  galilei_realization" in captured.out
     assert "        IncompleteRealizationError: realization missing generators: H" in captured.out
 
     out = tmp_path / "report.json"
     assert cli_main(["verify", "galilei", "--format", "json", "--out", str(out)]) == 1
     (report,) = json.loads(out.read_text())["reports"]
     failed = [c for c in report["checks"] if c["status"] == "fail"]
-    assert [c["name"] for c in failed] == ["verify_realization"]
+    assert [c["name"] for c in failed] == ["galilei_realization"]
     assert failed[0]["detail"] == "IncompleteRealizationError: realization missing generators: H"
-    # the rows after the failed call are still recorded
-    names = [c["name"] for c in report["checks"]]
-    assert "compose_matches_sequential_action" in names and "inverse_roundtrip" in names
+    # the row keeps its contract name, and every other row is still recorded
+    # and passes
+    assert ([(c["name"], c["status"]) for c in report["checks"]]
+            == [(name, "fail" if name == "galilei_realization" else status)
+                for name, status, _, _ in ROW_CONTRACT["galilei"]])
 
 
 def test_raising_planck_ops_fails_both_grid_rows(monkeypatch, capsys):

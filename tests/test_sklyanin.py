@@ -8,7 +8,7 @@ import pytest
 from symmetria import suites
 from symmetria import sklyanin as sklyanin_module
 from symmetria.elliptic import EllipticPoleError
-from symmetria.liealg import PhasePolynomial
+from symmetria.liealg import PhasePolynomial, bracket, x
 from symmetria.numerics import kron, sup_norm
 from symmetria.sklyanin import (
     CYCLIC,
@@ -23,7 +23,6 @@ from symmetria.sklyanin import (
     classical_sklyanin_bracket_residual,
     classical_w,
     cybe_residual,
-    epsilon4,
     poisson_jacobi_defect,
     poisson_tensor,
     quantum_R,
@@ -35,9 +34,7 @@ from symmetria.sklyanin import (
     rll_residual,
     sklyanin_residual,
     sweep_samples,
-    tensor_bracket,
     L_operator,
-    _coord,
     _embed_pair,
     _rll_factors,
 )
@@ -113,6 +110,18 @@ def test_quantum_W_regular_point():
     p = QuantumRParams(eta=0.3, k=0.5)
     W = quantum_W(0.0, p)
     assert max(abs(W[a] - 1.0) for a in range(3)) < 1e-12
+
+
+def test_quantum_W_zero_of_sn_names_its_condition():
+    with pytest.raises(EllipticPoleError) as err:
+        quantum_W(0.0, QuantumRParams(eta=1e-13, k=0.5))
+    assert str(err.value) == ("argument 1e-13j has |sn(u + i eta)| = 1e-13 < 1e-12, "
+                              "a pole of the quantum weights")
+    assert err.value.index is None
+    u = np.array([0.4, 0.0, 0.0])
+    with pytest.raises(EllipticPoleError, match=r"\(index 1\) has \|sn\(u \+ i eta\)\| = ") as err:
+        quantum_W(u, QuantumRParams(eta=1e-13, k=0.5))
+    assert err.value.index == 1
 
 
 def test_quantum_W_k0_collapses_dn_weight():
@@ -337,12 +346,6 @@ def test_rll_mutation_detected():
     assert rll_residual(0.9, 0.4, scaled, p) > 1e-3
 
 
-def test_epsilon4():
-    assert epsilon4(0, 1, 2, 3) == 1
-    assert epsilon4(1, 0, 2, 3) == -1
-    assert epsilon4(0, 0, 2, 3) == 0
-
-
 def test_poisson_tensor_zero_for_equal_specs():
     table = poisson_tensor(PoissonTensorSpec(a=(1, 2, 3, 4), b=(1, 2, 3, 4)))
     assert all(not poly for poly in table.values())
@@ -353,7 +356,7 @@ def test_poisson_tensor_special_case_term_for_term():
     # {x_k,x_l} = x_0 x_j and {x_k,x_0} = (a_j - a_l) x_j x_l
     a = (1, 2, 5, 9)
     table = poisson_tensor(PoissonTensorSpec(a=a, b=(0, 1, 1, 1)))
-    c = _coord
+    c = x
     assert not (table[(1, 2)] - c(0) * c(3))
     assert not (table[(2, 3)] - c(0) * c(1))
     assert not (table[(3, 1)] - c(0) * c(2))
@@ -377,9 +380,9 @@ def test_poisson_tensor_jacobi_exact():
 
 def test_tensor_bracket_leibniz():
     table = poisson_tensor(PoissonTensorSpec(a=(1, 0, 2, 0), b=(0, 1, 1, 1)))
-    f, g, h = _coord(0), _coord(1) * _coord(2), _coord(3)
-    lhs = tensor_bracket(table, f, g * h)
-    rhs = tensor_bracket(table, f, g) * h + g * tensor_bracket(table, f, h)
+    f, g, h = x(0), x(1) * x(2), x(3)
+    lhs = bracket(table, f, g * h)
+    rhs = bracket(table, f, g) * h + g * bracket(table, f, h)
     assert not (lhs - rhs)
 
 
@@ -389,12 +392,12 @@ def _as_fractions(poly):
 
 def test_tensor_bracket_int_coefficients_match_fractions():
     table = poisson_tensor(PoissonTensorSpec(a=(3, -1, 4, 2), b=(0, 5, -2, 1)))
-    c = _coord
+    c = x
     f = c(0) * c(1) + (c(2) * c(2) * c(3)).scale(-3)
     g = (c(1) * c(3)).scale(7) + c(0) * c(0) * c(2)
-    exact = tensor_bracket(table, f, g)
+    exact = bracket(table, f, g)
     table_q = {key: _as_fractions(poly) for key, poly in table.items()}
-    as_q = tensor_bracket(table_q, _as_fractions(f), _as_fractions(g))
+    as_q = bracket(table_q, _as_fractions(f), _as_fractions(g))
     assert exact and exact == as_q
     assert all(type(v) is int for v in exact.terms.values())
     assert all(type(v) is Fraction for v in as_q.terms.values())
