@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -40,8 +41,8 @@ def _default_tol() -> float:
         value = float(env)
     except ValueError as exc:
         raise UsageError(f"SYMMETRIA_TOL is not a number: {env!r}") from exc
-    if value <= 0:
-        raise UsageError("SYMMETRIA_TOL must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"SYMMETRIA_TOL must be positive and finite, got {env!r}")
     return value
 
 
@@ -99,8 +100,8 @@ def _write(text: str, out: str | None):
 def cmd_verify(args) -> int:
     names = _resolve_suites(args.suites)
     tol = args.tol if args.tol is not None else _default_tol()
-    if tol <= 0:
-        raise UsageError("--tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"--tol must be positive and finite, got {tol!r}")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     reports = run_suites(names, seed=args.seed, tol=tol, samples=args.samples)

@@ -3,8 +3,10 @@ normalization, Kelvin inversion, integral-representation solutions with
 associated Legendre factors, polar-coordinate Laplacians, and the symbol
 of the Laplace operator.
 
-Fields are plain callables on n-vectors; all harmonicity statements are
-checked by finite differences elsewhere (numerics.fd_laplacian).
+Fields are plain callables on n-vectors; harmonicity statements are
+checked elsewhere by numerics.fd_laplacian.  The flux derivative and the
+polar/spherical Laplacians are numerics.fd_partial stencils, and the
+sphere area and the integral representation use numerics quadrature.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureRule, integrate_periodic, worst_of
+from .numerics import (POLAR_STENCIL, FDStencil, QuadratureRule, fd_partial, integrate_periodic,
+                       worst_of)
+
+SPHERE_RULE = QuadratureRule(node_count=201)
+INTEGRAL_REP_RULE = QuadratureRule()
+ORIGIN_PROBE = 1e-6
 
 
 class SingularPointError(ValueError):
@@ -57,30 +64,28 @@ def fundamental_solution(n: int, source: Sequence[float]) -> Callable[[np.ndarra
     return field
 
 
-def _sphere_area_by_quadrature(n: int, nodes: int) -> float:
+def _sphere_area_by_quadrature(n: int) -> float:
     """omega_n from nested 1-D quadrature of the angular measure,
     independent of the Gamma-function closed form used by gamma_fundamental."""
     area = 2.0 * math.pi
-    rule = QuadratureRule(node_count=nodes if nodes % 2 == 1 else nodes + 1)
     for j in range(1, n - 1):
-        s = integrate_periodic(lambda th, j=j: np.sin(th) ** j, 0.0, math.pi, rule)
+        s = integrate_periodic(lambda th, j=j: np.sin(th) ** j, 0.0, math.pi, SPHERE_RULE)
         area *= s.real
     return area
 
 
-def flux_through_sphere(n: int, radius: float, nodes: int = 201) -> float:
+def flux_through_sphere(n: int, radius: float) -> float:
     """-(d gamma/d r)(radius) times the numerically integrated sphere area.
 
-    The derivative is an order-4 central difference and the area comes from
-    quadrature, so a value of 1 confirms the 1/((n-2) omega_n) normalization
-    rather than restating it.
+    The derivative is the order-4 central first difference with step
+    1e-3 radius and the area comes from quadrature, so a value of 1
+    confirms the 1/((n-2) omega_n) normalization rather than restating it.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    h = 1e-3 * radius
-    d = (-gamma_fundamental(n, radius + 2 * h) + 8.0 * gamma_fundamental(n, radius + h)
-         - 8.0 * gamma_fundamental(n, radius - h) + gamma_fundamental(n, radius - 2 * h)) / (12.0 * h)
-    return -d * _sphere_area_by_quadrature(n, nodes) * radius ** (n - 1)
+    d = fd_partial(lambda r: gamma_fundamental(n, float(r[0])), [radius], 0,
+                   FDStencil(step=1e-3 * radius, order=4))
+    return -d * _sphere_area_by_quadrature(n) * radius ** (n - 1)
 
 
 def kelvin_invert(u: Callable[[np.ndarray], float], n: int) -> Callable[[np.ndarray], float]:
@@ -103,11 +108,11 @@ def exterior_family(a: float, r: float) -> float:
     return 1.0 - a + a / r
 
 
-def exterior_family_regular_at_origin(a: float, probe: float = 1e-6) -> bool:
+def exterior_family_regular_at_origin(a: float) -> bool:
     """Whether the Kelvin transform (1-a)/r + a of the family stays bounded
-    toward the origin; true only for a = 1."""
+    toward the origin (probed at r = 1e-6); true only for a = 1."""
     v = lambda r: (1.0 - a) / r + a
-    return abs(v(probe)) < 10.0 * (abs(a) + 1.0)
+    return abs(v(ORIGIN_PROBE)) < 10.0 * (abs(a) + 1.0)
 
 
 def legendre(n: int, h: int, xval: float) -> float:
@@ -143,8 +148,7 @@ def legendre(n: int, h: int, xval: float) -> float:
     return out
 
 
-def integral_rep(n: int, h: int, point: Sequence[float],
-                 rule: QuadratureRule = QuadratureRule()) -> complex:
+def integral_rep(n: int, h: int, point: Sequence[float]) -> complex:
     """int_{-pi}^{pi} (z + i x cos t + i y sin t)^n e^{i h t} dt.
 
     Real and imaginary parts are harmonic in (x, y, z); the value is
@@ -157,7 +161,7 @@ def integral_rep(n: int, h: int, point: Sequence[float],
     def integrand(t: np.ndarray) -> np.ndarray:
         return (zv + 1j * xv * np.cos(t) + 1j * yv * np.sin(t)) ** n * np.exp(1j * h * t)
 
-    return integrate_periodic(integrand, -math.pi, math.pi, rule)
+    return integrate_periodic(integrand, -math.pi, math.pi, INTEGRAL_REP_RULE)
 
 
 def solid_harmonic(n: int, h: int, point: Sequence[float]) -> complex:
@@ -170,14 +174,14 @@ def solid_harmonic(n: int, h: int, point: Sequence[float]) -> complex:
     return r ** n * cmath.exp(1j * h * phi) * legendre(n, h, zv / r)
 
 
-def calibrate_proportionality(n: int, h: int, points: Sequence[Sequence[float]],
-                              rule: QuadratureRule = QuadratureRule()) -> tuple[complex, float]:
+def calibrate_proportionality(n: int, h: int,
+                              points: Sequence[Sequence[float]]) -> tuple[complex, float]:
     """Fit the constant c(n,h) relating integral_rep to solid_harmonic at the
     first point and return (c, max relative deviation over the rest)."""
     ref = None
     spread = 0.0
     for pt in points:
-        num = integral_rep(n, h, pt, rule)
+        num = integral_rep(n, h, pt)
         den = solid_harmonic(n, h, pt)
         if abs(den) < 1e-9:
             raise ValueError(f"reference harmonic vanishes near {pt!r}; pick another sample")
@@ -189,36 +193,35 @@ def calibrate_proportionality(n: int, h: int, points: Sequence[Sequence[float]],
     return ref, spread
 
 
-def polar_laplacian(coords: str, u: Callable[..., float], point: Sequence[float],
-                    h: float = 1e-3) -> float:
+def polar_laplacian(coords: str, u: Callable[..., float], point: Sequence[float]) -> float:
     """Laplacian through the polar (2-D) or spherical (3-D) formula with
-    nested central differences.
+    nested order-2 central first partials (step 1e-3).
 
     polar2d:      (1/r) [ d_r(r u_r) + d_phi(u_phi / r) ]
     spherical3d:  (1/(r^2 sin th)) [ d_r(r^2 u_r sin th)
                    + d_th(u_th sin th) + d_phi(u_phi / sin th) ]
     """
+    h = POLAR_STENCIL.step
+    # partial(f, axis) is the first partial of the field f, as a field
+    partial = lambda f, axis: lambda q: fd_partial(f, q, axis, POLAR_STENCIL)
+    field = lambda q: u(*(float(c) for c in q))
+    p = np.asarray(point, dtype=float)
     if coords == "polar2d":
-        r0, phi0 = (float(c) for c in point)
+        r0 = float(p[0])
         if r0 <= 2 * h:
             raise CoordinateSingularityError("too close to the polar origin")
-        u_r = lambda r, phi: (u(r + h, phi) - u(r - h, phi)) / (2 * h)
-        u_phi = lambda r, phi: (u(r, phi + h) - u(r, phi - h)) / (2 * h)
-        term_r = ((r0 + h) * u_r(r0 + h, phi0) - (r0 - h) * u_r(r0 - h, phi0)) / (2 * h)
-        term_phi = (u_phi(r0, phi0 + h) / r0 - u_phi(r0, phi0 - h) / r0) / (2 * h)
+        u_r, u_phi = partial(field, 0), partial(field, 1)
+        term_r = partial(lambda q: q[0] * u_r(q), 0)(p)
+        term_phi = partial(lambda q: u_phi(q) / q[0], 1)(p)
         return (term_r + term_phi) / r0
     if coords == "spherical3d":
-        r0, th0, phi0 = (float(c) for c in point)
+        r0, th0 = float(p[0]), float(p[1])
         if r0 <= 2 * h or math.sin(th0) <= 0.05:
             raise CoordinateSingularityError("too close to a spherical coordinate singularity")
-        u_r = lambda r, th, phi: (u(r + h, th, phi) - u(r - h, th, phi)) / (2 * h)
-        u_th = lambda r, th, phi: (u(r, th + h, phi) - u(r, th - h, phi)) / (2 * h)
-        u_phi = lambda r, th, phi: (u(r, th, phi + h) - u(r, th, phi - h)) / (2 * h)
-        term_r = ((r0 + h) ** 2 * u_r(r0 + h, th0, phi0) * math.sin(th0)
-                  - (r0 - h) ** 2 * u_r(r0 - h, th0, phi0) * math.sin(th0)) / (2 * h)
-        term_th = (u_th(r0, th0 + h, phi0) * math.sin(th0 + h)
-                   - u_th(r0, th0 - h, phi0) * math.sin(th0 - h)) / (2 * h)
-        term_phi = (u_phi(r0, th0, phi0 + h) - u_phi(r0, th0, phi0 - h)) / (2 * h) / math.sin(th0)
+        u_r, u_th, u_phi = (partial(field, axis) for axis in range(3))
+        term_r = partial(lambda q: float(q[0]) ** 2 * u_r(q) * math.sin(q[1]), 0)(p)
+        term_th = partial(lambda q: u_th(q) * math.sin(q[1]), 1)(p)
+        term_phi = partial(u_phi, 2)(p) / math.sin(th0)
         return (term_r + term_th + term_phi) / (r0 * r0 * math.sin(th0))
     raise ValueError(f"unknown coordinate system {coords!r}")
 

@@ -139,14 +139,40 @@ class FDStencil:
 # Defaults per the numeric tuning used across the verification suites.
 LAPLACIAN_STENCIL = FDStencil(step=1e-3, order=4)
 JACOBIAN_STENCIL = FDStencil(step=1e-5, order=2)
+POLAR_STENCIL = FDStencil(step=1e-3, order=2)
+CURVATURE_STENCIL = FDStencil(step=1e-2, order=2)
+
+# (derivative, order) -> (offsets, weights, divisor): f^(deriv)(x) ~=
+# sum_i weights[i] f(x + offsets[i] h) / (divisor h^deriv), the central
+# formulas of Fornberg (1988), with the terms in the order they are summed.
+CENTRAL_STENCILS = {
+    (1, 2): ((1, -1), (1.0, -1.0), 2.0),
+    (1, 4): ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0), 12.0),
+    (2, 2): ((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
+    (2, 4): ((2, 1, 0, -1, -2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0),
+}
 
 
-def fd_second_derivative(f: Callable[[float], float], x: float, stencil: FDStencil) -> float:
+def fd_partial(f: Callable[[np.ndarray], float | np.ndarray], point: Sequence[float],
+               axis: int, stencil: FDStencil, deriv: int = 1) -> float | np.ndarray:
+    """The deriv-th partial of ``f`` along ``axis`` at ``point`` by the central
+    stencil of the given order; ``f`` may return a float or an array.
+
+    Exact (up to rounding) on polynomials of degree <= order + deriv - 1.
+    """
+    offsets, weights, divisor = CENTRAL_STENCILS[deriv, stencil.order]
+    p = np.asarray(point, dtype=float)
     h = stencil.step
-    if stencil.order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    return (-f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * f(x)
-            + 16.0 * f(x - h) - f(x - 2 * h)) / (12.0 * h * h)
+    total = None
+    for off, w in zip(offsets, weights):
+        q = p.copy()
+        if off:  # the centre is passed as given, a -0.0 coordinate included
+            q[axis] += off * h
+        term = w * f(q)
+        total = term if total is None else total + term
+    for _ in range(deriv):
+        divisor *= h
+    return total / divisor
 
 
 def fd_laplacian(field: Callable[[np.ndarray], float], point: Sequence[float],
@@ -156,13 +182,10 @@ def fd_laplacian(field: Callable[[np.ndarray], float], point: Sequence[float],
     Exact (up to rounding) on polynomials of degree <= order + 1.
     """
     p = np.asarray(point, dtype=float)
+    scalar = lambda q: float(field(q))
     total = 0.0
     for axis in range(p.size):
-        def along(s: float, axis=axis) -> float:
-            q = p.copy()
-            q[axis] = s
-            return float(field(q))
-        total += fd_second_derivative(along, float(p[axis]), stencil)
+        total += fd_partial(scalar, p, axis, stencil, deriv=2)
     return total
 
 
@@ -170,18 +193,5 @@ def fd_jacobian(mapping: Callable[[np.ndarray], Sequence[float]], point: Sequenc
                 stencil: FDStencil = JACOBIAN_STENCIL) -> np.ndarray:
     """n x n matrix J[i,j] ~= d mapping_i / d x_j by central differences."""
     p = np.asarray(point, dtype=float)
-    n = p.size
-    j = np.zeros((n, n))
-    h = stencil.step
-    for col in range(n):
-        def shifted(s: float, col=col) -> np.ndarray:
-            q = p.copy()
-            q[col] = s
-            return np.asarray(mapping(q), dtype=float)
-        x = float(p[col])
-        if stencil.order == 2:
-            j[:, col] = (shifted(x + h) - shifted(x - h)) / (2.0 * h)
-        else:
-            j[:, col] = (-shifted(x + 2 * h) + 8.0 * shifted(x + h)
-                         - 8.0 * shifted(x - h) + shifted(x - 2 * h)) / (12.0 * h)
-    return j
+    vector = lambda q: np.asarray(mapping(q), dtype=float)
+    return np.stack([fd_partial(vector, p, col, stencil) for col in range(p.size)], axis=1)

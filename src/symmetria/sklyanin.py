@@ -522,19 +522,21 @@ def classical_limit_probe(u: float, p_base: ClassicalRParams, h_sequence) -> dic
     }
 
 
-def sweep_samples(rng: np.random.Generator, k: float, count: int,
-                  margin: float = 0.05) -> list:
-    """Seeded (u, v) pairs with u, v, u-v all at least `margin` away from
-    the real zero lattice of sn (the pole set of the classical weights)."""
+SWEEP_MARGIN = 0.05
+
+
+def sweep_samples(rng: np.random.Generator, k: float, count: int) -> list:
+    """Seeded (u, v) pairs with u, v, u-v all at least SWEEP_MARGIN away
+    from the real zero lattice of sn (the pole set of the classical weights)."""
     K = quarter_period(k)
     out = []
     while len(out) < count:
-        u = float(rng.uniform(margin, 2.0 * K - margin))
-        v = float(rng.uniform(margin, 2.0 * K - margin))
+        u = float(rng.uniform(SWEEP_MARGIN, 2.0 * K - SWEEP_MARGIN))
+        v = float(rng.uniform(SWEEP_MARGIN, 2.0 * K - SWEEP_MARGIN))
         good = True
         for arg in (u, v, u - v):
             d = abs(arg - 2.0 * K * round(arg / (2.0 * K)))
-            if d < margin:
+            if d < SWEEP_MARGIN:
                 good = False
                 break
         if good:

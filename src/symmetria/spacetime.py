@@ -5,7 +5,10 @@ law, Poincare transformations in the displacement/boost/rotation
 factorization (composed through a 5x5 affine embedding), both applied to
 (N, 4) arrays of (t, x, y, z) events by one kernel per group, the discrete
 inversions, and conformal dilations/inversions with pullback-metric,
-flatness, and wave-operator scaling checks.
+flatness, and wave-operator scaling checks.  Every derivative is a
+``numerics.fd_partial`` stencil; the Christoffel symbols and the Riemann
+tensor of a rescaled metric are ``np.einsum`` contractions of stacked
+partials.
 
 A group element whose fields carry a leading axis of length M is a stack
 of M elements.  Rotations, boosts, composition, inversion and the event
@@ -25,7 +28,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .numerics import FDStencil, JACOBIAN_STENCIL, fd_jacobian, sup_norm
+from .numerics import (CURVATURE_STENCIL, LAPLACIAN_STENCIL, FDStencil, fd_jacobian,
+                       fd_partial, sup_norm)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -410,8 +414,7 @@ class Inversion:
 ConformalMap = Union[Dilation, Inversion]
 
 
-def conformal_pullback_check(cmap: ConformalMap, xv,
-                             stencil: FDStencil = JACOBIAN_STENCIL) -> tuple[float, float]:
+def conformal_pullback_check(cmap: ConformalMap, xv) -> tuple[float, float]:
     """Fit J^T eta J = Omega^2 eta for the induced metric and return
     (Omega, sup-norm residual).
 
@@ -420,7 +423,7 @@ def conformal_pullback_check(cmap: ConformalMap, xv,
     |Omega| = |eta(x,x)|^-1, matching the rescalings both maps induce.
     """
     xv = np.asarray(xv, dtype=float)
-    J = fd_jacobian(cmap.inverse_apply, xv, stencil)
+    J = fd_jacobian(cmap.inverse_apply, xv)
     G = J.T @ ETA @ J
     # least-squares scalar fit of G against eta
     omega2 = float(np.sum(G * ETA) / np.sum(ETA * ETA))
@@ -432,51 +435,35 @@ def conformal_pullback_check(cmap: ConformalMap, xv,
     return omega, sup_norm(G - omega2 * ETA)
 
 
-def _metric_field(omega: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
-    def g(xv: np.ndarray) -> np.ndarray:
-        w = omega(xv)
+def _riemann_sup(omega: Callable[[np.ndarray], float], xv: np.ndarray,
+                 stencil: FDStencil) -> float:
+    """Max |R^a_bcd| of g = Omega^2 eta from nested central differences."""
+    def metric(y: np.ndarray) -> np.ndarray:
+        w = omega(y)
         return (w * w) * ETA
-    return g
 
+    # grad(f, y)[c] = d_c f(y), for f returning a tensor
+    grad = lambda f, y: np.stack([fd_partial(f, y, c, stencil) for c in range(4)])
 
-def _riemann_sup(metric: Callable[[np.ndarray], np.ndarray], xv: np.ndarray, h: float) -> float:
-    """Max |R^a_bcd| from nested central differences of the metric."""
-    def christoffel(yv: np.ndarray) -> np.ndarray:
-        dg = np.zeros((4, 4, 4))  # dg[c, a, b] = d_c g_ab
-        for c in range(4):
-            e = np.zeros(4)
-            e[c] = h
-            dg[c] = (metric(yv + e) - metric(yv - e)) / (2.0 * h)
-        ginv = np.linalg.inv(metric(yv))
-        gam = np.zeros((4, 4, 4))  # gam[a, b, c] = Gamma^a_bc
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    s = 0.0
-                    for d in range(4):
-                        s += ginv[a, d] * (dg[b, d, c] + dg[c, b, d] - dg[d, b, c])
-                    gam[a, b, c] = 0.5 * s
-        return gam
+    def christoffel(y: np.ndarray) -> np.ndarray:
+        dg = grad(metric, y)  # dg[c, a, b] = d_c g_ab
+        # lowered[b, d, c] = d_b g_dc + d_c g_bd - d_d g_bc
+        lowered = dg + dg.transpose(1, 2, 0) - dg.transpose(1, 0, 2)
+        return 0.5 * np.einsum("ad,bdc->abc", np.linalg.inv(metric(y)), lowered)
 
-    dgam = np.zeros((4, 4, 4, 4))  # dgam[c, a, d, b] = d_c Gamma^a_db
-    for c in range(4):
-        e = np.zeros(4)
-        e[c] = h
-        dgam[c] = (christoffel(xv + e) - christoffel(xv - e)) / (2.0 * h)
-    gam0 = christoffel(xv)
-    riem = np.zeros((4, 4, 4, 4))
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    val = dgam[c, a, d, b] - dgam[d, a, c, b]
-                    for e_ in range(4):
-                        val += gam0[a, c, e_] * gam0[e_, d, b] - gam0[a, d, e_] * gam0[e_, c, b]
-                    riem[a, b, c, d] = val
+    dgam = grad(christoffel, xv)  # dgam[c, a, d, b] = d_c Gamma^a_db
+    gam = christoffel(xv)
+    # R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
+    #          + sum_e (Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb),
+    # summed in one reduction over [derivative terms, e = 0, ..., 3] so the
+    # terms are added in index order
+    quad = np.einsum("ace,edb->eabcd", gam, gam) - np.einsum("ade,ecb->eabcd", gam, gam)
+    lin = np.einsum("cadb->abcd", dgam) - np.einsum("dacb->abcd", dgam)
+    riem = np.concatenate((lin[None], quad)).sum(axis=0)
     return float(np.max(np.abs(riem)))
 
 
-def conformal_flatness_check(omega_kind: str, xv, h: float = 1e-2, c: float = 1.0) -> float:
+def conformal_flatness_check(omega_kind: str, xv, c: float = 1.0) -> float:
     """Max Riemann component of g = Omega^2 eta at x, one Richardson level.
 
     omega_kind: 'constant' (Omega = c), 'inverse_interval'
@@ -493,24 +480,17 @@ def conformal_flatness_check(omega_kind: str, xv, h: float = 1e-2, c: float = 1.
         omega = lambda y: math.exp(y[1])
     else:
         raise ValueError(f"unknown omega_kind {omega_kind!r}")
-    metric = _metric_field(omega)
-    r_h = _riemann_sup(metric, xv, h)
-    r_h2 = _riemann_sup(metric, xv, h / 2.0)
+    r_h = _riemann_sup(omega, xv, CURVATURE_STENCIL)
+    r_h2 = _riemann_sup(omega, xv, FDStencil(step=CURVATURE_STENCIL.step / 2.0, order=2))
     # second-order stencils: one Richardson step cancels the h^2 term
     return abs((4.0 * r_h2 - r_h) / 3.0)
 
 
-def dalembert(field: Callable[[np.ndarray], float], xv, h: float = 1e-3) -> float:
-    """Wave operator -d_t^2 + laplacian by order-4 central differences."""
-    xv = np.asarray(xv, dtype=float)
-    total = 0.0
-    for axis in range(4):
-        e = np.zeros(4)
-        e[axis] = h
-        second = (-field(xv + 2 * e) + 16.0 * field(xv + e) - 30.0 * field(xv)
-                  + 16.0 * field(xv - e) - field(xv - 2 * e)) / (12.0 * h * h)
-        total += -second if axis == 0 else second
-    return total
+def dalembert(field: Callable[[np.ndarray], float], xv) -> float:
+    """Wave operator -d_t^2 + laplacian: the eta-signed sum of the order-4
+    central second partials."""
+    return sum(ETA[a, a] * fd_partial(field, xv, a, LAPLACIAN_STENCIL, deriv=2)
+               for a in range(4))
 
 
 def dalembert_dilation_check(k: float, field: Callable[[np.ndarray], float], xv) -> float:

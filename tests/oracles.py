@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths under test: elliptic values come
 from quadrature of the defining integral plus root-finding (or mpmath's
-theta-based routines), Legendre values from explicit closed forms, and
-integrals from dense trapezoid sums.
+theta-based routines), Legendre values from explicit closed forms,
+integrals from dense trapezoid sums, and curvature from index loops over
+hand-written central differences.
 """
 
 import math
@@ -59,3 +60,49 @@ def legendre_closed_form(n: int, h: int, x: float) -> float:
         (4, 3): -105.0 * x * s ** 3,
     }
     return table[(n, h)]
+
+
+def riemann_sup_by_index_loops(omega, xv, h: float) -> float:
+    """Max |R^a_bcd| of g = omega^2 diag(-1, 1, 1, 1) at xv: Christoffel
+    symbols and the Riemann tensor written out index by index, every
+    derivative a central difference (f(x + h e) - f(x - h e)) / 2h."""
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+    def metric(yv):
+        w = omega(yv)
+        return (w * w) * eta
+
+    def christoffel(yv):
+        dg = np.zeros((4, 4, 4))  # dg[c, a, b] = d_c g_ab
+        for c in range(4):
+            e = np.zeros(4)
+            e[c] = h
+            dg[c] = (metric(yv + e) - metric(yv - e)) / (2.0 * h)
+        ginv = np.linalg.inv(metric(yv))
+        gam = np.zeros((4, 4, 4))  # gam[a, b, c] = Gamma^a_bc
+        for a in range(4):
+            for b in range(4):
+                for c in range(4):
+                    s = 0.0
+                    for d in range(4):
+                        s += ginv[a, d] * (dg[b, d, c] + dg[c, b, d] - dg[d, b, c])
+                    gam[a, b, c] = 0.5 * s
+        return gam
+
+    xv = np.asarray(xv, dtype=float)
+    dgam = np.zeros((4, 4, 4, 4))  # dgam[c, a, d, b] = d_c Gamma^a_db
+    for c in range(4):
+        e = np.zeros(4)
+        e[c] = h
+        dgam[c] = (christoffel(xv + e) - christoffel(xv - e)) / (2.0 * h)
+    gam0 = christoffel(xv)
+    worst = 0.0
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                for d in range(4):
+                    val = dgam[c, a, d, b] - dgam[d, a, c, b]
+                    for e_ in range(4):
+                        val += gam0[a, c, e_] * gam0[e_, d, b] - gam0[a, d, e_] * gam0[e_, c, b]
+                    worst = max(worst, abs(val))
+    return worst

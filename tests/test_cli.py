@@ -55,6 +55,19 @@ def test_env_tolerance_and_flag_precedence(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "y.txt")]) == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(value, monkeypatch, capsys):
+    assert run(["verify", "rotations", "--tol", value, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --tol must be positive and finite" in captured.err
+    assert captured.out == ""
+    monkeypatch.setenv("SYMMETRIA_TOL", value)
+    assert run(["verify", "rotations", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "error: SYMMETRIA_TOL must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_seed_is_usage_error(tmp_path, capsys):
     assert run(["verify", "rotations", "--seed", "-1"]) == 2
     assert "error: --seed" in capsys.readouterr().err
@@ -126,7 +139,8 @@ def test_exact_layer_imports_stay_lean():
 
 
 def test_repeated_algebra_and_sweep_runs_give_identical_bytes(tmp_path, capsys):
-    argv = ["verify", "galilei", "poincare", "sklyanin", "--format", "json", "--samples", "20"]
+    argv = ["verify", "galilei", "poincare", "sklyanin", "conformal", "laplace",
+            "--format", "json", "--samples", "20"]
     outputs = []
     for _ in range(2):
         assert run(argv) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symmetria.numerics import (
+    CENTRAL_STENCILS,
     FDStencil,
     QuadratureRule,
     QuadratureEvaluationError,
@@ -11,6 +12,7 @@ from symmetria.numerics import (
     commutator,
     fd_jacobian,
     fd_laplacian,
+    fd_partial,
     integrate_periodic,
     kron,
     sup_norm,
@@ -135,6 +137,31 @@ def test_integrand_is_called_once_on_the_node_array():
     val = integrate_periodic(f, 0.0, 2.0, QuadratureRule(node_count=9))
     assert abs(val - 2.0) < 1e-15
     assert len(calls) == 1 and np.array_equal(calls[0], np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("deriv,order,degree", [(1, 2, 2), (1, 4, 4), (2, 2, 3), (2, 4, 5)])
+def test_central_stencils_exact_to_their_degree(deriv, order, degree):
+    # each table entry differentiates polynomials of degree <= order + deriv - 1
+    # exactly; a step of 0.5 keeps the cancellation noise below 1e-12
+    assert (deriv, order) in CENTRAL_STENCILS
+    rng = np.random.default_rng(7)
+    poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
+    want = float(poly.deriv(deriv)(0.4))
+    stencil = FDStencil(step=0.5, order=order)
+    point = [0.7, 0.4, -1.2]
+    scalar = fd_partial(lambda q: float(poly(q[1]) + q[0] * q[2]), point, 1, stencil, deriv)
+    assert abs(scalar - want) < 1e-12
+    vector = fd_partial(lambda q: np.array([poly(q[1]), -2.0 * poly(q[1]), q[0] * q[2]]),
+                        point, 1, stencil, deriv)
+    assert vector.shape == (3,)
+    assert sup_norm(vector - [want, -2.0 * want, 0.0]) < 1e-12
+    single = fd_partial(lambda r: float(poly(r[0])), [0.4], 0, stencil, deriv)
+    assert abs(single - want) < 1e-12
+    # one degree higher the truncation error shows: the order is not better
+    # than the table claims
+    above = np.polynomial.Polynomial([0.0] * (degree + 1) + [1.0])
+    miss = fd_partial(lambda r: float(above(r[0])), [0.4], 0, stencil, deriv)
+    assert abs(miss - above.deriv(deriv)(0.4)) > 1e-3
 
 
 def test_fd_laplacian_quadratic_exact():

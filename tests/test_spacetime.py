@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import riemann_sup_by_index_loops
 from symmetria import spacetime, suites
+from symmetria.numerics import CURVATURE_STENCIL, FDStencil
 from symmetria.spacetime import (
     CompositionError,
     Dilation,
@@ -496,6 +498,27 @@ def test_flatness_checks():
     assert conformal_flatness_check("constant", x, c=3.0) < 1e-4
     assert conformal_flatness_check("inverse_interval", x) < 1e-4
     assert conformal_flatness_check("exp_x1", x) > 1e-2
+
+
+RESCALINGS = {
+    "constant": lambda y: 3.0,
+    "inverse_interval": lambda y: 1.0 / minkowski_interval(y),
+    "exp_x1": lambda y: math.exp(y[1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESCALINGS))
+@pytest.mark.parametrize("x", [(0.0, 2.0, 0.0, 0.0), (0.3, 1.7, -0.4, 0.9),
+                               (-0.5, 0.8, 1.3, -0.6)])
+def test_einsum_curvature_matches_index_loop_oracle(kind, x):
+    # both Richardson levels of conformal_flatness_check
+    omega = RESCALINGS[kind]
+    for h in (CURVATURE_STENCIL.step, CURVATURE_STENCIL.step / 2.0):
+        got = spacetime._riemann_sup(omega, np.array(x), FDStencil(step=h, order=2))
+        want = riemann_sup_by_index_loops(omega, x, h)
+        assert abs(got - want) <= 1e-12 * want, (kind, x, h, got, want)
+    if kind == "exp_x1":
+        assert want > 0.5  # the control rescaling is visibly curved at every point
 
 
 def test_flatness_null_cone_rejected():
