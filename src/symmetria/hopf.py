@@ -207,9 +207,10 @@ def fd_weights(offsets, order: int = 1) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def derivative_matrix(N: int, spacing: float, half_width: int = 4) -> np.ndarray:
+def derivative_matrix(N: int, spacing: float) -> np.ndarray:
     """Order-8 first-derivative matrix: 9-point central stencils inside,
     one-sided closures of the same width at the boundaries."""
+    half_width = 4
     D = np.zeros((N, N))
     w = fd_weights(range(-half_width, half_width + 1))
     for i in range(N):

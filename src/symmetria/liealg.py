@@ -4,10 +4,8 @@ generators as phase-space functions and re-derives the bracket tables.
 
 Everything here is exact: the tables and realizations have integer
 coefficients, and a reported zero means zero.  The polynomial engine
-works over any commutative ring (the Sklyanin module reuses it with
-complex floats), and ``bracket`` is its one Poisson bracket: the
-canonical bracket and the quadratic Sklyanin brackets are both
-``bracket`` on a table of bracket coefficients.
+works over any commutative ring (``int`` or ``Fraction`` coefficients);
+``poisson_bracket`` is its one bracket, the canonical one.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add
 from typing import Mapping
-
-from .numerics import worst_of
 
 # Phase-space variables, in storage order: x^0..x^3 then p_0..p_3.
 VARIABLES = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3")
@@ -43,10 +39,6 @@ class PhasePolynomial:
                         del self.terms[tuple(mono)]
 
     @staticmethod
-    def zero() -> "PhasePolynomial":
-        return PhasePolynomial()
-
-    @staticmethod
     def constant(c) -> "PhasePolynomial":
         return PhasePolynomial({(0,) * NVARS: c})
 
@@ -63,9 +55,6 @@ class PhasePolynomial:
         if not isinstance(other, PhasePolynomial):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
         out = dict(self.terms)
@@ -87,9 +76,7 @@ class PhasePolynomial:
     def __sub__(self, other: "PhasePolynomial") -> "PhasePolynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "PhasePolynomial":
-        if not isinstance(other, PhasePolynomial):
-            return self.scale(other)
+    def __mul__(self, other: "PhasePolynomial") -> "PhasePolynomial":
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -102,8 +89,6 @@ class PhasePolynomial:
         res = PhasePolynomial()
         res.terms = out
         return res
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "PhasePolynomial":
         if c == 0:
@@ -125,13 +110,6 @@ class PhasePolynomial:
         res.terms = out
         return res
 
-    def max_abs_coeff(self) -> float:
-        """Largest coefficient modulus as a float, NaN if any coefficient is
-        NaN, 0.0 for the zero polynomial."""
-        if not self.terms:
-            return 0.0
-        return worst_of(*(abs(c) for c in self.terms.values()))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -152,33 +130,13 @@ def p(i: int) -> PhasePolynomial:
     return PhasePolynomial.variable(f"p{i}")
 
 
-def bracket(table: Mapping, f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """{f, g} = sum of B_kl (d_k f d_l g - d_l f d_k g) over the entries
-    (k, l) -> B_kl of `table` with k < l, in (k, l) order.
-
-    B_kl is a polynomial or a ring element; each partial derivative of f
-    and g is taken once."""
-    df: dict = {}
-    dg: dict = {}
-    out = PhasePolynomial()
-    for k, l in sorted(table):
-        B = table[k, l]
-        if k >= l or not B:
-            continue
-        for i in (k, l):
-            if i not in df:
-                df[i], dg[i] = f.derivative(i), g.derivative(i)
-        out = out + B * (df[k] * dg[l] - df[l] * dg[k])
-    return out
-
-
-# {x^mu, p_mu} = 1: the canonical bracket table on T*R^4.
-_CANONICAL = {(mu, mu + 4): 1 for mu in range(4)}
-
-
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     """Canonical bracket sum_mu (df/dx^mu dg/dp_mu - df/dp_mu dg/dx^mu)."""
-    return bracket(_CANONICAL, f, g)
+    out = PhasePolynomial()
+    for mu in range(4):
+        out = out + (f.derivative(mu) * g.derivative(mu + 4)
+                     - f.derivative(mu + 4) * g.derivative(mu))
+    return out
 
 
 def levi_civita(*idx: int) -> int:

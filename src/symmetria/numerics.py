@@ -1,5 +1,5 @@
-"""Shared numeric substrate: dense complex matrices, Kronecker products,
-commutators, periodic quadrature, and finite-difference stencils.
+"""Shared numeric substrate: dense complex matrices, commutators, periodic
+quadrature, and finite-difference stencils.
 
 Matrices are plain numpy arrays of complex128; ``as_matrix`` is the single
 validation gate (shape and finiteness).  All residuals elsewhere in the
@@ -63,11 +63,6 @@ def worst_of(*values) -> float:
         if v > out:
             out = v
     return out
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with block (i,j) equal to a[i,j]*b."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def commutator(a, b, sign: str = "minus") -> np.ndarray:

@@ -24,11 +24,13 @@ and their products are built at most ``_BLOCK`` samples at a time, and
 the residual comes back as one sup norm per sample.  A scalar call is the
 same computation on one sample.
 
-The quadratic Poisson brackets (the volume-contraction tensors and the
-classical Sklyanin bracket) are tables of polynomials in x0..x3, the first
-four variables of ``liealg.PhasePolynomial``, and are evaluated by
-``liealg.bracket``: the one bracket engine, which also gives the
-canonical bracket of the Galilei and Poincare realizations.
+The quadratic Poisson brackets on four coordinates (the volume-contraction
+tensors and the classical Sklyanin bracket) are dense coefficient arrays
+B[k, l, m, n], with {x_k, x_l} = sum_mn B[k, l, m, n] x_m x_n.  Their
+identities (Jacobi, the classical exchange relation) have fixed degree, so
+each is one ``np.einsum`` contraction whose result is the array of monomial
+coefficients.  The volume-contraction tensors are int64, and their Jacobi
+check is exact.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import EllipticPoleError, quarter_period, sn_cn_dn_complex, sn_cn_dn_real
-from .liealg import PhasePolynomial, bracket, levi_civita, x
+from .liealg import levi_civita
 from .numerics import as_matrix, commutator, sup_norm, worst_of
 
 SIGMA = (
@@ -82,13 +85,13 @@ class QuantumRParams:
             raise ValueError("modulus must lie in [0,1)")
 
 
-def _require_off_zero_lattice(u, k: float, margin: float = 1e-6) -> None:
-    """Every u at least `margin` away from the real zero lattice 2K Z of sn;
+def _require_off_zero_lattice(u, k: float) -> None:
+    """Every u at least 1e-6 away from the real zero lattice 2K Z of sn;
     the error names the first u that is not (by flat index for an array)."""
     x = np.atleast_1d(np.asarray(u, dtype=float))
     K = quarter_period(k)
     zero = 2.0 * K * np.round(x / (2.0 * K))
-    near = np.abs(x - zero) < margin
+    near = np.abs(x - zero) < 1e-6
     if near.any():
         i = int(np.flatnonzero(near)[0])
         raise EllipticPoleError(complex(x.flat[i]), complex(zero.flat[i]),
@@ -378,6 +381,13 @@ def rll_residual(u, v, rep: SklyaninRep, p: QuantumRParams):
 # Poisson tensors from volume contraction
 # ---------------------------------------------------------------------------
 
+# Largest |entry| of a bracket tensor: every int64 sum in
+# poisson_jacobi_defect stays below 864 * TENSOR_BOUND**2 < 2**63.  Spec
+# entries up to SPEC_BOUND give |a_i b_j - b_i a_j| <= 2 * SPEC_BOUND**2.
+TENSOR_BOUND = 2 ** 26
+SPEC_BOUND = 2 ** 12
+
+
 @dataclass(frozen=True)
 class PoissonTensorSpec:
     a: tuple
@@ -386,115 +396,91 @@ class PoissonTensorSpec:
     def __post_init__(self):
         if len(self.a) != 4 or len(self.b) != 4:
             raise ValueError("specs are 4-vectors")
+        if not all(isinstance(z, numbers.Integral) and abs(z) <= SPEC_BOUND
+                   for z in (*self.a, *self.b)):
+            raise ValueError(f"spec entries must be integers of magnitude at most {SPEC_BOUND}")
 
 
-def poisson_tensor(spec: PoissonTensorSpec) -> dict:
-    """Bracket table {x_k, x_l} = eps_klij (a_i b_j - b_i a_j) x_i x_j,
-    one term per unordered pair {i, j} (the free double sum doubles it).
-    For k != l the only such pair is the complement i < j of {k, l}."""
-    table = {(k, l): PhasePolynomial.zero() for k in range(4) for l in range(4)}
-    for k, l, i, j in itertools.permutations(range(4)):
-        coeff = spec.a[i] * spec.b[j] - spec.b[i] * spec.a[j]
-        if i < j and coeff != 0:
-            table[(k, l)] = (x(i) * x(j)).scale(levi_civita(k, l, i, j) * coeff)
-    return table
+# eps_klij as an int64 array
+_EPS4 = np.array([[[[levi_civita(k, l, i, j) for j in range(4)] for i in range(4)]
+                   for l in range(4)] for k in range(4)], dtype=np.int64)
 
 
-def poisson_jacobi_defect(table: dict) -> PhasePolynomial:
-    """Sum over coordinate triples of the cyclic bracket; exactly zero for
-    any tensor coming from the volume-contraction construction."""
-    total = PhasePolynomial.zero()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                xi, xj, xk = x(i), x(j), x(k)
-                cyc = bracket(table, xi, bracket(table, xj, xk))
-                cyc = cyc + bracket(table, xj, bracket(table, xk, xi))
-                cyc = cyc + bracket(table, xk, bracket(table, xi, xj))
-                total = total + cyc * cyc
-    return total
+def poisson_tensor(spec: PoissonTensorSpec) -> np.ndarray:
+    """Bracket coefficients C[k, l, i, j], an int64 array, with
+    {x_k, x_l} = sum_{i<j} C[k, l, i, j] x_i x_j and
+    C[k, l, i, j] = eps_klij (a_i b_j - b_i a_j): one term per unordered
+    pair {i, j} (the free double sum doubles it), zero for i >= j.  For
+    k != l the only such pair is the complement i < j of {k, l}."""
+    a = np.asarray(spec.a, dtype=np.int64)
+    b = np.asarray(spec.b, dtype=np.int64)
+    wedge = np.triu(np.multiply.outer(a, b) - np.multiply.outer(b, a), 1)
+    return _EPS4 * wedge
+
+
+# Number of distinct orderings of (m, n, p) for m <= n <= p, zero otherwise:
+# a symmetric cubic coefficient array summed over all six orderings, times
+# this and divided by 6, gives the coefficient of the monomial x_m x_n x_p.
+_ORDERINGS = np.array([[[len(set(itertools.permutations((m, n, q)))) if m <= n <= q else 0
+                         for q in range(4)] for n in range(4)] for m in range(4)], dtype=np.int64)
+
+
+def poisson_jacobi_defect(C) -> np.ndarray:
+    """Monomial coefficients of the cyclic sums
+    {x_i, {x_j, x_k}} + {x_j, {x_k, x_i}} + {x_k, {x_i, x_j}} for the
+    quadratic bracket {x_k, x_l} = sum_ij C[k, l, i, j] x_i x_j: an int64
+    array D[i, j, k, m, n, p] holding the coefficient of x_m x_n x_p for
+    m <= n <= p (zero elsewhere).  All zeros certifies the Jacobi identity,
+    exactly; it holds for every tensor from the volume-contraction
+    construction.  C must be an integer array antisymmetric in (k, l) with
+    entries at most TENSOR_BOUND in magnitude."""
+    C = np.asarray(C)
+    if (C.dtype.kind not in "iu" or C.min() < -TENSOR_BOUND or C.max() > TENSOR_BOUND
+            or (C + C.swapaxes(0, 1)).any()):
+        raise ValueError("expected an integer tensor antisymmetric in its first two indices, "
+                         f"with entries at most {TENSOR_BOUND} in magnitude")
+    C = C.astype(np.int64)
+    # d_l {x_j, x_k} = sum_p G[j, k, l, p] x_p, and {x_i, g} = sum_l {x_i, x_l} d_l g
+    G = C + C.swapaxes(-1, -2)
+    T = np.einsum("ilmn,jklp->ijkmnp", C, G)
+    cyclic = T + T.transpose(2, 0, 1, 3, 4, 5) + T.transpose(1, 2, 0, 3, 4, 5)
+    sym = sum(cyclic.transpose(0, 1, 2, *(3 + q for q in perm))
+              for perm in itertools.permutations(range(3)))
+    return sym * _ORDERINGS // 6
 
 
 # ---------------------------------------------------------------------------
 # Classical Sklyanin bracket check and classical limits
 # ---------------------------------------------------------------------------
 
-def _sklyanin_bracket_table(p: ClassicalRParams, convention: str = "cyclic") -> dict:
-    """{S_a, S_0} = 2 J_bc S_b S_c (cyclic) and {S_a, S_b} = -2 S_0 S_c,
-    encoded on polynomial variables x0..x3 standing for S0..S3."""
-    J = classical_quadric(p)
-
-    def jpair(a: int, b: int) -> float:
-        if (a, b) in J:
-            return J[(a, b)]
-        return -J[(b, a)]
-
-    table = {(k, l): PhasePolynomial.zero() for k in range(4) for l in range(4)}
-    for a, b, c in CYCLIC:
-        if convention == "cyclic":
-            sa_s0 = (x(b) * x(c)).scale(2.0 * jpair(b, c))
-        else:
-            sa_s0 = PhasePolynomial.zero()
-            for bb in (1, 2, 3):
-                for cc in (1, 2, 3):
-                    if bb != cc:
-                        sa_s0 = sa_s0 + (x(bb) * x(cc)).scale(2.0 * jpair(bb, cc))
-        table[(a, 0)] = sa_s0
-        table[(0, a)] = sa_s0.scale(-1.0)
-        sab = (x(0) * x(c)).scale(-2.0)
-        table[(a, b)] = sab
-        table[(b, a)] = sab.scale(-1.0)
-    return table
-
-
-def classical_L_poly(u: float, p: ClassicalRParams) -> list:
-    """L(u) = S_0 + i sum_a w_a(u) S_a sigma_a as a 2x2 matrix of
-    polynomials in the coordinates S0..S3."""
-    w = classical_w(u, p)
-    L = [[PhasePolynomial.zero() for _ in range(2)] for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            L[i][j] = L[i][j] + x(0).scale(complex(SIGMA[0][i, j]))
-            for a in (1, 2, 3):
-                coeff = 1j * w[a - 1] * SIGMA[a][i, j]
-                if coeff != 0:
-                    L[i][j] = L[i][j] + x(a).scale(complex(coeff))
-    return L
-
-
-def classical_sklyanin_bracket_residual(p: ClassicalRParams, u: float, v: float,
-                                        convention: str = "cyclic") -> float:
+def classical_sklyanin_bracket_residual(p: ClassicalRParams, u: float, v: float) -> float:
     """Max coefficient mismatch of {L'(u), L''(v)} = [r(u-v), L'(u) L''(v)]
-    expanded symbolically over the S variables."""
-    table = _sklyanin_bracket_table(p, convention)
-    Lu = classical_L_poly(u, p)
-    Lv = classical_L_poly(v, p)
+    over the quadratic monomials S_m S_n, where
+    L(u) = S_0 + i sum_a w_a(u) S_a sigma_a and the Sklyanin bracket is
+    {S_a, S_0} = 2 J_bc S_b S_c, {S_a, S_b} = -2 S_0 S_c over cyclic
+    (a, b, c), J_bc from ``classical_quadric``."""
+    J = classical_quadric(p)
+    # {S_k, S_l} = sum_mn B[k, l, m, n] S_m S_n, one term per unordered pair
+    B = np.zeros((4, 4, 4, 4))
+    for a, b, c in CYCLIC:
+        B[a, 0, min(b, c), max(b, c)] = 2.0 * (J[(b, c)] if b < c else -J[(c, b)])
+        B[a, b, 0, c] = -2.0
+    B = B - B.swapaxes(0, 1)
+
+    def L_coeffs(x):
+        # L(x)_ij = sum_m L[i, j, m] S_m
+        w = classical_w(x, p)
+        return np.stack([SIGMA[0]] + [1j * w[a - 1] * SIGMA[a] for a in (1, 2, 3)], axis=-1)
+
+    Lu, Lv = L_coeffs(u), L_coeffs(v)
     r = classical_r(u - v, p)
-
-    # L' x L'' entries and their matrix product on the 4-dim aux space
-    def idx(i1, i2):
-        return 2 * i1 + i2
-
-    prod = [[PhasePolynomial.zero() for _ in range(4)] for _ in range(4)]
-    for i1 in range(2):
-        for i2 in range(2):
-            for j1 in range(2):
-                for j2 in range(2):
-                    prod[idx(i1, i2)][idx(j1, j2)] = Lu[i1][j1] * Lv[i2][j2]
-
-    worst = 0.0
-    for i1 in range(2):
-        for i2 in range(2):
-            for j1 in range(2):
-                for j2 in range(2):
-                    lhs = bracket(table, Lu[i1][j1], Lv[i2][j2])
-                    rhs = PhasePolynomial.zero()
-                    row, col = idx(i1, i2), idx(j1, j2)
-                    for m in range(4):
-                        rhs = rhs + prod[m][col].scale(complex(r[row, m]))
-                        rhs = rhs - prod[row][m].scale(complex(r[m, col]))
-                    worst = worst_of(worst, (lhs - rhs).max_abs_coeff())
-    return worst
+    # row (i1, i2) -> 2 i1 + i2 and column (j1, j2) -> 2 j1 + j2 of aux1 x aux2
+    lhs = np.einsum("abk,cdl,klmn->acbdmn", Lu, Lv, B).reshape(4, 4, 4, 4)
+    prod = np.einsum("abm,cdn->acbdmn", Lu, Lv).reshape(4, 4, 4, 4)
+    D = lhs - (np.einsum("rs,scmn->rcmn", r, prod) - np.einsum("rsmn,sc->rcmn", prod, r))
+    # coefficient of S_m S_n: D_mn + D_nm for m < n, D_mm on the diagonal
+    m, n = np.triu_indices(4)
+    return worst_of(np.abs((D + np.triu(D.swapaxes(-1, -2), 1))[..., m, n]))
 
 
 def classical_limit_probe(u: float, p_base: ClassicalRParams, h_sequence) -> dict:

@@ -463,15 +463,15 @@ def _riemann_sup(omega: Callable[[np.ndarray], float], xv: np.ndarray,
     return float(np.max(np.abs(riem)))
 
 
-def conformal_flatness_check(omega_kind: str, xv, c: float = 1.0) -> float:
+def conformal_flatness_check(omega_kind: str, xv) -> float:
     """Max Riemann component of g = Omega^2 eta at x, one Richardson level.
 
-    omega_kind: 'constant' (Omega = c), 'inverse_interval'
+    omega_kind: 'constant' (Omega = 3), 'inverse_interval'
     (Omega = eta(x,x)^-1), or 'exp_x1' (the deliberately non-flat control).
     """
     xv = np.asarray(xv, dtype=float)
     if omega_kind == "constant":
-        omega = lambda y: c
+        omega = lambda y: 3.0
     elif omega_kind == "inverse_interval":
         if abs(minkowski_interval(xv)) < 1e-4:
             raise NullConeError("inverse-interval rescaling is singular on the null cone")

@@ -276,7 +276,7 @@ def run_conformal(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
 
     with rep.check("flatness_constant_rescaling", "constant rescalings of flat space stay flat",
                    tol=1e-4) as c:
-        c.observe(spacetime.conformal_flatness_check("constant", [0.0, 2.0, 0.0, 0.0], c=3.0))
+        c.observe(spacetime.conformal_flatness_check("constant", [0.0, 2.0, 0.0, 0.0]))
 
     with rep.check("flatness_inverse_interval_rescaling",
                    "the inverse-interval rescaling of flat space has vanishing curvature",
@@ -626,19 +626,16 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
             b = tuple(int(z) for z in rng.integers(-5, 6, 4))
             if a == b:
                 continue
-            table = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=a, b=b))
-            c.observe(1.0 if sklyanin.poisson_jacobi_defect(table) else 0.0)
+            C = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=a, b=b))
+            c.observe(1.0 if sklyanin.poisson_jacobi_defect(C).any() else 0.0)
             n_int += 1
         special = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=(1, 2, 5, 9), b=(0, 1, 1, 1)))
-        x = liealg.x
         # cyclic (j,k,l): {x_k,x_l} = x_0 x_j and {x_k,x_0} = (a_j - a_l) x_j x_l
-        expect = {
-            (1, 2): x(0) * x(3), (2, 3): x(0) * x(1), (3, 1): x(0) * x(2),
-            (1, 0): (x(2) * x(3)).scale(9 - 5), (2, 0): (x(1) * x(3)).scale(2 - 9),
-            (3, 0): (x(1) * x(2)).scale(5 - 2),
-        }
-        for key, val in expect.items():
-            c.require(not (special[key] - val))
+        expect = np.zeros((4, 4, 4, 4), dtype=np.int64)
+        for k, l, i, j, coeff in ((1, 2, 0, 3, 1), (2, 3, 0, 1, 1), (3, 1, 0, 2, 1),
+                                  (1, 0, 2, 3, 9 - 5), (2, 0, 1, 3, 2 - 9), (3, 0, 1, 2, 5 - 2)):
+            expect[k, l, i, j], expect[l, k, i, j] = coeff, -coeff
+        c.require(np.array_equal(special, expect))
 
     with rep.check("classical_bracket_exchange_identity",
                    "the quadratic Poisson brackets reproduce the classical exchange relation",

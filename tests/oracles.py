@@ -4,9 +4,11 @@ These deliberately avoid the code paths under test: elliptic values come
 from quadrature of the defining integral plus root-finding (or mpmath's
 theta-based routines), Legendre values from explicit closed forms,
 integrals from dense trapezoid sums, and curvature from index loops over
-hand-written central differences.
+hand-written central differences.  The quadratic Poisson brackets are
+checked by their values at points, not by their coefficient tensors.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -105,4 +107,79 @@ def riemann_sup_by_index_loops(omega, xv, h: float) -> float:
                     for e_ in range(4):
                         val += gam0[a, c, e_] * gam0[e_, d, b] - gam0[a, d, e_] * gam0[e_, c, b]
                     worst = max(worst, abs(val))
+    return worst
+
+
+def quadratic_jacobi_holds_on_grid(C) -> bool:
+    """Whether {x_i, {x_j, x_k}} + cyclic vanishes for every triple under the
+    quadratic bracket {x_k, x_l} = sum_ij C[k, l, i, j] x_i x_j, decided from
+    values at the 256 points of {0, 1, 2, 3}^4.  Gradients are integer
+    central differences, exact for a quadratic; a cubic in four variables
+    that vanishes on that grid is zero."""
+    C = np.asarray(C, dtype=np.int64)
+    grid = np.array(list(itertools.product(range(4), repeat=4)), dtype=np.int64)
+
+    def brackets(pts):
+        # {x_k, x_l} at each point: shape (n, 4, 4)
+        return np.einsum("ni,klij,nj->nkl", pts, C, pts)
+
+    B = brackets(grid)
+    grad = np.empty((len(grid), 4, 4, 4), dtype=np.int64)  # [n, j, k, l] = d_l {x_j, x_k}
+    for l, e in enumerate(np.eye(4, dtype=np.int64)):
+        diff = brackets(grid + e) - brackets(grid - e)
+        assert not (diff % 2).any()
+        grad[..., l] = diff // 2
+    for i, j, k in itertools.product(range(4), repeat=3):
+        # {x_a, g} = sum_l {x_a, x_l} d_l g
+        total = sum((B[:, a, :] * grad[:, b, c, :]).sum(axis=-1)
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+        if total.any():
+            return False
+    return True
+
+
+PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def classical_weights(u: float, rho: float, k: float) -> tuple:
+    """rho (1, dn, cn)/sn at u in the fundamental quarter period, from the
+    inversion oracle."""
+    sn, cn, dn = sn_cn_dn_by_inversion(u, k)
+    return rho / sn, rho * dn / sn, rho * cn / sn
+
+
+def sklyanin_exchange_defect(u: float, v: float, rho: float, k: float, J: dict,
+                             points) -> float:
+    """Max over the points S of the sup norm of
+    {L'(u), L''(v)}(S) - [r(u-v), L'(u) L''(v)](S), with
+    L(u) = S_0 + i sum_a w_a(u) S_a sigma_a, r = sum_a w_a sigma_a x sigma_a
+    and the brackets {S_a, S_0} = 2 J_bc S_b S_c, {S_a, S_b} = -2 S_0 S_c
+    over cyclic (a, b, c); J maps (a, b) with a < b to J_ab.  The bracket
+    of two entries linear in S is sum_kl d_k f d_l g {S_k, S_l}."""
+    wu, wv, wr = (classical_weights(t, rho, k) for t in (u, v, u - v))
+    r = sum(wr[a - 1] * np.kron(PAULI[a], PAULI[a]) for a in (1, 2, 3))
+
+    def gradient(w):
+        # d L / d S_k for k = 0..3
+        return [PAULI[0]] + [1j * w[a - 1] * PAULI[a] for a in (1, 2, 3)]
+
+    du, dv = gradient(wu), gradient(wv)
+    worst = 0.0
+    for S in points:
+        P = np.zeros((4, 4))
+        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            jbc = J[(b, c)] if b < c else -J[(c, b)]
+            P[a, 0] = 2.0 * jbc * S[b] * S[c]
+            P[0, a] = -P[a, 0]
+            P[a, b] = -2.0 * S[0] * S[c]
+            P[b, a] = -P[a, b]
+        lhs = sum(P[kk, ll] * np.kron(du[kk], dv[ll]) for kk in range(4) for ll in range(4))
+        prod = np.kron(sum(S[kk] * du[kk] for kk in range(4)),
+                       sum(S[kk] * dv[kk] for kk in range(4)))
+        worst = max(worst, float(np.max(np.abs(lhs - (r @ prod - prod @ r)))))
     return worst

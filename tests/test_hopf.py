@@ -19,7 +19,7 @@ from symmetria.hopf import (
     relations_residual,
     uq_su2_rep,
 )
-from symmetria.numerics import kron, sup_norm
+from symmetria.numerics import sup_norm
 
 SPINS = (0.5, 1.0, 1.5)
 QS = (0.7, 1.3, 2.0)
@@ -89,14 +89,14 @@ def test_coproduct_h_additive_exactly():
     rep = uq_su2_rep(1.0, 1.5)
     cp = coproduct_rep(rep)
     one = np.eye(3, dtype=complex)
-    assert sup_norm(cp.H - (kron(rep.H, one) + kron(one, rep.H))) == 0.0
+    assert sup_norm(cp.H - (np.kron(rep.H, one) + np.kron(one, rep.H))) == 0.0
 
 
 def test_coproduct_classical_limit_point():
     rep = uq_su2_rep(0.5, 1.0 + 1e-6)
     cp = coproduct_rep(rep)
     one = np.eye(2, dtype=complex)
-    additive = kron(rep.Xp, one) + kron(one, rep.Xp)
+    additive = np.kron(rep.Xp, one) + np.kron(one, rep.Xp)
     assert sup_norm(cp.Xp - additive) < 1e-5
 
 
@@ -104,7 +104,7 @@ def test_coproduct_classical_limit_slope():
     qs = [1 + 10.0 ** (-e) for e in (2, 3, 4, 5)]
     classical = uq_su2_rep(0.5, 1 + 1e-12)
     one = np.eye(2, dtype=complex)
-    additive = kron(classical.Xp, one) + kron(one, classical.Xp)
+    additive = np.kron(classical.Xp, one) + np.kron(one, classical.Xp)
     errs = [sup_norm(coproduct_rep(uq_su2_rep(0.5, q)).Xp - additive) for q in qs]
     slope = float(np.polyfit(np.log([q - 1 for q in qs]), np.log(errs), 1)[0])
     assert abs(slope - 1.0) < 0.2

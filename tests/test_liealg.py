@@ -9,7 +9,6 @@ from symmetria.liealg import (
     LieStructure,
     PhasePolynomial,
     Realization,
-    bracket,
     check_structure,
     galilei_realization,
     galilei_structure,
@@ -29,6 +28,15 @@ def test_canonical_pair():
     assert not poisson_bracket(x(1), p(2))
 
 
+def test_canonical_coordinate_brackets():
+    # {x^mu, p_nu} = delta_mu_nu and {x^mu, x^nu} = {p_mu, p_nu} = 0 for all four mu
+    for mu in range(4):
+        for nu in range(4):
+            assert poisson_bracket(x(mu), p(nu)) == PhasePolynomial.constant(int(mu == nu))
+            assert poisson_bracket(p(nu), x(mu)) == PhasePolynomial.constant(-int(mu == nu))
+            assert not poisson_bracket(x(mu), x(nu)) and not poisson_bracket(p(mu), p(nu))
+
+
 def test_bracket_hand_expansion():
     # {x1 p2, x2 p1} = x2 p2 - x1 p1 by direct expansion of the canonical
     # bracket (the momentum-weighted coordinates swap into diagonal terms)
@@ -42,7 +50,7 @@ def test_bracket_antisymmetry_on_random_polynomials():
     rng = np.random.default_rng(31)
     vars_ = [x(0), x(1), x(2), x(3), p(0), p(1), p(2), p(3)]
     for _ in range(10):
-        f = PhasePolynomial.zero()
+        f = PhasePolynomial()
         for _ in range(4):
             i, j = rng.integers(0, 8, 2)
             f = f + (vars_[i] * vars_[j]).scale(Fraction(int(rng.integers(-5, 6))))
@@ -74,7 +82,7 @@ def test_bracket_jacobi_identity():
     vars_ = [x(0), x(1), x(2), x(3), p(0), p(1), p(2), p(3)]
 
     def random_quadratic():
-        out = PhasePolynomial.zero()
+        out = PhasePolynomial()
         for _ in range(4):
             i, j = rng.integers(0, 8, 2)
             out = out + (vars_[i] * vars_[j]).scale(Fraction(int(rng.integers(-5, 6))))
@@ -86,18 +94,6 @@ def test_bracket_jacobi_identity():
         total = total + poisson_bracket(g, poisson_bracket(h, f))
         total = total + poisson_bracket(h, poisson_bracket(f, g))
         assert not total
-
-
-def test_max_abs_coeff_folds_with_worst_of():
-    poly = x(1).scale(Fraction(-7, 2)) + p(2) + x(3).scale(2)
-    assert poly.max_abs_coeff() == 3.5 and type(poly.max_abs_coeff()) is float
-    assert PhasePolynomial.zero().max_abs_coeff() == 0.0
-    # a NaN in a coefficient that is not the first is not dropped
-    mixed = PhasePolynomial({(1, 0, 0, 0, 0, 0, 0, 0): 2.0 + 1.0j,
-                             (0, 1, 0, 0, 0, 0, 0, 0): complex(float("nan"), 0.0),
-                             (0, 0, 1, 0, 0, 0, 0, 0): 5.0})
-    assert list(mixed.terms)[0] == (1, 0, 0, 0, 0, 0, 0, 0)
-    assert np.isnan(mixed.max_abs_coeff())
 
 
 def test_galilei_table_exact():
@@ -199,21 +195,12 @@ def test_levi_civita_matches_permutation_parity():
         assert levi_civita(*base[:-1], base[0]) == 0
 
 
-def test_bracket_reads_only_the_k_lt_l_entries():
-    # {x1, x2} = B_12; the (2, 1) and diagonal entries are never read
-    table = {(1, 2): 3, (2, 1): 5, (2, 2): 7}
-    assert bracket(table, x(1), x(2)) == PhasePolynomial.constant(3)
-    assert bracket(table, x(2), x(1)) == PhasePolynomial.constant(-3)
-
-
 def test_bracket_is_ring_generic():
     f = x(1).scale(Fraction(1, 2)) * p(2)
     g = x(2) * p(1)
     as_q = poisson_bracket(f, g)
     assert as_q == (x(2) * p(2) - x(1) * p(1)).scale(Fraction(1, 2))
     assert all(type(c) is Fraction for c in as_q.terms.values())
-    as_c = bracket({(1, 2): 1j}, x(1).scale(2.0 + 0j), x(2) * x(3))
-    assert as_c == (x(3)).scale(2j)
 
 
 def test_tables_and_realizations_have_int_coefficients():

@@ -14,7 +14,6 @@ from symmetria.numerics import (
     fd_laplacian,
     fd_partial,
     integrate_periodic,
-    kron,
     sup_norm,
 )
 
@@ -32,35 +31,6 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([[1.0, float("nan")], [0.0, 1.0]])
     with pytest.raises(ValueError):
         as_matrix([1.0, 2.0])
-
-
-def test_kron_identity():
-    assert sup_norm(kron(np.eye(2), np.eye(2)) - np.eye(4)) == 0.0
-
-
-def test_kron_sigma1_antidiagonal():
-    expected = np.zeros((4, 4))
-    for i in range(4):
-        expected[i, 3 - i] = 1.0
-    assert sup_norm(kron(SIGMA1, SIGMA1) - expected) == 0.0
-
-
-def test_kron_mixed_product_law():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(100):
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-        worst = max(worst, sup_norm(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d)))
-    assert worst < 1e-12
-
-
-def test_kron_bilinear():
-    rng = np.random.default_rng(12)
-    a, b, c = (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(3))
-    alpha = 0.7 - 0.2j
-    lhs = kron(alpha * a + b, c)
-    rhs = alpha * kron(a, c) + kron(b, c)
-    assert sup_norm(lhs - rhs) < 1e-12
 
 
 def test_commutator_pauli():

@@ -1,15 +1,14 @@
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import classical_weights, quadratic_jacobi_holds_on_grid, sklyanin_exchange_defect
 
 from symmetria import suites
 from symmetria import sklyanin as sklyanin_module
 from symmetria.elliptic import EllipticPoleError
-from symmetria.liealg import PhasePolynomial, bracket, x
-from symmetria.numerics import kron, sup_norm
+from symmetria.numerics import sup_norm
 from symmetria.sklyanin import (
     CYCLIC,
     SIGMA,
@@ -80,7 +79,7 @@ def test_classical_r_assembly():
     p = ClassicalRParams(rho=1.0, k=0.3)
     u = 0.9
     w = classical_w(u, p)
-    manual = sum(w[a - 1] * kron(SIGMA[a], SIGMA[a]) for a in (1, 2, 3))
+    manual = sum(w[a - 1] * np.kron(SIGMA[a], SIGMA[a]) for a in (1, 2, 3))
     assert sup_norm(classical_r(u, p) - manual) == 0.0
 
 
@@ -96,7 +95,7 @@ def test_cybe_detects_perturbation():
     p = ClassicalRParams(rho=1.0, k=0.5)
     u, v = 1.1, 0.4
     w = classical_w(u - v, p)
-    mutated = sum(wv * kron(SIGMA[a], SIGMA[a])
+    mutated = sum(wv * np.kron(SIGMA[a], SIGMA[a])
                   for a, wv in enumerate((w[0] * 1.01, w[1], w[2]), start=1))
     r12 = _embed_pair(mutated, (0, 1))
     r13 = _embed_pair(classical_r(u, p), (0, 2))
@@ -147,7 +146,7 @@ def test_quantum_R_against_mpmath_oracle():
     sn_z, cn_z, dn_z = (complex(mp.ellipfun(n, z, k=k)) for n in ("sn", "cn", "dn"))
     sn_e, cn_e, dn_e = (complex(mp.ellipfun(n, ze, k=k)) for n in ("sn", "cn", "dn"))
     W_ref = (sn_e / sn_z, (dn_z / sn_z) * (sn_e / dn_e), (cn_z / sn_z) * (sn_e / cn_e))
-    R_ref = np.eye(4, dtype=complex) + sum(W_ref[a - 1] * kron(SIGMA[a], SIGMA[a])
+    R_ref = np.eye(4, dtype=complex) + sum(W_ref[a - 1] * np.kron(SIGMA[a], SIGMA[a])
                                            for a in (1, 2, 3))
     assert sup_norm(quantum_R(u, p) - R_ref) < 1e-9
 
@@ -324,7 +323,7 @@ def test_L_operator_shapes_and_regular_point():
     assert L_operator(0.7, r3, p).shape == (6, 6)
     # hand assembly at one sample point
     W = quantum_W(0.7, p)
-    manual = kron(SIGMA[0], r3.S[0]) + sum(W[a - 1] * kron(SIGMA[a], r3.S[a])
+    manual = np.kron(SIGMA[0], r3.S[0]) + sum(W[a - 1] * np.kron(SIGMA[a], r3.S[a])
                                            for a in (1, 2, 3))
     assert sup_norm(L_operator(0.7, r3, p) - manual) == 0.0
 
@@ -347,22 +346,52 @@ def test_rll_mutation_detected():
 
 
 def test_poisson_tensor_zero_for_equal_specs():
-    table = poisson_tensor(PoissonTensorSpec(a=(1, 2, 3, 4), b=(1, 2, 3, 4)))
-    assert all(not poly for poly in table.values())
+    C = poisson_tensor(PoissonTensorSpec(a=(1, 2, 3, 4), b=(1, 2, 3, 4)))
+    assert C.shape == (4, 4, 4, 4) and not C.any()
 
 
 def test_poisson_tensor_special_case_term_for_term():
     # b = (0,1,1,1), a = (1,a1,a2,a3): cyclic triples (j,k,l) give
     # {x_k,x_l} = x_0 x_j and {x_k,x_0} = (a_j - a_l) x_j x_l
     a = (1, 2, 5, 9)
-    table = poisson_tensor(PoissonTensorSpec(a=a, b=(0, 1, 1, 1)))
-    c = x
-    assert not (table[(1, 2)] - c(0) * c(3))
-    assert not (table[(2, 3)] - c(0) * c(1))
-    assert not (table[(3, 1)] - c(0) * c(2))
-    assert not (table[(1, 0)] - (c(2) * c(3)).scale(a[3] - a[2]))
-    assert not (table[(2, 0)] - (c(1) * c(3)).scale(a[1] - a[3]))
-    assert not (table[(3, 0)] - (c(1) * c(2)).scale(a[2] - a[1]))
+    C = poisson_tensor(PoissonTensorSpec(a=a, b=(0, 1, 1, 1)))
+    expect = np.zeros((4, 4, 4, 4), dtype=np.int64)
+    for k, l, i, j, coeff in ((1, 2, 0, 3, 1), (2, 3, 0, 1, 1), (3, 1, 0, 2, 1),
+                              (1, 0, 2, 3, a[3] - a[2]), (2, 0, 1, 3, a[1] - a[3]),
+                              (3, 0, 1, 2, a[2] - a[1])):
+        expect[k, l, i, j], expect[l, k, i, j] = coeff, -coeff
+    assert np.array_equal(C, expect)
+
+
+def test_poisson_tensor_and_jacobi_defect_are_integer_arrays():
+    C = poisson_tensor(PoissonTensorSpec(a=(3, -1, 4, 2), b=(0, 5, -2, 1)))
+    D = poisson_jacobi_defect(C)
+    assert C.dtype == np.int64 and D.dtype == np.int64
+    assert D.shape == (4,) * 6 and not D.any()
+
+
+def test_poisson_tensor_spec_rejects_non_integers_and_overflowing_entries():
+    with pytest.raises(ValueError):
+        PoissonTensorSpec(a=(1, 2, 3, 0.5), b=(0, 1, 1, 1))
+    with pytest.raises(ValueError):
+        PoissonTensorSpec(a=(1, 2, 3, 4097), b=(0, 1, 1, 1))
+    # the largest allowed entries keep the Jacobi sums exact
+    C = poisson_tensor(PoissonTensorSpec(a=(4096, -4096, 4096, 1), b=(-4096, 4096, 1, 4096)))
+    assert np.abs(C).max() <= sklyanin_module.TENSOR_BOUND
+    assert not poisson_jacobi_defect(C).any()
+
+
+def test_jacobi_defect_rejects_non_antisymmetric_tensors():
+    C = poisson_tensor(PoissonTensorSpec(a=(1, 2, 5, 9), b=(0, 1, 1, 1)))
+    C[1, 2, 0, 3] += 1
+    with pytest.raises(ValueError):
+        poisson_jacobi_defect(C)
+    with pytest.raises(ValueError):
+        poisson_jacobi_defect(C.astype(float))
+    C[2, 1, 0, 3] = -C[1, 2, 0, 3] + 2 ** 27
+    C[1, 2, 0, 3] += -(2 ** 27)
+    with pytest.raises(ValueError):
+        poisson_jacobi_defect(C)
 
 
 def test_poisson_tensor_jacobi_exact():
@@ -373,34 +402,40 @@ def test_poisson_tensor_jacobi_exact():
         b = tuple(int(z) for z in rng.integers(-5, 6, 4))
         if a == b:
             continue
-        table = poisson_tensor(PoissonTensorSpec(a=a, b=b))
-        assert not poisson_jacobi_defect(table), (a, b)
+        assert not poisson_jacobi_defect(poisson_tensor(PoissonTensorSpec(a=a, b=b))).any(), (a, b)
         done += 1
 
 
-def test_tensor_bracket_leibniz():
-    table = poisson_tensor(PoissonTensorSpec(a=(1, 0, 2, 0), b=(0, 1, 1, 1)))
-    f, g, h = x(0), x(1) * x(2), x(3)
-    lhs = bracket(table, f, g * h)
-    rhs = bracket(table, f, g) * h + g * bracket(table, f, h)
-    assert not (lhs - rhs)
+def test_jacobi_defect_matches_grid_oracle():
+    rng = np.random.default_rng(77)
+    done = 0
+    while done < 50:
+        a = tuple(int(z) for z in rng.integers(-5, 6, 4))
+        b = tuple(int(z) for z in rng.integers(-5, 6, 4))
+        if a == b:
+            continue
+        C = poisson_tensor(PoissonTensorSpec(a=a, b=b))
+        assert quadratic_jacobi_holds_on_grid(C) == (not poisson_jacobi_defect(C).any()), (a, b)
+        done += 1
+    # one coefficient changed (antisymmetrically) breaks the identity
+    C = poisson_tensor(PoissonTensorSpec(a=(1, 2, 5, 9), b=(0, 1, 1, 1)))
+    C[1, 2, 0, 3] += 1
+    C[2, 1, 0, 3] -= 1
+    assert not quadratic_jacobi_holds_on_grid(C)
+    assert poisson_jacobi_defect(C).any()
 
 
-def _as_fractions(poly):
-    return PhasePolynomial({m: Fraction(c) for m, c in poly.terms.items()})
-
-
-def test_tensor_bracket_int_coefficients_match_fractions():
-    table = poisson_tensor(PoissonTensorSpec(a=(3, -1, 4, 2), b=(0, 5, -2, 1)))
-    c = x
-    f = c(0) * c(1) + (c(2) * c(2) * c(3)).scale(-3)
-    g = (c(1) * c(3)).scale(7) + c(0) * c(0) * c(2)
-    exact = bracket(table, f, g)
-    table_q = {key: _as_fractions(poly) for key, poly in table.items()}
-    as_q = bracket(table_q, _as_fractions(f), _as_fractions(g))
-    assert exact and exact == as_q
-    assert all(type(v) is int for v in exact.terms.values())
-    assert all(type(v) is Fraction for v in as_q.terms.values())
+def test_jacobi_defect_coefficients_of_a_broken_bracket():
+    # {x0, x1} = x1 x2, {x1, x2} = x0 x2, {x0, x2} = 0; by hand, over (0, 1, 2):
+    # {x0, {x1, x2}} = {x0, x0 x2} = 0, {x1, {x2, x0}} = 0 and
+    # {x2, {x0, x1}} = {x2, x1 x2} = x2 {x2, x1} = -x0 x2^2
+    C = np.zeros((4, 4, 4, 4), dtype=np.int64)
+    C[0, 1, 1, 2], C[1, 0, 1, 2] = 1, -1
+    C[1, 2, 0, 2], C[2, 1, 0, 2] = 1, -1
+    D = poisson_jacobi_defect(C)
+    assert D[0, 1, 2, 0, 2, 2] == -1 and np.count_nonzero(D[0, 1, 2]) == 1
+    assert D[1, 2, 0, 0, 2, 2] == -1 and D[1, 0, 2, 0, 2, 2] == 1
+    assert not quadratic_jacobi_holds_on_grid(C)
 
 
 def test_classical_bracket_exchange_identity():
@@ -410,9 +445,44 @@ def test_classical_bracket_exchange_identity():
             assert classical_sklyanin_bracket_residual(p, u, v) < 1e-8
 
 
-def test_classical_bracket_detects_mutations():
+def _scaled_quadric(monkeypatch, pair, factor):
+    real = sklyanin_module.classical_quadric
+
+    def scaled(p):
+        J = real(p)
+        return {**J, pair: factor * J[pair]}
+
+    monkeypatch.setattr(sklyanin_module, "classical_quadric", scaled)
+
+
+def test_classical_bracket_detects_mutations(monkeypatch):
     p = ClassicalRParams(rho=1.0, k=0.5)
-    assert classical_sklyanin_bracket_residual(p, 0.9, 0.4, convention="summed") > 1e-3
+    for pair in ((1, 2), (1, 3), (2, 3)):
+        with monkeypatch.context() as m:
+            _scaled_quadric(m, pair, 1.01)
+            assert classical_sklyanin_bracket_residual(p, 0.9, 0.4) > 1e-3, pair
+
+
+def _oracle_quadric(rho, k):
+    # J_ab = w_a^2 - w_b^2 from the inversion-oracle weights at one argument
+    w = classical_weights(0.8, rho, k)
+    return {(a, b): w[a - 1] ** 2 - w[b - 1] ** 2 for a, b in ((1, 2), (1, 3), (2, 3))}
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5])
+def test_exchange_residual_matches_pointwise_oracle(monkeypatch, k):
+    points = np.random.default_rng(78).normal(size=(4, 4))
+    p = ClassicalRParams(rho=1.0, k=k)
+    J = _oracle_quadric(1.0, k)
+    for u, v in ((0.9, 0.4), (1.3, 0.7)):
+        oracle = sklyanin_exchange_defect(u, v, 1.0, k, J, points)
+        ours = classical_sklyanin_bracket_residual(p, u, v)
+        assert oracle <= 1e-12 and ours <= 1e-12, (u, v, oracle, ours)
+    # a scaled J_13 breaks both
+    _scaled_quadric(monkeypatch, (1, 3), 1.01)
+    assert classical_sklyanin_bracket_residual(p, 0.9, 0.4) > 1e-3
+    assert sklyanin_exchange_defect(0.9, 0.4, 1.0, k, {**J, (1, 3): 1.01 * J[(1, 3)]},
+                                    points) > 1e-3
 
 
 def test_classical_limit_slopes():
@@ -474,6 +544,13 @@ def test_nan_propagates_through_quadratic_relations_residual():
 
 def test_nan_propagates_through_classical_bracket_residual():
     p = ClassicalRParams(rho=math.nan, k=0.5)
+    assert math.isnan(classical_sklyanin_bracket_residual(p, 0.9, 0.4))
+
+
+def test_nan_in_one_bracket_coefficient_propagates(monkeypatch):
+    # only {S_1, S_0} carries the NaN, so most monomial coefficients stay finite
+    _scaled_quadric(monkeypatch, (2, 3), math.nan)
+    p = ClassicalRParams(rho=1.0, k=0.5)
     assert math.isnan(classical_sklyanin_bracket_residual(p, 0.9, 0.4))
 
 

@@ -495,7 +495,7 @@ def test_inversion_involutive():
 
 def test_flatness_checks():
     x = [0.0, 2.0, 0.0, 0.0]
-    assert conformal_flatness_check("constant", x, c=3.0) < 1e-4
+    assert conformal_flatness_check("constant", x) < 1e-4
     assert conformal_flatness_check("inverse_interval", x) < 1e-4
     assert conformal_flatness_check("exp_x1", x) > 1e-2
 
