@@ -255,27 +255,132 @@ def kekule(g: PolyhedralGraph) -> dict:
     return bonds
 
 
-def automorphism_order(g: PolyhedralGraph) -> int:
-    """Order of the combinatorial automorphism group by backtracking over
-    adjacency-preserving bijections.
+def _flag_involutions(g: PolyhedralGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The 4E flags (vertex, edge, face) of a closed face set and the three
+    involutions on them, as a (3, 4E) array ``S`` and the vertex of each flag.
 
-    Vertices are matched in a BFS order so every new vertex already has a
-    mapped neighbor; candidates are pruned by an invariant combining degree
-    with the sizes of incident faces.
+    Face f walks its darts v_i -> v_(i+1); the flag 2d + t sits on dart d at
+    its tail (t = 0) or head (t = 1).  ``S[0]`` swaps the vertex along the
+    edge, ``S[1]`` swaps the edge at the vertex within the face, ``S[2]``
+    swaps the face across the edge.  Faces need not be consistently
+    oriented: ``S[2]`` pairs flags by vertex, whichever way the two faces
+    walk their shared edge.
+
+    Raises ``ValueError`` unless every edge lies in exactly two faces and the
+    corners at every vertex close into one ring (a disk around the vertex).
+    """
+    g.validate_face_cover()
+    n = len(g.vertices)
+    lengths = np.array([len(f) for f in g.faces])
+    tail = np.array([v for f in g.faces for v in f], dtype=np.intp)
+    darts = np.arange(tail.size)
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    nxt = start + (darts - start + 1) % np.repeat(lengths, lengths)
+    head = tail[nxt]
+    vert = np.stack([tail, head], axis=1).ravel()
+
+    flags = np.arange(vert.size)
+    S = np.empty((3, vert.size), dtype=np.intp)
+    S[0] = flags ^ 1
+    S[1, 1::2] = 2 * nxt
+    S[1, 2 * nxt] = 2 * darts + 1
+    # the two darts of each edge are adjacent once sorted by edge key
+    order = np.argsort(np.minimum(tail, head) * n + np.maximum(tail, head), kind="stable")
+    a, b = order[0::2], order[1::2]
+    flip = (tail[a] != tail[b]).astype(np.intp)[:, None]
+    fa = 2 * a[:, None] + np.arange(2)
+    fb = 2 * b[:, None] + (np.arange(2) ^ flip)
+    S[2, fa] = fb
+    S[2, fb] = fa
+
+    # s2.s1 turns about the vertex; each ring of corners is two of its cycles
+    label, step = flags, S[2, S[1]]
+    for _ in range(int(np.bincount(vert).max()).bit_length()):
+        label, step = np.minimum(label, label[step]), step[step]
+    rings = np.bincount(vert[label == flags], minlength=n)
+    if (rings != 2).any():
+        bad = np.flatnonzero(rings != 2)
+        raise ValueError(f"corners at vertices {bad[:5].tolist()} do not close into one ring")
+    return S, vert
+
+
+def _flag_count(g: PolyhedralGraph) -> int:
+    """Automorphisms of g that carry faces to faces, by flag propagation.
+
+    A map automorphism commutes with the three flag involutions, so on a
+    connected flag graph it is fixed by the image of one base flag.  Every
+    candidate image (a flag of the same face size and valence) is pushed
+    along a BFS spanning tree at once, ``phi[w] = S[k][phi[u]]``; a
+    candidate counts when ``phi`` also commutes with ``S`` across every
+    non-tree edge.  Distinct vertex images are counted, so two maps that
+    differ only by swapping faces on the same vertex cycle count once.
+    """
+    S, vert = _flag_involutions(g)
+    n, F = len(g.vertices), vert.size
+    lengths = np.array([len(f) for f in g.faces])
+    key = np.repeat(lengths, 2 * lengths) * F + np.bincount(vert)[vert]
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    base = int(np.argmax(inverse == np.argmin(counts)))  # first flag of the rarest kind
+
+    # BFS spanning tree of the flag graph, as (flag, generator, parent) by level
+    nbrs = S.T.tolist()
+    seen = [False] * F
+    seen[base] = True
+    levels, level = [], [base]
+    while level:
+        found = []
+        for u in level:
+            for k, w in enumerate(nbrs[u]):
+                if not seen[w]:
+                    seen[w] = True
+                    found.append((w, k, u))
+        if found:
+            levels.append(np.array(found).T)
+        level = [w for w, _, _ in found]
+    if not all(seen):
+        raise ValueError("automorphism count requires a connected graph")
+
+    phi = np.empty((F, counts.min()), dtype=np.intp)
+    phi[base] = np.flatnonzero(key == key[base])
+    flat = S.ravel()
+    for w, k, u in levels:
+        phi[w] = flat[(k * F)[:, None] + phi[u]]
+    w, k, u = np.concatenate(levels, axis=1)
+    tree = np.zeros((3, F), dtype=bool)  # tree[k, x]: the edge x -- S[k, x] is in the tree
+    tree[k, u] = tree[k, w] = True
+
+    k, x = np.nonzero(~tree & (S > np.arange(F)))
+    ok = (phi[S[k, x]] == flat[(k * F)[:, None] + phi[x]]).all(axis=0)
+    at = np.empty(n, dtype=np.intp)
+    at[vert] = np.arange(F)
+    return len(set(map(bytes, vert[phi[at].T[ok]])))
+
+
+def automorphism_order(g: PolyhedralGraph) -> int:
+    """Order of the combinatorial automorphism group.
+
+    A graph with faces is counted by flag propagation (``_flag_count``):
+    the result is the number of automorphisms that carry faces to faces.
+    For a polyhedral graph, 3-connected and planar with the faces of its
+    embedding, that is every automorphism, since the embedding is unique
+    (Whitney 1932) and an automorphism is fixed by the image of one flag
+    (Weinberg 1966).  Faces that do not close into a surface raise
+    ``ValueError``.
+
+    A faceless graph goes through a backtracking search over
+    adjacency-preserving bijections.  Vertices are matched in a BFS order so
+    every new vertex already has a mapped neighbor; candidates are pruned by
+    degree refined by the degrees of the neighbors.
     """
     n = len(g.vertices)
     if n == 0:
         return 1
+    if g.faces:
+        return _flag_count(g)
     adj = [g.adjacency(i) for i in range(n)]
 
-    face_sizes = [[] for _ in range(n)]
-    for f in g.faces:
-        for v in f:
-            face_sizes[v].append(len(f))
-    invariant = [(len(adj[v]), tuple(sorted(face_sizes[v]))) for v in range(n)]
-    # one refinement round: include the multiset of neighbor invariants
-    invariant = [(invariant[v], tuple(sorted(invariant[w] for w in adj[v]))) for v in range(n)]
-
+    degree = [len(adj[v]) for v in range(n)]
+    invariant = [(degree[v], tuple(sorted(degree[w] for w in adj[v]))) for v in range(n)]
     bfs = []
     from collections import deque
     dq = deque([0])
@@ -361,29 +466,3 @@ def dodecahedron_graph() -> PolyhedralGraph:
         pent_faces.append(incident)
     return PolyhedralGraph(vertices=[np.array(c) for c in centroids],
                            edges=sorted(edges), faces=pent_faces)
-
-
-def cube_graph() -> PolyhedralGraph:
-    """Test fixture: the 3-cube with its 6 square faces."""
-    verts = [np.array([float(x), float(y), float(z)])
-             for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    idx = lambda x, y, z: 4 * x + 2 * y + z
-    edges = []
-    for x in (0, 1):
-        for y in (0, 1):
-            for z in (0, 1):
-                if x == 0:
-                    edges.append((idx(0, y, z), idx(1, y, z)))
-                if y == 0:
-                    edges.append((idx(x, 0, z), idx(x, 1, z)))
-                if z == 0:
-                    edges.append((idx(x, y, 0), idx(x, y, 1)))
-    faces = [
-        [idx(0, 0, 0), idx(0, 0, 1), idx(0, 1, 1), idx(0, 1, 0)],
-        [idx(1, 0, 0), idx(1, 0, 1), idx(1, 1, 1), idx(1, 1, 0)],
-        [idx(0, 0, 0), idx(0, 0, 1), idx(1, 0, 1), idx(1, 0, 0)],
-        [idx(0, 1, 0), idx(0, 1, 1), idx(1, 1, 1), idx(1, 1, 0)],
-        [idx(0, 0, 0), idx(0, 1, 0), idx(1, 1, 0), idx(1, 0, 0)],
-        [idx(0, 0, 1), idx(0, 1, 1), idx(1, 1, 1), idx(1, 0, 1)],
-    ]
-    return PolyhedralGraph(vertices=verts, edges=edges, faces=faces)

@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,17 +277,22 @@ def qybe_residual(u, v, p: QuantumRParams):
 
 @dataclass(frozen=True)
 class SklyaninRep:
-    """Generators S0..S3 as d x d matrices and the defining triple J."""
+    """Generators S0..S3 as d x d matrices and the defining triple J.
+
+    ``sigma_S`` holds the four factors sigma_a x S_a on aux x quantum that
+    every L operator is a weighted sum of, built once with the validation."""
 
     dim: int
     S: tuple
     J: tuple
+    sigma_S: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         S = tuple(as_matrix(g) for g in self.S)
         if len(S) != 4 or any(g.shape != (self.dim, self.dim) for g in S):
             raise ValueError(f"a representation needs four {self.dim}x{self.dim} generators")
         object.__setattr__(self, "S", S)
+        object.__setattr__(self, "sigma_S", tuple(np.kron(SIGMA[a], S[a]) for a in range(4)))
 
     def J_pair(self, a: int, b: int) -> float:
         """J_ab = -(J_a - J_b)/J_c with c the remaining index."""
@@ -342,9 +347,9 @@ def sklyanin_residual(rep: SklyaninRep, convention: str = "cyclic") -> float:
 def _L_of(w, rep: SklyaninRep) -> np.ndarray:
     # L = sigma_0 x S_0 + sum_a W_a sigma_a x S_a for weights w of shape (..., 3)
     w = np.asarray(w)
-    out = np.kron(SIGMA[0], rep.S[0])
+    out = rep.sigma_S[0]
     for a in (1, 2, 3):
-        out = out + w[..., a - 1, None, None] * np.kron(SIGMA[a], rep.S[a])
+        out = out + w[..., a - 1, None, None] * rep.sigma_S[a]
     return out
 
 

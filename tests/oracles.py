@@ -6,6 +6,7 @@ theta-based routines), Legendre values from explicit closed forms,
 integrals from dense trapezoid sums, and curvature from index loops over
 hand-written central differences.  The quadratic Poisson brackets are
 checked by their values at points, not by their coefficient tensors.
+The cube is a hand-written polyhedral graph for the fullerene tests.
 """
 
 import itertools
@@ -14,6 +15,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from symmetria.fullerene import PolyhedralGraph
 
 
 def elliptic_K(k: float) -> float:
@@ -183,3 +186,29 @@ def sklyanin_exchange_defect(u: float, v: float, rho: float, k: float, J: dict,
                        sum(S[kk] * dv[kk] for kk in range(4)))
         worst = max(worst, float(np.max(np.abs(lhs - (r @ prod - prod @ r)))))
     return worst
+
+
+def cube_graph() -> PolyhedralGraph:
+    """The 3-cube with its 6 square faces."""
+    verts = [np.array([float(x), float(y), float(z)])
+             for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    idx = lambda x, y, z: 4 * x + 2 * y + z
+    edges = []
+    for x in (0, 1):
+        for y in (0, 1):
+            for z in (0, 1):
+                if x == 0:
+                    edges.append((idx(0, y, z), idx(1, y, z)))
+                if y == 0:
+                    edges.append((idx(x, 0, z), idx(x, 1, z)))
+                if z == 0:
+                    edges.append((idx(x, y, 0), idx(x, y, 1)))
+    faces = [
+        [idx(0, 0, 0), idx(0, 0, 1), idx(0, 1, 1), idx(0, 1, 0)],
+        [idx(1, 0, 0), idx(1, 0, 1), idx(1, 1, 1), idx(1, 1, 0)],
+        [idx(0, 0, 0), idx(0, 0, 1), idx(1, 0, 1), idx(1, 0, 0)],
+        [idx(0, 1, 0), idx(0, 1, 1), idx(1, 1, 1), idx(1, 1, 0)],
+        [idx(0, 0, 0), idx(0, 1, 0), idx(1, 1, 0), idx(1, 0, 0)],
+        [idx(0, 0, 1), idx(0, 1, 1), idx(1, 1, 1), idx(1, 0, 1)],
+    ]
+    return PolyhedralGraph(vertices=verts, edges=edges, faces=faces)

@@ -1,15 +1,20 @@
+import functools
+import itertools
+import random
 import time
 
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
+from oracles import cube_graph
+from symmetria import fullerene
 from symmetria.fullerene import (
     MatchingInfeasibleError,
     PolyhedralGraph,
     automorphism_order,
     build_truncated_icosahedron,
-    cube_graph,
     dodecahedron_graph,
     euler_check,
     face_census,
@@ -188,31 +193,117 @@ def _vf2_count(nx_graph):
     ("moebius-kantor", nx.moebius_kantor_graph(), 96),
     ("heawood", nx.heawood_graph(), 336),
 ] + [(f"cubic-12-seed{s}", nx.random_regular_graph(3, 12, seed=s), None) for s in range(5)])
-def test_automorphism_order_against_vf2_on_faceless_graphs(name, graph, order):
+def test_automorphism_order_against_vf2_on_faceless_graphs(name, graph, order, monkeypatch):
     expected = _vf2_count(graph)
     if order is not None:
         assert expected == order
+    monkeypatch.setattr(fullerene, "_flag_count", _no_flag_count)
     assert automorphism_order(_faceless(graph)) == expected, name
 
 
-def test_automorphism_small_graphs():
+def _no_flag_count(g):
+    raise AssertionError("a faceless graph must go through the backtracking search")
+
+
+def test_automorphism_small_graphs(monkeypatch):
+    monkeypatch.setattr(fullerene, "_flag_count", _no_flag_count)
     pent = PolyhedralGraph(vertices=[np.zeros(3)] * 5,
                            edges=[(i, (i + 1) % 5) for i in range(5)], faces=[])
     assert automorphism_order(pent) == 10
     pair = PolyhedralGraph(vertices=[np.zeros(3)] * 2, edges=[(0, 1)], faces=[])
     assert automorphism_order(pair) == 2
+    monkeypatch.undo()
     assert automorphism_order(cube_graph()) == 48
+    # a pentagon closed by two faces: swapping them moves no vertex, so the
+    # ten vertex maps are counted once each
+    twice = PolyhedralGraph(vertices=[np.zeros(3)] * 5,
+                            edges=[(i, (i + 1) % 5) for i in range(5)],
+                            faces=[list(range(5)), list(range(5))])
+    assert automorphism_order(twice) == 10
 
 
 def test_automorphisms_preserve_face_sizes(c60):
-    # with the face-size invariant in the search, any counted bijection maps
-    # pentagon-incident vertices to pentagon-incident vertices; cross-check
-    # the invariant is non-degenerate on a hexagon-only neighborhood count
+    # every C60 vertex lies on one pentagon and two hexagons, so the face
+    # sizes at a vertex cannot tell vertices apart; what an automorphism
+    # does keep is the face set itself, checked here on the first VF2 maps
     sizes = {}
     for f in c60.faces:
         for v in f:
             sizes.setdefault(v, []).append(len(f))
     assert all(sorted(s) == [5, 6, 6] for s in sizes.values())
+    faces = {frozenset(f) for f in c60.faces}
+    gm = nx.algorithms.isomorphism.GraphMatcher(nx.Graph(list(c60.edges)),
+                                                nx.Graph(list(c60.edges)))
+    for iso in itertools.islice(gm.isomorphisms_iter(), 10):
+        assert {frozenset(iso[v] for v in f) for f in faces} == faces
+
+
+def _planar(nx_graph, scramble=False):
+    """The graph with the faces of its planar embedding; with ``scramble``
+    every other face is walked backwards and the face list shuffled."""
+    g = nx.convert_node_labels_to_integers(nx_graph)
+    is_planar, embedding = nx.check_planarity(g)
+    assert is_planar
+    faces, marked = [], set()
+    for u, v in embedding.edges():
+        if (u, v) not in marked:
+            faces.append(embedding.traverse_face(u, v, mark_half_edges=marked))
+    if scramble:
+        faces = [f[::-1] if i % 2 else f for i, f in enumerate(faces)]
+        random.Random(0).shuffle(faces)
+    return PolyhedralGraph(vertices=[np.zeros(3)] * g.number_of_nodes(),
+                           edges=list(g.edges), faces=faces)
+
+
+def _sphere_hull(seed, n=12):
+    """Triangulated convex hull of n random points on the sphere: polyhedral,
+    and with few automorphisms, so most candidate flags must be rejected."""
+    p = np.random.default_rng(seed).normal(size=(n, 3))
+    g = nx.Graph()
+    for tri in ConvexHull(p / np.linalg.norm(p, axis=1, keepdims=True)).simplices:
+        nx.add_cycle(g, tri.tolist())
+    return g
+
+
+POLYHEDRA = {
+    "tetrahedron": nx.tetrahedral_graph(),
+    "octahedron": nx.octahedral_graph(),
+    "cube": nx.cubical_graph(),
+    "dodecahedron": nx.dodecahedral_graph(),
+    "icosahedron": nx.icosahedral_graph(),
+    "truncated-tetrahedron": nx.truncated_tetrahedron_graph(),
+    "5-prism": nx.circular_ladder_graph(5),
+    "6-prism": nx.circular_ladder_graph(6),
+    "C60": nx.Graph(list(build_truncated_icosahedron().edges)),
+    **{f"hull-12-seed{s}": _sphere_hull(s) for s in range(3)},
+}
+
+
+@functools.cache
+def _vf2_polyhedron(name):
+    return _vf2_count(POLYHEDRA[name])
+
+
+@pytest.mark.parametrize("scramble", [False, True], ids=["embedded", "scrambled"])
+@pytest.mark.parametrize("name", list(POLYHEDRA))
+def test_flag_count_against_vf2_on_polyhedra(name, scramble):
+    g = _planar(POLYHEDRA[name], scramble)
+    assert g.faces and euler_check(g) == 2
+    assert automorphism_order(g) == _vf2_polyhedron(name), name
+
+
+def test_flag_count_rejects_faces_that_do_not_close(c60):
+    dropped = PolyhedralGraph(vertices=c60.vertices, edges=c60.edges, faces=c60.faces[:-1])
+    with pytest.raises(ValueError, match="exactly two faces"):
+        automorphism_order(dropped)
+    # two tetrahedra glued at vertex 0: every edge lies in two faces, but
+    # the corners at vertex 0 form two rings
+    tet = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    faces = [list(f) for f in tet] + [[0 if v == 0 else v + 3 for v in f] for f in tet]
+    edges = {tuple(sorted((f[i], f[(i + 1) % 3]))) for f in faces for i in range(3)}
+    pinched = PolyhedralGraph(vertices=[np.zeros(3)] * 7, edges=sorted(edges), faces=faces)
+    with pytest.raises(ValueError, match="one ring"):
+        automorphism_order(pinched)
 
 
 def test_graph_json(c60):
