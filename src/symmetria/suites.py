@@ -125,7 +125,8 @@ def _algebra_rows(rep: CheckReport, structure: liealg.LieStructure, make_realiza
                    tol=0.0) as c:
         mismatches = liealg.verify_realization(structure, make_realization())
         c.observe(len(mismatches))
-        c.detail = ("; ".join(f"{{{a},{b}}} off by {d!r}" for a, b, d in mismatches[:4])
+        c.detail = ("; ".join(f"{{{a},{b}}} off by {liealg.format_quadratic(d)}"
+                              for a, b, d in mismatches[:4])
                     or "all brackets reproduced exactly")
 
 
@@ -179,7 +180,9 @@ def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
 
     with rep.check("mutation_control_bad_structure_constant",
                    "a flipped rotation bracket must break the Jacobi identity", detect=0.0) as c:
-        bad = {**structure.constants, ("M2", "M3"): {"M1": -1}, ("M3", "M2"): {"M1": 1}}
+        bad = structure.constants.copy()
+        m1, m2, m3 = map(structure.basis_labels.index, ("M1", "M2", "M3"))
+        bad[m2, m3, m1], bad[m3, m2, m1] = -1, 1
         mutated = liealg.LieStructure("galilei_mutated", structure.basis_labels, bad)
         _, bad_triples = liealg.check_structure(mutated)
         c.observe(bool(bad_triples))

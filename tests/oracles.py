@@ -4,8 +4,9 @@ These deliberately avoid the code paths under test: elliptic values come
 from quadrature of the defining integral plus root-finding (or mpmath's
 theta-based routines), Legendre values from explicit closed forms,
 integrals from dense trapezoid sums, and curvature from index loops over
-hand-written central differences.  The quadratic Poisson brackets are
-checked by their values at points, not by their coefficient tensors.
+hand-written central differences.  The quadratic Poisson brackets, and
+the canonical bracket of phase-space generators, are checked by their
+values at points, not by their coefficient tensors or matrices.
 The cube is a hand-written polyhedral graph for the fullerene tests.
 """
 
@@ -137,6 +138,28 @@ def quadratic_jacobi_holds_on_grid(C) -> bool:
         total = sum((B[:, a, :] * grad[:, b, c, :]).sum(axis=-1)
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
         if total.any():
+            return False
+    return True
+
+
+def canonical_bracket_matches_at_points(Qf, Qg, R, rng, points: int = 30) -> bool:
+    """Whether 1/2 w^T R w equals the canonical bracket
+    sum_mu (df/dx^mu dg/dp_mu - df/dp_mu dg/dx^mu) of f = 1/2 w^T Qf w and
+    g = 1/2 w^T Qg w at random integer points z, w = (z, 1).  Values are
+    doubled to stay integer, and each gradient is an integer central
+    difference of values, exact for a quadratic."""
+    def doubled(Q, z):
+        w = np.append(z, 1)
+        return int(w @ np.asarray(Q, dtype=np.int64) @ w)
+
+    def doubled_gradient(Q, z):
+        # 2 df/dz_k = (2f(z + e_k) - 2f(z - e_k)) / 2
+        return [(doubled(Q, z + e) - doubled(Q, z - e)) // 2 for e in np.eye(8, dtype=np.int64)]
+
+    for z in rng.integers(-5, 6, size=(points, 8)):
+        df, dg = doubled_gradient(Qf, z), doubled_gradient(Qg, z)
+        four_bracket = sum(df[mu] * dg[4 + mu] - df[4 + mu] * dg[mu] for mu in range(4))
+        if four_bracket != 2 * doubled(R, z):
             return False
     return True
 

@@ -407,7 +407,7 @@ def test_raising_make_checks_fails_one_row_and_the_suite_goes_on(monkeypatch, tm
     real = liealg.galilei_realization
 
     def without_H():
-        return liealg.Realization({k: v for k, v in real().assignment.items() if k != "H"})
+        return {k: v for k, v in real().items() if k != "H"}
 
     monkeypatch.setattr(liealg, "galilei_realization", without_H)
     assert cli_main(["verify", "galilei"]) == 1
@@ -427,6 +427,40 @@ def test_raising_make_checks_fails_one_row_and_the_suite_goes_on(monkeypatch, tm
     assert ([(c["name"], c["status"]) for c in report["checks"]]
             == [(name, "fail" if name == "galilei_realization" else status)
                 for name, status, _, _ in ROW_CONTRACT["galilei"]])
+
+    # a realization that is complete but wrong fails the same row, and its
+    # detail names the first mismatched brackets as polynomials
+    monkeypatch.setattr(liealg, "galilei_realization", lambda: {**real(), "H": -real()["H"]})
+    report = suites.run_galilei(suites.suite_rng(42, "galilei"), 1e-9, 20)
+    (failed,) = [c for c in report.checks if c.status == "fail"]
+    assert failed.name == "galilei_realization" and failed.residual == 6
+    assert "{G1,H} off by" in failed.detail
+    assert failed.detail == ("{G1,H} off by -2*p1; {G2,H} off by -2*p2; {G3,H} off by -2*p3; "
+                             "{H,G1} off by 2*p1")
+
+
+def test_mutation_control_detail_is_pinned():
+    # labels sorted as strings, not by basis index, and printed as str, not np.str_
+    report = suites.run_galilei(suites.suite_rng(42, "galilei"), 1e-9, 20)
+    (row,) = [c for c in report.checks if c.name == "mutation_control_bad_structure_constant"]
+    assert row.status == "pass"
+    assert row.detail == ("violating triples [('G2', 'M2', 'M3'), ('G2', 'M3', 'M2'), "
+                          "('G3', 'M2', 'M3'), ('G3', 'M3', 'M2'), ('M2', 'G2', 'M3')]")
+
+
+def test_bad_table_fails_its_rows_not_the_run(monkeypatch):
+    real = liealg.galilei_structure
+
+    def float_table():
+        s = real()
+        return liealg.LieStructure(s.name, s.basis_labels, s.constants.astype(float))
+
+    monkeypatch.setattr(liealg, "galilei_structure", float_table)
+    report = suites.run_galilei(suites.suite_rng(42, "galilei"), 1e-9, 20)
+    failed = {c.name: c.detail for c in report.checks if c.status == "fail"}
+    assert sorted(failed) == ["galilei_antisymmetry", "galilei_jacobi", "galilei_realization",
+                              "mutation_control_bad_structure_constant"]
+    assert all(d.startswith("ValueError: expected integers") for d in failed.values())
 
 
 def test_raising_planck_ops_fails_both_grid_rows(monkeypatch, capsys):
