@@ -3,10 +3,12 @@ normalization, Kelvin inversion, integral-representation solutions with
 associated Legendre factors, polar-coordinate Laplacians, and the symbol
 of the Laplace operator.
 
-Fields are plain callables on n-vectors; harmonicity statements are
-checked elsewhere by numerics.fd_laplacian.  The flux derivative and the
-polar/spherical Laplacians are numerics.fd_partial stencils, and the
-sphere area and the integral representation use numerics quadrature.
+Fields are plain callables on n-vectors; the fundamental solution and
+Kelvin transforms also take an (n, M) array of M points, one per column.
+Harmonicity statements are checked elsewhere by numerics.fd_laplacian.
+The flux derivative and the polar/spherical Laplacians are
+numerics.fd_partial stencils, and the sphere area and the integral
+representation use numerics quadrature.
 """
 
 from __future__ import annotations
@@ -52,14 +54,21 @@ def gamma_fundamental(n: int, r: float) -> float:
 
 
 def fundamental_solution(n: int, source: Sequence[float]) -> Callable[[np.ndarray], float]:
-    """gamma(|x - source|) as a field on R^n."""
+    """gamma(|x - source|) as a field on R^n; an (n, M) array of M points,
+    one per column, gives the array of their M values."""
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
     xi = np.asarray(source, dtype=float)
+    # gamma_fundamental's profile on arrays; gamma_fundamental itself stays
+    # on scalar math, so the flux row does not move with numpy's kernels
+    scale = 2.0 * math.pi if n == 2 else (n - 2) * unit_sphere_area(n)
 
-    def field(xv: np.ndarray) -> float:
-        r = float(np.linalg.norm(np.asarray(xv, dtype=float) - xi))
-        if r == 0.0:
+    def field(xv: np.ndarray) -> float | np.ndarray:
+        d = (np.asarray(xv, dtype=float).T - xi).T
+        r = np.sqrt(np.sum(d * d, axis=0))
+        if np.any(r == 0.0):
             raise SingularPointError("fundamental solution evaluated at its source")
-        return gamma_fundamental(n, r)
+        return (np.log(1.0 / r) if n == 2 else r ** (2 - n)) / scale
 
     return field
 
@@ -90,11 +99,12 @@ def flux_through_sphere(n: int, radius: float) -> float:
 
 def kelvin_invert(u: Callable[[np.ndarray], float], n: int) -> Callable[[np.ndarray], float]:
     """Kelvin transform v(x) = |x|^-(n-2) u(x / |x|^2); harmonic inputs map
-    to harmonic outputs on the inverted domain."""
-    def v(xv: np.ndarray) -> float:
+    to harmonic outputs on the inverted domain.  Like ``u``, v takes one
+    point or an (n, M) array of M points, one per column."""
+    def v(xv: np.ndarray) -> float | np.ndarray:
         xv = np.asarray(xv, dtype=float)
-        r2 = float(xv @ xv)
-        if r2 == 0.0:
+        r2 = np.sum(xv * xv, axis=0)
+        if np.any(r2 == 0.0):
             raise SingularPointError("Kelvin transform evaluated at the origin")
         return r2 ** (-(n - 2) / 2.0) * u(xv / r2)
 
@@ -226,8 +236,9 @@ def polar_laplacian(coords: str, u: Callable[..., float], point: Sequence[float]
     raise ValueError(f"unknown coordinate system {coords!r}")
 
 
-def symbol(kv) -> float:
+def symbol(kv) -> float | np.ndarray:
     """Squared length of the frequency vector: the rotation-invariant symbol
-    of the (positive) Laplace operator."""
+    of the (positive) Laplace operator.  A stack of vectors along the last
+    axis gives the stack of their symbols."""
     kv = np.asarray(kv, dtype=float)
-    return float(kv @ kv)
+    return np.sum(kv * kv, axis=-1)

@@ -1,5 +1,5 @@
 """Shared numeric substrate: dense complex matrices, commutators, periodic
-quadrature, and finite-difference stencils.
+quadrature, finite-difference stencils, and rejection sampling in blocks.
 
 Matrices are plain numpy arrays of complex128; ``as_matrix`` is the single
 validation gate (shape and finiteness).  All residuals elsewhere in the
@@ -170,18 +170,39 @@ def fd_partial(f: Callable[[np.ndarray], float | np.ndarray], point: Sequence[fl
     return total / divisor
 
 
-def fd_laplacian(field: Callable[[np.ndarray], float], point: Sequence[float],
-                 stencil: FDStencil = LAPLACIAN_STENCIL) -> float:
+def fd_laplacian(field: Callable[[np.ndarray], float | np.ndarray], point: Sequence[float],
+                 stencil: FDStencil = LAPLACIAN_STENCIL) -> float | np.ndarray:
     """Sum of second partials of ``field`` at ``point`` by central differences.
 
-    Exact (up to rounding) on polynomials of degree <= order + 1.
+    ``point`` may also be an (n, M) array of M points, one per column: the
+    field then maps such an array to its M values, and the M Laplacians
+    come back as one array.  Exact (up to rounding) on polynomials of
+    degree <= order + 1.
     """
     p = np.asarray(point, dtype=float)
-    scalar = lambda q: float(field(q))
+    value = (lambda q: float(field(q))) if p.ndim == 1 else field
     total = 0.0
-    for axis in range(p.size):
-        total += fd_partial(scalar, p, axis, stencil, deriv=2)
+    for axis in range(len(p)):
+        total += fd_partial(value, p, axis, stencil, deriv=2)
     return total
+
+
+def accepted_rows(draw: Callable[[int], np.ndarray], keep: Callable[[np.ndarray], np.ndarray],
+                  count: int) -> np.ndarray:
+    """The first ``count`` rows, in draw order, of the blocks ``draw(m)``
+    that pass the row mask ``keep(block)``.
+
+    Each round draws only the m rows still missing.  So when ``draw(m)``
+    gives the rows of m one-row draws, as a numpy generator's block does,
+    this draws exactly the rows of a loop that draws one row at a time
+    until ``count`` of them pass.
+    """
+    rows = draw(count)
+    rows = rows[keep(rows)]
+    while len(rows) < count:
+        more = draw(count - len(rows))
+        rows = np.concatenate((rows, more[keep(more)]))
+    return rows
 
 
 def fd_jacobian(mapping: Callable[[np.ndarray], Sequence[float]], point: Sequence[float],

@@ -45,7 +45,7 @@ import numpy as np
 
 from .elliptic import EllipticPoleError, quarter_period, sn_cn_dn_complex, sn_cn_dn_real
 from .liealg import levi_civita
-from .numerics import as_matrix, commutator, sup_norm, worst_of
+from .numerics import accepted_rows, as_matrix, commutator, sup_norm, worst_of
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -518,18 +518,19 @@ SWEEP_MARGIN = 0.05
 
 def sweep_samples(rng: np.random.Generator, k: float, count: int) -> list:
     """Seeded (u, v) pairs with u, v, u-v all at least SWEEP_MARGIN away
-    from the real zero lattice of sn (the pole set of the classical weights)."""
+    from the real zero lattice of sn (the pole set of the classical weights).
+
+    The pairs are drawn as (m, 2) uniform blocks and rejected by an array
+    mask, m being the number still missing, so they are the pairs, and the
+    generator is left in the state, of a loop that draws u then v one pair
+    at a time."""
     K = quarter_period(k)
-    out = []
-    while len(out) < count:
-        u = float(rng.uniform(SWEEP_MARGIN, 2.0 * K - SWEEP_MARGIN))
-        v = float(rng.uniform(SWEEP_MARGIN, 2.0 * K - SWEEP_MARGIN))
-        good = True
-        for arg in (u, v, u - v):
-            d = abs(arg - 2.0 * K * round(arg / (2.0 * K)))
-            if d < SWEEP_MARGIN:
-                good = False
-                break
-        if good:
-            out.append((u, v))
-    return out
+    period = 2.0 * K
+
+    def clear_of_poles(uv: np.ndarray) -> np.ndarray:
+        args = np.column_stack((uv, uv[:, 0] - uv[:, 1]))
+        return (np.abs(args - period * np.round(args / period)) >= SWEEP_MARGIN).all(axis=1)
+
+    pairs = accepted_rows(lambda m: rng.uniform(SWEEP_MARGIN, period - SWEEP_MARGIN, (m, 2)),
+                          clear_of_poles, count)
+    return [tuple(pair) for pair in pairs.tolist()]

@@ -2,81 +2,93 @@
 
 Each suite function takes a deterministic per-suite RNG plus the run
 configuration and returns a CheckReport whose rows are recorded with
-``CheckReport.check``.  Mutation controls (``detect=``) deliberately damage
+``CheckReport.check``.  No row draws from that generator: each drawn
+field of a row comes from its own keyed stream (``field_rng``), drawn as
+one block, so a sample does not depend on the sample count or on the
+other rows.  Mutation controls (``detect=``) deliberately damage
 an object and pass when the damage is detected; they carry no tolerance so
 the residual/tolerance consistency rule stays vacuous.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
 import numpy as np
 
 from . import fullerene, hopf, laplace, liealg, sklyanin, spacetime
-from .numerics import FDStencil, fd_laplacian, sup_norm
+from .numerics import FDStencil, accepted_rows, fd_laplacian, sup_norm
 from .report import CheckReport
 
 SUITE_NAMES = ("rotations", "galilei", "poincare", "conformal", "laplace",
                "fullerene", "hopf", "sklyanin")
 
 
+def _salt(text: str) -> int:
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
 def suite_rng(seed: int, suite: str) -> np.random.Generator:
     """Per-suite generator derived from the run seed and the suite name,
     stable under suite selection and ordering."""
-    digest = hashlib.sha256(suite.encode()).digest()
-    salt = int.from_bytes(digest[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, _salt(suite))))
 
 
-def _draws(rng: np.random.Generator, count: int, *draws) -> list:
-    """Call each draw(rng) in turn, `count` rounds over: the draw order of a
-    loop that draws one sample at a time.  One list of results per draw."""
-    out = [[] for _ in draws]
-    for _ in range(count):
-        for draw, results in zip(draws, out):
-            results.append(draw(rng))
-    return out
+def field_rng(rng: np.random.Generator, row: str, field: str) -> np.random.Generator:
+    """The keyed stream of one drawn field of one row: the suite generator's
+    entropy, with its spawn key extended by a sha256 salt of (row, field).
+
+    Each field is drawn as one block with the sample on its leading axis,
+    and a generator fills a block in order, so sample i of a row is the
+    same at every sample count above i.  Fields of one distribution may
+    share a block: each sample is one row of it."""
+    seq = rng.bit_generator.seed_seq
+    key = (*seq.spawn_key, _salt(f"{row}/{field}"))
+    return np.random.default_rng(
+        np.random.SeedSequence(seq.entropy, spawn_key=key, pool_size=seq.pool_size))
 
 
-def _rotation_params(rng: np.random.Generator) -> tuple:
-    """Axis and angle of one random rotation, in draw order."""
-    return rng.normal(size=3), rng.uniform(0.0, 2.0 * math.pi)
+def _rotations(rng: np.random.Generator, row: str, shape: tuple) -> np.ndarray:
+    """A `shape` stack of random 3x3 rotations: normal axes, angles uniform
+    in [0, 2 pi)."""
+    axis = field_rng(rng, row, "rotation axis").normal(size=(*shape, 3))
+    angle = field_rng(rng, row, "rotation angle").uniform(0.0, 2.0 * math.pi, shape)
+    return spacetime.rotation_about(axis, angle)
 
 
-def _rotations(params) -> np.ndarray:
-    """The (M, 3, 3) Rodrigues rotations of M (axis, angle) draws."""
-    axes, angles = zip(*params)
-    return spacetime.rotation_about(np.array(axes), np.array(angles))
+def _galilei_elements(rng: np.random.Generator, row: str, count: int, per_sample: int) -> list:
+    """`per_sample` stacks of `count` random Galilei elements; v, xi and tau
+    are normal and share one block."""
+    R = _rotations(rng, row, (count, per_sample))
+    vxt = field_rng(rng, row, "galilei v xi tau").normal(size=(count, per_sample, 7))
+    return [spacetime.GalileiElement(R[:, j], vxt[:, j, :3], vxt[:, j, 3:6], vxt[:, j, 6])
+            for j in range(per_sample)]
 
 
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    return spacetime.rotation_about(*_rotation_params(rng))
+def _poincare_elements(rng: np.random.Generator, row: str, count: int, per_sample: int) -> list:
+    """`per_sample` stacks of `count` random Poincare elements.  v is drawn in
+    the box [-1, 1)^3 and scaled to a speed factor in [0, 0.9) times at most
+    1/|v|; v and the factor share one uniform block, a and b one normal
+    block."""
+    R = _rotations(rng, row, (count, per_sample))
+    box = field_rng(rng, row, "poincare v speed").uniform(
+        (-1.0, -1.0, -1.0, 0.0), (1.0, 1.0, 1.0, 0.9), (count, per_sample, 4))
+    ab = field_rng(rng, row, "poincare a b").normal(size=(count, per_sample, 4))
+    v = box[..., :3]
+    v = v * (box[..., 3] / np.maximum(1.0, spacetime.vector_norm(v)))[..., None]
+    return [spacetime.PoincareElement(ab[:, j, :3], ab[:, j, 3], v[:, j], R[:, j])
+            for j in range(per_sample)]
 
 
-def _galilei_params(rng: np.random.Generator) -> tuple:
-    """One Galilei element's draws in order: rotation axis and angle, v, xi, tau."""
-    return (*_rotation_params(rng), rng.normal(size=3), rng.normal(size=3), rng.normal())
-
-
-def _galilei_stack(params) -> spacetime.GalileiElement:
-    axis, angle, v, xi, tau = (np.array(x) for x in zip(*params))
-    return spacetime.GalileiElement(spacetime.rotation_about(axis, angle), v, xi, tau)
-
-
-def _poincare_params(rng: np.random.Generator) -> tuple:
-    """One Poincare element's draws in order: v, its speed factor, a, b,
-    rotation axis and angle."""
-    return (rng.uniform(-1.0, 1.0, 3), rng.uniform(0.0, 0.9), rng.normal(size=3),
-            rng.normal(), *_rotation_params(rng))
-
-
-def _poincare_stack(params) -> spacetime.PoincareElement:
-    v, speed, a, b, axis, angle = (np.array(x) for x in zip(*params))
-    # each v scaled to the speed factor times at most 1/|v|
-    v = v * (speed / np.maximum(1.0, spacetime.vector_norm(v)))[:, None]
-    return spacetime.PoincareElement(a, b, v, spacetime.rotation_about(axis, angle))
+def _shell_points(rng: np.random.Generator, row: str, shape: tuple, n: int,
+                  lo: float, hi: float) -> np.ndarray:
+    """A `shape` stack of points of R^n (the last axis) in isotropic
+    directions, at radii uniform in [lo, hi)."""
+    x = field_rng(rng, row, f"direction{n}").normal(size=(*shape, n))
+    radius = field_rng(rng, row, f"radius{n}").uniform(lo, hi, shape)
+    return x * (radius / spacetime.vector_norm(x))[..., None]
 
 
 def run_rotations(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
@@ -90,8 +102,8 @@ def run_rotations(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
 
     with rep.check("product_of_rotations_is_rotation",
                    "closure of the rotation group under matrix product", tol=tol, samples=samples) as c:
-        first, second = _draws(rng, samples, _rotation_params, _rotation_params)
-        prod = _rotations(first) @ _rotations(second)
+        R = _rotations(rng, c.name, (samples, 2))
+        prod = R[:, 0] @ R[:, 1]
         c.require((spacetime.classify_rotation(prod) == "proper").all())
         c.observe(np.abs(prod @ np.swapaxes(prod, -1, -2) - np.eye(3)))
 
@@ -102,50 +114,50 @@ def run_rotations(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
     return rep
 
 
-def _algebra_rows(rep: CheckReport, structure: liealg.LieStructure, make_realization,
-                  count_ref: str) -> None:
+def _algebra_rows(rep: CheckReport, name: str, make_structure, make_realization,
+                  count_ref: str):
     """The four exact rows of a ten-generator Lie algebra: antisymmetry and
-    Jacobi identity of its table, its generator count, and the phase-space
-    realization that make_realization() builds."""
-    name = structure.name
+    Jacobi identity of the table that make_structure() builds, its
+    generator count, and the phase-space realization that
+    make_realization() builds.  Each row calls the builder inside its own
+    block, so a builder that raises fails those rows, not the run; the
+    table is built once.  Returns the cached builder."""
+    structure = functools.cache(make_structure)
     with rep.check(f"{name}_antisymmetry", "bracket antisymmetry of the structure-constant table",
                    tol=0.0) as c:
         jacobi = c.sibling(f"{name}_jacobi", "Jacobi identity of the structure-constant table",
                            tol=0.0)
-        bad_pairs, bad_triples = liealg.check_structure(structure)
+        bad_pairs, bad_triples = liealg.check_structure(structure())
         c.observe(len(bad_pairs))
         c.detail = f"violations at {bad_pairs[:3]}" if bad_pairs else "exact"
         jacobi.observe(len(bad_triples))
         jacobi.detail = f"violating triples {bad_triples[:5]}" if bad_triples else "exact"
 
     with rep.check(f"{name}_generator_count", count_ref, tol=0.0) as c:
-        c.observe(abs(structure.dimension() - 10))
+        c.observe(abs(structure().dimension() - 10))
 
     with rep.check(f"{name}_realization", "phase-space realization reproduces the bracket table",
                    tol=0.0) as c:
-        mismatches = liealg.verify_realization(structure, make_realization())
+        mismatches = liealg.verify_realization(structure(), make_realization())
         c.observe(len(mismatches))
         c.detail = ("; ".join(f"{{{a},{b}}} off by {liealg.format_quadratic(d)}"
                               for a, b, d in mismatches[:4])
                     or "all brackets reproduced exactly")
+    return structure
 
 
 def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
     rep = CheckReport("galilei")
-    structure = liealg.galilei_structure()
-    _algebra_rows(rep, structure, liealg.galilei_realization,
-                  "the ten one-parameter subgroups of the Galilei group")
+    structure = _algebra_rows(rep, "galilei", liealg.galilei_structure, liealg.galilei_realization,
+                              "the ten one-parameter subgroups of the Galilei group")
 
     with rep.check("compose_matches_sequential_action",
                    "Galilei multiplication law against pointwise application",
                    tol=tol, samples=samples) as c:
-        # per pair: two elements, then 20 events (t, x, y, z) drawn in the
-        # order of 20 (t, r) draws
-        p1, p2, events = _draws(rng, samples, _galilei_params, _galilei_params,
-                                lambda rng: rng.normal(size=(20, 4)))
-        g1, g2 = _galilei_stack(p1), _galilei_stack(p2)
+        # per pair: two elements and 20 events (t, x, y, z)
+        g1, g2 = _galilei_elements(rng, c.name, samples, 2)
         g21 = spacetime.galilei_compose(g2, g1)
-        events = np.array(events)
+        events = field_rng(rng, c.name, "events").normal(size=(samples, 20, 4))
         once = spacetime.galilei_apply_events(g21, events)
         twice = spacetime.galilei_apply_events(g2, spacetime.galilei_apply_events(g1, events))
         c.observe(np.abs(once - twice))
@@ -153,7 +165,7 @@ def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
     half = samples // 2 + 1
     with rep.check("composition_associative", "group axioms for Galilei transformations",
                    tol=1e-10, samples=half) as c:
-        g1, g2, g3 = map(_galilei_stack, _draws(rng, half, *[_galilei_params] * 3))
+        g1, g2, g3 = _galilei_elements(rng, c.name, half, 3)
         lhs = spacetime.galilei_compose(spacetime.galilei_compose(g3, g2), g1)
         rhs = spacetime.galilei_compose(g3, spacetime.galilei_compose(g2, g1))
         c.observe(np.abs(lhs.R - rhs.R), np.abs(lhs.v - rhs.v),
@@ -161,29 +173,29 @@ def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
 
     with rep.check("inverse_roundtrip", "group axioms for Galilei transformations",
                    tol=1e-12, samples=half) as c:
-        (params,) = _draws(rng, half, _galilei_params)
-        g = _galilei_stack(params)
+        (g,) = _galilei_elements(rng, c.name, half, 1)
         gid = spacetime.galilei_compose(g, spacetime.galilei_inverse(g))
         c.observe(np.abs(gid.R - np.eye(3)), np.abs(gid.v), np.abs(gid.xi), np.abs(gid.tau))
 
     with rep.check("simultaneous_distances_preserved",
                    "Galilei transformations preserve time differences and simultaneous distances",
                    tol=1e-12, samples=half) as c:
-        # per element: its draws, then two events at t = 0.7
-        params, events = _draws(rng, half, _galilei_params,
-                                lambda rng: [[0.7, *rng.normal(size=3)] for _ in range(2)])
-        events = np.array(events)
-        q = spacetime.galilei_apply_events(_galilei_stack(params), events)
+        # per element: two events at t = 0.7
+        (g,) = _galilei_elements(rng, c.name, half, 1)
+        r = field_rng(rng, c.name, "positions").normal(size=(half, 2, 3))
+        events = np.concatenate((np.full((half, 2, 1), 0.7), r), axis=-1)
+        q = spacetime.galilei_apply_events(g, events)
         c.observe(np.abs((q[:, 0, 0] - q[:, 1, 0]) - (events[:, 0, 0] - events[:, 1, 0])),
                   np.abs(spacetime.vector_norm(q[:, 0, 1:] - q[:, 1, 1:])
                          - spacetime.vector_norm(events[:, 0, 1:] - events[:, 1, 1:])))
 
     with rep.check("mutation_control_bad_structure_constant",
                    "a flipped rotation bracket must break the Jacobi identity", detect=0.0) as c:
-        bad = structure.constants.copy()
-        m1, m2, m3 = map(structure.basis_labels.index, ("M1", "M2", "M3"))
+        table = structure()
+        bad = table.constants.copy()
+        m1, m2, m3 = map(table.basis_labels.index, ("M1", "M2", "M3"))
         bad[m2, m3, m1], bad[m3, m2, m1] = -1, 1
-        mutated = liealg.LieStructure("galilei_mutated", structure.basis_labels, bad)
+        mutated = liealg.LieStructure("galilei_mutated", table.basis_labels, bad)
         _, bad_triples = liealg.check_structure(mutated)
         c.observe(bool(bad_triples))
         c.detail = (f"violating triples {bad_triples[:5]}" if bad_triples
@@ -193,7 +205,7 @@ def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
 
 def run_poincare(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
     rep = CheckReport("poincare")
-    _algebra_rows(rep, liealg.poincare_structure(), liealg.poincare_realization,
+    _algebra_rows(rep, "poincare", liealg.poincare_structure, liealg.poincare_realization,
                   "the Poincare group is a Lie group with ten parameters")
 
     with rep.check("boost_action_reference_value",
@@ -214,13 +226,10 @@ def run_poincare(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         interval = c.sibling("interval_preserved",
                              "invariance of the Minkowski interval between event pairs",
                              tol=tol, samples=samples)
-        # per pair: two elements, then 20 event pairs, columns
-        # (pt.t, pt.r, qt.t, qt.r) in draw order
-        p1, p2, pairs = _draws(rng, samples, _poincare_params, _poincare_params,
-                               lambda rng: rng.normal(size=(20, 8)))
-        T1, T2 = _poincare_stack(p1), _poincare_stack(p2)
+        # per pair: two elements and 20 event pairs, columns (pt.t, pt.r, qt.t, qt.r)
+        T1, T2 = _poincare_elements(rng, c.name, samples, 2)
         T21 = spacetime.poincare_compose(T2, T1)
-        pairs = np.array(pairs)
+        pairs = field_rng(rng, c.name, "event pairs").normal(size=(samples, 20, 8))
         pt, qt = pairs[..., :4], pairs[..., 4:]
         moved = spacetime.poincare_apply_events(T1, pairs.reshape(samples, -1, 4))
         moved = moved.reshape(pairs.shape)
@@ -234,7 +243,7 @@ def run_poincare(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
     n_assoc = max(10, samples // 10)
     with rep.check("composition_associative", "group axioms for Poincare transformations",
                    tol=1e-10, samples=n_assoc) as c:
-        T1, T2, T3 = map(_poincare_stack, _draws(rng, n_assoc, *[_poincare_params] * 3))
+        T1, T2, T3 = _poincare_elements(rng, c.name, n_assoc, 3)
         lhs = spacetime.poincare_compose(spacetime.poincare_compose(T3, T2), T1)
         rhs = spacetime.poincare_compose(T3, spacetime.poincare_compose(T2, T1))
         c.observe(np.abs(lhs.R - rhs.R), np.abs(lhs.v - rhs.v),
@@ -259,14 +268,13 @@ def run_conformal(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
 
     with rep.check("dilation_pullback_factor", "a dilation by k rescales the metric by k^-2",
                    tol=1e-8, samples=5) as c:
-        for _ in range(5):
-            x = rng.normal(size=4)
+        for x in field_rng(rng, c.name, "x").normal(size=(5, 4)):
             omega, res = spacetime.conformal_pullback_check(spacetime.Dilation(2.0), x)
             c.observe(abs(omega * omega - 0.25), res)
 
     with rep.check("dilation_identity", "unit dilation leaves the metric alone", tol=1e-8) as c:
         omega, res = spacetime.conformal_pullback_check(spacetime.Dilation(1.0),
-                                                        rng.normal(size=4))
+                                                        field_rng(rng, c.name, "x").normal(size=4))
         c.observe(abs(omega - 1.0), res)
 
     with rep.check("inversion_pullback_factor",
@@ -294,9 +302,10 @@ def run_conformal(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
                    "the wave operator picks up k^-2 under a dilation", tol=1e-6, samples=9) as c:
         fields = [lambda y: y[1] ** 2, lambda y: y[0] ** 2 - 2.0 * y[2] ** 2,
                   lambda y: y[0] * y[1] + y[3] ** 2]
-        for f in fields:
-            for kdil in (0.5, 2.0, 3.0):
-                c.observe(spacetime.dalembert_dilation_check(kdil, f, rng.normal(size=4) * 0.5))
+        points = field_rng(rng, c.name, "x").normal(size=(3, 3, 4)) * 0.5
+        for f, at in zip(fields, points):
+            for kdil, x in zip((0.5, 2.0, 3.0), at):
+                c.observe(spacetime.dalembert_dilation_check(kdil, f, x))
 
     with rep.check("massless_field_stays_solution",
                    "conformal invariance singles out massless wave equations", tol=1e-6) as c:
@@ -319,11 +328,8 @@ def run_laplace(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
                    "the characteristic point singularity solves the Laplace equation off-source",
                    tol=1e-5, samples=3 * per_dim) as c:
         for n in (2, 3, 4):
-            f = laplace.fundamental_solution(n, np.zeros(n))
-            for _ in range(per_dim):
-                x = rng.normal(size=n)
-                x *= rng.uniform(0.5, 3.0) / np.linalg.norm(x)
-                c.observe(abs(fd_laplacian(f, x)))
+            x = _shell_points(rng, c.name, (per_dim,), n, 0.5, 3.0)
+            c.observe(np.abs(fd_laplacian(laplace.fundamental_solution(n, np.zeros(n)), x.T)))
 
     with rep.check("unit_flux_normalization",
                    "the fundamental solution carries unit flux through every sphere",
@@ -336,21 +342,16 @@ def run_laplace(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
     with rep.check("kelvin_transform_preserves_harmonicity",
                    "unit-sphere inversion with the r^(2-n) weight maps harmonic to harmonic",
                    tol=1e-5, samples=3 * per_field) as c:
-        for u in (lambda y: 1.0, lambda y: y[0], lambda y: y[0] * y[1]):
-            v = laplace.kelvin_invert(u, 3)
-            for _ in range(per_field):
-                x = rng.normal(size=3)
-                x *= rng.uniform(1.2, 3.0) / np.linalg.norm(x)
-                c.observe(abs(fd_laplacian(v, x)))
+        x = _shell_points(rng, c.name, (per_field, 3), 3, 1.2, 3.0)
+        for j, u in enumerate((lambda y: 1.0, lambda y: y[0], lambda y: y[0] * y[1])):
+            c.observe(np.abs(fd_laplacian(laplace.kelvin_invert(u, 3), x[:, j].T)))
 
     with rep.check("kelvin_transform_involutive", "applying the inversion twice returns the field",
                    tol=1e-10, samples=10) as c:
         u = lambda y: y[0] + 0.3 * y[1] * y[2]
         w = laplace.kelvin_invert(laplace.kelvin_invert(u, 3), 3)
-        for _ in range(10):
-            x = rng.normal(size=3)
-            x *= rng.uniform(0.4, 2.5) / np.linalg.norm(x)
-            c.observe(abs(w(x) - u(x)))
+        x = _shell_points(rng, c.name, (10,), 3, 0.4, 2.5).T
+        c.observe(np.abs(w(x) - u(x)))
 
     with rep.check("exterior_family_regularity",
                    "only the pure 1/r member of the exterior family is regular at infinity",
@@ -365,23 +366,23 @@ def run_laplace(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
                    "the circle integral reproduces solid harmonics up to a fixed constant",
                    tol=1e-8, samples=32) as c:
         for (n, h) in ((1, 0), (2, 0), (2, 1), (3, 2)):
-            pts = []
-            while len(pts) < 8:
-                cand = rng.normal(size=3) * 1.5
-                if abs(laplace.solid_harmonic(n, h, cand)) > 1e-2:
-                    pts.append(cand)
+            # points where the reference harmonic is not near a node
+            stream = field_rng(rng, c.name, f"points n={n} h={h}")
+            pts = accepted_rows(
+                lambda m: 1.5 * stream.normal(size=(m, 3)),
+                lambda x: np.array([abs(laplace.solid_harmonic(n, h, p)) > 1e-2 for p in x],
+                                   dtype=bool), 8)
             c.observe(laplace.calibrate_proportionality(n, h, pts)[1])
 
     with rep.check("integral_representation_harmonic",
                    "real and imaginary parts of the superposition integral are harmonic",
                    tol=1e-5, samples=12) as c:
-        for (n, h) in ((2, 1), (3, 2)):
-            for part in (lambda z: z.real, lambda z: z.imag):
+        x = _shell_points(rng, c.name, (3, 2, 2), 3, 0.5, 2.0)
+        for i, (n, h) in enumerate(((2, 1), (3, 2))):
+            for j, part in enumerate((lambda z: z.real, lambda z: z.imag)):
                 f = lambda y, n=n, h=h, part=part: part(laplace.integral_rep(n, h, y))
-                for _ in range(3):
-                    x = rng.normal(size=3)
-                    x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
-                    c.observe(abs(fd_laplacian(f, x, FDStencil(step=1e-2, order=4))))
+                for point in x[:, i, j]:
+                    c.observe(abs(fd_laplacian(f, point, FDStencil(step=1e-2, order=4))))
 
     with rep.check("homogeneity_degree_n",
                    "the superposition integral is homogeneous of the polynomial degree",
@@ -389,8 +390,7 @@ def run_laplace(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
         azimuthal = c.sibling("azimuthal_equivariance",
                               "rotating the azimuth multiplies the integral by a phase",
                               tol=1e-8, samples=2)
-        for (n, h) in ((2, 1), (3, 2)):
-            x = rng.normal(size=3)
+        for (n, h), x in zip(((2, 1), (3, 2)), field_rng(rng, c.name, "x").normal(size=(2, 3))):
             lam = 1.7
             base = laplace.integral_rep(n, h, x)
             scaled = laplace.integral_rep(n, h, lam * x)
@@ -422,10 +422,9 @@ def run_laplace(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
     with rep.check("symbol_rotation_invariant",
                    "the symbol is the squared frequency length, a rotation invariant",
                    tol=1e-12, samples=50) as c:
-        for _ in range(50):
-            R = _random_rotation(rng)
-            kvec = rng.normal(size=3)
-            c.observe(abs(laplace.symbol(R @ kvec) - laplace.symbol(kvec)))
+        R = _rotations(rng, c.name, (50,))
+        kvec = field_rng(rng, c.name, "k").normal(size=(50, 3))
+        c.observe(np.abs(laplace.symbol((R @ kvec[..., None])[..., 0]) - laplace.symbol(kvec)))
     return rep
 
 
@@ -534,7 +533,7 @@ def run_hopf(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
         qs = [1 + 10.0 ** (-e) for e in (2, 3, 4, 5)]
         classical = hopf.uq_su2_rep(0.5, 1 + 1e-12)
         one = np.eye(2, dtype=complex)
-        additive = np.kron(classical.Xp, one) + np.kron(one, classical.Xp)
+        additive = hopf.kron(classical.Xp, one) + hopf.kron(one, classical.Xp)
         errs = [sup_norm(hopf.coproduct_rep(hopf.uq_su2_rep(0.5, q)).Xp - additive) for q in qs]
         slope = float(np.polyfit(np.log([q - 1 for q in qs]), np.log(errs), 1)[0])
         c.observe(abs(slope - 1.0))
@@ -551,9 +550,10 @@ def run_hopf(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
     return rep
 
 
-def _sweep(rng: np.random.Generator, k: float, count: int) -> np.ndarray:
-    """The u and v arrays of `count` seeded sweep pairs at modulus k."""
-    return np.array(sklyanin.sweep_samples(rng, k, count)).T
+def _sweep(rng: np.random.Generator, row: str, field: str, k: float, count: int) -> np.ndarray:
+    """The u and v arrays of `count` sweep pairs at modulus k, drawn from the
+    keyed stream of (row, field)."""
+    return np.array(sklyanin.sweep_samples(field_rng(rng, row, field), k, count)).T
 
 
 def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
@@ -564,7 +564,7 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
     with rep.check("classical_quadric_constancy",
                    "squared classical weights differ by constants on the quadric",
                    tol=1e-10, samples=20) as c:
-        u, _ = _sweep(rng, p_cl.k, 20)
+        u, _ = _sweep(rng, c.name, "pairs", p_cl.k, 20)
         w = sklyanin.classical_w(u, p_cl)
         for (a, b), val in sklyanin.classical_quadric(p_cl).items():
             c.observe(np.abs(w[a - 1] ** 2 - w[b - 1] ** 2 - val))
@@ -573,20 +573,20 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
                    "the quantum weights lie on a spectral-parameter-independent curve",
                    tol=1e-9, samples=20) as c:
         ref = sklyanin.quantum_curve(p_q, u_ref=0.7)
-        cur = sklyanin.quantum_curve(p_q, u_ref=_sweep(rng, p_q.k, 20)[0])
+        cur = sklyanin.quantum_curve(p_q, u_ref=_sweep(rng, c.name, "pairs", p_q.k, 20)[0])
         c.observe(*(np.abs(cur[key] - ref[key]) for key in ref))
 
     with rep.check("classical_yang_baxter",
                    "the elliptic classical r-matrix solves its Yang-Baxter equation",
                    tol=tol, samples=samples) as c:
-        c.observe(sklyanin.cybe_residual(*_sweep(rng, p_cl.k, samples), p_cl))
+        c.observe(sklyanin.cybe_residual(*_sweep(rng, c.name, "pairs", p_cl.k, samples), p_cl))
 
     with rep.check("quantum_yang_baxter",
                    "the elliptic quantum R-matrix solves its Yang-Baxter equation",
                    tol=tol, samples=samples + 20) as c:
-        c.observe(sklyanin.qybe_residual(*_sweep(rng, p_q.k, samples), p_q))
+        c.observe(sklyanin.qybe_residual(*_sweep(rng, c.name, "pairs", p_q.k, samples), p_q))
         p_q0 = sklyanin.QuantumRParams(eta=0.3, k=0.0)
-        c.observe(sklyanin.qybe_residual(*_sweep(rng, 0.0, 20), p_q0))
+        c.observe(sklyanin.qybe_residual(*_sweep(rng, c.name, "pairs k=0", 0.0, 20), p_q0))
 
     per_point = max(5, samples // 20)
     r2 = sklyanin.rep2()
@@ -596,7 +596,8 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         for eta in (0.2, 0.3):
             for k in (0.0, 0.3, 0.5):
                 pq = sklyanin.QuantumRParams(eta=eta, k=k)
-                c.observe(sklyanin.rll_residual(*_sweep(rng, k, per_point), r2, pq))
+                uv = _sweep(rng, c.name, f"pairs eta={eta} k={k}", k, per_point)
+                c.observe(sklyanin.rll_residual(*uv, r2, pq))
 
     with rep.check("quadratic_relations_pauli",
                    "the Pauli representation satisfies the quadratic algebra exactly", tol=0.0) as c:
@@ -608,8 +609,8 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         self_adjoint = c.sibling("threedim_self_adjoint",
                                  "the three-dimensional generators are self-adjoint for positive couplings",
                                  tol=1e-12, samples=3)
-        for _ in range(3):
-            r3 = sklyanin.rep3(*rng.uniform(0.5, 3.0, 3))
+        for couplings in field_rng(rng, c.name, "couplings").uniform(0.5, 3.0, (3, 3)):
+            r3 = sklyanin.rep3(*couplings)
             c.observe(sklyanin.sklyanin_residual(r3))
             self_adjoint.observe(*(sup_norm(S - S.conj().T) for S in r3.S))
 
@@ -623,15 +624,12 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
                    "quadratic brackets from volume contraction satisfy the Jacobi identity exactly",
                    tol=0.0, samples=20,
                    detail="special coefficients reproduce the quadratic bracket term by term") as c:
-        n_int = 0
-        while n_int < 20:
-            a = tuple(int(z) for z in rng.integers(-5, 6, 4))
-            b = tuple(int(z) for z in rng.integers(-5, 6, 4))
-            if a == b:
-                continue
-            C = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=a, b=b))
+        stream = field_rng(rng, c.name, "a b")
+        pairs = accepted_rows(lambda m: stream.integers(-5, 6, (m, 2, 4)),
+                              lambda ab: (ab[:, 0] != ab[:, 1]).any(axis=1), 20)
+        for a, b in pairs.tolist():
+            C = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=tuple(a), b=tuple(b)))
             c.observe(1.0 if sklyanin.poisson_jacobi_defect(C).any() else 0.0)
-            n_int += 1
         special = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=(1, 2, 5, 9), b=(0, 1, 1, 1)))
         # cyclic (j,k,l): {x_k,x_l} = x_0 x_j and {x_k,x_0} = (a_j - a_l) x_j x_l
         expect = np.zeros((4, 4, 4, 4), dtype=np.int64)
@@ -643,7 +641,7 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
     with rep.check("classical_bracket_exchange_identity",
                    "the quadratic Poisson brackets reproduce the classical exchange relation",
                    tol=1e-8, samples=6) as c:
-        for (u, v) in sklyanin.sweep_samples(rng, p_cl.k, 5):
+        for (u, v) in sklyanin.sweep_samples(field_rng(rng, c.name, "pairs"), p_cl.k, 5):
             c.observe(sklyanin.classical_sklyanin_bracket_residual(p_cl, u, v))
         c.observe(sklyanin.classical_sklyanin_bracket_residual(
             sklyanin.ClassicalRParams(rho=1.0, k=0.0), 0.9, 0.4))
@@ -683,7 +681,7 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
                    "whether the three-dimensional representation intertwines at this "
                    "normalization is left open", skipped=True,
                    detail="reported informatively; only the quadratic relations are asserted") as c:
-        c.observe(np.min(sklyanin.rll_residual(*_sweep(rng, p_q.k, 5), r3, p_q)))
+        c.observe(np.min(sklyanin.rll_residual(*_sweep(rng, c.name, "pairs", p_q.k, 5), r3, p_q)))
     return rep
 
 

@@ -7,7 +7,9 @@ integrals from dense trapezoid sums, and curvature from index loops over
 hand-written central differences.  The quadratic Poisson brackets, and
 the canonical bracket of phase-space generators, are checked by their
 values at points, not by their coefficient tensors or matrices.
-The cube is a hand-written polyhedral graph for the fullerene tests.
+The cube is a hand-written polyhedral graph for the fullerene tests, and
+the Yang-Baxter sweep pairs come from the scalar loop that drew them one
+pair at a time.
 """
 
 import itertools
@@ -209,6 +211,24 @@ def sklyanin_exchange_defect(u: float, v: float, rho: float, k: float, J: dict,
                        sum(S[kk] * dv[kk] for kk in range(4)))
         worst = max(worst, float(np.max(np.abs(lhs - (r @ prod - prod @ r)))))
     return worst
+
+
+def sweep_samples_by_scalar_loop(rng, k: float, count: int, K: float, margin: float) -> list:
+    """(u, v) pairs drawn u then v, one scalar uniform at a time, kept when
+    u, v and u - v all lie at least `margin` from the lattice 2K Z."""
+    out = []
+    while len(out) < count:
+        u = float(rng.uniform(margin, 2.0 * K - margin))
+        v = float(rng.uniform(margin, 2.0 * K - margin))
+        good = True
+        for arg in (u, v, u - v):
+            d = abs(arg - 2.0 * K * round(arg / (2.0 * K)))
+            if d < margin:
+                good = False
+                break
+        if good:
+            out.append((u, v))
+    return out
 
 
 def cube_graph() -> PolyhedralGraph:

@@ -127,6 +127,15 @@ def test_dump_algebra_bytes_are_frozen(tmp_path):
         "26420b0b93dad682669eedaf252e31810e15755d6850abd8ffca34ad1bb4ac57")
 
 
+def test_dump_sweep_bytes_are_pinned(tmp_path):
+    # sweep_samples draws its (u, v) pairs as blocks; they, and so the
+    # records, are the pairs of the loop that drew one scalar at a time
+    out = tmp_path / "sweep.json"
+    assert run(["dump", "sweep", "--samples", "1000", "--seed", "42", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "77d784a6fb684d50e7903b5dec3dcdb5c85b603617f25c5438f7654605e264f8")
+
+
 def _modules_after_import(module: str) -> set:
     proc = _python("-c", f"import sys, {module}; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr

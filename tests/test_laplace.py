@@ -244,6 +244,31 @@ def test_symbol():
         R = rotation_about(rng.normal(size=3), rng.uniform(0, 6))
         k = rng.normal(size=3)
         assert abs(symbol(R @ k) - symbol(k)) < 1e-12
+    stack = rng.normal(size=(5, 3))
+    assert np.array_equal(symbol(stack), [symbol(k) for k in stack])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fields_take_point_arrays(n):
+    # an (n, M) array of points gives the M values of the points alone, up to
+    # the last bits numpy's array and scalar kernels may round differently,
+    # and a Laplacian far below the sweep tolerance
+    rng = np.random.default_rng(70)
+    pts = rng.normal(size=(n, 30)) + 1.5
+    for f in (fundamental_solution(n, np.full(n, 0.2)), kelvin_invert(lambda y: y[0] * y[1], n)):
+        values = f(pts)
+        assert values.shape == (30,)
+        loop = np.array([f(pts[:, i]) for i in range(30)])
+        assert np.abs(values - loop).max() <= 4 * np.finfo(float).eps * np.abs(loop).max()
+        assert np.abs(fd_laplacian(f, pts)).max() < 1e-5
+
+
+def test_point_arrays_keep_the_singular_point_guards():
+    pts = np.array([[1.0, 0.0], [0.5, 0.0], [2.0, 0.0]])  # the second column is the origin
+    with pytest.raises(SingularPointError):
+        fundamental_solution(3, np.zeros(3))(pts)
+    with pytest.raises(SingularPointError):
+        kelvin_invert(lambda y: y[0], 3)(pts)
 
 
 @pytest.mark.parametrize("nan_call", [1, 2, 3])

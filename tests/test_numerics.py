@@ -5,9 +5,11 @@ import pytest
 
 from symmetria.numerics import (
     CENTRAL_STENCILS,
+    LAPLACIAN_STENCIL,
     FDStencil,
     QuadratureRule,
     QuadratureEvaluationError,
+    accepted_rows,
     as_matrix,
     commutator,
     fd_jacobian,
@@ -162,6 +164,42 @@ def test_fd_laplacian_cubic_axis():
     u = lambda x: float(x[0] ** 3)
     val = fd_laplacian(u, [2.0, 0.0, 0.0], FDStencil(step=1e-3, order=2))
     assert abs(val - 12.0) < 1e-5
+
+
+def test_fd_laplacian_on_a_point_array_matches_each_point():
+    # products and sums round the same way per point and per array, so the
+    # M Laplacians of an (n, M) array are those of the points alone
+    u = lambda x: x[0] * x[0] * x[0] * x[1] - 2.0 * x[1] * x[2] * x[2] + x[0] * x[2]
+    pts = np.random.default_rng(6).normal(size=(3, 40))
+    values = fd_laplacian(u, pts)
+    assert values.shape == (40,)
+    assert np.array_equal(values, [fd_laplacian(u, pts[:, i]) for i in range(40)])
+    assert np.abs(values - (6.0 * pts[0] * pts[1] - 4.0 * pts[1])).max() < 1e-5
+
+
+def test_fd_laplacian_on_a_point_array_within_rounding():
+    # the (n, M) form of a field whose array arithmetic rounds differently
+    # still agrees with the pointwise form to the rounding that the
+    # stencil amplifies: 64 ulps of the field over h^2
+    u = lambda x: 1.0 / np.sqrt(np.sum(x * x, axis=0))
+    pts = np.random.default_rng(7).normal(size=(3, 40)) + 2.0
+    bound = 64 * np.finfo(float).eps / LAPLACIAN_STENCIL.step ** 2
+    loop = [fd_laplacian(u, pts[:, i]) for i in range(40)]
+    assert np.abs(fd_laplacian(u, pts) - loop).max() <= bound
+
+
+def test_accepted_rows_replays_the_one_at_a_time_loop():
+    keep = lambda rows: rows[:, 0] + rows[:, 1] > 0.8
+    for count in (0, 1, 7, 200):
+        block, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        rows = accepted_rows(lambda m: block.random((m, 2)), keep, count)
+        loop = []
+        while len(loop) < count:
+            row = scalar.random((1, 2))
+            if keep(row)[0]:
+                loop.append(row[0])
+        assert np.array_equal(rows, np.array(loop).reshape(count, 2))
+        assert block.random() == scalar.random()
 
 
 def test_fd_jacobian_identity_and_linear():

@@ -12,7 +12,7 @@ import numpy as np
 from symmetria import hopf, laplace, liealg, spacetime, suites
 from symmetria.cli import main as cli_main
 from symmetria.numerics import worst_of
-from symmetria.report import Check, CheckReport, render_text
+from symmetria.report import Check, CheckReport, Row, render_text
 
 NAN = math.nan
 
@@ -354,8 +354,11 @@ def test_nan_fd_laplacian_sample_fails_harmonicity_row(monkeypatch):
     calls = []
 
     def nan_on_second(*args):
+        # call 2 maps the 3-D points of the fundamental-solution row at
+        # once; one of its samples turns NaN
         calls.append(args)
-        return NAN if len(calls) == 2 else real(*args)
+        out = real(*args)
+        return np.where(np.arange(np.size(out)) == 1, NAN, out) if len(calls) == 2 else out
 
     monkeypatch.setattr(suites, "fd_laplacian", nan_on_second)
     report = suites.run_laplace(suites.suite_rng(42, "laplace"), 1e-9, 20)
@@ -479,3 +482,92 @@ def test_raising_planck_ops_fails_both_grid_rows(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert captured.out.count("        ValueError: grid needs at least 64 points") == 2
+
+
+def test_raising_structure_builder_fails_its_rows_not_the_run(monkeypatch, capsys):
+    for name, extra in (("galilei", {"mutation_control_bad_structure_constant"}),
+                        ("poincare", set())):
+        def broken():
+            raise ValueError("structure table unavailable")
+
+        with monkeypatch.context() as m:
+            m.setattr(liealg, f"{name}_structure", broken)
+            assert cli_main(["verify", name]) == 1
+            captured = capsys.readouterr()
+            report = suites.SUITES[name](suites.suite_rng(42, name), 1e-9, 20)
+        assert "Traceback" not in captured.out + captured.err
+        assert "        ValueError: structure table unavailable" in captured.out
+        failed = {c.name: c.detail for c in report.checks if c.status == "fail"}
+        assert set(failed) == {f"{name}_antisymmetry", f"{name}_jacobi",
+                               f"{name}_generator_count", f"{name}_realization"} | extra
+        assert set(failed.values()) == {"ValueError: structure table unavailable"}
+        assert len(report.checks) == len(ROW_CONTRACT[name])
+
+
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_rows_draw_only_from_keyed_streams(name):
+    # the suite generator hands out its seed sequence and is never drawn from
+    rng = suites.suite_rng(42, name)
+    suites.SUITES[name](rng, 1e-9, 20)
+    assert rng.random() == suites.suite_rng(42, name).random()
+
+
+def test_field_streams_are_keyed_by_seed_suite_row_and_field():
+    rng = suites.suite_rng(42, "galilei")
+    first = suites.field_rng(rng, "row", "field").random(4)
+    rng.random(100)
+    assert np.array_equal(first, suites.field_rng(rng, "row", "field").random(4))
+    others = (suites.field_rng(rng, "row", "other"), suites.field_rng(rng, "other", "field"),
+              suites.field_rng(suites.suite_rng(42, "poincare"), "row", "field"),
+              suites.field_rng(suites.suite_rng(43, "galilei"), "row", "field"))
+    assert not any(np.array_equal(first, g.random(4)) for g in others)
+
+
+# the sweep rows whose per-sample arrays must not depend on --samples
+PREFIX_ROWS = {
+    "rotations": {"product_of_rotations_is_rotation"},
+    "galilei": {"compose_matches_sequential_action"},
+    "poincare": {"compose_matches_sequential_action", "interval_preserved"},
+    "laplace": {"fundamental_solution_harmonic"},
+    "sklyanin": {"classical_yang_baxter", "quantum_yang_baxter", "exchange_relation_pauli"},
+}
+
+
+def _observed(monkeypatch, tmp_path, suite, samples) -> dict:
+    """Every residual array the PREFIX_ROWS rows of `suite` observe under
+    `verify <suite> --samples <samples>`, by row, in observe order."""
+    real = Row.observe
+    seen = {}
+
+    def capture(self, *residuals):
+        if self.name in PREFIX_ROWS[suite]:
+            seen.setdefault(self.name, []).extend(np.array(r) for r in residuals)
+        real(self, *residuals)
+
+    with monkeypatch.context() as m:
+        m.setattr(Row, "observe", capture)
+        assert cli_main(["verify", suite, "--samples", str(samples), "--format", "json",
+                         "--out", str(tmp_path / "report.json")]) == 0
+    return seen
+
+
+def test_sample_i_does_not_depend_on_the_sample_count(monkeypatch, tmp_path):
+    for suite, rows in PREFIX_ROWS.items():
+        short = _observed(monkeypatch, tmp_path, suite, 10)
+        long = _observed(monkeypatch, tmp_path, suite, 250)
+        assert set(short) == set(long) == rows
+        for name in rows:
+            assert len(short[name]) == len(long[name])
+            for a, b in zip(short[name], long[name]):
+                assert a.ndim >= 1 and len(a) <= len(b), (suite, name)
+                assert np.array_equal(a, b[:len(a)]), (suite, name)
+            # the longer run draws more samples wherever the count follows --samples
+            assert any(len(a) < len(b) for a, b in zip(short[name], long[name])), (suite, name)
+
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.json"
+        assert cli_main(["verify", "all", "--samples", "250", "--format", "json",
+                         "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -3,7 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import classical_weights, quadratic_jacobi_holds_on_grid, sklyanin_exchange_defect
+from oracles import (classical_weights, quadratic_jacobi_holds_on_grid, sklyanin_exchange_defect,
+                     sweep_samples_by_scalar_loop)
 
 from symmetria import suites
 from symmetria import sklyanin as sklyanin_module
@@ -12,6 +13,7 @@ from symmetria.numerics import sup_norm
 from symmetria.sklyanin import (
     CYCLIC,
     SIGMA,
+    SWEEP_MARGIN,
     ClassicalRParams,
     PoissonTensorSpec,
     QuantumRParams,
@@ -534,6 +536,19 @@ def test_sweep_samples_avoid_poles():
     for u, v in sweep_samples(rng, k, 50):
         for arg in (u, v, u - v):
             assert abs(arg - 2 * K * round(arg / (2 * K))) >= 0.05
+
+
+@pytest.mark.parametrize("k", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("count", [1, 20, 1000])
+def test_sweep_samples_match_the_scalar_loop(k, count):
+    # the block draws keep the pairs, their float type and the generator
+    # state of the loop that drew u then v one pair at a time
+    from symmetria.elliptic import quarter_period
+    block, scalar = np.random.default_rng(81), np.random.default_rng(81)
+    pairs = sweep_samples(block, k, count)
+    assert pairs == sweep_samples_by_scalar_loop(scalar, k, count, quarter_period(k), SWEEP_MARGIN)
+    assert all(type(p) is tuple and type(p[0]) is float and type(p[1]) is float for p in pairs)
+    assert block.random() == scalar.random()
 
 
 def test_nan_propagates_through_quadratic_relations_residual():

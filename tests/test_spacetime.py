@@ -448,8 +448,9 @@ def test_nan_event_fed_to_the_next_element_is_rejected(monkeypatch):
 
 
 def test_block_draws_replay_the_sequential_draws():
-    """The sweeps draw each pair's events as one block; the block must hold
-    the same numbers, in the same order, as one (t, r) draw per event."""
+    """A normal block holds the numbers, in order, of one (t, r) draw per
+    event: a generator fills a block row by row, which is what keeps a
+    row's sample i the same at every sample count."""
     for suite, width in (("poincare", 8), ("galilei", 4)):
         block = suites.suite_rng(42, suite).normal(size=(20, width))
         rng = suites.suite_rng(42, suite)
