@@ -41,34 +41,30 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def gamma_fundamental(n: int, r: float) -> float:
+def gamma_fundamental(n: int, r: float | np.ndarray) -> float | np.ndarray:
     """Radial profile of the fundamental solution with unit flux:
-    r^(2-n)/((n-2) omega_n) for n > 2, log(1/r)/(2 pi) in the plane."""
+    r^(2-n)/((n-2) omega_n) for n > 2, log(1/r)/(2 pi) in the plane.
+    An array of radii gives the array of their profiles."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    if r <= 0:
+    if np.any(r <= 0):
         raise ValueError("radius must be positive")
     if n == 2:
-        return math.log(1.0 / r) / (2.0 * math.pi)
+        return np.log(1.0 / r) / (2.0 * math.pi)
     return r ** (2 - n) / ((n - 2) * unit_sphere_area(n))
 
 
 def fundamental_solution(n: int, source: Sequence[float]) -> Callable[[np.ndarray], float]:
     """gamma(|x - source|) as a field on R^n; an (n, M) array of M points,
     one per column, gives the array of their M values."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
     xi = np.asarray(source, dtype=float)
-    # gamma_fundamental's profile on arrays; gamma_fundamental itself stays
-    # on scalar math, so the flux row does not move with numpy's kernels
-    scale = 2.0 * math.pi if n == 2 else (n - 2) * unit_sphere_area(n)
 
     def field(xv: np.ndarray) -> float | np.ndarray:
         d = (np.asarray(xv, dtype=float).T - xi).T
         r = np.sqrt(np.sum(d * d, axis=0))
         if np.any(r == 0.0):
             raise SingularPointError("fundamental solution evaluated at its source")
-        return (np.log(1.0 / r) if n == 2 else r ** (2 - n)) / scale
+        return gamma_fundamental(n, r)
 
     return field
 

@@ -180,10 +180,9 @@ def fd_laplacian(field: Callable[[np.ndarray], float | np.ndarray], point: Seque
     degree <= order + 1.
     """
     p = np.asarray(point, dtype=float)
-    value = (lambda q: float(field(q))) if p.ndim == 1 else field
     total = 0.0
     for axis in range(len(p)):
-        total += fd_partial(value, p, axis, stencil, deriv=2)
+        total += fd_partial(field, p, axis, stencil, deriv=2)
     return total
 
 

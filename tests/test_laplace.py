@@ -36,6 +36,14 @@ def test_gamma_values():
         gamma_fundamental(3, 0.0)
     with pytest.raises(ValueError):
         gamma_fundamental(1, 1.0)
+    # an array of radii gives the profile of each, up to the last bits numpy's
+    # array and scalar kernels may round differently, and one bad radius raises
+    radii = np.array([0.5, 1.0, 2.0, 7.0])
+    for n in (2, 3, 4):
+        loop = np.array([gamma_fundamental(n, r) for r in radii])
+        assert np.abs(gamma_fundamental(n, radii) - loop).max() <= 4 * np.finfo(float).eps
+    with pytest.raises(ValueError):
+        gamma_fundamental(3, np.array([1.0, 0.0]))
 
 
 def test_sphere_areas():
