@@ -154,15 +154,16 @@ def legendre(n: int, h: int, xval: float) -> float:
     return out
 
 
-def integral_rep(n: int, h: int, point: Sequence[float]) -> complex:
+def integral_rep(n: int, h: int, point: Sequence[float] | np.ndarray) -> complex | np.ndarray:
     """int_{-pi}^{pi} (z + i x cos t + i y sin t)^n e^{i h t} dt.
 
     Real and imaginary parts are harmonic in (x, y, z); the value is
-    proportional to r^n e^{i h phi} P_{n,h}(cos theta).
+    proportional to r^n e^{i h phi} P_{n,h}(cos theta).  A (3, M) array of
+    M points, one per column, gives their M integrals.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    xv, yv, zv = (float(c) for c in point)
+    xv, yv, zv = np.asarray(point, dtype=float)[..., None]
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return (zv + 1j * xv * np.cos(t) + 1j * yv * np.sin(t)) ** n * np.exp(1j * h * t)
@@ -184,10 +185,11 @@ def calibrate_proportionality(n: int, h: int,
                               points: Sequence[Sequence[float]]) -> tuple[complex, float]:
     """Fit the constant c(n,h) relating integral_rep to solid_harmonic at the
     first point and return (c, max relative deviation over the rest)."""
+    points = np.asarray(points, dtype=float)
     ref = None
     spread = 0.0
-    for pt in points:
-        num = integral_rep(n, h, pt)
+    # Python complex: numpy's complex128 division rounds differently
+    for pt, num in zip(points, integral_rep(n, h, points.T).tolist()):
         den = solid_harmonic(n, h, pt)
         if abs(den) < 1e-9:
             raise ValueError(f"reference harmonic vanishes near {pt!r}; pick another sample")

@@ -16,12 +16,15 @@ import numpy as np
 
 
 class QuadratureEvaluationError(ValueError):
-    """Integrand returned a non-finite value; carries the offending node."""
+    """Integrand returned a non-finite value; carries the offending node
+    (and point, for a stack)."""
 
-    def __init__(self, node: float, value: complex):
+    def __init__(self, node: float, value: complex, point: int | None = None):
         self.node = node
         self.value = value
-        super().__init__(f"integrand non-finite at t={node!r}: {value!r}")
+        self.point = point
+        at = "" if point is None else f" of point {point}"
+        super().__init__(f"integrand non-finite at t={node!r}{at}: {value!r}")
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -92,29 +95,34 @@ class QuadratureRule:
 
 
 def integrate_periodic(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       rule: QuadratureRule = QuadratureRule()) -> complex:
+                       rule: QuadratureRule = QuadratureRule()) -> complex | np.ndarray:
     """Composite Simpson quadrature of int_a^b f(t) dt.
 
-    ``f`` is called once, on the whole array of nodes, and returns the array
-    of integrand values.  The rule converges geometrically for integrands
-    that are smooth and periodic on [a, b].  A non-finite value raises
-    ``QuadratureEvaluationError`` naming the first node that produced one.
+    ``f`` is called once, on the array of nodes, and returns the integrand
+    values on the last axis: ``(nodes,)`` gives a complex, ``(..., nodes)``
+    an array.  The rule converges geometrically for integrands that are
+    smooth and periodic on [a, b].  A non-finite value raises
+    ``QuadratureEvaluationError`` naming the first node (and point) that
+    produced one.
     """
     if not b > a:
         raise ValueError("integration interval requires b > a")
     nodes = np.linspace(a, b, rule.node_count)
     vals = np.asarray(f(nodes), dtype=complex)
-    if vals.shape != nodes.shape:
+    if vals.shape[-1:] != nodes.shape:
         raise ValueError(f"integrand returned shape {vals.shape} for {nodes.size} nodes")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i = int(np.argmax(~finite))
-        raise QuadratureEvaluationError(float(nodes[i]), complex(vals[i]))
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        first = int(np.argmax(bad))
+        point, i = divmod(first, nodes.size)
+        raise QuadratureEvaluationError(float(nodes[i]), complex(vals.flat[first]),
+                                        point if vals.ndim > 1 else None)
     h = (b - a) / (rule.node_count - 1)
     w = np.ones(rule.node_count)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return complex(h / 3.0 * np.sum(w * vals))
+    out = h / 3.0 * np.sum(w * vals, axis=-1)
+    return complex(out) if vals.ndim == 1 else out
 
 
 @dataclass(frozen=True)

@@ -381,8 +381,7 @@ def run_laplace(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
         for i, (n, h) in enumerate(((2, 1), (3, 2))):
             for j, part in enumerate((lambda z: z.real, lambda z: z.imag)):
                 f = lambda y, n=n, h=h, part=part: part(laplace.integral_rep(n, h, y))
-                for point in x[:, i, j]:
-                    c.observe(abs(fd_laplacian(f, point, FDStencil(step=1e-2, order=4))))
+                c.observe(np.abs(fd_laplacian(f, x[:, i, j].T, FDStencil(step=1e-2, order=4))))
 
     with rep.check("homogeneity_degree_n",
                    "the superposition integral is homogeneous of the polynomial degree",
@@ -391,15 +390,11 @@ def run_laplace(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
                               "rotating the azimuth multiplies the integral by a phase",
                               tol=1e-8, samples=2)
         for (n, h), x in zip(((2, 1), (3, 2)), field_rng(rng, c.name, "x").normal(size=(2, 3))):
-            lam = 1.7
-            base = laplace.integral_rep(n, h, x)
-            scaled = laplace.integral_rep(n, h, lam * x)
-            c.observe(abs(scaled - lam ** n * base) / max(1.0, abs(base)))
-            # rotate the azimuth by delta
-            delta = 0.9
+            lam, delta = 1.7, 0.9
             cos_d, sin_d = math.cos(delta), math.sin(delta)
             xr = np.array([cos_d * x[0] - sin_d * x[1], sin_d * x[0] + cos_d * x[1], x[2]])
-            rotated = laplace.integral_rep(n, h, xr)
+            base, scaled, rotated = laplace.integral_rep(n, h, np.stack((x, lam * x, xr), 1)).tolist()
+            c.observe(abs(scaled - lam ** n * base) / max(1.0, abs(base)))
             azimuthal.observe(abs(rotated - np.exp(1j * h * delta) * base) / max(1.0, abs(base)))
 
     with rep.check("polar_cartesian_agreement",

@@ -136,6 +136,16 @@ def test_dump_sweep_bytes_are_pinned(tmp_path):
         "77d784a6fb684d50e7903b5dec3dcdb5c85b603617f25c5438f7654605e264f8")
 
 
+def test_verify_all_bytes_are_pinned(tmp_path):
+    # a row whose bytes move must say so: re-pin only with the moved rows
+    # named, old residual -> new, in CHANGES.md
+    out = tmp_path / "verify.json"
+    assert run(["verify", "all", "--samples", "20", "--seed", "42", "--format", "json",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "74ba0306b8c7d36fb302795cbbc26550ed610386d56a0bea57c5e0c043f4da7c")
+
+
 def _modules_after_import(module: str) -> set:
     proc = _python("-c", f"import sys, {module}; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr

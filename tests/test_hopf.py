@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from symmetria.hopf import (
     coassociativity_residual,
     coproduct_rep,
     counit_antipode_residuals,
-    derivative_matrix,
     fd_weights,
     planck_commutator_residual,
     planck_coproduct_residual,
@@ -157,13 +157,33 @@ def test_fd_weights_order8_central():
     assert sup_norm((w - expected)[None, :]) < 1e-12
 
 
-def test_derivative_matrix_exact_on_degree8():
-    N = 64
-    x = np.linspace(-1, 1, N)
-    D = derivative_matrix(N, x[1] - x[0])
-    for deg in (1, 3, 8):
-        err = np.max(np.abs(D @ x ** deg - deg * x ** (deg - 1)))
+def test_interior_stencil_exact_on_degree8():
+    ops = planck_scale_ops(64, 1.0, 1.0, 2.0)
+    x = ops.x[ops.interior()]
+    for deg in range(9):
+        err = np.max(np.abs(ops.derivative(ops.x ** deg) - deg * x ** max(deg - 1, 0)))
         assert err < 1e-8, deg
+
+
+def test_planck_scale_ops_holds_no_array_larger_than_the_grid():
+    ops = planck_scale_ops(256, 5.0, 1.0, 2.0)
+    arrays = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2
+    assert all(a.size <= ops.N for a in arrays)
+
+
+def test_run_hopf_peak_memory_stays_small():
+    # dense 256x256 complex grid operators alone would be 1 MB each
+    from symmetria import suites
+
+    rng = suites.suite_rng(42, "hopf")  # outside the trace: it may import numpy.random
+    tracemalloc.start()
+    try:
+        suites.run_hopf(rng, 1e-9, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_planck_validation():

@@ -166,11 +166,20 @@ def _integral_rep_per_node(n, h, point, nodes=129):
     return complex((ts[1] - ts[0]) / 3.0 * np.sum(w * np.array(vals)))
 
 
+REFERENCE_POINTS = ((0.3, -1.1, 0.8), (1.7, 0.4, -0.6), (-0.9, -0.2, 1.3))
+
+
 @pytest.mark.parametrize("n,h", [(1, 0), (2, 1), (3, 2), (4, -3)])
 def test_integral_rep_matches_the_per_node_reference(n, h):
-    for point in ((0.3, -1.1, 0.8), (1.7, 0.4, -0.6), (-0.9, -0.2, 1.3)):
+    for point in REFERENCE_POINTS:
         ref = _integral_rep_per_node(n, h, point)
         assert abs(integral_rep(n, h, point) - ref) <= 1e-13 * abs(ref), (n, h, point)
+
+
+@pytest.mark.parametrize("n,h", [(1, 0), (2, 1), (3, 2), (4, -3)])
+def test_integral_rep_on_a_point_array_equals_the_pointwise_calls(n, h):
+    block = integral_rep(n, h, np.array(REFERENCE_POINTS).T)
+    assert np.array_equal(block, [integral_rep(n, h, p) for p in REFERENCE_POINTS])
 
 
 def test_integral_rep_proportionality():
@@ -279,16 +288,19 @@ def test_point_arrays_keep_the_singular_point_guards():
         kelvin_invert(lambda y: y[0], 3)(pts)
 
 
-@pytest.mark.parametrize("nan_call", [1, 2, 3])
-def test_calibrate_proportionality_propagates_nan(monkeypatch, nan_call):
+@pytest.mark.parametrize("nan_point", [1, 2, 3])
+def test_calibrate_proportionality_propagates_nan(monkeypatch, nan_point):
     real = laplace_module.integral_rep
     calls = []
 
-    def nan_once(*args):
-        calls.append(args)
-        return complex("nan") if len(calls) == nan_call else real(*args)
+    def nan_at_point(n, h, points):
+        calls.append(points)
+        vals = real(n, h, points)
+        vals[nan_point - 1] = complex("nan")
+        return vals
 
-    monkeypatch.setattr(laplace_module, "integral_rep", nan_once)
+    monkeypatch.setattr(laplace_module, "integral_rep", nan_at_point)
     pts = [(0.1, -0.4, 1.2), (0.9, 0.2, -0.7), (-0.5, 0.8, 0.3)]
     _, spread = calibrate_proportionality(1, 0, pts)
     assert math.isnan(spread)
+    assert len(calls) == 1

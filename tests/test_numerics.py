@@ -99,6 +99,24 @@ def test_integrate_names_the_first_of_several_nonfinite_nodes():
     assert math.isnan(err.value.value.real)
 
 
+def test_integrate_a_stack_names_the_point_and_node_of_the_first_nonfinite_value():
+    # three integrands on nodes -1, -0.5, 0, 0.5, 1: the second is NaN at 0.5,
+    # the third infinite at -1
+    def f(t):
+        vals = np.stack((1.0 + t, 1.0 + t, 1.0 + t))
+        vals[1, 3] = math.nan
+        vals[2, 0] = math.inf
+        return vals
+
+    with pytest.raises(QuadratureEvaluationError, match="of point 1") as err:
+        integrate_periodic(f, -1.0, 1.0, QuadratureRule(node_count=5))
+    assert err.value.node == 0.5 and err.value.point == 1
+    assert math.isnan(err.value.value.real)
+    finite = integrate_periodic(lambda t: np.stack((1.0 + t, t * t)), -1.0, 1.0,
+                                QuadratureRule(node_count=5))
+    assert finite.shape == (2,) and np.allclose(finite, [2.0, 2.0 / 3.0])
+
+
 def test_integrand_is_called_once_on_the_node_array():
     calls = []
 

@@ -320,7 +320,7 @@ def test_nan_integrand_fails_the_proportionality_row(monkeypatch):
 
         def poisoned(t):
             vals = f(t)
-            vals[5] = math.nan
+            vals[..., 5] = math.nan
             return vals
 
         return real(poisoned, a, b, rule)
