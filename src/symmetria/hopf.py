@@ -239,7 +239,7 @@ class GridOperatorPair:
 
     def commutator(self, psi: np.ndarray) -> np.ndarray:
         """[X, P] psi / (i hbar) = f D (X psi) - X f D psi on the interior rows:
-        real, as P / (-i hbar) = f(X) D is, so residuals take hbar last."""
+        real, as P / (-i hbar) = f(X) D is, so residuals take |hbar| last."""
         d_psi, d_xpsi = self.derivative(np.stack((psi, self.x * psi)))
         f = self.deform[self.interior()]
         return f * d_xpsi - self.x[self.interior()] * (f * d_psi)
@@ -270,7 +270,7 @@ def planck_commutator_residual(ops: GridOperatorPair) -> float:
     """
     inner = ops.interior()
     psi = _gaussian_probes(ops.x, ops.L)
-    return ops.hbar * sup_norm(ops.commutator(psi) - ops.deform[inner] * psi[:, inner])
+    return abs(ops.hbar) * sup_norm(ops.commutator(psi) - ops.deform[inner] * psi[:, inner])
 
 
 def planck_coproduct_residual(ops: GridOperatorPair) -> float:
@@ -292,4 +292,4 @@ def planck_coproduct_residual(ops: GridOperatorPair) -> float:
             lhs = np.outer(comm_psi, E_phi) + np.outer(psi, comm_phi)
             rhs = np.outer(psi, phi) - np.outer(E_psi, E_phi)
             worst = worst_of(worst, sup_norm(lhs - rhs))
-    return ops.hbar * worst
+    return abs(ops.hbar) * worst
