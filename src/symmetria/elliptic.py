@@ -38,9 +38,9 @@ class EllipticPoleError(ValueError):
         self.z = z
         self.pole = pole
         self.index = index
+        self.condition = condition or f"within 1e-6 of pole at {pole!r}"
         at = "" if index is None else f" (index {index})"
-        condition = condition or f"within 1e-6 of pole at {pole!r}"
-        super().__init__(f"argument {z!r}{at} {condition}")
+        super().__init__(f"argument {z!r}{at} {self.condition}")
 
 
 # Quadratic convergence makes 8 AGM steps plenty for double precision, but the
@@ -104,7 +104,8 @@ def sn_cn_dn_real(u, k: float):
         n = len(a) - 1
         phi = (2.0 ** n) * a[n] * x
         for i in range(n, 0, -1):
-            phi = 0.5 * (phi + np.arcsin(np.clip((c[i] / a[i]) * np.sin(phi), -1.0, 1.0)))
+            # c_i < a_i, so the argument never leaves [-1, 1]
+            phi = 0.5 * (phi + np.arcsin((c[i] / a[i]) * np.sin(phi)))
         sn = np.sin(phi)
         cn = np.cos(phi)
         dn = np.sqrt((1.0 - k * k) + (k * cn) ** 2)

@@ -1,5 +1,6 @@
 """Shared numeric substrate: dense complex matrices, commutators, periodic
-quadrature, finite-difference stencils, and rejection sampling in blocks.
+quadrature, finite-difference stencils (one call per node at a point, or
+one call on the stencil cloud of a point array), and rejection sampling.
 
 Matrices are plain numpy arrays of complex128; ``as_matrix`` is the single
 validation gate (shape and finiteness).  All residuals elsewhere in the
@@ -156,6 +157,18 @@ CENTRAL_STENCILS = {
 }
 
 
+def _stencil_sum(nodes, stencil: FDStencil, deriv: int):
+    # sum_i weights[i] nodes[i] / (divisor h^deriv), term by term in order
+    _, weights, divisor = CENTRAL_STENCILS[deriv, stencil.order]
+    total = None
+    for vals, w in zip(nodes, weights):
+        term = w * vals
+        total = term if total is None else total + term
+    for _ in range(deriv):
+        divisor *= stencil.step
+    return total / divisor
+
+
 def fd_partial(f: Callable[[np.ndarray], float | np.ndarray], point: Sequence[float],
                axis: int, stencil: FDStencil, deriv: int = 1) -> float | np.ndarray:
     """The deriv-th partial of ``f`` along ``axis`` at ``point`` by the central
@@ -163,19 +176,33 @@ def fd_partial(f: Callable[[np.ndarray], float | np.ndarray], point: Sequence[fl
 
     Exact (up to rounding) on polynomials of degree <= order + deriv - 1.
     """
-    offsets, weights, divisor = CENTRAL_STENCILS[deriv, stencil.order]
     p = np.asarray(point, dtype=float)
-    h = stencil.step
-    total = None
-    for off, w in zip(offsets, weights):
+
+    def node(off):
         q = p.copy()
         if off:  # the centre is passed as given, a -0.0 coordinate included
-            q[axis] += off * h
-        term = w * f(q)
-        total = term if total is None else total + term
-    for _ in range(deriv):
-        divisor *= h
-    return total / divisor
+            q[axis] += off * stencil.step
+        return f(q)
+
+    return _stencil_sum(map(node, CENTRAL_STENCILS[deriv, stencil.order][0]), stencil, deriv)
+
+
+def fd_partials(f: Callable[[np.ndarray], np.ndarray], points, stencil: FDStencil,
+                deriv: int = 1) -> np.ndarray:
+    """Every deriv-th partial, (n, M, ...) axis first, of ``f`` at an (n, M)
+    point array, from one call of ``f`` on the (n, n S M) cloud of every
+    axis and stencil node; ``f`` maps (n, K) points to values with the
+    point on the leading axis.  The bits are those of ``fd_partial``."""
+    offsets = CENTRAL_STENCILS[deriv, stencil.order][0]
+    p = np.asarray(points, dtype=float)
+    n, m = p.shape
+    cloud = np.broadcast_to(p[:, None, None], (n, n, len(offsets), m)).copy()
+    for s, off in enumerate(offsets):
+        if off:  # as in fd_partial
+            cloud[range(n), range(n), s] += off * stencil.step
+    vals = np.asarray(f(cloud.reshape(n, -1)))
+    vals = vals.reshape((n, len(offsets), m) + vals.shape[1:])
+    return _stencil_sum(vals.swapaxes(0, 1), stencil, deriv)
 
 
 def fd_laplacian(field: Callable[[np.ndarray], float | np.ndarray], point: Sequence[float],
@@ -183,14 +210,18 @@ def fd_laplacian(field: Callable[[np.ndarray], float | np.ndarray], point: Seque
     """Sum of second partials of ``field`` at ``point`` by central differences.
 
     ``point`` may also be an (n, M) array of M points, one per column: the
-    field then maps such an array to its M values, and the M Laplacians
-    come back as one array.  Exact (up to rounding) on polynomials of
-    degree <= order + 1.
+    field then maps such an array to its M values, is called once (see
+    ``fd_partials``), and the M Laplacians come back as one array.  Exact
+    (up to rounding) on polynomials of degree <= order + 1.
     """
     p = np.asarray(point, dtype=float)
+    if p.ndim == 1:
+        parts = [fd_partial(field, p, axis, stencil, deriv=2) for axis in range(len(p))]
+    else:
+        parts = fd_partials(field, p, stencil, deriv=2)
     total = 0.0
-    for axis in range(len(p)):
-        total += fd_partial(field, p, axis, stencil, deriv=2)
+    for part in parts:
+        total += part
     return total
 
 

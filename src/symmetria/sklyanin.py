@@ -18,11 +18,10 @@ legs into place and reshape back.  Inputs are validated once, where they
 enter (``_embed_pair``, ``SklyaninRep``), not inside the sweeps.
 
 The weights, matrices and residuals take a scalar u (and v) or arrays of
-them.  A sweep passes its whole u, v arrays: the weights of every sample
-are computed and checked in one pass, then the (B, 8, 8) matrix stacks
-and their products are built at most ``_BLOCK`` samples at a time, and
-the residual comes back as one sup norm per sample.  A scalar call is the
-same computation on one sample.
+them.  A residual computes and checks the weights at u - v, u and v of
+every sample in one weight call, then builds the (B, 8, 8) stacks and
+their products at most ``_BLOCK`` samples at a time: one sup norm per
+sample, or a float for scalar u, v.
 
 The quadratic Poisson brackets on four coordinates (the volume-contraction
 tensors and the classical Sklyanin bracket) are dense coefficient arrays
@@ -180,35 +179,34 @@ def _embed_pair(m4, legs: tuple[int, int]) -> np.ndarray:
 _BLOCK = 128
 
 
-def _sup_per_sample(defect, u, v):
-    """Sup norm of defect(b) for each sample, where defect(b) builds the
-    (len, N, N) defect stack of the samples in slice b, at most _BLOCK at
-    a time.  A float for scalar u, v; an array of u's length otherwise."""
-    n = np.broadcast(u, v).size
-    out = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        b = slice(start, start + _BLOCK)
-        out[b] = np.abs(defect(b)).max(axis=(-2, -1))
-    return float(out[0]) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
-
-
-def _weights(w) -> np.ndarray:
-    # a weight triple as one (..., 3) array, at least one sample long
-    return np.atleast_2d(np.stack(w, axis=-1))
+def _sup_per_sample(defect, weights, u, v, p):
+    """Sup norm per sample of defect(w12, w13, w23), the (len, N, N) defect
+    stack built from the (len, 3) weights at u - v, u and v of at most
+    _BLOCK samples.  One ``weights`` call on the stacked legs gives them
+    all; its pole error names the sample a call on the failing leg would.
+    A float for scalar u, v; an array of their broadcast length otherwise."""
+    legs = np.stack(np.broadcast_arrays(u - v, u, v))
+    try:
+        w = np.stack(weights(legs, p), axis=-1).reshape(3, legs[0].size, 3)
+    except EllipticPoleError as err:
+        at = None if legs.ndim == 1 else err.index % (legs.size // 3)
+        raise EllipticPoleError(err.z, err.pole, at, err.condition) from None
+    out = np.empty(w.shape[1])
+    for start in range(0, len(out), _BLOCK):
+        out[start:start + _BLOCK] = np.abs(defect(*w[:, start:start + _BLOCK])).max(axis=(-2, -1))
+    return float(out[0]) if legs.ndim == 1 else out
 
 
 def cybe_residual(u, v, p: ClassicalRParams):
     """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)]:
     a float for scalar u, v, one residual per sample for arrays."""
-    w12, w13, w23 = (_weights(classical_w(x, p)) for x in (u - v, u, v))
-
-    def defect(b):
-        r12 = _embed_pair(_pair_sum(w12[b]), (0, 1))
-        r13 = _embed_pair(_pair_sum(w13[b]), (0, 2))
-        r23 = _embed_pair(_pair_sum(w23[b]), (1, 2))
+    def defect(w12, w13, w23):
+        r12 = _embed_pair(_pair_sum(w12), (0, 1))
+        r13 = _embed_pair(_pair_sum(w13), (0, 2))
+        r23 = _embed_pair(_pair_sum(w23), (1, 2))
         return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
 
-    return _sup_per_sample(defect, u, v)
+    return _sup_per_sample(defect, classical_w, u, v, p)
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,11 +237,13 @@ def quantum_W(u, p: QuantumRParams) -> tuple:
 def quantum_curve(p: QuantumRParams, u_ref=0.7) -> dict:
     """J_ab = (W_a^2 - W_b^2)/(W_c^2 - 1) at a reference argument (or an
     array of them); the constancy in u is verified separately."""
-    W = quantum_W(u_ref, p)
-    out = {}
-    for a, b, c in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
-        out[(a, b)] = (W[a - 1] ** 2 - W[b - 1] ** 2) / (W[c - 1] ** 2 - 1.0)
-    return out
+    return _curve_of(quantum_W(u_ref, p))
+
+
+def _curve_of(W) -> dict:
+    # J_ab = (W_a^2 - W_b^2)/(W_c^2 - 1) from the weights at one argument
+    return {(a, b): (W[a - 1] ** 2 - W[b - 1] ** 2) / (W[c - 1] ** 2 - 1.0)
+            for a, b, c in ((1, 2, 3), (1, 3, 2), (2, 3, 1))}
 
 
 def _R_of(w) -> np.ndarray:
@@ -260,15 +260,13 @@ def quantum_R(u, p: QuantumRParams) -> np.ndarray:
 def qybe_residual(u, v, p: QuantumRParams):
     """Sup norm of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v): a float
     for scalar u, v, one residual per sample for arrays."""
-    w12, w13, w23 = (_weights(quantum_W(x, p)) for x in (u - v, u, v))
-
-    def defect(b):
-        r12 = _embed_pair(_R_of(w12[b]), (0, 1))
-        r13 = _embed_pair(_R_of(w13[b]), (0, 2))
-        r23 = _embed_pair(_R_of(w23[b]), (1, 2))
+    def defect(w12, w13, w23):
+        r12 = _embed_pair(_R_of(w12), (0, 1))
+        r13 = _embed_pair(_R_of(w13), (0, 2))
+        r23 = _embed_pair(_R_of(w23), (1, 2))
         return r12 @ r13 @ r23 - r23 @ r13 @ r12
 
-    return _sup_per_sample(defect, u, v)
+    return _sup_per_sample(defect, quantum_W, u, v, p)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +371,11 @@ def rll_residual(u, v, rep: SklyaninRep, p: QuantumRParams):
     """Sup norm of R(u-v) L'(u) L''(v) - L''(v) L'(u) R(u-v) on
     aux1 x aux2 x quantum (dimension 4 d): a float for scalar u, v, one
     residual per sample for arrays."""
-    w = [_weights(quantum_W(x, p)) for x in (u - v, u, v)]
-
-    def defect(b):
-        R, Lp, Lpp = _rll_factors(*(x[b] for x in w), rep)
+    def defect(*w):
+        R, Lp, Lpp = _rll_factors(*w, rep)
         return R @ Lp @ Lpp - Lpp @ Lp @ R
 
-    return _sup_per_sample(defect, u, v)
+    return _sup_per_sample(defect, quantum_W, u, v, p)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +496,8 @@ def classical_limit_probe(u: float, p_base: ClassicalRParams, h_sequence) -> dic
         qp = QuantumRParams(eta=p_base.rho * h, k=p_base.k)
         W = quantum_W(u, qp)
         e1.append(worst_of(*(abs(W[a] - 1j * h * w[a]) for a in range(3))))
-        e2.append(sup_norm(quantum_R(u, qp) - np.eye(4) - 1j * h * r))
-        Jq = quantum_curve(qp, u_ref=u)
+        e2.append(sup_norm(_R_of(np.stack(W)) - np.eye(4) - 1j * h * r))
+        Jq = _curve_of(W)
         e3.append(worst_of(*(abs(Jq[(a, b)] - h * h * Jcl[(a, b)]) for (a, b) in Jcl)))
 
     def slope(errs):

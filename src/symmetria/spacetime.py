@@ -6,9 +6,8 @@ factorization (composed through a 5x5 affine embedding), both applied to
 (N, 4) arrays of (t, x, y, z) events by one kernel per group, the discrete
 inversions, and conformal dilations/inversions with pullback-metric,
 flatness, and wave-operator scaling checks.  Every derivative is a
-``numerics.fd_partial`` stencil; the Christoffel symbols and the Riemann
-tensor of a rescaled metric are ``np.einsum`` contractions of stacked
-partials.
+``numerics`` stencil; the curvature check takes the metric's partials on
+one stencil cloud (``fd_partials``) and contracts them by ``np.einsum``.
 
 A group element whose fields carry a leading axis of length M is a stack
 of M elements.  Rotations, boosts, composition, inversion and the event
@@ -29,7 +28,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .numerics import (CURVATURE_STENCIL, LAPLACIAN_STENCIL, FDStencil, fd_jacobian,
-                       fd_partial, sup_norm)
+                       fd_partial, fd_partials, sup_norm)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -435,24 +434,22 @@ def conformal_pullback_check(cmap: ConformalMap, xv) -> tuple[float, float]:
     return omega, sup_norm(G - omega2 * ETA)
 
 
-def _riemann_sup(omega: Callable[[np.ndarray], float], xv: np.ndarray,
+def _riemann_sup(omega: Callable[[np.ndarray], np.ndarray], xv: np.ndarray,
                  stencil: FDStencil) -> float:
-    """Max |R^a_bcd| of g = Omega^2 eta from nested central differences."""
+    """Max |R^a_bcd| of g = Omega^2 eta from nested central differences;
+    metric, Omega and Gamma^a_bc map (4, M) points to (M, ...) values."""
     def metric(y: np.ndarray) -> np.ndarray:
         w = omega(y)
-        return (w * w) * ETA
-
-    # grad(f, y)[c] = d_c f(y), for f returning a tensor
-    grad = lambda f, y: np.stack([fd_partial(f, y, c, stencil) for c in range(4)])
+        return (w * w)[:, None, None] * ETA
 
     def christoffel(y: np.ndarray) -> np.ndarray:
-        dg = grad(metric, y)  # dg[c, a, b] = d_c g_ab
-        # lowered[b, d, c] = d_b g_dc + d_c g_bd - d_d g_bc
-        lowered = dg + dg.transpose(1, 2, 0) - dg.transpose(1, 0, 2)
-        return 0.5 * np.einsum("ad,bdc->abc", np.linalg.inv(metric(y)), lowered)
+        dg = fd_partials(metric, y, stencil).swapaxes(0, 1)  # dg[m, c, a, b] = d_c g_ab
+        # lowered[m, b, d, c] = d_b g_dc + d_c g_bd - d_d g_bc
+        lowered = dg + dg.transpose(0, 2, 3, 1) - dg.transpose(0, 2, 1, 3)
+        return 0.5 * np.einsum("mad,mbdc->mabc", np.linalg.inv(metric(y)), lowered)
 
-    dgam = grad(christoffel, xv)  # dgam[c, a, d, b] = d_c Gamma^a_db
-    gam = christoffel(xv)
+    dgam = fd_partials(christoffel, xv[:, None], stencil)[:, 0]  # [c, a, d, b] = d_c Gamma^a_db
+    gam = christoffel(xv[:, None])[0]
     # R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
     #          + sum_e (Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb),
     # summed in one reduction over [derivative terms, e = 0, ..., 3] so the
@@ -463,6 +460,16 @@ def _riemann_sup(omega: Callable[[np.ndarray], float], xv: np.ndarray,
     return float(np.max(np.abs(riem)))
 
 
+# Omega of conformal_flatness_check on (4, M) points (or one 4-vector),
+# with the bits of one call per contiguous 4-vector: on strided rows the
+# interval's dot product sums in another order.
+RESCALINGS = {
+    "constant": lambda y: np.full(np.shape(y)[1:], 3.0),
+    "inverse_interval": lambda y: 1.0 / minkowski_interval(np.ascontiguousarray(y.T)),
+    "exp_x1": lambda y: np.exp(y[1]),
+}
+
+
 def conformal_flatness_check(omega_kind: str, xv) -> float:
     """Max Riemann component of g = Omega^2 eta at x, one Richardson level.
 
@@ -470,16 +477,11 @@ def conformal_flatness_check(omega_kind: str, xv) -> float:
     (Omega = eta(x,x)^-1), or 'exp_x1' (the deliberately non-flat control).
     """
     xv = np.asarray(xv, dtype=float)
-    if omega_kind == "constant":
-        omega = lambda y: 3.0
-    elif omega_kind == "inverse_interval":
-        if abs(minkowski_interval(xv)) < 1e-4:
-            raise NullConeError("inverse-interval rescaling is singular on the null cone")
-        omega = lambda y: 1.0 / minkowski_interval(y)
-    elif omega_kind == "exp_x1":
-        omega = lambda y: math.exp(y[1])
-    else:
+    if omega_kind not in RESCALINGS:
         raise ValueError(f"unknown omega_kind {omega_kind!r}")
+    if omega_kind == "inverse_interval" and abs(minkowski_interval(xv)) < 1e-4:
+        raise NullConeError("inverse-interval rescaling is singular on the null cone")
+    omega = RESCALINGS[omega_kind]
     r_h = _riemann_sup(omega, xv, CURVATURE_STENCIL)
     r_h2 = _riemann_sup(omega, xv, FDStencil(step=CURVATURE_STENCIL.step / 2.0, order=2))
     # second-order stencils: one Richardson step cancels the h^2 term

@@ -146,6 +146,16 @@ def test_verify_all_bytes_are_pinned(tmp_path):
         "74ba0306b8c7d36fb302795cbbc26550ed610386d56a0bea57c5e0c043f4da7c")
 
 
+def test_verify_deep_bytes_are_pinned(tmp_path):
+    # the samples-250 pass of the benchmark: batched sweeps and stacked
+    # stencil clouds at sizes the samples-20 pin does not reach
+    out = tmp_path / "verify.json"
+    assert run(["verify", "all", "--samples", "250", "--seed", "42", "--format", "json",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e7419275d6021347fa5402a786e0257a58e49e6e8a8f8f672748a2d70531b36f")
+
+
 def _modules_after_import(module: str) -> set:
     proc = _python("-c", f"import sys, {module}; print(*sys.modules)")
     assert proc.returncode == 0, proc.stderr

@@ -234,3 +234,39 @@ def test_complex_array_pole_names_the_first_bad_index():
     with pytest.raises(EllipticPoleError) as err:
         sn_cn_dn_complex(complex(z[3]), k)
     assert err.value.index is None and "index" not in str(err.value)
+
+
+def _sn_cn_dn_clipped(x: np.ndarray, k: float) -> tuple:
+    # the descending Landen recursion of sn_cn_dn_real with the arcsin
+    # argument clipped to [-1, 1]
+    a, c, b = [1.0], [k], math.sqrt(1.0 - k * k)
+    for _ in range(40):
+        if abs(c[-1]) <= 1e-15 * a[-1]:
+            break
+        a_next = 0.5 * (a[-1] + b)
+        c.append(0.5 * (a[-1] - b))
+        b = math.sqrt(a[-1] * b)
+        a.append(a_next)
+    n = len(a) - 1
+    phi = (2.0 ** n) * a[n] * x
+    for i in range(n, 0, -1):
+        phi = 0.5 * (phi + np.arcsin(np.clip((c[i] / a[i]) * np.sin(phi), -1.0, 1.0)))
+    cn = np.cos(phi)
+    return np.sin(phi), cn, np.sqrt((1.0 - k * k) + (k * cn) ** 2)
+
+
+@pytest.mark.parametrize("k", [1e-14, 1e-6, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-10,
+                               1.0 - 1e-13, 1.0 - 1e-14])
+def test_real_landen_needs_no_clip(k):
+    # c_n < a_n and |sin| <= 1 keep the arcsin argument in [-1, 1], so the
+    # unclipped recursion gives the clipped one's bits, NaN and inf included
+    assert 1e-14 <= k <= 1.0 - 1e-14  # the moduli that take the Landen branch
+    rng = np.random.default_rng(23)
+    x = np.concatenate((rng.uniform(-60.0, 60.0, 2000), rng.uniform(-1e-8, 1e-8, 50),
+                        [0.0, -0.0, 1e6, -1e15, 1e300, np.nan, np.inf, -np.inf]))
+    with np.errstate(invalid="ignore"):
+        got = sn_cn_dn_real(x, k)
+        want = _sn_cn_dn_clipped(x, k)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert np.isnan(got[0][-3:]).all()

@@ -15,6 +15,7 @@ from symmetria.numerics import (
     fd_jacobian,
     fd_laplacian,
     fd_partial,
+    fd_partials,
     integrate_periodic,
     sup_norm,
 )
@@ -152,6 +153,55 @@ def test_central_stencils_exact_to_their_degree(deriv, order, degree):
     above = np.polynomial.Polynomial([0.0] * (degree + 1) + [1.0])
     miss = fd_partial(lambda r: float(above(r[0])), [0.4], 0, stencil, deriv)
     assert abs(miss - above.deriv(deriv)(0.4)) > 1e-3
+
+
+@pytest.mark.parametrize("deriv,order,degree", [(1, 2, 2), (1, 4, 4), (2, 2, 3), (2, 4, 5)])
+def test_fd_partials_exact_on_polynomials(deriv, order, degree):
+    # every axis of every point from one call; degree <= order + deriv - 1
+    rng = np.random.default_rng(17)
+    polys = [np.polynomial.Polynomial(rng.normal(size=degree + 1)) for _ in range(3)]
+    pts = rng.uniform(-1.0, 1.0, (3, 6))
+    calls = []
+
+    def f(y):
+        calls.append(y.shape)
+        return polys[0](y[0]) + polys[1](y[1]) + polys[2](y[2]) + y[0] * y[1] * y[2]
+
+    got = fd_partials(f, pts, FDStencil(step=0.5, order=order), deriv)
+    assert calls == [(3, 3 * len(CENTRAL_STENCILS[deriv, order][0]) * 6)]
+    assert got.shape == (3, 6)
+    for axis, poly in enumerate(polys):
+        want = poly.deriv(deriv)(pts[axis])
+        if deriv == 1:  # the triple product's first partial
+            want = want + np.prod(np.delete(pts, axis, axis=0), axis=0)
+        assert np.abs(got[axis] - want).max() < 1e-11
+
+
+def test_fd_partials_of_a_tensor_field():
+    # values (K, 2, 2) per point come back as (n, M, 2, 2)
+    def f(y):
+        return np.stack((np.stack((y[0] * y[1], y[1] ** 2), -1),
+                         np.stack((np.sin(y[0]), 3.0 * y[0] + y[1]), -1)), -2)
+
+    pts = np.random.default_rng(18).normal(size=(2, 5))
+    got = fd_partials(f, pts, FDStencil(step=1e-3, order=4))
+    x, y = pts
+    want = np.array([[[y, 0 * x], [np.cos(x), 3 + 0 * x]], [[x, 2 * y], [0 * x, 1 + 0 * x]]])
+    assert got.shape == (2, 5, 2, 2)
+    assert np.abs(got - np.moveaxis(want, -1, 1)).max() < 1e-10
+
+
+@pytest.mark.parametrize("deriv,order", sorted(CENTRAL_STENCILS))
+def test_fd_partials_equals_stacked_fd_partial(deriv, order):
+    # the same nodes, summed in the same order: equal bit for bit, a -0.0
+    # coordinate at the centre included
+    f = lambda y: np.stack((y[0] * y[1] - y[2] ** 3, np.copysign(1.0, y[2]) * y[0]), -1)
+    pts = np.random.default_rng(19).normal(size=(3, 7))
+    pts[2, 3] = -0.0
+    stencil = FDStencil(step=1e-2, order=order)
+    got = fd_partials(f, pts, stencil, deriv)
+    want = np.stack([fd_partial(f, pts, axis, stencil, deriv) for axis in range(3)])
+    assert np.array_equal(got, want)
 
 
 def test_fd_laplacian_quadratic_exact():

@@ -617,6 +617,36 @@ def test_batched_pole_error_names_the_global_sample():
     assert err.value.index == 150
 
 
+@pytest.mark.parametrize("kind", ["cybe", "qybe", "rll"])
+@pytest.mark.parametrize("leg", ["u - v", "v"])
+def test_stacked_legs_pole_error_names_the_sample_and_leg(kind, leg):
+    # one weight call on (u - v, u, v) stacked raises what a call on the
+    # failing leg alone raises: its argument, pole, sample and condition
+    if kind == "cybe":
+        p, weights = ClassicalRParams(rho=1.0, k=0.5), classical_w
+        residual = lambda u, v: cybe_residual(u, v, p)
+    else:  # a vanishing shift puts a zero of sn(u + i eta) on the real lattice
+        p, weights = QuantumRParams(eta=1e-13, k=0.5), quantum_W
+        residual = (lambda u, v: qybe_residual(u, v, p)) if kind == "qybe" else (
+            lambda u, v: rll_residual(u, v, rep2(), p))
+    K = sklyanin_module.quarter_period(p.k)
+    n = sklyanin_module._BLOCK + 30
+    u, v = np.array(sweep_samples(np.random.default_rng(81), p.k, n)).T
+    v[140] = 2.0 * K if leg == "v" else u[140] - 2.0 * K
+    with pytest.raises(EllipticPoleError) as alone:
+        weights(v if leg == "v" else u - v, p)
+    assert alone.value.index == 140
+    with pytest.raises(EllipticPoleError) as err:
+        residual(u, v)
+    assert str(err.value) == str(alone.value)
+    assert (err.value.z, err.value.pole, err.value.index) == (
+        alone.value.z, alone.value.pole, 140)
+    with pytest.raises(EllipticPoleError) as scalar:
+        residual(float(u[140]), float(v[140]))
+    assert scalar.value.index is None
+    assert "(index" not in str(scalar.value)
+
+
 def test_embed_pair_stack_names_the_first_non_finite_operator():
     stack = np.repeat(np.eye(4, dtype=complex)[None], 6, axis=0)
     stack[4, 2, 1] = np.inf

@@ -7,6 +7,7 @@ from oracles import riemann_sup_by_index_loops
 from symmetria import spacetime, suites
 from symmetria.numerics import CURVATURE_STENCIL, FDStencil
 from symmetria.spacetime import (
+    RESCALINGS,
     CompositionError,
     Dilation,
     GalileiElement,
@@ -501,13 +502,6 @@ def test_flatness_checks():
     assert conformal_flatness_check("exp_x1", x) > 1e-2
 
 
-RESCALINGS = {
-    "constant": lambda y: 3.0,
-    "inverse_interval": lambda y: 1.0 / minkowski_interval(y),
-    "exp_x1": lambda y: math.exp(y[1]),
-}
-
-
 @pytest.mark.parametrize("kind", sorted(RESCALINGS))
 @pytest.mark.parametrize("x", [(0.0, 2.0, 0.0, 0.0), (0.3, 1.7, -0.4, 0.9),
                                (-0.5, 0.8, 1.3, -0.6)])
@@ -520,6 +514,27 @@ def test_einsum_curvature_matches_index_loop_oracle(kind, x):
         assert abs(got - want) <= 1e-12 * want, (kind, x, h, got, want)
     if kind == "exp_x1":
         assert want > 0.5  # the control rescaling is visibly curved at every point
+
+
+@pytest.mark.parametrize("kind", sorted(RESCALINGS))
+def test_rescalings_on_point_arrays_equal_the_pointwise_values(kind):
+    pts = np.random.default_rng(58).normal(size=(4, 64)) + [[0.0], [2.0], [0.0], [0.0]]
+    got = RESCALINGS[kind](pts)
+    assert got.shape == (64,)
+    assert np.array_equal(got, [RESCALINGS[kind](pts[:, i].copy()) for i in range(64)])
+
+
+def test_riemann_evaluates_the_rescaling_four_times():
+    # two metric calls per Christoffel evaluation (its stencil cloud and its
+    # centre), and two Christoffel evaluations (the outer cloud and x)
+    calls = []
+
+    def omega(y):
+        calls.append(y.shape)
+        return RESCALINGS["inverse_interval"](y)
+
+    spacetime._riemann_sup(omega, np.array([0.3, 1.7, -0.4, 0.9]), CURVATURE_STENCIL)
+    assert calls == [(4, 64), (4, 8), (4, 8), (4, 1)]
 
 
 def test_flatness_null_cone_rejected():
