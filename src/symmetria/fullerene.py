@@ -69,7 +69,6 @@ class PolyhedralGraph:
             raise ValueError(f"edges not covered by exactly two faces: {bad[:5]}")
 
 
-_ICO_VERTICES = None
 _ICO_FACES = [
     (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
     (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),

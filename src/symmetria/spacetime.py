@@ -42,7 +42,8 @@ class NullConeError(ValueError):
 def minkowski_interval(dx):
     """eta(dx, dx) over the last axis: a float for one 4-vector difference
     (t, x, y, z), an (N,) array for an (N, 4) stack of them."""
-    dx = np.asarray(dx, dtype=float)
+    # contiguous, as strided rows would make the product below sum in another order
+    dx = np.ascontiguousarray(dx, dtype=float)
     # a (1, 4) @ (4, 1) product per row: np.vecdot would need numpy >= 2
     s = ((dx @ ETA)[..., None, :] @ dx[..., :, None])[..., 0, 0]
     return float(s) if s.ndim == 0 else s
@@ -460,12 +461,10 @@ def _riemann_sup(omega: Callable[[np.ndarray], np.ndarray], xv: np.ndarray,
     return float(np.max(np.abs(riem)))
 
 
-# Omega of conformal_flatness_check on (4, M) points (or one 4-vector),
-# with the bits of one call per contiguous 4-vector: on strided rows the
-# interval's dot product sums in another order.
+# Omega of conformal_flatness_check on (4, M) points (or one 4-vector).
 RESCALINGS = {
     "constant": lambda y: np.full(np.shape(y)[1:], 3.0),
-    "inverse_interval": lambda y: 1.0 / minkowski_interval(np.ascontiguousarray(y.T)),
+    "inverse_interval": lambda y: 1.0 / minkowski_interval(y.T),
     "exp_x1": lambda y: np.exp(y[1]),
 }
 

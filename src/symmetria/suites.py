@@ -507,9 +507,8 @@ def run_hopf(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
         for j in (0.5, 1.0, 1.5):
             for q in (0.7, 1.3, 2.0):
                 r = hopf.uq_su2_rep(j, q)
-                c.observe(hopf.relations_residual(r.H, r.Xp, r.Xm, q))
-                cop = hopf.coproduct_rep(r)
-                coproduct.observe(hopf.relations_residual(cop.H, cop.Xp, cop.Xm, q))
+                c.observe(hopf.relations_residual(r))
+                coproduct.observe(hopf.relations_residual(hopf.coproduct_rep(r)))
                 coassociativity.observe(hopf.coassociativity_residual(r))
 
     with rep.check("counit_antipode_axioms",

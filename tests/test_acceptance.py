@@ -164,9 +164,8 @@ def test_criterion_6_hopf_suite():
     for j in (0.5, 1.0, 1.5):
         for q in (0.7, 1.3, 2.0):
             rep = hopf.uq_su2_rep(j, q)
-            worst_rel = max(worst_rel, hopf.relations_residual(rep.H, rep.Xp, rep.Xm, q))
-            cp = hopf.coproduct_rep(rep)
-            worst_rel = max(worst_rel, hopf.relations_residual(cp.H, cp.Xp, cp.Xm, q))
+            worst_rel = max(worst_rel, hopf.relations_residual(rep))
+            worst_rel = max(worst_rel, hopf.relations_residual(hopf.coproduct_rep(rep)))
             worst_coass = max(worst_coass, hopf.coassociativity_residual(rep))
             worst_axiom = max(worst_axiom, max(hopf.counit_antipode_residuals(rep).values()))
     cplus, cminus = hopf.antipode_convention_solve(1.3)

@@ -143,7 +143,7 @@ def test_verify_all_bytes_are_pinned(tmp_path):
     assert run(["verify", "all", "--samples", "20", "--seed", "42", "--format", "json",
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "74ba0306b8c7d36fb302795cbbc26550ed610386d56a0bea57c5e0c043f4da7c")
+        "da03369ab7e42d18524163346a8be79c9a2dda1744692fa9c004577ea4f03b09")
 
 
 def test_verify_deep_bytes_are_pinned(tmp_path):
@@ -153,7 +153,7 @@ def test_verify_deep_bytes_are_pinned(tmp_path):
     assert run(["verify", "all", "--samples", "250", "--seed", "42", "--format", "json",
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "e7419275d6021347fa5402a786e0257a58e49e6e8a8f8f672748a2d70531b36f")
+        "b496610f4aeee5c66450853ef145faeb4c688156358326245b348db64936feb1")
 
 
 def _modules_after_import(module: str) -> set:

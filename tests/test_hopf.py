@@ -64,49 +64,49 @@ def test_rep_rejects_nan_or_non_square_generators():
     bad = rep.Xp.copy()
     bad[0, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        UqSu2Rep(q=rep.q, j=rep.j, H=rep.H, Xp=bad, Xm=rep.Xm)
+        UqSu2Rep(q=rep.q, h=rep.h, Xp=bad, Xm=rep.Xm)
     with pytest.raises(ValueError, match="3x3"):
-        UqSu2Rep(q=rep.q, j=rep.j, H=rep.H[:, :2], Xp=rep.Xp, Xm=rep.Xm)
+        UqSu2Rep(q=rep.q, h=rep.h, Xp=rep.Xp, Xm=rep.Xm[:, :2])
     with pytest.raises(ValueError, match="3x3"):
-        UqSu2Rep(q=rep.q, j=rep.j, H=rep.H, Xp=rep.Xp, Xm=np.eye(2))
-    ok = UqSu2Rep(q=rep.q, j=rep.j, H=rep.H.real, Xp=rep.Xp, Xm=rep.Xm)
-    assert ok.H.dtype == complex
+        UqSu2Rep(q=rep.q, h=rep.h, Xp=rep.Xp, Xm=np.eye(2))
+    ok = UqSu2Rep(q=rep.q, h=[2, 0, -2], Xp=rep.Xp.real, Xm=rep.Xm)
+    assert ok.h.dtype == float and ok.Xp.dtype == complex and ok.dim == 3
 
 
 def test_spin_half_commutator_is_h():
     # X+ X- - X- X+ = diag(1, -1) = H exactly at j = 1/2, any q
     for q in QS:
         rep = uq_su2_rep(0.5, q)
-        assert sup_norm((rep.Xp @ rep.Xm - rep.Xm @ rep.Xp) - rep.H) == 0.0
+        assert sup_norm((rep.Xp @ rep.Xm - rep.Xm @ rep.Xp) - np.diag(rep.h)) == 0.0
 
 
 def test_ladder_relation_exact():
     for j in SPINS:
         rep = uq_su2_rep(j, 1.3)
-        assert sup_norm(rep.H @ rep.Xp - rep.Xp @ rep.H - 2 * rep.Xp) < 1e-13
-        assert sup_norm(rep.H @ rep.Xm - rep.Xm @ rep.H + 2 * rep.Xm) < 1e-13
+        H = np.diag(rep.h)
+        assert sup_norm(H @ rep.Xp - rep.Xp @ H - 2 * rep.Xp) < 1e-13
+        assert sup_norm(H @ rep.Xm - rep.Xm @ H + 2 * rep.Xm) < 1e-13
 
 
 @pytest.mark.parametrize("j", SPINS)
 @pytest.mark.parametrize("q", QS)
 def test_defining_relations(j, q):
     rep = uq_su2_rep(j, q)
-    assert relations_residual(rep.H, rep.Xp, rep.Xm, q) < 1e-11
+    assert relations_residual(rep) < 1e-11
 
 
 @pytest.mark.parametrize("j", SPINS)
 @pytest.mark.parametrize("q", QS)
 def test_coproduct_images_satisfy_relations(j, q):
     rep = uq_su2_rep(j, q)
-    cp = coproduct_rep(rep)
-    assert relations_residual(cp.H, cp.Xp, cp.Xm, q) < 1e-10
+    assert relations_residual(coproduct_rep(rep)) < 1e-10
 
 
 def test_coproduct_h_additive_exactly():
     rep = uq_su2_rep(1.0, 1.5)
     cp = coproduct_rep(rep)
-    one = np.eye(3, dtype=complex)
-    assert sup_norm(cp.H - (np.kron(rep.H, one) + np.kron(one, rep.H))) == 0.0
+    one, H = np.eye(3, dtype=complex), np.diag(rep.h)
+    assert sup_norm(np.diag(cp.h) - (np.kron(H, one) + np.kron(one, H))) == 0.0
 
 
 def test_coproduct_classical_limit_point():
@@ -219,21 +219,40 @@ def test_planck_coproduct_homomorphism():
 def test_coproduct_of_two_representations():
     half, one = uq_su2_rep(0.5, 1.3), uq_su2_rep(1.0, 1.3)
     cp = coproduct_rep(half, one)
-    assert cp.H.shape == (6, 6)
-    assert relations_residual(cp.H, cp.Xp, cp.Xm, 1.3) < 1e-12
+    assert cp.dim == 6 and cp.Xp.shape == (6, 6)
+    assert relations_residual(cp) < 1e-12
     same = coproduct_rep(half, half)
     assert np.array_equal(same.Xp, coproduct_rep(half).Xp)
     with pytest.raises(ValueError):
         coproduct_rep(half, uq_su2_rep(0.5, 2.0))
 
 
-def test_relations_residual_rejects_a_non_diagonal_H():
+def test_rep_rejects_bad_weights_and_ladder_shapes():
     rep = uq_su2_rep(1.0, 1.3)
-    for i, j in ((0, 1), (2, 0)):
-        H = rep.H.copy()
-        H[i, j] = 1e-9
-        with pytest.raises(ValueError, match="diagonal H"):
-            relations_residual(H, rep.Xp, rep.Xm, 1.3)
+    with pytest.raises(ValueError, match="1-D"):
+        UqSu2Rep(q=rep.q, h=np.diag(rep.h), Xp=rep.Xp, Xm=rep.Xm)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            UqSu2Rep(q=rep.q, h=[2.0, bad, -2.0], Xp=rep.Xp, Xm=rep.Xm)
+    with pytest.raises(ValueError, match="Xp must be 3x3"):
+        UqSu2Rep(q=rep.q, h=rep.h, Xp=uq_su2_rep(0.5, 1.3).Xp, Xm=rep.Xm)
+    with pytest.raises(ValueError, match="Xp must be 3x3"):
+        UqSu2Rep(q=rep.q, h=rep.h, Xp=rep.Xp[:2], Xm=rep.Xm)
+
+
+def test_a_wrong_coproduct_fails_coassociativity(monkeypatch):
+    # the right leg of Delta(h) counted twice: both iterated coproducts must
+    # go through coproduct_rep, so the defect shows on h and on X+-
+    real = hopf_module.coproduct_rep
+
+    def doubled_right_leg(rep, right=None):
+        right = rep if right is None else right
+        return dataclasses.replace(real(rep, right), h=(rep.h[:, None] + 2.0 * right.h).ravel())
+
+    rep = uq_su2_rep(1.0, 1.3)
+    assert coassociativity_residual(rep) < 1e-10
+    monkeypatch.setattr(hopf_module, "coproduct_rep", doubled_right_leg)
+    assert coassociativity_residual(rep) > 1.0
 
 
 def test_wrong_counit_is_detected(monkeypatch):
@@ -248,14 +267,14 @@ def test_wrong_counit_is_detected(monkeypatch):
     for j in (0.5, 1.0):
         res = counit_antipode_residuals(uq_su2_rep(j, 1.3))
         assert res["counit_Xp"] > 1e-3 and res["counit_Xm"] > 1e-3
-        assert res["counit_H"] == 0.0
+        assert res["counit_h"] == 0.0
 
 
 def test_nan_propagates_through_relations_residual():
     rep = uq_su2_rep(1.0, 1.3)
     # only the [X+, X-] defect sees q, so the NaN is the last of the three
     with np.errstate(invalid="ignore"):
-        assert np.isnan(relations_residual(rep.H, rep.Xp, rep.Xm, float("nan")))
+        assert np.isnan(relations_residual(dataclasses.replace(rep, q=float("nan"))))
 
 
 def test_nan_propagates_through_coassociativity(monkeypatch):

@@ -404,6 +404,16 @@ def test_minkowski_interval_folds_over_the_last_axis():
     assert minkowski_interval([1.0, 1.0, 0.0, 0.0]) == 0.0
 
 
+def test_minkowski_interval_bits_do_not_depend_on_the_stack_layout():
+    # y.T of a (4, K) array is a strided (K, 4) stack, and each of its rows
+    # a strided event: both must give the bits of a contiguous event
+    y = np.random.default_rng(57).normal(size=(4, 5000))
+    assert not y.T.flags.c_contiguous
+    per_event = [minkowski_interval(e.copy()) for e in y.T]
+    assert [float(s) for s in minkowski_interval(y.T)] == per_event
+    assert [minkowski_interval(e) for e in y.T] == per_event
+
+
 def _poison_second_pair(monkeypatch, row):
     """Put a NaN into event `row` of the second element pair's block in
     every (pairs, events, 4) stack the Poincare kernel maps for the compose
