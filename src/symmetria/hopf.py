@@ -151,7 +151,7 @@ def counit_antipode_residuals(rep: UqSu2Rep) -> dict:
         target = getattr(rep, key)
         res[f"counit_{key}"] = worst_of(sup_norm(getattr(left, key) - target),
                                         sup_norm(getattr(right, key) - target))
-    # antipode axiom, multiply after applying S to one leg
+    # antipode axiom, multiply after applying S to one leg; S(q^(H/2)) = 1 / q^(H/2)
     q = rep.q
     SXp, SXm = -q * rep.Xp, -(1.0 / q) * rep.Xm
     res["antipode_Xp_left"] = sup_norm(SXp * qh + qh[:, None] * rep.Xp)
