@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, sup_norm, worst_of
+from .numerics import as_matrix, kron, sup_norm, worst_of
 
 
 def q_number(n: float, q: float) -> float:
@@ -25,14 +25,21 @@ def q_number(n: float, q: float) -> float:
     return (q ** n - q ** (-n)) / (q - 1.0 / q)
 
 
+def _require_q(q: float) -> None:
+    if not 0.0 < q < math.inf:  # written so that a NaN fails
+        raise ValueError("deformation parameter must be finite and positive")
+    if q == 1.0:
+        raise ValueError("q = 1 is the undeformed algebra; use the classical limit checks")
+
+
 @dataclass(frozen=True)
 class UqSu2Rep:
     """H, X+, X- of the q-deformed su(2) relations in a weight basis.
 
-    H = diag(h) is kept as its weight vector ``h``.  The fields are
-    validated once, here: ``h`` a finite 1-D real vector, X+- finite complex
-    matrices of side ``dim = len(h)``.  Spin-j ladders and their tensor
-    products (``coproduct_rep``) share this type.
+    H = diag(h) is kept as its weight vector ``h``.  The fields are validated
+    once, here: ``q`` finite, positive and not 1, ``h`` a finite 1-D vector,
+    X+- finite complex matrices of side ``dim = len(h)``.  Spin-j ladders and
+    their tensor products (``coproduct_rep``) share this type.
     """
 
     q: float
@@ -41,6 +48,7 @@ class UqSu2Rep:
     Xm: np.ndarray
 
     def __post_init__(self):
+        _require_q(self.q)
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 1 or h.size < 1 or not np.isfinite(h).all():
             raise ValueError(f"weights h must be a finite nonempty 1-D vector, got shape {h.shape}")
@@ -56,20 +64,10 @@ class UqSu2Rep:
         return len(self.h)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices as one broadcast product: entry
-    for entry the same products, so the same bits, as ``np.kron``."""
-    (m, n), (p, r) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * r)
-
-
 def uq_su2_rep(j: float, q: float) -> UqSu2Rep:
     """Standard q-ladder construction: h = (2j..-2j) and
     X+ |j,m> = sqrt([j-m]_q [j+m+1]_q) |j,m+1>."""
-    if q <= 0:
-        raise ValueError("deformation parameter must be positive")
-    if q == 1.0:
-        raise ValueError("q = 1 is the undeformed algebra; use the classical limit checks")
+    _require_q(q)
     twoj = round(2 * j)
     if abs(2 * j - twoj) > 1e-12 or j < 0:
         raise ValueError("spin must be a nonnegative half-integer")

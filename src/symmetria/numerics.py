@@ -3,8 +3,8 @@ quadrature, finite-difference stencils (one call per node at a point, or
 one call on the stencil cloud of a point array), and rejection sampling.
 
 Matrices are plain numpy arrays of complex128; ``as_matrix`` is the single
-validation gate (shape and finiteness).  All residuals elsewhere in the
-package are measured in the sup norm (max absolute entry).
+validation gate (shape and finiteness) and ``kron`` the one Kronecker
+product.  All residuals elsewhere are measured in the sup norm (max |entry|).
 """
 
 from __future__ import annotations
@@ -29,16 +29,22 @@ class QuadratureEvaluationError(ValueError):
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Validate and return a 2-D complex matrix.
-
-    Rejects non-2-D input and any non-finite entry.
-    """
+    """Validate and return a 2-D complex matrix: reject non-2-D input and any
+    non-finite entry, in one pass (a complex number is finite exactly when
+    both of its parts are)."""
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices as one broadcast product: entry
+    for entry the same products, so the same bits, as ``np.kron``."""
+    (m, n), (p, r) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * r)
 
 
 def sup_norm(m) -> float:

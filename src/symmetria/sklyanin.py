@@ -44,7 +44,7 @@ import numpy as np
 
 from .elliptic import EllipticPoleError, quarter_period, sn_cn_dn_complex, sn_cn_dn_real
 from .liealg import levi_civita
-from .numerics import accepted_rows, as_matrix, commutator, sup_norm, worst_of
+from .numerics import accepted_rows, as_matrix, commutator, kron, sup_norm, worst_of
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -55,7 +55,7 @@ SIGMA = (
 
 # sigma_a x sigma_a on C^2 x C^2; the r- and R-matrices are weighted sums
 # of these.
-SIGMA_PAIR = tuple(np.kron(s, s) for s in SIGMA)
+SIGMA_PAIR = tuple(kron(s, s) for s in SIGMA)
 
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -290,7 +290,7 @@ class SklyaninRep:
         if len(S) != 4 or any(g.shape != (self.dim, self.dim) for g in S):
             raise ValueError(f"a representation needs four {self.dim}x{self.dim} generators")
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "sigma_S", tuple(np.kron(SIGMA[a], S[a]) for a in range(4)))
+        object.__setattr__(self, "sigma_S", tuple(kron(SIGMA[a], S[a]) for a in range(4)))
 
     def J_pair(self, a: int, b: int) -> float:
         """J_ab = -(J_a - J_b)/J_c with c the remaining index."""

@@ -63,18 +63,16 @@ class SpacetimePoint:
         return np.concatenate([[self.t], self.r])
 
 
-def _first_false(ok) -> tuple | None:
-    """None if every entry of the boolean array `ok` holds, else the index
-    of the first that does not: () for a 0-d `ok`, (i,) in a stack."""
+def _require(ok, message: str, error: type = ValueError, witness=None) -> None:
+    """Raise error(message) unless every entry of the boolean array `ok`
+    holds.  In a stack the message names the first element that fails, and
+    a `{}` in it shows `witness` at that element."""
     ok = np.asarray(ok)
-    if ok.all():
-        return None
-    return tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
-
-
-def _element(at: tuple) -> str:
-    """Where in a stack a failure happened, for an error message."""
-    return "" if not at else f" (element {at[0] if len(at) == 1 else at})"
+    if not ok.all():
+        at = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+        if witness is not None:
+            message = message.format(repr(witness[at]))
+        raise error(message + ("" if not at else f" (element {at[0] if len(at) == 1 else at})"))
 
 
 def vector_norm(x) -> np.ndarray:
@@ -97,10 +95,8 @@ def _events(X, batch: tuple) -> np.ndarray:
     if X.ndim != len(batch) + 2 or X.shape[:len(batch)] != batch or X.shape[-1] != 4:
         raise ValueError("events must be an (N, 4) array of finite (t, x, y, z) rows "
                          f"per element, got shape {X.shape}")
-    at = _first_false(np.isfinite(X).all(axis=(-2, -1)))
-    if at is not None:
-        raise ValueError("events must be an (N, 4) array of finite (t, x, y, z) rows"
-                         + _element(at))
+    _require(np.isfinite(X).all(axis=(-2, -1)),
+             "events must be an (N, 4) array of finite (t, x, y, z) rows")
     return X
 
 
@@ -117,9 +113,21 @@ def _require_finite(group: str, R: np.ndarray, shift, *vectors: np.ndarray) -> N
     finite = np.isfinite(shift) & np.isfinite(R).all(axis=(-2, -1))
     for x in vectors:
         finite = finite & np.isfinite(x).all(axis=-1)
-    at = _first_false(finite)
-    if at is not None:
-        raise ValueError(f"{group} parameters must be finite{_element(at)}")
+    _require(finite, f"{group} parameters must be finite")
+
+
+def _gram_defect_det(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max|R R^T - 1| and det R of each 3x3 block of R; NaN for a NaN block."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3)).max(axis=(-2, -1)), np.linalg.det(R)
+
+
+def _is_proper(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
+    """Boolean mask of the proper rotations among the 3x3 blocks of R: the
+    Gram defect and |det R - 1| are both within tol."""
+    defect, det = _gram_defect_det(R)
+    # written as x <= tol so that a NaN is never proper
+    return (defect <= tol) & (np.abs(det - 1.0) <= tol)
 
 
 def classify_rotation(m, tol: float = ROTATION_TOL):
@@ -131,21 +139,12 @@ def classify_rotation(m, tol: float = ROTATION_TOL):
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (3, 3):
         raise ValueError("rotation candidates are 3x3")
-    gram = m @ np.swapaxes(m, -1, -2)
-    # written as x <= tol so that a NaN is never orthogonal
-    orthogonal = np.abs(gram - np.eye(3)).max(axis=(-2, -1)) <= tol
-    with np.errstate(invalid="ignore"):  # a NaN candidate is already not orthogonal
-        det = np.linalg.det(m)
+    defect, det = _gram_defect_det(m)
+    orthogonal = defect <= tol
     kind = np.where(orthogonal & (np.abs(det - 1.0) <= tol), "proper",
                     np.where(orthogonal & (np.abs(det + 1.0) <= tol), "improper",
                              "not_orthogonal"))
     return str(kind) if kind.ndim == 0 else kind
-
-
-def _require_proper(group: str, R: np.ndarray) -> None:
-    at = _first_false(classify_rotation(R) == "proper")
-    if at is not None:
-        raise ValueError(f"{group} rotation block must be proper orthogonal{_element(at)}")
 
 
 def rotation_about(axis, angle) -> np.ndarray:
@@ -189,7 +188,7 @@ class GalileiElement:
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         object.__setattr__(self, "tau", _shift(self.tau))
         _require_finite("Galilei", self.R, self.tau, self.v, self.xi)
-        _require_proper("Galilei", self.R)
+        _require(_is_proper(self.R), "Galilei rotation block must be proper orthogonal")
 
     @staticmethod
     def identity() -> "GalileiElement":
@@ -257,10 +256,8 @@ class PoincareElement:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         _require_finite("Poincare", self.R, self.b, self.a, self.v)
-        at = _first_false(vector_norm(self.v) < 1.0)
-        if at is not None:
-            raise ValueError(f"boost velocity must satisfy |v| < 1{_element(at)}")
-        _require_proper("Poincare", self.R)
+        _require(vector_norm(self.v) < 1.0, "boost velocity must satisfy |v| < 1")
+        _require(_is_proper(self.R), "Poincare rotation block must be proper orthogonal")
 
     @staticmethod
     def identity() -> "PoincareElement":
@@ -326,33 +323,32 @@ def poincare_compose(T2: PoincareElement, T1: PoincareElement) -> PoincareElemen
     stacks compose element by element.
 
     The boost velocity is read off the time column of the homogeneous
-    block; the rotation is what remains after undoing that boost.  Every
-    guard holds element by element, and the error names the first element
-    of a stack that fails one.
+    block; the rotation is what remains after undoing that boost, and it
+    is tested once, at ROTATION_TOL.  Every guard holds element by element,
+    and the error names the first element of a stack that fails one.
     """
     M = _affine(T2) @ _affine(T1)
     L = M[..., :4, :4]
     gamma = L[..., 0, 0]
     # Written as x <= bound, not x > bound, so that a NaN fails every guard.
-    at = _first_false(1.0 - 1e-12 <= gamma)
-    if at is not None:
-        raise CompositionError(f"invalid time-time entry {gamma[at]!r} in composition"
-                               + _element(at))
+    _require(1.0 - 1e-12 <= gamma, "invalid time-time entry {} in composition",
+             CompositionError, gamma)
     v = -L[..., 1:, 0] / gamma[..., None]
-    at = _first_false(vector_norm(v) < 1.0)
-    if at is not None:
-        raise CompositionError(f"extracted boost velocity |v| >= 1: {v[at]!r}" + _element(at))
+    _require(vector_norm(v) < 1.0, "extracted boost velocity |v| >= 1: {}", CompositionError, v)
     D = boost_matrix(-v) @ L
     R = D[..., 1:, 1:]
     # NaN-sticky, like worst_of: np.maximum keeps a NaN from any term
     residual = np.maximum(np.maximum(np.abs(D[..., 0, 1:]).max(axis=-1),
                                      np.abs(D[..., 1:, 0]).max(axis=-1)),
                           np.abs(D[..., 0, 0] - 1.0))
-    at = _first_false((residual <= 1e-8) & (classify_rotation(R, 1e-8) == "proper"))
-    if at is not None:
-        raise CompositionError("composed element does not factor as boost * rotation"
-                               + _element(at))
-    return PoincareElement(a=M[..., 1:4, 4], b=M[..., 0, 4], v=v, R=R)
+    _require((residual <= 1e-8) & _is_proper(R),
+             "composed element does not factor as boost * rotation", CompositionError)
+    # the guards above are the constructor's |v| < 1 and proper-R tests;
+    # only finiteness is left, as finite factors can compose to an inf
+    composed = object.__new__(PoincareElement)
+    composed.__dict__.update(a=M[..., 1:4, 4], b=_shift(M[..., 0, 4]), v=v, R=R)
+    _require_finite("Poincare", R, composed.b, composed.a, v)
+    return composed
 
 
 def discrete_apply(which: str, pt: SpacetimePoint) -> SpacetimePoint:

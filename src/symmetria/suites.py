@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import fullerene, hopf, laplace, liealg, sklyanin, spacetime
-from .numerics import FDStencil, accepted_rows, fd_laplacian, sup_norm
+from .numerics import FDStencil, accepted_rows, fd_laplacian, kron, sup_norm
 from .report import CheckReport
 
 SUITE_NAMES = ("rotations", "galilei", "poincare", "conformal", "laplace",
@@ -527,7 +527,7 @@ def run_hopf(rng: np.random.Generator, tol: float, samples: int) -> CheckReport:
         qs = [1 + 10.0 ** (-e) for e in (2, 3, 4, 5)]
         classical = hopf.uq_su2_rep(0.5, 1 + 1e-12)
         one = np.eye(2, dtype=complex)
-        additive = hopf.kron(classical.Xp, one) + hopf.kron(one, classical.Xp)
+        additive = kron(classical.Xp, one) + kron(one, classical.Xp)
         errs = [sup_norm(hopf.coproduct_rep(hopf.uq_su2_rep(0.5, q)).Xp - additive) for q in qs]
         slope = float(np.polyfit(np.log([q - 1 for q in qs]), np.log(errs), 1)[0])
         c.observe(abs(slope - 1.0))

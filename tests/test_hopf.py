@@ -25,23 +25,6 @@ SPINS = (0.5, 1.0, 1.5)
 QS = (0.7, 1.3, 2.0)
 
 
-def test_kron_equals_numpy_kron_bitwise():
-    rng = np.random.default_rng(90)
-    # every side pair from 1 to 9, and the (d^2, d) legs of the coassociativity
-    # check for spins 1/2 to 2
-    shapes = [(m, n) for m in range(1, 10) for n in range(1, 10)]
-    shapes += [(d * d, d) for d in range(2, 6)]
-    for m, n in shapes:
-        for complex_entries in (False, True):
-            a, b = rng.normal(size=(2, m, m)), rng.normal(size=(2, n, n))
-            if complex_entries:
-                a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
-            else:
-                a, b = a[0], b[0]
-            assert np.array_equal(hopf_module.kron(a, b), np.kron(a, b)), (m, n)
-            assert np.array_equal(hopf_module.kron(a, b[:1]), np.kron(a, b[:1])), (m, n)
-
-
 def test_q_number_basics():
     assert q_number(1, 1.7) == 1.0
     q = 1.4
@@ -272,9 +255,21 @@ def test_wrong_counit_is_detected(monkeypatch):
 
 def test_nan_propagates_through_relations_residual():
     rep = uq_su2_rep(1.0, 1.3)
-    # only the [X+, X-] defect sees q, so the NaN is the last of the three
+    # the constructor rejects a NaN q, so it is set past the constructor to
+    # check the residual itself; only the [X+, X-] defect sees q, so the
+    # NaN is the last of the three
+    object.__setattr__(rep, "q", float("nan"))
     with np.errstate(invalid="ignore"):
-        assert np.isnan(relations_residual(dataclasses.replace(rep, q=float("nan"))))
+        assert np.isnan(relations_residual(rep))
+
+
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), 0.0, -1.3, 1.0])
+def test_rep_rejects_a_bad_deformation_parameter(q):
+    message = "undeformed" if q == 1.0 else "finite and positive"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(uq_su2_rep(0.5, 1.3), q=q)
+    with pytest.raises(ValueError, match=message):
+        uq_su2_rep(0.0, q)
 
 
 def test_nan_propagates_through_coassociativity(monkeypatch):

@@ -17,6 +17,7 @@ from symmetria.numerics import (
     fd_partial,
     fd_partials,
     integrate_periodic,
+    kron,
     sup_norm,
 )
 
@@ -29,11 +30,33 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 OSCILLATORY_INTEGRAL = 7.068583470577033j
 
 
-def test_as_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_matrix([[1.0, float("nan")], [0.0, 1.0]])
+@pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "imag"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_as_matrix_rejects_nonfinite(bad, part):
+    # one non-finite part of one entry, the other part finite
+    m = np.array([[1.0, 0.5 + 0.5j], [0.0, 1.0]])
+    m[0, 1] = complex(bad if part == 1.0 else 0.5, bad if part == 1j else 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        as_matrix(m)
     with pytest.raises(ValueError):
         as_matrix([1.0, 2.0])
+
+
+def test_kron_equals_numpy_kron_bitwise():
+    rng = np.random.default_rng(90)
+    # every side pair from 1 to 9, and the (d^2, d) legs of the coassociativity
+    # check for spins 1/2 to 2
+    shapes = [(m, n) for m in range(1, 10) for n in range(1, 10)]
+    shapes += [(d * d, d) for d in range(2, 6)]
+    for m, n in shapes:
+        for complex_entries in (False, True):
+            a, b = rng.normal(size=(2, m, m)), rng.normal(size=(2, n, n))
+            if complex_entries:
+                a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
+            else:
+                a, b = a[0], b[0]
+            assert np.array_equal(kron(a, b), np.kron(a, b)), (m, n)
+            assert np.array_equal(kron(a, b[:1]), np.kron(a, b[:1])), (m, n)
 
 
 def test_commutator_pauli():

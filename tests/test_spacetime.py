@@ -651,3 +651,98 @@ def test_stacked_compose_names_the_element_that_leaves_the_light_cone():
     with pytest.raises(CompositionError, match="velocity") as err:
         poincare_compose(fast, fast)
     assert "element" not in str(err.value)
+
+
+# --- validation: one boolean mask, one rotation test per composition ---------
+
+def test_is_proper_agrees_with_classify_rotation():
+    rng = np.random.default_rng(61)
+    R = rotation_about(rng.normal(size=(10, 3)), rng.uniform(0, 6, 10))
+    R[1] = np.diag([1.0, 1.0, -1.0])
+    R[2] = -R[2]
+    R[3, 0, 1] += 1e-3          # sheared
+    R[4] *= 1.0 + 1e-9          # off orthogonal by more than ROTATION_TOL
+    R[5, 2, 2] = NAN
+    R[6, 1, 0] = INF
+    R[7, 0, 0] = -INF
+    proper = spacetime._is_proper(R)
+    assert proper.dtype == bool
+    assert list(proper) == [True, False, False, False, False, False, False, False, True, True]
+    assert np.array_equal(proper, classify_rotation(R) == "proper")
+    assert list(np.flatnonzero(classify_rotation(R) == "improper")) == [1, 2]
+    for tol in (1e-8, 1e-12):
+        assert np.array_equal(spacetime._is_proper(R, tol), classify_rotation(R, tol) == "proper")
+    assert [bool(spacetime._is_proper(m)) for m in R] == list(proper)
+
+
+def test_compose_tests_the_rotation_once_at_rotation_tol(monkeypatch):
+    # the boost that undoes the extracted one (call 3) leaves element 3's
+    # rotation block 1e-9 off orthogonal: inside the 1e-8 factoring bound,
+    # outside ROTATION_TOL, so the compose guard itself must reject it
+    rng = np.random.default_rng(62)
+    T2, T1 = (_stack([random_poincare(rng) for _ in range(5)]) for _ in range(2))
+    real = spacetime.boost_matrix
+    calls = []
+
+    def drifting_undo(v):
+        calls.append(v)
+        L = real(v)
+        if len(calls) == 3:
+            L[3, 1:, 1:] *= 1.0 + 1e-9
+        return L
+
+    monkeypatch.setattr(spacetime, "boost_matrix", drifting_undo)
+    with pytest.raises(CompositionError, match=r"does not factor.*\(element 3\)"):
+        poincare_compose(T2, T1)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("group", ["galilei", "poincare"])
+def test_a_chain_of_compositions_stays_proper(group):
+    rng = np.random.default_rng(63)
+    if group == "galilei":
+        compose, elements = galilei_compose, [random_galilei(rng) for _ in range(1000)]
+    else:
+        compose = poincare_compose
+        # small boosts, so that the composed rapidity stays of order one
+        elements = [PoincareElement(rng.normal(size=3), float(rng.normal()),
+                                    rng.uniform(-0.03, 0.03, 3),
+                                    rotation_about(rng.normal(size=3), rng.uniform(0, 6)))
+                    for _ in range(1000)]
+    g = elements[0]
+    for e in elements[1:]:
+        g = compose(e, g)
+        assert spacetime._is_proper(g.R)
+
+
+def test_constructors_still_reject_a_shear_a_nan_and_a_fast_boost():
+    rng = np.random.default_rng(64)
+    T = _stack([random_poincare(rng) for _ in range(5)])
+    g = _stack([random_galilei(rng) for _ in range(5)])
+    sheared, nan = T.R.copy(), T.R.copy()
+    sheared[1, 0, 1] += 1e-6
+    nan[2, 2, 2] = NAN
+    with pytest.raises(ValueError, match=r"proper orthogonal \(element 1\)"):
+        PoincareElement(T.a, T.b, T.v, sheared)
+    with pytest.raises(ValueError, match=r"finite \(element 2\)"):
+        PoincareElement(T.a, T.b, T.v, nan)
+    with pytest.raises(ValueError, match=r"proper orthogonal \(element 1\)"):
+        GalileiElement(sheared, g.v, g.xi, g.tau)
+    with pytest.raises(ValueError, match=r"finite \(element 2\)"):
+        GalileiElement(nan, g.v, g.xi, g.tau)
+    for speed in (1.0, 1.5):
+        v = T.v.copy()
+        v[4] = [0.0, speed, 0.0]
+        with pytest.raises(ValueError, match=r"\|v\| < 1 \(element 4\)"):
+            PoincareElement(T.a, T.b, v, T.R)
+
+
+def test_compose_rejects_a_translation_that_overflows():
+    # finite factors whose translations sum past the largest float
+    rng = np.random.default_rng(65)
+    T = _stack([random_poincare(rng) for _ in range(5)])
+    a = T.a.copy()
+    a[3] = [1e308, 0.0, 0.0]
+    far = PoincareElement(a, T.b, np.zeros((5, 3)), np.broadcast_to(np.eye(3), (5, 3, 3)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"finite \(element 3\)"):
+        poincare_compose(far, far)
