@@ -30,12 +30,12 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 OSCILLATORY_INTEGRAL = 7.068583470577033j
 
 
-@pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "imag"])
+@pytest.mark.parametrize("part", ["real", "imag"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_as_matrix_rejects_nonfinite(bad, part):
-    # one non-finite part of one entry, the other part finite
+    # one part of one entry is not finite, the other part is
     m = np.array([[1.0, 0.5 + 0.5j], [0.0, 1.0]])
-    m[0, 1] = complex(bad if part == 1.0 else 0.5, bad if part == 1j else 0.5)
+    getattr(m, part)[0, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         as_matrix(m)
     with pytest.raises(ValueError):
