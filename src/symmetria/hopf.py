@@ -219,6 +219,10 @@ def planck_scale_ops(N: int = 256, L: float = 5.0, hbar: float = 1.0,
                      l: float = 2.0) -> GridOperatorPair:
     if N < 64:
         raise ValueError("grid needs at least 64 points")
+    if not (math.isfinite(hbar) and hbar != 0.0):
+        raise ValueError("hbar must be finite and nonzero: at hbar = 0 both residuals vanish")
+    if not (math.isfinite(l) and l > 0.0):
+        raise ValueError("deformation length l must be finite and positive")
     if L / l > 700.0 or not math.isfinite(math.exp(L / l)):
         raise ValueError("exp(x/l) overflows double precision on this grid")
     x = np.linspace(-L, L, N)

@@ -1,6 +1,6 @@
-"""Shared numeric substrate: dense complex matrices, commutators, periodic
-quadrature, finite-difference stencils (one call per node at a point, or
-one call on the stencil cloud of a point array), and rejection sampling.
+"""Shared numeric substrate: dense complex matrices, periodic quadrature,
+finite-difference stencils (one call per node at a point, or one call on
+the stencil cloud of a point array), and rejection sampling.
 
 Matrices are plain numpy arrays of complex128; ``as_matrix`` is the single
 validation gate (shape and finiteness) and ``kron`` the one Kronecker
@@ -73,19 +73,6 @@ def worst_of(*values) -> float:
         if v > out:
             out = v
     return out
-
-
-def commutator(a, b, sign: str = "minus") -> np.ndarray:
-    """[A,B]_- = AB - BA or [A,B]_+ = AB + BA for square matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"commutator needs equal square shapes, got {a.shape} and {b.shape}")
-    if sign == "minus":
-        return a @ b - b @ a
-    if sign == "plus":
-        return a @ b + b @ a
-    raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
 
 
 @dataclass(frozen=True)

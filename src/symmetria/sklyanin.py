@@ -44,7 +44,7 @@ import numpy as np
 
 from .elliptic import EllipticPoleError, quarter_period, sn_cn_dn_complex, sn_cn_dn_real
 from .liealg import levi_civita
-from .numerics import accepted_rows, as_matrix, commutator, kron, sup_norm, worst_of
+from .numerics import accepted_rows, as_matrix, kron, sup_norm, worst_of
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -328,17 +328,17 @@ def sklyanin_residual(rep: SklyaninRep, convention: str = "cyclic") -> float:
     worst = 0.0
     for a, b, c in CYCLIC:
         if convention == "cyclic":
-            rhs1 = -1j * rep.J_pair(b, c) * commutator(S[b], S[c], "plus")
+            rhs1 = -1j * rep.J_pair(b, c) * (S[b] @ S[c] + S[c] @ S[b])
         elif convention == "summed":
             rhs1 = np.zeros_like(S[0])
             for bb in (1, 2, 3):
                 for cc in (1, 2, 3):
                     if bb != cc:
-                        rhs1 += -1j * rep.J_pair(bb, cc) * commutator(S[bb], S[cc], "plus")
+                        rhs1 += -1j * rep.J_pair(bb, cc) * (S[bb] @ S[cc] + S[cc] @ S[bb])
         else:
             raise ValueError(f"unknown convention {convention!r}")
-        worst = worst_of(worst, sup_norm(commutator(S[a], S[0]) - rhs1),
-                         sup_norm(commutator(S[a], S[b]) - 1j * commutator(S[0], S[c], "plus")))
+        worst = worst_of(worst, sup_norm(S[a] @ S[0] - S[0] @ S[a] - rhs1),
+                         sup_norm(S[a] @ S[b] - S[b] @ S[a] - 1j * (S[0] @ S[c] + S[c] @ S[0])))
     return worst
 
 

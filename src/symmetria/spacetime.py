@@ -2,16 +2,17 @@
 
 Rotation classification, Galilei transformations with their composition
 law, Poincare transformations in the displacement/boost/rotation
-factorization (composed through a 5x5 affine embedding), both applied to
-(N, 4) arrays of (t, x, y, z) events by one kernel per group, the discrete
-inversions, and conformal dilations/inversions with pullback-metric,
-flatness, and wave-operator scaling checks.  Every derivative is a
-``numerics`` stencil; the curvature check takes the metric's partials on
-one stencil cloud (``fd_partials``) and contracts them by ``np.einsum``.
+factorization, both acting on (N, 4) arrays of (t, x, y, z) events by one
+kernel on their 5x5 affine matrices on (t, r, 1), the discrete inversions
+as diagonal 4x4 matrices, and conformal dilations/inversions with
+pullback-metric, flatness, and wave-operator scaling checks.  Every
+derivative is a ``numerics`` stencil; the curvature check takes the
+metric's partials on one stencil cloud (``fd_partials``) and contracts
+them by ``np.einsum``.
 
 A group element whose fields carry a leading axis of length M is a stack
 of M elements.  Rotations, boosts, composition, inversion and the event
-kernels act on stacks element by element with the same formulas as on one
+kernel act on stacks element by element with the same formulas as on one
 element, and every validation or composition guard runs once per stack
 and names the first element that fails it.
 
@@ -47,20 +48,6 @@ def minkowski_interval(dx):
     # a (1, 4) @ (4, 1) product per row: np.vecdot would need numpy >= 2
     s = ((dx @ ETA)[..., None, :] @ dx[..., :, None])[..., 0, 0]
     return float(s) if s.ndim == 0 else s
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    t: float
-    r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        if self.r.shape != (3,) or not np.isfinite(self.r).all() or not math.isfinite(self.t):
-            raise ValueError("space-time point needs finite t and a finite 3-vector r")
-
-    def as4(self) -> np.ndarray:
-        return np.concatenate([[self.t], self.r])
 
 
 def _require(ok, message: str, error: type = ValueError, witness=None) -> None:
@@ -165,6 +152,17 @@ def _shift(x):
     return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
+def _affine(L: np.ndarray, t_shift, r_shift: np.ndarray) -> np.ndarray:
+    """The 5x5 matrix on (t, r, 1) of (t, r) -> L (t, r) + (t_shift, r_shift),
+    stacked like L."""
+    M = np.zeros(L.shape[:-2] + (5, 5))
+    M[..., :4, :4] = L
+    M[..., 0, 4] = t_shift
+    M[..., 1:4, 4] = r_shift
+    M[..., 4, 4] = 1.0
+    return M
+
+
 # ---------------------------------------------------------------------------
 # Galilei group
 # ---------------------------------------------------------------------------
@@ -194,21 +192,13 @@ class GalileiElement:
     def identity() -> "GalileiElement":
         return GalileiElement(np.eye(3), np.zeros(3), np.zeros(3), 0.0)
 
-
-def galilei_apply_events(g: GalileiElement, X) -> np.ndarray:
-    """Apply g to each row of an (N, 4) event array: t' = t + tau,
-    r' = R r + v t + xi.  A stack of M elements maps an (M, N, 4) stack,
-    block i by element i."""
-    X = _events(X, g.R.shape[:-2])
-    t = X[..., :1]
-    tau = np.asarray(g.tau)[..., None, None]
-    return np.concatenate((t + tau, X[..., 1:] @ np.swapaxes(g.R, -1, -2)
-                           + t * g.v[..., None, :] + g.xi[..., None, :]), axis=-1)
-
-
-def galilei_apply(g: GalileiElement, pt: SpacetimePoint) -> SpacetimePoint:
-    out = galilei_apply_events(g, pt.as4()[None])[0]
-    return SpacetimePoint(out[0], out[1:])
+    def affine(self) -> np.ndarray:
+        """The 5x5 matrix on (t, r, 1): L = [[1, 0], [v, R]], shift (tau, xi)."""
+        L = np.zeros(self.R.shape[:-2] + (4, 4))
+        L[..., 0, 0] = 1.0
+        L[..., 1:, 0] = self.v
+        L[..., 1:, 1:] = self.R
+        return _affine(L, self.tau, self.xi)
 
 
 def galilei_compose(g2: GalileiElement, g1: GalileiElement) -> GalileiElement:
@@ -263,6 +253,10 @@ class PoincareElement:
     def identity() -> "PoincareElement":
         return PoincareElement(np.zeros(3), 0.0, np.zeros(3), np.eye(3))
 
+    def affine(self) -> np.ndarray:
+        """The 5x5 matrix on (t, r, 1): L = boost(v) diag(1, R), shift (b, a)."""
+        return _affine(_homogeneous(self), self.b, self.a)
+
 
 def boost_matrix(v) -> np.ndarray:
     """4x4 pure boost on (t, r), or an (M, 4, 4) stack for (M, 3) velocities;
@@ -289,33 +283,8 @@ def _homogeneous(T: PoincareElement) -> np.ndarray:
     return boost_matrix(T.v) @ L
 
 
-def poincare_apply_events(T: PoincareElement, X) -> np.ndarray:
-    """Apply T to each row of an (N, 4) event array:
-    r' = a + transverse(R r) + v (v.Rr - v^2 t)/(v^2 sqrt(1-v^2)),
-    t' = b + (t - v.Rr)/sqrt(1-v^2); reduces to a + R r, b + t as v -> 0.
-    A stack of M elements maps an (M, N, 4) stack, block i by element i."""
-    X = _events(X, T.R.shape[:-2])
-    shift = np.concatenate((np.asarray(T.b)[..., None], T.a), axis=-1)
-    return X @ np.swapaxes(_homogeneous(T), -1, -2) + shift[..., None, :]
-
-
-def poincare_apply(T: PoincareElement, pt: SpacetimePoint) -> SpacetimePoint:
-    out = poincare_apply_events(T, pt.as4()[None])[0]
-    return SpacetimePoint(out[0], out[1:])
-
-
 class CompositionError(ValueError):
     """Could not re-extract (a, b, v, R) from a composed transformation."""
-
-
-def _affine(T: PoincareElement) -> np.ndarray:
-    """The 5x5 affine embedding of T on (t, r, 1), stacked like T."""
-    M = np.zeros(T.R.shape[:-2] + (5, 5))
-    M[..., :4, :4] = _homogeneous(T)
-    M[..., 0, 4] = T.b
-    M[..., 1:4, 4] = T.a
-    M[..., 4, 4] = 1.0
-    return M
 
 
 def poincare_compose(T2: PoincareElement, T1: PoincareElement) -> PoincareElement:
@@ -327,7 +296,7 @@ def poincare_compose(T2: PoincareElement, T1: PoincareElement) -> PoincareElemen
     is tested once, at ROTATION_TOL.  Every guard holds element by element,
     and the error names the first element of a stack that fails one.
     """
-    M = _affine(T2) @ _affine(T1)
+    M = T2.affine() @ T1.affine()
     L = M[..., :4, :4]
     gamma = L[..., 0, 0]
     # Written as x <= bound, not x > bound, so that a NaN fails every guard.
@@ -351,15 +320,29 @@ def poincare_compose(T2: PoincareElement, T1: PoincareElement) -> PoincareElemen
     return composed
 
 
-def discrete_apply(which: str, pt: SpacetimePoint) -> SpacetimePoint:
-    """Space inversion P, time inversion T, or the combined inversion PT."""
-    if which == "P":
-        return SpacetimePoint(pt.t, -pt.r)
-    if which == "T":
-        return SpacetimePoint(-pt.t, pt.r)
-    if which == "PT":
-        return SpacetimePoint(-pt.t, -pt.r)
-    raise ValueError(f"unknown discrete operation {which!r}")
+def apply_events(g: GalileiElement | PoincareElement, X) -> np.ndarray:
+    """Apply g to each row of an (N, 4) event array as X L^T + shift, with
+    L and shift read off g.affine().  Galilei: t' = t + tau,
+    r' = R r + v t + xi.  Poincare: t' = b + (t - v.Rr)/sqrt(1-v^2),
+    r' = a + transverse(R r) + v (v.Rr - v^2 t)/(v^2 sqrt(1-v^2)), which
+    reduces to b + t, a + R r as v -> 0.  A stack of M elements maps an
+    (M, N, 4) stack, block i by element i."""
+    M = g.affine()
+    X = _events(X, M.shape[:-2])
+    return X @ np.swapaxes(M[..., :4, :4], -1, -2) + M[..., None, :4, 4]
+
+
+# Space inversion P, time inversion T and the combined inversion PT, acting
+# on (t, x, y, z) rows from the right.
+DISCRETE = {"P": np.diag([1.0, -1.0, -1.0, -1.0]), "T": np.diag([-1.0, 1.0, 1.0, 1.0]),
+            "PT": np.diag([-1.0, -1.0, -1.0, -1.0])}
+
+
+def discrete_apply(which: str, X) -> np.ndarray:
+    """X @ DISCRETE[which] for an (N, 4) event array X."""
+    if which not in DISCRETE:
+        raise ValueError(f"unknown discrete operation {which!r}")
+    return _events(X, ()) @ DISCRETE[which]
 
 
 # ---------------------------------------------------------------------------

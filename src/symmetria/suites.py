@@ -158,8 +158,8 @@ def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
         g1, g2 = _galilei_elements(rng, c.name, samples, 2)
         g21 = spacetime.galilei_compose(g2, g1)
         events = field_rng(rng, c.name, "events").normal(size=(samples, 20, 4))
-        once = spacetime.galilei_apply_events(g21, events)
-        twice = spacetime.galilei_apply_events(g2, spacetime.galilei_apply_events(g1, events))
+        once = spacetime.apply_events(g21, events)
+        twice = spacetime.apply_events(g2, spacetime.apply_events(g1, events))
         c.observe(np.abs(once - twice))
 
     half = samples // 2 + 1
@@ -184,7 +184,7 @@ def run_galilei(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
         (g,) = _galilei_elements(rng, c.name, half, 1)
         r = field_rng(rng, c.name, "positions").normal(size=(half, 2, 3))
         events = np.concatenate((np.full((half, 2, 1), 0.7), r), axis=-1)
-        q = spacetime.galilei_apply_events(g, events)
+        q = spacetime.apply_events(g, events)
         c.observe(np.abs((q[:, 0, 0] - q[:, 1, 0]) - (events[:, 0, 0] - events[:, 1, 0])),
                   np.abs(spacetime.vector_norm(q[:, 0, 1:] - q[:, 1, 1:])
                          - spacetime.vector_norm(events[:, 0, 1:] - events[:, 1, 1:])))
@@ -211,8 +211,8 @@ def run_poincare(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
     with rep.check("boost_action_reference_value",
                    "boost of the origin worldline at velocity 0.6", tol=1e-12) as c:
         T = spacetime.PoincareElement(np.zeros(3), 0.0, np.array([0.6, 0.0, 0.0]), np.eye(3))
-        out = spacetime.poincare_apply(T, spacetime.SpacetimePoint(1.0, np.zeros(3)))
-        c.observe(abs(out.t - 1.25), abs(out.r[0] + 0.75), abs(out.r[1]), abs(out.r[2]))
+        out = spacetime.apply_events(T, [[1.0, 0, 0, 0]])[0]
+        c.observe(abs(out[0] - 1.25), abs(out[1] + 0.75), abs(out[2]), abs(out[3]))
 
     with rep.check("colinear_velocity_addition",
                    "relativistic addition of parallel boost velocities", tol=1e-12) as c:
@@ -231,11 +231,11 @@ def run_poincare(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         T21 = spacetime.poincare_compose(T2, T1)
         pairs = field_rng(rng, c.name, "event pairs").normal(size=(samples, 20, 8))
         pt, qt = pairs[..., :4], pairs[..., 4:]
-        moved = spacetime.poincare_apply_events(T1, pairs.reshape(samples, -1, 4))
+        moved = spacetime.apply_events(T1, pairs.reshape(samples, -1, 4))
         moved = moved.reshape(pairs.shape)
         a1, a2 = moved[..., :4], moved[..., 4:]
-        once = spacetime.poincare_apply_events(T21, pt)
-        twice = spacetime.poincare_apply_events(T2, a1)
+        once = spacetime.apply_events(T21, pt)
+        twice = spacetime.apply_events(T2, a1)
         c.observe(np.abs(once - twice))
         interval.observe(np.abs(spacetime.minkowski_interval(a1 - a2)
                                 - spacetime.minkowski_interval(pt - qt)))
@@ -252,14 +252,14 @@ def run_poincare(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
     with rep.check("discrete_inversions_involutive",
                    "space, time, and combined inversions square to the identity and compose",
                    tol=0.0) as c:
-        pt = spacetime.SpacetimePoint(1.0, np.array([1.0, 2.0, 3.0]))
+        pt = np.array([[1.0, 1.0, 2.0, 3.0]])
         pp = spacetime.discrete_apply("P", spacetime.discrete_apply("P", pt))
         tt = spacetime.discrete_apply("T", spacetime.discrete_apply("T", pt))
         ss = spacetime.discrete_apply("PT", spacetime.discrete_apply("PT", pt))
         chain = spacetime.discrete_apply("T", spacetime.discrete_apply("P", pt))
         direct = spacetime.discrete_apply("PT", pt)
         for got, want in ((pp, pt), (tt, pt), (ss, pt), (chain, direct)):
-            c.observe(abs(got.t - want.t), sup_norm(got.r - want.r))
+            c.observe(np.abs(got - want))
     return rep
 
 
@@ -662,8 +662,8 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         r12 = sklyanin._embed_pair(mutated, (0, 1))
         r13 = sklyanin._embed_pair(sklyanin.classical_r(u, p_cl), (0, 2))
         r23 = sklyanin._embed_pair(sklyanin.classical_r(v, p_cl), (1, 2))
-        c.observe(sup_norm(sklyanin.commutator(r12, r13) + sklyanin.commutator(r12, r23)
-                           + sklyanin.commutator(r13, r23)))
+        c.observe(sup_norm((r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12)
+                           + (r13 @ r23 - r23 @ r13)))
 
     r3 = sklyanin.rep3(1.0, 2.0, 3.0)
     with rep.check("mutation_control_flipped_generator",

@@ -59,20 +59,15 @@ def test_criterion_2_group_action_equivalence():
 
         T1, T2 = rand_poincare(), rand_poincare()
         T21 = spacetime.poincare_compose(T2, T1)
-        for _ in range(20):
-            pt = spacetime.SpacetimePoint(float(rng.normal()), rng.normal(size=3))
-            qt = spacetime.SpacetimePoint(float(rng.normal()), rng.normal(size=3))
-            a = spacetime.galilei_apply(g21, pt)
-            b = spacetime.galilei_apply(g2, spacetime.galilei_apply(g1, pt))
-            worst_gal = worst_of(worst_gal, abs(a.t - b.t), float(np.max(np.abs(a.r - b.r))))
-            c = spacetime.poincare_apply(T21, pt)
-            d = spacetime.poincare_apply(T2, spacetime.poincare_apply(T1, pt))
-            worst_poi = worst_of(worst_poi, abs(c.t - d.t), float(np.max(np.abs(c.r - d.r))))
-            e = spacetime.poincare_apply(T1, pt)
-            f = spacetime.poincare_apply(T1, qt)
-            worst_int = worst_of(worst_int, abs(
-                spacetime.minkowski_interval(e.as4() - f.as4())
-                - spacetime.minkowski_interval(pt.as4() - qt.as4())))
+        # 20 event pairs, columns (pt, qt)
+        pairs = rng.normal(size=(20, 8))
+        pt, qt = pairs[:, :4], pairs[:, 4:]
+        apply = spacetime.apply_events
+        worst_gal = worst_of(worst_gal, np.abs(apply(g21, pt) - apply(g2, apply(g1, pt))))
+        worst_poi = worst_of(worst_poi, np.abs(apply(T21, pt) - apply(T2, apply(T1, pt))))
+        worst_int = worst_of(worst_int, np.abs(
+            spacetime.minkowski_interval(apply(T1, pt) - apply(T1, qt))
+            - spacetime.minkowski_interval(pt - qt)))
     ok = worst_gal < 1e-10 and worst_poi < 1e-10 and worst_int < 1e-10
     report("group_action_equivalence", ok, time.perf_counter() - t0, 2.0,
            f"galilei={worst_gal:.2e} poincare={worst_poi:.2e} interval={worst_int:.2e}")

@@ -11,7 +11,6 @@ from symmetria.numerics import (
     QuadratureEvaluationError,
     accepted_rows,
     as_matrix,
-    commutator,
     fd_jacobian,
     fd_laplacian,
     fd_partial,
@@ -20,10 +19,6 @@ from symmetria.numerics import (
     kron,
     sup_norm,
 )
-
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # value of int_{-pi}^{pi} (1 + i cos t)^3 e^{-it} dt from a dense trapezoid
 # oracle at 1e5 nodes (tests/oracles.trapezoid_integral); equals 9i pi/4
@@ -57,17 +52,6 @@ def test_kron_equals_numpy_kron_bitwise():
                 a, b = a[0], b[0]
             assert np.array_equal(kron(a, b), np.kron(a, b)), (m, n)
             assert np.array_equal(kron(a, b[:1]), np.kron(a, b[:1])), (m, n)
-
-
-def test_commutator_pauli():
-    assert sup_norm(commutator(SIGMA1, SIGMA2) - 2j * SIGMA3) == 0.0
-    assert sup_norm(commutator(SIGMA1, SIGMA1)) == 0.0
-    assert sup_norm(commutator(SIGMA1, SIGMA2, "plus")) == 0.0
-
-
-def test_commutator_shape_mismatch():
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
 
 
 def test_quadrature_rule_validation():

@@ -7,6 +7,7 @@ from oracles import riemann_sup_by_index_loops
 from symmetria import spacetime, suites
 from symmetria.numerics import CURVATURE_STENCIL, FDStencil
 from symmetria.spacetime import (
+    DISCRETE,
     RESCALINGS,
     CompositionError,
     Dilation,
@@ -14,7 +15,7 @@ from symmetria.spacetime import (
     Inversion,
     NullConeError,
     PoincareElement,
-    SpacetimePoint,
+    apply_events,
     boost_matrix,
     classify_rotation,
     conformal_flatness_check,
@@ -22,13 +23,9 @@ from symmetria.spacetime import (
     dalembert,
     dalembert_dilation_check,
     discrete_apply,
-    galilei_apply,
-    galilei_apply_events,
     galilei_compose,
     galilei_inverse,
     minkowski_interval,
-    poincare_apply,
-    poincare_apply_events,
     poincare_compose,
     rotation_about,
 )
@@ -45,10 +42,6 @@ def random_poincare(rng):
     v *= rng.uniform(0.0, 0.9) / max(1.0, float(np.linalg.norm(v)))
     return PoincareElement(a=rng.normal(size=3), b=float(rng.normal()), v=v,
                            R=rotation_about(rng.normal(size=3), rng.uniform(0, 6)))
-
-
-def random_point(rng):
-    return SpacetimePoint(float(rng.normal()), rng.normal(size=3))
 
 
 # --- rotations --------------------------------------------------------------
@@ -76,20 +69,18 @@ def test_rotation_products_random():
 # --- Galilei ----------------------------------------------------------------
 
 def test_galilei_identity_and_time_shift():
-    pt = SpacetimePoint(1.0, np.array([0.3, -0.2, 0.9]))
-    out = galilei_apply(GalileiElement.identity(), pt)
-    assert out.t == pt.t and np.array_equal(out.r, pt.r)
+    X = np.array([[1.0, 0.3, -0.2, 0.9]])
+    assert np.array_equal(apply_events(GalileiElement.identity(), X), X)
     shift = GalileiElement(np.eye(3), np.zeros(3), np.zeros(3), 2.0)
-    out = galilei_apply(shift, SpacetimePoint(1.0, np.zeros(3)))
-    assert out.t == 3.0 and np.all(out.r == 0.0)
+    assert np.array_equal(apply_events(shift, [[1.0, 0, 0, 0]]), [[3.0, 0, 0, 0]])
 
 
 def test_galilei_hand_example():
     g = GalileiElement(rotation_about([0, 0, 1], math.pi / 2),
                        np.array([1.0, 0, 0]), np.array([0.0, 1, 0]), 1.0)
-    out = galilei_apply(g, SpacetimePoint(2.0, np.array([1.0, 0, 0])))
-    assert abs(out.t - 3.0) < 1e-15
-    assert np.max(np.abs(out.r - np.array([2.0, 2.0, 0.0]))) < 1e-15
+    out = apply_events(g, [[2.0, 1.0, 0, 0]])[0]
+    assert abs(out[0] - 3.0) < 1e-15
+    assert np.max(np.abs(out[1:] - np.array([2.0, 2.0, 0.0]))) < 1e-15
 
 
 def test_galilei_compose_identity_and_boosts():
@@ -107,12 +98,10 @@ def test_galilei_compose_matches_action():
     worst = 0.0
     for _ in range(50):
         g1, g2 = random_galilei(rng), random_galilei(rng)
-        g21 = galilei_compose(g2, g1)
-        for _ in range(20):
-            pt = random_point(rng)
-            once = galilei_apply(g21, pt)
-            twice = galilei_apply(g2, galilei_apply(g1, pt))
-            worst = max(worst, abs(once.t - twice.t), float(np.max(np.abs(once.r - twice.r))))
+        X = rng.normal(size=(20, 4))
+        once = apply_events(galilei_compose(g2, g1), X)
+        twice = apply_events(g2, apply_events(g1, X))
+        worst = max(worst, float(np.max(np.abs(once - twice))))
     assert worst < 1e-12
 
 
@@ -147,11 +136,11 @@ def test_galilei_preserves_simultaneous_distance():
     rng = np.random.default_rng(46)
     for _ in range(30):
         g = random_galilei(rng)
-        p1 = SpacetimePoint(0.4, rng.normal(size=3))
-        p2 = SpacetimePoint(0.4, rng.normal(size=3))
-        q1, q2 = galilei_apply(g, p1), galilei_apply(g, p2)
-        assert abs((q1.t - q2.t)) < 1e-15
-        assert abs(np.linalg.norm(q1.r - q2.r) - np.linalg.norm(p1.r - p2.r)) < 1e-12
+        X = np.concatenate((np.full((2, 1), 0.4), rng.normal(size=(2, 3))), axis=1)
+        q = apply_events(g, X)
+        assert abs(q[0, 0] - q[1, 0]) < 1e-15
+        d_before, d_after = np.linalg.norm(X[0, 1:] - X[1, 1:]), np.linalg.norm(q[0, 1:] - q[1, 1:])
+        assert abs(d_after - d_before) < 1e-12
 
 
 # --- Poincare ---------------------------------------------------------------
@@ -165,11 +154,11 @@ def test_poincare_validation():
 
 def test_boost_reference_values():
     T = PoincareElement(np.zeros(3), 0.0, np.array([0.6, 0, 0]), np.eye(3))
-    out = poincare_apply(T, SpacetimePoint(1.0, np.zeros(3)))
-    assert abs(out.t - 1.25) < 1e-15
-    assert np.max(np.abs(out.r - np.array([-0.75, 0.0, 0.0]))) < 1e-15
-    ident = poincare_apply(PoincareElement.identity(), SpacetimePoint(0.3, np.ones(3)))
-    assert ident.t == 0.3 and np.all(ident.r == 1.0)
+    out = apply_events(T, [[1.0, 0, 0, 0]])[0]
+    assert abs(out[0] - 1.25) < 1e-15
+    assert np.max(np.abs(out[1:] - np.array([-0.75, 0.0, 0.0]))) < 1e-15
+    X = np.array([[0.3, 1.0, 1.0, 1.0]])
+    assert np.array_equal(apply_events(PoincareElement.identity(), X), X)
 
 
 def test_poincare_interval_preservation():
@@ -177,10 +166,9 @@ def test_poincare_interval_preservation():
     worst = 0.0
     for _ in range(100):
         T = random_poincare(rng)
-        pt, qt = random_point(rng), random_point(rng)
-        a, b = poincare_apply(T, pt), poincare_apply(T, qt)
-        worst = max(worst, abs(minkowski_interval(a.as4() - b.as4())
-                               - minkowski_interval(pt.as4() - qt.as4())))
+        X = rng.normal(size=(2, 4))
+        a = apply_events(T, X)
+        worst = max(worst, abs(minkowski_interval(a[0] - a[1]) - minkowski_interval(X[0] - X[1])))
     assert worst < 1e-10
 
 
@@ -192,12 +180,10 @@ def test_poincare_compose_identity_and_action():
     worst = 0.0
     for _ in range(30):
         T1, T2 = random_poincare(rng), random_poincare(rng)
-        T21 = poincare_compose(T2, T1)
-        for _ in range(20):
-            pt = random_point(rng)
-            once = poincare_apply(T21, pt)
-            twice = poincare_apply(T2, poincare_apply(T1, pt))
-            worst = max(worst, abs(once.t - twice.t), float(np.max(np.abs(once.r - twice.r))))
+        X = rng.normal(size=(20, 4))
+        once = apply_events(poincare_compose(T2, T1), X)
+        twice = apply_events(T2, apply_events(T1, X))
+        worst = max(worst, float(np.max(np.abs(once - twice))))
     assert worst < 1e-10
 
 
@@ -220,16 +206,22 @@ def test_poincare_associativity():
 
 
 def test_discrete_operations():
-    pt = SpacetimePoint(1.0, np.array([1.0, 2.0, 3.0]))
-    p_out = discrete_apply("P", pt)
-    assert p_out.t == 1.0 and np.all(p_out.r == -pt.r)
-    t_twice = discrete_apply("T", discrete_apply("T", pt))
-    assert t_twice.t == pt.t and np.all(t_twice.r == pt.r)
-    s_out = discrete_apply("PT", SpacetimePoint(1.0, np.array([1.0, 0, 0])))
-    assert s_out.t == -1.0 and s_out.r[0] == -1.0
-    chain = discrete_apply("T", discrete_apply("P", pt))
-    direct = discrete_apply("PT", pt)
-    assert chain.t == direct.t and np.all(chain.r == direct.r)
+    X = np.array([[1.0, 1.0, 2.0, 3.0]])
+    assert np.array_equal(discrete_apply("P", X), [[1.0, -1.0, -2.0, -3.0]])
+    assert np.array_equal(discrete_apply("T", discrete_apply("T", X)), X)
+    assert np.array_equal(discrete_apply("PT", [[1.0, 1.0, 0, 0]]), [[-1.0, -1.0, 0, 0]])
+    assert np.array_equal(discrete_apply("T", discrete_apply("P", X)), discrete_apply("PT", X))
+    with pytest.raises(ValueError, match="unknown discrete operation"):
+        discrete_apply("C", X)
+
+
+def test_discrete_matrices_compose_square_to_one_and_validate_events():
+    assert np.array_equal(DISCRETE["P"] @ DISCRETE["T"], DISCRETE["PT"])
+    for M in DISCRETE.values():
+        assert np.array_equal(M @ M, np.eye(4))
+    for bad in ([[0.0, math.nan, 0.0, 0.0]], np.zeros((5, 3))):
+        with pytest.raises(ValueError, match="events"):
+            discrete_apply("P", bad)
 
 
 # --- element validation -----------------------------------------------------
@@ -348,7 +340,7 @@ def test_poincare_kernel_matches_per_event_reference(make):
         if make is slow_poincare:
             assert np.linalg.norm(T.v) < spacetime._SMALL_V
         X = rng.normal(size=(20, 4))
-        got = poincare_apply_events(T, X)
+        got = apply_events(T, X)
         assert got.shape == (20, 4)
         assert np.max(np.abs(got - poincare_reference(T, X))) <= 1e-14
 
@@ -360,38 +352,29 @@ def test_galilei_kernel_matches_per_event_reference(scale):
         g = random_galilei(rng)
         g = GalileiElement(g.R, g.v * scale, g.xi, g.tau)
         X = rng.normal(size=(20, 4))
-        got = galilei_apply_events(g, X)
+        got = apply_events(g, X)
         assert got.shape == (20, 4)
         assert np.max(np.abs(got - galilei_reference(g, X))) <= 1e-14
 
 
-@pytest.mark.parametrize("kernel, element", [
-    (poincare_apply_events, PoincareElement.identity()),
-    (galilei_apply_events, GalileiElement.identity()),
-], ids=["poincare", "galilei"])
+@pytest.mark.parametrize("element", [PoincareElement.identity(), GalileiElement.identity()],
+                         ids=["poincare", "galilei"])
 @pytest.mark.parametrize("bad", [
     [[0.0, NAN, 0.0, 0.0]], [[INF, 0.0, 0.0, 0.0]], np.zeros(4), np.zeros((5, 3)),
 ], ids=["nan", "inf", "one_dim", "three_columns"])
-def test_kernels_reject_bad_events(kernel, element, bad):
+def test_kernels_reject_bad_events(element, bad):
     with pytest.raises(ValueError, match="events"):
-        kernel(element, np.asarray(bad, dtype=float))
+        apply_events(element, np.asarray(bad, dtype=float))
 
 
-def test_single_event_wrappers_agree_with_kernel_rows():
+def test_galilei_parameter_laws_match_the_affine_matrices():
+    # the composition and inverse formulas against the 5x5 matrices they
+    # should multiply as, on 250 random pairs
     rng = np.random.default_rng(55)
-    for _ in range(20):
-        T, g = random_poincare(rng), random_galilei(rng)
-        X = rng.normal(size=(20, 4))
-        for apply, kernel, elem in ((poincare_apply, poincare_apply_events, T),
-                                    (galilei_apply, galilei_apply_events, g)):
-            block = kernel(elem, X)
-            for i in (0, 7, 19):
-                out = apply(elem, SpacetimePoint(X[i, 0], X[i, 1:]))
-                assert isinstance(out, SpacetimePoint)
-                # one event is the kernel on a one-row block, bit for bit;
-                # inside a larger block the matmul may round differently
-                assert np.array_equal(out.as4(), kernel(elem, X[i:i + 1])[0])
-                assert np.max(np.abs(out.as4() - block[i])) <= 1e-14
+    g1 = _stack([random_galilei(rng) for _ in range(250)])
+    g2 = _stack([random_galilei(rng) for _ in range(250)])
+    assert np.max(np.abs(galilei_compose(g2, g1).affine() - g2.affine() @ g1.affine())) <= 1e-13
+    assert np.max(np.abs(g1.affine() @ galilei_inverse(g1).affine() - np.eye(5))) <= 1e-13
 
 
 def test_minkowski_interval_folds_over_the_last_axis():
@@ -416,9 +399,9 @@ def test_minkowski_interval_bits_do_not_depend_on_the_stack_layout():
 
 def _poison_second_pair(monkeypatch, row):
     """Put a NaN into event `row` of the second element pair's block in
-    every (pairs, events, 4) stack the Poincare kernel maps for the compose
-    sweep (three stacked calls)."""
-    real = spacetime.poincare_apply_events
+    every (pairs, events, 4) stack the event kernel maps for the Poincare
+    compose sweep (three stacked calls)."""
+    real = spacetime.apply_events
     blocks = []
 
     def poisoned(T, X):
@@ -428,7 +411,7 @@ def _poison_second_pair(monkeypatch, row):
             out[1, row, 1] = NAN
         return out
 
-    monkeypatch.setattr(spacetime, "poincare_apply_events", poisoned)
+    monkeypatch.setattr(spacetime, "apply_events", poisoned)
     return blocks
 
 
@@ -595,12 +578,11 @@ def test_stacked_laws_equal_the_per_element_laws():
         assert np.array_equal(inv.R[i], galilei_inverse(g).R)
         assert np.array_equal(inv.xi[i], galilei_inverse(g).xi)
     X = rng.normal(size=(6, 20, 4))
-    for make, kernel in ((random_galilei, galilei_apply_events),
-                         (random_poincare, poincare_apply_events)):
+    for make in (random_galilei, random_poincare):
         elements = [make(rng) for _ in range(6)]
-        block = kernel(_stack(elements), X)
+        block = apply_events(_stack(elements), X)
         for i, e in enumerate(elements):
-            assert np.array_equal(block[i], kernel(e, X[i]))
+            assert np.array_equal(block[i], apply_events(e, X[i]))
 
 
 def test_stacked_rotations_and_classification():
@@ -637,7 +619,7 @@ def test_stacked_elements_name_the_first_bad_element():
     with pytest.raises(ValueError, match=r"finite \(element 2\)"):
         GalileiElement(g.R, g.v, xi, g.tau)
     with pytest.raises(ValueError, match="events"):
-        galilei_apply_events(g, rng.normal(size=(20, 4)))
+        apply_events(g, rng.normal(size=(20, 4)))
 
 
 def test_stacked_compose_names_the_element_that_leaves_the_light_cone():
