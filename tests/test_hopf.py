@@ -182,8 +182,7 @@ def test_planck_validation():
     (1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (1.0, math.inf),
 ], ids=["hbar_zero", "hbar_nan", "hbar_inf", "l_zero", "l_negative", "l_nan", "l_inf"])
 def test_planck_scale_ops_rejects_parameters_that_void_the_residuals(hbar, l):
-    # hbar = 0 scales both residuals to exactly 0 whatever the operators, and
-    # l = 0 divided by zero before it reached a guard
+    # hbar = 0 scales both residuals to exactly 0 whatever the operators
     with pytest.raises(ValueError):
         planck_scale_ops(128, 5.0, hbar, l)
 
