@@ -114,23 +114,43 @@ def cmd_verify(args) -> int:
     return 0 if all(r.failed == 0 for r in reports) else 1
 
 
+# One `dump sweep` record as json.dumps(..., sort_keys=True, indent=2)
+# writes it: %r of a Python float is json's spelling of a finite float.
+_SWEEP_RECORD = '  {\n    "residual": %r,\n    "u": %r,\n    "v": %r\n  }'
+
+
+def _sweep_json(residual, u, v) -> str:
+    """json.dumps(records, sort_keys=True, indent=2) + "\\n", byte for
+    byte, for the records {"u", "v", "residual"} of one sweep, written
+    through _SWEEP_RECORD without building them.  NaN and the infinities
+    take json's spellings NaN, Infinity and -Infinity (no other text of the
+    output holds "nan" or "inf")."""
+    rows = zip(*(np.asarray(x, dtype=float).tolist() for x in (residual, u, v)))
+    text = "[\n" + ",\n".join(_SWEEP_RECORD % row for row in rows) + "\n]\n"
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def cmd_dump(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.kind == "sweep":
+        # the bytes of json.dumps(records, sort_keys=True, indent=2) + "\n":
+        # sorted keys, 2-space indent, NaN/Infinity/-Infinity for non-finite
+        # values; one record per sample, so written through a template
+        # rather than json's pure-Python indent encoder
+        p = sklyanin.QuantumRParams(eta=0.3, k=0.5)
+        rng = suite_rng(args.seed, "sklyanin-sweep")
+        u, v = np.array(sklyanin.sweep_samples(rng, p.k, args.samples)).T
+        _write(_sweep_json(sklyanin.qybe_residual(u, v, p), u, v), args.out)
+        return 0
     if args.kind == "algebra":
         doc = {
             "galilei": liealg.structure_to_json(liealg.galilei_structure()),
             "poincare": liealg.structure_to_json(liealg.poincare_structure()),
         }
-    elif args.kind == "graph":
+    else:
         g = fullerene.build_truncated_icosahedron()
         doc = fullerene.graph_to_json(g, fullerene.kekule(g))
-    else:
-        p = sklyanin.QuantumRParams(eta=0.3, k=0.5)
-        rng = suite_rng(args.seed, "sklyanin-sweep")
-        pairs = sklyanin.sweep_samples(rng, p.k, args.samples)
-        residuals = sklyanin.qybe_residual(*np.array(pairs).T, p)
-        doc = [{"u": u, "v": v, "residual": r} for (u, v), r in zip(pairs, residuals.tolist())]
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 

@@ -10,12 +10,16 @@ permutations of (1,2,3); the alternative free-sum reading collapses by
 antisymmetry and is kept only as a reported control.
 
 The r/R-matrices are weighted sums of the constant sigma_a x sigma_a,
-built once at import.  Every tensor-leg placement (R12, R13, R23 in the
-Yang-Baxter residuals; R, L', L'' in the exchange relation) goes through
-one embedding: reshape the two-site operator into its four leg indices,
-take the outer product with the identity on the third leg, transpose the
-legs into place and reshape back.  Inputs are validated once, where they
-enter (``_embed_pair``, ``SklyaninRep``), not inside the sweeps.
+built once at import.  Every tensor-leg placement goes through one
+embedding: reshape the two-site operator into its four leg indices, take
+the outer product with the identity on the third leg, transpose the legs
+into place and reshape back.  The Yang-Baxter residuals use it once, at
+import: each constant sigma_a x sigma_a is embedded on each leg pair
+(0,1), (0,2), (1,2) of C^2 x C^2 x C^2, so a sample's r12, r13 or r23 is
+its weight row times that leg basis (plus the identity for R).  The
+exchange relation embeds R, L' and L'' per call.  Inputs are validated
+once, where they enter (``_embed_pair``, the leg-basis stacks,
+``SklyaninRep``), not inside the products.
 
 The weights, matrices and residuals take a scalar u (and v) or arrays of
 them.  A residual computes and checks the weights at u - v, u and v of
@@ -167,11 +171,34 @@ def _embed_pair(m4, legs: tuple[int, int]) -> np.ndarray:
     m = np.asarray(m4, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-site operator, got shape {m.shape}")
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if not finite.all():
-        at = "" if m.ndim == 2 else f" (operator {int(np.flatnonzero(~finite)[0])})"
-        raise ValueError(f"matrix entries must be finite{at}")
+    _require_finite(m.reshape(*m.shape[:-2], 16))
     return _on_legs(m, legs, (2, 2, 2))
+
+
+def _require_finite(flat: np.ndarray) -> None:
+    # every flattened matrix (a row of flat) finite; a stack names the first that is not
+    finite = np.isfinite(flat).all(axis=-1)
+    if not finite.all():
+        at = "" if flat.ndim == 1 else f" (operator {int(np.flatnonzero(~finite)[0])})"
+        raise ValueError(f"matrix entries must be finite{at}")
+
+
+# sigma_a x sigma_a (a = 1..3) embedded on each leg pair of C^2 x C^2 x C^2
+# once, flattened to a (3, 64) basis per pair.
+_LEG_BASIS = {legs: _on_legs(np.stack(SIGMA_PAIR[1:]), legs, (2, 2, 2)).reshape(3, 64)
+              for legs in ((0, 1), (0, 2), (1, 2))}
+
+
+def _leg_stack(w, legs: tuple[int, int], one: bool = False) -> np.ndarray:
+    """sum_a w_a sigma_a x sigma_a on legs (i, j) of C^2 x C^2 x C^2, plus
+    the identity if `one` (R rather than r): an (n, 8, 8) stack for (n, 3)
+    weights w.  Every matrix must be finite; the error names the first one
+    that is not."""
+    m = w @ _LEG_BASIS[legs]
+    if one:
+        m[:, ::9] += 1.0
+    _require_finite(m)
+    return m.reshape(-1, 8, 8)
 
 
 # Samples per block of the batched residuals: bounds the (block, 8, 8)
@@ -201,9 +228,9 @@ def cybe_residual(u, v, p: ClassicalRParams):
     """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)]:
     a float for scalar u, v, one residual per sample for arrays."""
     def defect(w12, w13, w23):
-        r12 = _embed_pair(_pair_sum(w12), (0, 1))
-        r13 = _embed_pair(_pair_sum(w13), (0, 2))
-        r23 = _embed_pair(_pair_sum(w23), (1, 2))
+        r12 = _leg_stack(w12, (0, 1))
+        r13 = _leg_stack(w13, (0, 2))
+        r23 = _leg_stack(w23, (1, 2))
         return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
 
     return _sup_per_sample(defect, classical_w, u, v, p)
@@ -261,9 +288,9 @@ def qybe_residual(u, v, p: QuantumRParams):
     """Sup norm of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v): a float
     for scalar u, v, one residual per sample for arrays."""
     def defect(w12, w13, w23):
-        r12 = _embed_pair(_R_of(w12), (0, 1))
-        r13 = _embed_pair(_R_of(w13), (0, 2))
-        r23 = _embed_pair(_R_of(w23), (1, 2))
+        r12 = _leg_stack(w12, (0, 1), one=True)
+        r13 = _leg_stack(w13, (0, 2), one=True)
+        r23 = _leg_stack(w23, (1, 2), one=True)
         return r12 @ r13 @ r23 - r23 @ r13 @ r12
 
     return _sup_per_sample(defect, quantum_W, u, v, p)

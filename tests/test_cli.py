@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import symmetria
+from symmetria import sklyanin
 from symmetria.cli import main
 from symmetria.report import Check, CheckReport, render_json
 
@@ -193,6 +195,33 @@ def test_dump_sweep_residuals_below_tol(tmp_path):
     assert len(doc) == 15
     assert all(e["residual"] < 1e-9 for e in doc)
     assert all(set(e) == {"u", "v", "residual"} for e in doc)
+
+
+SPECIAL_RESIDUALS = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, 1e16,
+                     1.0000000000000002]
+
+
+@pytest.mark.parametrize("as_numpy", [False, True])
+@pytest.mark.parametrize("samples, first", [(1, 0), (1, 7), (8, 0)])
+def test_dump_sweep_template_writes_json_dumps_bytes(tmp_path, monkeypatch, samples, first,
+                                                     as_numpy):
+    # the sweep's template writer against json.dumps on the residuals it
+    # must spell like json: NaN, the infinities, signed zero, the smallest
+    # subnormal, an exponent form and a last-bit mantissa; as np.float64,
+    # whose repr under numpy 2 is not json's
+    records = []
+
+    def special(u, v, p):
+        values = (SPECIAL_RESIDUALS[first:] + SPECIAL_RESIDUALS[:first])[:len(u)]
+        records.extend({"u": float(a), "v": float(b), "residual": r}
+                       for a, b, r in zip(u, v, values))
+        return [np.float64(r) for r in values] if as_numpy else np.array(values)
+
+    monkeypatch.setattr(sklyanin, "qybe_residual", special)
+    out = tmp_path / "sweep.json"
+    assert run(["dump", "sweep", "--samples", str(samples), "--out", str(out)]) == 0
+    assert len(records) == samples
+    assert out.read_bytes() == (json.dumps(records, sort_keys=True, indent=2) + "\n").encode()
 
 
 def test_check_consistency_guard():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -6,7 +7,7 @@ import pytest
 from oracles import (classical_weights, quadratic_jacobi_holds_on_grid, sklyanin_exchange_defect,
                      sweep_samples_by_scalar_loop)
 
-from symmetria import suites
+from symmetria import cli, suites
 from symmetria import sklyanin as sklyanin_module
 from symmetria.elliptic import EllipticPoleError
 from symmetria.numerics import sup_norm
@@ -654,3 +655,115 @@ def test_embed_pair_stack_names_the_first_non_finite_operator():
     with pytest.raises(ValueError, match=r"\(operator 4\)"):
         _embed_pair(stack, (0, 2))
     assert _embed_pair(stack[:4], (1, 2)).shape == (4, 8, 8)
+
+
+# --- the leg basis embedded once ----------------------------------------------
+
+def test_leg_basis_is_the_kron_placement_of_each_sigma_pair():
+    assert sorted(sklyanin_module._LEG_BASIS) == [(0, 1), (0, 2), (1, 2)]
+    for legs, basis in sklyanin_module._LEG_BASIS.items():
+        assert basis.shape == (3, 64)
+        for a in (1, 2, 3):
+            want = _kron_reference(sklyanin_module.SIGMA_PAIR[a], legs)
+            assert np.array_equal(basis[a - 1].reshape(8, 8), want), (legs, a)
+
+
+@pytest.mark.parametrize("kind", ["qybe", "cybe"])
+def test_leg_basis_stacks_equal_embedded_matrices_across_blocks(kind, monkeypatch):
+    # three blocks, the last one partial: every stack the residual builds
+    # is the embedding of quantum_R (classical_r) at u - v, u or v, and
+    # every residual is the sup norm of the products of those embeddings
+    n, block = 300, sklyanin_module._BLOCK
+    assert 2 * block < n <= 3 * block
+    if kind == "qybe":
+        p, matrix = QuantumRParams(eta=0.3, k=0.5), quantum_R
+        residual = qybe_residual
+
+        def defect(r12, r13, r23):
+            return r12 @ r13 @ r23 - r23 @ r13 @ r12
+    else:
+        p, matrix = ClassicalRParams(rho=1.0, k=0.5), classical_r
+        residual = cybe_residual
+
+        def defect(r12, r13, r23):
+            return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
+    u, v = np.array(sweep_samples(np.random.default_rng(82), p.k, n)).T
+    built = {legs: [] for legs in sklyanin_module._LEG_BASIS}
+    real = sklyanin_module._leg_stack
+
+    def recording(w, legs, one=False):
+        out = real(w, legs, one)
+        built[legs].append(out)
+        return out
+
+    monkeypatch.setattr(sklyanin_module, "_leg_stack", recording)
+    got = residual(u, v, p)
+    want = {legs: _embed_pair(matrix(x, p), legs)
+            for legs, x in (((0, 1), u - v), ((0, 2), u), ((1, 2), v))}
+    for legs, blocks in built.items():
+        assert [len(b) for b in blocks] == [block, block, n - 2 * block]
+        assert np.array_equal(np.concatenate(blocks), want[legs]), legs
+    ref = [np.abs(defect(*(want[legs][i] for legs in ((0, 1), (0, 2), (1, 2))))).max()
+           for i in range(n)]
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["qybe", "cybe"])
+def test_leg_basis_stack_names_the_first_non_finite_operator(kind, monkeypatch):
+    # an inf weight at sample 5 of the u - v leg stack: the r12 stack
+    # holds inf and NaN at operator 5, and the guard names it
+    name = "quantum_W" if kind == "qybe" else "classical_w"
+    real = getattr(sklyanin_module, name)
+
+    def inf_at_sample_5(x, p):
+        W = [np.array(w) for w in real(x, p)]
+        W[0][0, 5] = np.inf
+        return tuple(W)
+
+    monkeypatch.setattr(sklyanin_module, name, inf_at_sample_5)
+    if kind == "qybe":
+        p, residual = QuantumRParams(eta=0.3, k=0.5), qybe_residual
+    else:
+        p, residual = ClassicalRParams(rho=1.0, k=0.5), cybe_residual
+    u, v = np.array(sweep_samples(np.random.default_rng(83), p.k, 20)).T
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite \(operator 5\)$"):
+        residual(u, v, p)
+
+
+def _worst_dump_sweep_residual(tmp_path) -> float:
+    out = tmp_path / "sweep.json"
+    assert cli.main(["dump", "sweep", "--samples", "50", "--out", str(out)]) == 0
+    return max(rec["residual"] for rec in json.loads(out.read_text()))
+
+
+@pytest.mark.parametrize("mutant", ["r13_on_legs_01", "W1_scaled"])
+def test_dump_sweep_detects_leg_basis_and_weight_mutants(mutant, monkeypatch, tmp_path):
+    # the pre-embedded path is not true by construction: r13 looked up on
+    # the wrong leg pair, or one weight off in its 4th digit, breaks the QYBE
+    assert _worst_dump_sweep_residual(tmp_path) < 1e-9
+    if mutant == "r13_on_legs_01":
+        basis = sklyanin_module._LEG_BASIS
+        monkeypatch.setitem(basis, (0, 2), basis[(0, 1)])
+    else:
+        real = sklyanin_module.quantum_W
+
+        def scaled(x, p):
+            W = real(x, p)
+            return (1.001 * W[0],) + tuple(W[1:])
+
+        monkeypatch.setattr(sklyanin_module, "quantum_W", scaled)
+    assert _worst_dump_sweep_residual(tmp_path) > 1e-9
+
+
+@pytest.mark.parametrize("order", [((0, 1), (1, 2), (0, 2)), ((0, 2), (1, 2), (0, 1))])
+def test_permuted_leg_bases_are_equivalent_mutants(order, monkeypatch, tmp_path):
+    # R(u) commutes with the swap of its two legs, so relabelling the
+    # three legs maps R12 R13 R23 - R23 R13 R12 to itself up to a
+    # permutation similarity, which keeps its sup norm: a permutation of
+    # the leg bases (here the (0,2)/(1,2) swap and a cyclic shift) cannot
+    # be caught by the QYBE residual, and a mutant catalogue must not count it
+    basis = dict(sklyanin_module._LEG_BASIS)
+    for legs, source in zip(((0, 1), (0, 2), (1, 2)), order):
+        monkeypatch.setitem(sklyanin_module._LEG_BASIS, legs, basis[source])
+    assert _worst_dump_sweep_residual(tmp_path) < 1e-9
