@@ -140,7 +140,7 @@ def cmd_dump(args) -> int:
         # rather than json's pure-Python indent encoder
         p = sklyanin.QuantumRParams(eta=0.3, k=0.5)
         rng = suite_rng(args.seed, "sklyanin-sweep")
-        u, v = np.array(sklyanin.sweep_samples(rng, p.k, args.samples)).T
+        u, v = sklyanin.sweep_samples(rng, p.k, args.samples).T
         _write(_sweep_json(sklyanin.qybe_residual(u, v, p), u, v), args.out)
         return 0
     if args.kind == "algebra":

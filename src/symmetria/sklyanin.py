@@ -9,21 +9,25 @@ triples (alpha, beta, gamma) in the quadratic relations run over cyclic
 permutations of (1,2,3); the alternative free-sum reading collapses by
 antisymmetry and is kept only as a reported control.
 
-The r/R-matrices are weighted sums of the constant sigma_a x sigma_a,
-built once at import.  Every tensor-leg placement goes through one
-embedding: reshape the two-site operator into its four leg indices, take
-the outer product with the identity on the third leg, transpose the legs
-into place and reshape back.  The Yang-Baxter residuals use it once, at
-import: each constant sigma_a x sigma_a is embedded on each leg pair
-(0,1), (0,2), (1,2) of C^2 x C^2 x C^2, so a sample's r12, r13 or r23 is
-its weight row times that leg basis (plus the identity for R).  The
-exchange relation embeds R, L' and L'' per call.  Inputs are validated
-once, where they enter (``_embed_pair``, the leg-basis stacks,
-``SklyaninRep``), not inside the products.
+Every r, R and L operator is one flattened family (const, basis): a
+constant n x n matrix plus sum_a w_a B_a over constant matrices B_1..B_3,
+kept as arrays of shapes (n*n,) and (3, n*n).  r is 0 plus
+sum_a w_a sigma_a x sigma_a, R is 1 plus the same sum, and L is
+sigma_0 x S_0 plus sum_a W_a sigma_a x S_a.  One helper builds any of them
+from (..., 3) weights as const + sum_a w_a B_a.  A tensor-leg placement
+embeds a whole family once, never a sample: reshape each of its matrices
+into its four leg indices, take the outer product with the identity on
+the third leg, transpose the legs into place and reshape back.  The r and
+R families are embedded on the leg pairs (0,1), (0,2), (1,2) of
+C^2 x C^2 x C^2 at import, for the Yang-Baxter residuals; the exchange
+relation embeds R, L' and L'' once per call.  The weights are checked
+finite once per residual, before any matrix is built, and the error names
+the sample; an overflow inside the weighted sum still gives a non-finite
+residual, which fails its row.
 
 The weights, matrices and residuals take a scalar u (and v) or arrays of
 them.  A residual computes and checks the weights at u - v, u and v of
-every sample in one weight call, then builds the (B, 8, 8) stacks and
+every sample in one weight call, then builds the (B, N, N) stacks and
 their products at most ``_BLOCK`` samples at a time: one sup norm per
 sample, or a float for scalar u, v.
 
@@ -57,11 +61,28 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-# sigma_a x sigma_a on C^2 x C^2; the r- and R-matrices are weighted sums
-# of these.
-SIGMA_PAIR = tuple(kron(s, s) for s in SIGMA)
-
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+# The r- and R-matrix families: const 0 or 1 on C^2 x C^2, basis
+# sigma_a x sigma_a (a = 1..3), flattened.
+_SIGMA_PAIRS = np.stack([kron(s, s) for s in SIGMA[1:]]).reshape(3, 16)
+_CLASSICAL_R = (np.zeros(16, dtype=complex), _SIGMA_PAIRS)
+_QUANTUM_R = (np.eye(4, dtype=complex).ravel(), _SIGMA_PAIRS)
+
+
+def _build(family: tuple, w: np.ndarray) -> np.ndarray:
+    """const + w_1 B_1 + w_2 B_2 + w_3 B_3 for the flattened family
+    (const, B) and weights w of shape (..., 3): one n x n matrix per weight
+    triple, stacked over the leading axes.  Summed term by term, left to
+    right, so every entry has the bits of that written sum; ``w @ B`` would
+    fuse multiply-adds and round an entry with two non-trivial terms (as in
+    rep3's L) differently."""
+    const, basis = family
+    n = math.isqrt(const.size)
+    out = const + w[..., 0, None] * basis[0]
+    for a in (1, 2):
+        out += w[..., a, None] * basis[a]
+    return out.reshape(*w.shape[:-1], n, n)
 
 
 @dataclass(frozen=True)
@@ -118,18 +139,10 @@ def classical_quadric(p: ClassicalRParams) -> dict:
     }
 
 
-def _pair_sum(w) -> np.ndarray:
-    """sum_a w_a sigma_a x sigma_a for weights w of shape (..., 3): a 4x4
-    matrix per weight triple, stacked over the leading axes."""
-    w = np.asarray(w)
-    return (w[..., 0, None, None] * SIGMA_PAIR[1] + w[..., 1, None, None] * SIGMA_PAIR[2]
-            + w[..., 2, None, None] * SIGMA_PAIR[3])
-
-
 def classical_r(u, p: ClassicalRParams) -> np.ndarray:
     """r(u) = sum_a w_a(u) sigma_a x sigma_a: a 4x4 matrix, or an (n, 4, 4)
     stack for n arguments."""
-    return _pair_sum(np.stack(classical_w(u, p), axis=-1))
+    return _build(_CLASSICAL_R, np.stack(classical_w(u, p), axis=-1))
 
 
 def _leg_axes(legs: tuple[int, int]) -> tuple:
@@ -163,42 +176,23 @@ def _on_legs(m: np.ndarray, legs: tuple[int, int], dims: tuple[int, int, int]) -
     return t.transpose(lead + tuple(len(batch) + a for a in _LEG_AXES[legs])).reshape(*batch, n, n)
 
 
-def _embed_pair(m4, legs: tuple[int, int]) -> np.ndarray:
-    """Embed a two-site operator, a 4x4 matrix on C^2 x C^2 (or an (n, 4, 4)
-    stack of them), into legs (i, j) of C^2 x C^2 x C^2 with the identity
-    on the remaining leg.  Every matrix must be finite; the error names the
-    first one that is not."""
-    m = np.asarray(m4, dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 two-site operator, got shape {m.shape}")
-    _require_finite(m.reshape(*m.shape[:-2], 16))
-    return _on_legs(m, legs, (2, 2, 2))
+def _family_on_legs(family: tuple, legs: tuple[int, int], dims: tuple[int, int, int]) -> tuple:
+    """The flattened family (const, basis) of operators on factors
+    legs[0] x legs[1], embedded by one ``_on_legs`` call into the
+    three-factor space of factor dimensions `dims`: again a flattened
+    family."""
+    const, basis = family
+    n = math.isqrt(const.size)
+    stack = np.concatenate((const[None], basis)).reshape(4, n, n)
+    flat = _on_legs(stack, legs, dims).reshape(4, -1)
+    return flat[0], flat[1:]
 
 
-def _require_finite(flat: np.ndarray) -> None:
-    # every flattened matrix (a row of flat) finite; a stack names the first that is not
-    finite = np.isfinite(flat).all(axis=-1)
-    if not finite.all():
-        at = "" if flat.ndim == 1 else f" (operator {int(np.flatnonzero(~finite)[0])})"
-        raise ValueError(f"matrix entries must be finite{at}")
-
-
-# sigma_a x sigma_a (a = 1..3) embedded on each leg pair of C^2 x C^2 x C^2
-# once, flattened to a (3, 64) basis per pair.
-_LEG_BASIS = {legs: _on_legs(np.stack(SIGMA_PAIR[1:]), legs, (2, 2, 2)).reshape(3, 64)
-              for legs in ((0, 1), (0, 2), (1, 2))}
-
-
-def _leg_stack(w, legs: tuple[int, int], one: bool = False) -> np.ndarray:
-    """sum_a w_a sigma_a x sigma_a on legs (i, j) of C^2 x C^2 x C^2, plus
-    the identity if `one` (R rather than r): an (n, 8, 8) stack for (n, 3)
-    weights w.  Every matrix must be finite; the error names the first one
-    that is not."""
-    m = w @ _LEG_BASIS[legs]
-    if one:
-        m[:, ::9] += 1.0
-    _require_finite(m)
-    return m.reshape(-1, 8, 8)
+# The leg pairs of R12, R13, R23, and the r and R families embedded on each
+# of them in C^2 x C^2 x C^2 once.
+_YB_LEGS = ((0, 1), (0, 2), (1, 2))
+_CLASSICAL_R_LEGS = {legs: _family_on_legs(_CLASSICAL_R, legs, (2, 2, 2)) for legs in _YB_LEGS}
+_QUANTUM_R_LEGS = {legs: _family_on_legs(_QUANTUM_R, legs, (2, 2, 2)) for legs in _YB_LEGS}
 
 
 # Samples per block of the batched residuals: bounds the (block, 8, 8)
@@ -210,30 +204,38 @@ def _sup_per_sample(defect, weights, u, v, p):
     """Sup norm per sample of defect(w12, w13, w23), the (len, N, N) defect
     stack built from the (len, 3) weights at u - v, u and v of at most
     _BLOCK samples.  One ``weights`` call on the stacked legs gives them
-    all; its pole error names the sample a call on the failing leg would.
-    A float for scalar u, v; an array of their broadcast length otherwise."""
+    all; its pole error names the sample a call on the failing leg would,
+    and every weight must be finite (the error names the first sample that
+    is not).  A float for scalar u, v; an array of their broadcast length
+    otherwise."""
     legs = np.stack(np.broadcast_arrays(u - v, u, v))
     try:
         w = np.stack(weights(legs, p), axis=-1).reshape(3, legs[0].size, 3)
     except EllipticPoleError as err:
         at = None if legs.ndim == 1 else err.index % (legs.size // 3)
         raise EllipticPoleError(err.z, err.pole, at, err.condition) from None
+    finite = np.isfinite(w).all(axis=(0, 2))
+    if not finite.all():
+        at = "" if legs.ndim == 1 else f" (sample {int(np.flatnonzero(~finite)[0])})"
+        raise ValueError(f"weights must be finite{at}")
     out = np.empty(w.shape[1])
     for start in range(0, len(out), _BLOCK):
         out[start:start + _BLOCK] = np.abs(defect(*w[:, start:start + _BLOCK])).max(axis=(-2, -1))
     return float(out[0]) if legs.ndim == 1 else out
 
 
+def _cybe_defect(w12, w13, w23) -> np.ndarray:
+    """[r12, r13] + [r12, r23] + [r13, r23] from the (B, 3) classical
+    weights at u - v, u and v: a (B, 8, 8) stack."""
+    r12, r13, r23 = (_build(_CLASSICAL_R_LEGS[legs], w)
+                     for legs, w in zip(_YB_LEGS, (w12, w13, w23)))
+    return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
+
+
 def cybe_residual(u, v, p: ClassicalRParams):
     """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)]:
     a float for scalar u, v, one residual per sample for arrays."""
-    def defect(w12, w13, w23):
-        r12 = _leg_stack(w12, (0, 1))
-        r13 = _leg_stack(w13, (0, 2))
-        r23 = _leg_stack(w23, (1, 2))
-        return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
-
-    return _sup_per_sample(defect, classical_w, u, v, p)
+    return _sup_per_sample(_cybe_defect, classical_w, u, v, p)
 
 
 @functools.lru_cache(maxsize=64)
@@ -273,24 +275,18 @@ def _curve_of(W) -> dict:
             for a, b, c in ((1, 2, 3), (1, 3, 2), (2, 3, 1))}
 
 
-def _R_of(w) -> np.ndarray:
-    # R = 1 + sum_a W_a sigma_a x sigma_a for quantum weights w of shape (..., 3)
-    return np.eye(4, dtype=complex) + _pair_sum(w)
-
-
 def quantum_R(u, p: QuantumRParams) -> np.ndarray:
     """R(u) = 1 + sum_a W_a(u) sigma_a x sigma_a: a 4x4 matrix, or an
     (n, 4, 4) stack for n arguments."""
-    return _R_of(np.stack(quantum_W(u, p), axis=-1))
+    return _build(_QUANTUM_R, np.stack(quantum_W(u, p), axis=-1))
 
 
 def qybe_residual(u, v, p: QuantumRParams):
     """Sup norm of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v): a float
     for scalar u, v, one residual per sample for arrays."""
     def defect(w12, w13, w23):
-        r12 = _leg_stack(w12, (0, 1), one=True)
-        r13 = _leg_stack(w13, (0, 2), one=True)
-        r23 = _leg_stack(w23, (1, 2), one=True)
+        r12, r13, r23 = (_build(_QUANTUM_R_LEGS[legs], w)
+                         for legs, w in zip(_YB_LEGS, (w12, w13, w23)))
         return r12 @ r13 @ r23 - r23 @ r13 @ r12
 
     return _sup_per_sample(defect, quantum_W, u, v, p)
@@ -304,20 +300,22 @@ def qybe_residual(u, v, p: QuantumRParams):
 class SklyaninRep:
     """Generators S0..S3 as d x d matrices and the defining triple J.
 
-    ``sigma_S`` holds the four factors sigma_a x S_a on aux x quantum that
-    every L operator is a weighted sum of, built once with the validation."""
+    ``L_family`` is the flattened family of the L operator on aux x
+    quantum: the constant sigma_0 x S_0 and the basis sigma_a x S_a
+    (a = 1..3), built once with the validation."""
 
     dim: int
     S: tuple
     J: tuple
-    sigma_S: tuple = field(init=False, repr=False, compare=False)
+    L_family: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         S = tuple(as_matrix(g) for g in self.S)
         if len(S) != 4 or any(g.shape != (self.dim, self.dim) for g in S):
             raise ValueError(f"a representation needs four {self.dim}x{self.dim} generators")
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "sigma_S", tuple(kron(SIGMA[a], S[a]) for a in range(4)))
+        flat = np.stack([kron(SIGMA[a], S[a]) for a in range(4)]).reshape(4, -1)
+        object.__setattr__(self, "L_family", (flat[0], flat[1:]))
 
     def J_pair(self, a: int, b: int) -> float:
         """J_ab = -(J_a - J_b)/J_c with c the remaining index."""
@@ -369,37 +367,24 @@ def sklyanin_residual(rep: SklyaninRep, convention: str = "cyclic") -> float:
     return worst
 
 
-def _L_of(w, rep: SklyaninRep) -> np.ndarray:
-    # L = sigma_0 x S_0 + sum_a W_a sigma_a x S_a for weights w of shape (..., 3)
-    w = np.asarray(w)
-    out = rep.sigma_S[0]
-    for a in (1, 2, 3):
-        out = out + w[..., a - 1, None, None] * rep.sigma_S[a]
-    return out
-
-
 def L_operator(u, rep: SklyaninRep, p: QuantumRParams) -> np.ndarray:
     """L(u) = sigma_0 x S_0 + sum_a W_a(u) sigma_a x S_a on aux x quantum:
     a 2d x 2d matrix, or an (n, 2d, 2d) stack for n arguments."""
-    return _L_of(np.stack(quantum_W(u, p), axis=-1), rep)
-
-
-def _rll_factors(w_uv, w_u, w_v, rep: SklyaninRep) -> tuple:
-    """R(u-v), L'(u) and L''(v) on aux1 x aux2 x quantum from the weight
-    stacks (n, 3) at u-v, u and v: R on the two auxiliary legs, L(u) on
-    aux1 x quantum, L(v) on aux2 x quantum."""
-    dims = (2, 2, rep.dim)
-    return (_on_legs(_R_of(w_uv), (0, 1), dims),
-            _on_legs(_L_of(w_u, rep), (0, 2), dims),
-            _on_legs(_L_of(w_v, rep), (1, 2), dims))
+    return _build(rep.L_family, np.stack(quantum_W(u, p), axis=-1))
 
 
 def rll_residual(u, v, rep: SklyaninRep, p: QuantumRParams):
     """Sup norm of R(u-v) L'(u) L''(v) - L''(v) L'(u) R(u-v) on
     aux1 x aux2 x quantum (dimension 4 d): a float for scalar u, v, one
-    residual per sample for arrays."""
-    def defect(*w):
-        R, Lp, Lpp = _rll_factors(*w, rep)
+    residual per sample for arrays.  R sits on the two auxiliary legs, L(u)
+    on aux1 x quantum and L(v) on aux2 x quantum."""
+    dims = (2, 2, rep.dim)
+    R_fam = _family_on_legs(_QUANTUM_R, (0, 1), dims)
+    Lp_fam = _family_on_legs(rep.L_family, (0, 2), dims)
+    Lpp_fam = _family_on_legs(rep.L_family, (1, 2), dims)
+
+    def defect(w_uv, w_u, w_v):
+        R, Lp, Lpp = _build(R_fam, w_uv), _build(Lp_fam, w_u), _build(Lpp_fam, w_v)
         return R @ Lp @ Lpp - Lpp @ Lp @ R
 
     return _sup_per_sample(defect, quantum_W, u, v, p)
@@ -523,7 +508,7 @@ def classical_limit_probe(u: float, p_base: ClassicalRParams, h_sequence) -> dic
         qp = QuantumRParams(eta=p_base.rho * h, k=p_base.k)
         W = quantum_W(u, qp)
         e1.append(worst_of(*(abs(W[a] - 1j * h * w[a]) for a in range(3))))
-        e2.append(sup_norm(_R_of(np.stack(W)) - np.eye(4) - 1j * h * r))
+        e2.append(sup_norm(_build(_QUANTUM_R, np.stack(W)) - np.eye(4) - 1j * h * r))
         Jq = _curve_of(W)
         e3.append(worst_of(*(abs(Jq[(a, b)] - h * h * Jcl[(a, b)]) for (a, b) in Jcl)))
 
@@ -539,9 +524,10 @@ def classical_limit_probe(u: float, p_base: ClassicalRParams, h_sequence) -> dic
 SWEEP_MARGIN = 0.05
 
 
-def sweep_samples(rng: np.random.Generator, k: float, count: int) -> list:
-    """Seeded (u, v) pairs with u, v, u-v all at least SWEEP_MARGIN away
-    from the real zero lattice of sn (the pole set of the classical weights).
+def sweep_samples(rng: np.random.Generator, k: float, count: int) -> np.ndarray:
+    """Seeded (u, v) pairs, a (count, 2) float array, with u, v, u-v all at
+    least SWEEP_MARGIN away from the real zero lattice of sn (the pole set
+    of the classical weights).
 
     The pairs are drawn as (m, 2) uniform blocks and rejected by an array
     mask, m being the number still missing, so they are the pairs, and the
@@ -554,6 +540,5 @@ def sweep_samples(rng: np.random.Generator, k: float, count: int) -> list:
         args = np.column_stack((uv, uv[:, 0] - uv[:, 1]))
         return (np.abs(args - period * np.round(args / period)) >= SWEEP_MARGIN).all(axis=1)
 
-    pairs = accepted_rows(lambda m: rng.uniform(SWEEP_MARGIN, period - SWEEP_MARGIN, (m, 2)),
-                          clear_of_poles, count)
-    return [tuple(pair) for pair in pairs.tolist()]
+    return accepted_rows(lambda m: rng.uniform(SWEEP_MARGIN, period - SWEEP_MARGIN, (m, 2)),
+                         clear_of_poles, count)

@@ -259,9 +259,9 @@ def test_criterion_8_mutation_sensitivity():
     w = sklyanin.classical_w(u - v, p)
     mutated = sum(wv * np.kron(sklyanin.SIGMA[a], sklyanin.SIGMA[a])
                   for a, wv in enumerate((w[0] * 1.01, w[1], w[2]), start=1))
-    r12 = sklyanin._embed_pair(mutated, (0, 1))
-    r13 = sklyanin._embed_pair(sklyanin.classical_r(u, p), (0, 2))
-    r23 = sklyanin._embed_pair(sklyanin.classical_r(v, p), (1, 2))
+    r12 = sklyanin._on_legs(mutated, (0, 1), (2, 2, 2))
+    r13 = sklyanin._on_legs(sklyanin.classical_r(u, p), (0, 2), (2, 2, 2))
+    r23 = sklyanin._on_legs(sklyanin.classical_r(v, p), (1, 2), (2, 2, 2))
     res_r = sup_norm((r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12)
                      + (r13 @ r23 - r23 @ r13))
 

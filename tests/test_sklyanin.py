@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -37,8 +39,7 @@ from symmetria.sklyanin import (
     sklyanin_residual,
     sweep_samples,
     L_operator,
-    _embed_pair,
-    _rll_factors,
+    _on_legs,
 )
 
 SWAP = np.zeros((4, 4), dtype=complex)
@@ -100,9 +101,9 @@ def test_cybe_detects_perturbation():
     w = classical_w(u - v, p)
     mutated = sum(wv * np.kron(SIGMA[a], SIGMA[a])
                   for a, wv in enumerate((w[0] * 1.01, w[1], w[2]), start=1))
-    r12 = _embed_pair(mutated, (0, 1))
-    r13 = _embed_pair(classical_r(u, p), (0, 2))
-    r23 = _embed_pair(classical_r(v, p), (1, 2))
+    r12 = _on_legs(mutated, (0, 1), (2, 2, 2))
+    r13 = _on_legs(classical_r(u, p), (0, 2), (2, 2, 2))
+    r23 = _on_legs(classical_r(v, p), (1, 2), (2, 2, 2))
     residual = sup_norm(r12 @ r13 @ np.eye(8) - r13 @ r12)  # noqa: F841 sanity shape
     total = sup_norm((r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13))
     assert total > 1e-3
@@ -183,64 +184,72 @@ def test_qybe_residual_small():
 def test_qybe_v0_braid_reduction():
     p = QuantumRParams(eta=0.3, k=0.5)
     u = 1.1
-    r12 = _embed_pair(quantum_R(u, p), (0, 1))
-    r13 = _embed_pair(quantum_R(u, p), (0, 2))
-    p23 = _embed_pair(2.0 * SWAP, (1, 2))
+    r12 = _on_legs(quantum_R(u, p), (0, 1), (2, 2, 2))
+    r13 = _on_legs(quantum_R(u, p), (0, 2), (2, 2, 2))
+    p23 = _on_legs(2.0 * SWAP, (1, 2), (2, 2, 2))
     assert sup_norm(r12 @ r13 @ p23 - p23 @ r13 @ r12) < 1e-12
 
 
-def _kron_reference(m4, legs):
-    # expand m4 in the product basis e_ij x e_kl and place each factor on
-    # its leg with plain Kronecker products
-    out = np.zeros((8, 8), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    ops = [np.eye(2, dtype=complex)] * 3
-                    ops[legs[0]] = np.outer(np.eye(2)[i], np.eye(2)[j])
-                    ops[legs[1]] = np.outer(np.eye(2)[k], np.eye(2)[l])
-                    out += m4[2 * i + k, 2 * j + l] * np.kron(np.kron(ops[0], ops[1]), ops[2])
+def _kron_reference(m, legs, dims=(2, 2, 2)):
+    # expand m in the product basis e_ij x e_kl of its two factors and place
+    # each factor on its leg with plain Kronecker products
+    a, b = dims[legs[0]], dims[legs[1]]
+    out = 0
+    for i, j, k, l in itertools.product(range(a), range(a), range(b), range(b)):
+        ops = [np.eye(d, dtype=complex) for d in dims]
+        ops[legs[0]] = np.outer(np.eye(a)[i], np.eye(a)[j])
+        ops[legs[1]] = np.outer(np.eye(b)[k], np.eye(b)[l])
+        out = out + m[b * i + k, b * j + l] * np.kron(np.kron(ops[0], ops[1]), ops[2])
     return out
 
 
-def test_embed_pair_matches_kron_reference():
+def test_on_legs_matches_kron_reference():
     rng = np.random.default_rng(77)
     for _ in range(5):
         m4 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert sup_norm(_embed_pair(m4, (0, 1)) - np.kron(m4, np.eye(2))) <= 1e-14
-        assert sup_norm(_embed_pair(m4, (1, 2)) - np.kron(np.eye(2), m4)) <= 1e-14
+        assert sup_norm(_on_legs(m4, (0, 1), (2, 2, 2)) - np.kron(m4, np.eye(2))) <= 1e-14
+        assert sup_norm(_on_legs(m4, (1, 2), (2, 2, 2)) - np.kron(np.eye(2), m4)) <= 1e-14
         for legs in ((0, 1), (0, 2), (1, 2), (2, 0)):
-            assert sup_norm(_embed_pair(m4, legs) - _kron_reference(m4, legs)) <= 1e-14, legs
+            got = _on_legs(m4, legs, (2, 2, 2))
+            assert sup_norm(got - _kron_reference(m4, legs)) <= 1e-14, legs
+    # an aux x quantum operator of rep3's shape, and a leading batch axis
+    m6 = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
+    for legs in ((0, 2), (1, 2)):
+        got = _on_legs(m6, legs, (2, 2, 3))
+        assert got.shape == (2, 12, 12)
+        for i in range(2):
+            assert sup_norm(got[i] - _kron_reference(m6[i], legs, (2, 2, 3))) <= 1e-14, legs
 
 
-def test_embed_pair_validates_its_input():
-    bad = np.eye(4, dtype=complex)
-    bad[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        _embed_pair(bad, (0, 1))
-    bad[1, 2] = np.inf
-    with pytest.raises(ValueError):
-        _embed_pair(bad, (0, 2))
-    with pytest.raises(ValueError):
-        _embed_pair(np.eye(8), (0, 1))
-    with pytest.raises(ValueError):
-        _embed_pair(np.eye(4), (1, 1))
+def test_on_legs_rejects_invalid_legs():
+    for legs in ((1, 1), (0, 3)):
+        with pytest.raises(ValueError, match="legs must be two distinct indices"):
+            _on_legs(np.eye(4), legs, (2, 2, 2))
 
 
-def test_rll_factors_match_kron_reference():
+def test_rll_families_match_kron_reference():
+    # R, L' and L'' as rll_residual builds them: each family embedded once
+    # on aux1 x aux2 x quantum, then evaluated at the weights
     p = QuantumRParams(eta=0.3, k=0.5)
-    one_2 = np.eye(2, dtype=complex)
     u, v = 0.9, 0.4
+
+    def built(family, legs, dims, x):
+        embedded = sklyanin_module._family_on_legs(family, legs, dims)
+        return sklyanin_module._build(embedded, np.stack(quantum_W(x, p), axis=-1))
+
     for r in (rep2(), rep3(1.0, 2.0, 3.0)):
-        weights = [np.stack(quantum_W(x, p), axis=-1) for x in (u - v, u, v)]
-        R, Lp, Lpp = _rll_factors(*weights, r)
+        dims = (2, 2, r.dim)
+        R = built(sklyanin_module._QUANTUM_R, (0, 1), dims, u - v)
         assert sup_norm(R - np.kron(quantum_R(u - v, p), np.eye(r.dim))) <= 1e-14
-        for L, w, aux in ((Lp, u, lambda s: np.kron(s, one_2)),
-                          (Lpp, v, lambda s: np.kron(one_2, s))):
-            W = (1.0,) + quantum_W(w, p)
-            ref = sum(W[a] * np.kron(aux(SIGMA[a]), r.S[a]) for a in range(4))
-            assert sup_norm(L - ref) <= 1e-14
+        assert sup_norm(R - _kron_reference(quantum_R(u - v, p), (0, 1), dims)) <= 1e-14
+        for legs, x in (((0, 2), u), ((1, 2), v)):
+            L = built(r.L_family, legs, dims, x)
+            w = (1.0,) + quantum_W(x, p)
+            aux = (lambda s: np.kron(s, np.eye(2))) if legs == (0, 2) else (
+                lambda s: np.kron(np.eye(2), s))
+            ref = sum(w[a] * np.kron(aux(SIGMA[a]), r.S[a]) for a in range(4))
+            assert sup_norm(L - ref) <= 1e-14, legs
+            assert sup_norm(L - _kron_reference(L_operator(x, r, p), legs, dims)) <= 1e-14, legs
 
 
 def test_rep_rejects_non_finite_or_misshapen_generators():
@@ -542,13 +551,14 @@ def test_sweep_samples_avoid_poles():
 @pytest.mark.parametrize("k", [0.0, 0.3, 0.5])
 @pytest.mark.parametrize("count", [1, 20, 1000])
 def test_sweep_samples_match_the_scalar_loop(k, count):
-    # the block draws keep the pairs, their float type and the generator
-    # state of the loop that drew u then v one pair at a time
+    # the block draws keep the pairs and the generator state of the loop
+    # that drew u then v one pair at a time
     from symmetria.elliptic import quarter_period
     block, scalar = np.random.default_rng(81), np.random.default_rng(81)
     pairs = sweep_samples(block, k, count)
-    assert pairs == sweep_samples_by_scalar_loop(scalar, k, count, quarter_period(k), SWEEP_MARGIN)
-    assert all(type(p) is tuple and type(p[0]) is float and type(p[1]) is float for p in pairs)
+    assert pairs.shape == (count, 2) and pairs.dtype == np.float64
+    oracle = sweep_samples_by_scalar_loop(scalar, k, count, quarter_period(k), SWEEP_MARGIN)
+    assert list(map(tuple, pairs.tolist())) == oracle
     assert block.random() == scalar.random()
 
 
@@ -574,7 +584,7 @@ def test_nan_in_one_bracket_coefficient_propagates(monkeypatch):
 
 def test_qybe_per_sample_vector_matches_kron_embedding():
     p = QuantumRParams(eta=0.3, k=0.5)
-    u, v = np.array(sweep_samples(np.random.default_rng(78), p.k, 5)).T
+    u, v = sweep_samples(np.random.default_rng(78), p.k, 5).T
     got = qybe_residual(u, v, p)
     assert got.shape == (5,)
     for i in range(5):
@@ -598,7 +608,7 @@ def test_batched_residuals_equal_scalar_calls_across_blocks(kind):
     else:
         p = QuantumRParams(eta=0.2, k=0.3)
         residual = lambda u, v: rll_residual(u, v, rep3(1.0, 2.0, 3.0), p)
-    u, v = np.array(sweep_samples(np.random.default_rng(79), p.k, n)).T
+    u, v = sweep_samples(np.random.default_rng(79), p.k, n).T
     got = residual(u, v)
     assert got.shape == (n,)
     for i in (0, 1, n - 8, n - 7, n - 1):
@@ -611,7 +621,7 @@ def test_batched_pole_error_names_the_global_sample():
     p = ClassicalRParams(rho=1.0, k=0.5)
     K = sklyanin_module.quarter_period(p.k)
     n = sklyanin_module._BLOCK + 30
-    u, v = np.array(sweep_samples(np.random.default_rng(80), p.k, n)).T
+    u, v = sweep_samples(np.random.default_rng(80), p.k, n).T
     u[150] = 2.0 * K
     with pytest.raises(EllipticPoleError, match=r"\(index 150\)") as err:
         cybe_residual(u, v, p)
@@ -632,7 +642,7 @@ def test_stacked_legs_pole_error_names_the_sample_and_leg(kind, leg):
             lambda u, v: rll_residual(u, v, rep2(), p))
     K = sklyanin_module.quarter_period(p.k)
     n = sklyanin_module._BLOCK + 30
-    u, v = np.array(sweep_samples(np.random.default_rng(81), p.k, n)).T
+    u, v = sweep_samples(np.random.default_rng(81), p.k, n).T
     v[140] = 2.0 * K if leg == "v" else u[140] - 2.0 * K
     with pytest.raises(EllipticPoleError) as alone:
         weights(v if leg == "v" else u - v, p)
@@ -648,24 +658,19 @@ def test_stacked_legs_pole_error_names_the_sample_and_leg(kind, leg):
     assert "(index" not in str(scalar.value)
 
 
-def test_embed_pair_stack_names_the_first_non_finite_operator():
-    stack = np.repeat(np.eye(4, dtype=complex)[None], 6, axis=0)
-    stack[4, 2, 1] = np.inf
-    stack[5, 0, 0] = np.nan
-    with pytest.raises(ValueError, match=r"\(operator 4\)"):
-        _embed_pair(stack, (0, 2))
-    assert _embed_pair(stack[:4], (1, 2)).shape == (4, 8, 8)
-
-
-# --- the leg basis embedded once ----------------------------------------------
+# --- the r and R families embedded once ----------------------------------------
 
 def test_leg_basis_is_the_kron_placement_of_each_sigma_pair():
-    assert sorted(sklyanin_module._LEG_BASIS) == [(0, 1), (0, 2), (1, 2)]
-    for legs, basis in sklyanin_module._LEG_BASIS.items():
-        assert basis.shape == (3, 64)
-        for a in (1, 2, 3):
-            want = _kron_reference(sklyanin_module.SIGMA_PAIR[a], legs)
-            assert np.array_equal(basis[a - 1].reshape(8, 8), want), (legs, a)
+    assert sklyanin_module._YB_LEGS == ((0, 1), (0, 2), (1, 2))
+    for families, one in ((sklyanin_module._CLASSICAL_R_LEGS, 0.0),
+                          (sklyanin_module._QUANTUM_R_LEGS, 1.0)):
+        assert sorted(families) == [(0, 1), (0, 2), (1, 2)]
+        for legs, (const, basis) in families.items():
+            assert const.shape == (64,) and basis.shape == (3, 64)
+            assert np.array_equal(const.reshape(8, 8), one * np.eye(8)), legs
+            for a in (1, 2, 3):
+                want = _kron_reference(np.kron(SIGMA[a], SIGMA[a]), legs)
+                assert np.array_equal(basis[a - 1].reshape(8, 8), want), (legs, a)
 
 
 @pytest.mark.parametrize("kind", ["qybe", "cybe"])
@@ -677,29 +682,29 @@ def test_leg_basis_stacks_equal_embedded_matrices_across_blocks(kind, monkeypatc
     assert 2 * block < n <= 3 * block
     if kind == "qybe":
         p, matrix = QuantumRParams(eta=0.3, k=0.5), quantum_R
-        residual = qybe_residual
+        residual, families = qybe_residual, sklyanin_module._QUANTUM_R_LEGS
 
         def defect(r12, r13, r23):
             return r12 @ r13 @ r23 - r23 @ r13 @ r12
     else:
         p, matrix = ClassicalRParams(rho=1.0, k=0.5), classical_r
-        residual = cybe_residual
+        residual, families = cybe_residual, sklyanin_module._CLASSICAL_R_LEGS
 
         def defect(r12, r13, r23):
             return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
-    u, v = np.array(sweep_samples(np.random.default_rng(82), p.k, n)).T
-    built = {legs: [] for legs in sklyanin_module._LEG_BASIS}
-    real = sklyanin_module._leg_stack
+    u, v = sweep_samples(np.random.default_rng(82), p.k, n).T
+    want = {legs: _on_legs(matrix(x, p), legs, (2, 2, 2))
+            for legs, x in (((0, 1), u - v), ((0, 2), u), ((1, 2), v))}
+    built = {legs: [] for legs in families}
+    real = sklyanin_module._build
 
-    def recording(w, legs, one=False):
-        out = real(w, legs, one)
-        built[legs].append(out)
+    def recording(family, w):
+        out = real(family, w)
+        built[next(legs for legs, f in families.items() if f is family)].append(out)
         return out
 
-    monkeypatch.setattr(sklyanin_module, "_leg_stack", recording)
+    monkeypatch.setattr(sklyanin_module, "_build", recording)
     got = residual(u, v, p)
-    want = {legs: _embed_pair(matrix(x, p), legs)
-            for legs, x in (((0, 1), u - v), ((0, 2), u), ((1, 2), v))}
     for legs, blocks in built.items():
         assert [len(b) for b in blocks] == [block, block, n - 2 * block]
         assert np.array_equal(np.concatenate(blocks), want[legs]), legs
@@ -708,27 +713,58 @@ def test_leg_basis_stacks_equal_embedded_matrices_across_blocks(kind, monkeypatc
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("kind", ["qybe", "cybe"])
-def test_leg_basis_stack_names_the_first_non_finite_operator(kind, monkeypatch):
-    # an inf weight at sample 5 of the u - v leg stack: the r12 stack
-    # holds inf and NaN at operator 5, and the guard names it
-    name = "quantum_W" if kind == "qybe" else "classical_w"
+def _residual_of(kind: str):
+    """(weight function name, params, residual(u, v)) of one batched kernel."""
+    if kind == "cybe":
+        p = ClassicalRParams(rho=1.0, k=0.5)
+        return "classical_w", p, lambda u, v: cybe_residual(u, v, p)
+    p = QuantumRParams(eta=0.3, k=0.5)
+    if kind == "qybe":
+        return "quantum_W", p, lambda u, v: qybe_residual(u, v, p)
+    return "quantum_W", p, lambda u, v: rll_residual(u, v, rep3(1.0, 2.0, 3.0), p)
+
+
+@pytest.mark.parametrize("kind", ["cybe", "qybe", "rll"])
+@pytest.mark.parametrize("sample", [5, 200])
+def test_leg_basis_stack_names_the_first_non_finite_operator(kind, sample, monkeypatch):
+    # an inf weight at one sample of the u - v leg, in the first block or
+    # the second: the guard names the global sample before any matrix is
+    # built, so no product warns on inf * 0
+    name, p, residual = _residual_of(kind)
     real = getattr(sklyanin_module, name)
 
-    def inf_at_sample_5(x, p):
+    def inf_at_sample(x, p):
         W = [np.array(w) for w in real(x, p)]
-        W[0][0, 5] = np.inf
+        W[0][0, sample] = np.inf
         return tuple(W)
 
-    monkeypatch.setattr(sklyanin_module, name, inf_at_sample_5)
-    if kind == "qybe":
-        p, residual = QuantumRParams(eta=0.3, k=0.5), qybe_residual
-    else:
-        p, residual = ClassicalRParams(rho=1.0, k=0.5), cybe_residual
-    u, v = np.array(sweep_samples(np.random.default_rng(83), p.k, 20)).T
-    with pytest.raises(ValueError, match=r"^matrix entries must be finite \(operator 5\)$"):
-        residual(u, v, p)
+    monkeypatch.setattr(sklyanin_module, name, inf_at_sample)
+    u, v = sweep_samples(np.random.default_rng(83), p.k, 300).T
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=rf"^weights must be finite \(sample {sample}\)$"):
+            residual(u, v)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("kind, embeddings", [("cybe", 0), ("qybe", 0), ("rll", 3)])
+def test_residuals_embed_no_sample(kind, embeddings, monkeypatch):
+    # the Yang-Baxter families are embedded at import and the exchange
+    # relation's three once per call, whatever the number of blocks
+    _, p, residual = _residual_of(kind)
+    calls = []
+    real = sklyanin_module._on_legs
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(sklyanin_module, "_on_legs", counting)
+    for n in (20, 300):
+        calls.clear()
+        u, v = sweep_samples(np.random.default_rng(84), p.k, n).T
+        assert residual(u, v).shape == (n,)
+        assert len(calls) == embeddings, (n, calls)
 
 
 def _worst_dump_sweep_residual(tmp_path) -> float:
@@ -743,8 +779,8 @@ def test_dump_sweep_detects_leg_basis_and_weight_mutants(mutant, monkeypatch, tm
     # the wrong leg pair, or one weight off in its 4th digit, breaks the QYBE
     assert _worst_dump_sweep_residual(tmp_path) < 1e-9
     if mutant == "r13_on_legs_01":
-        basis = sklyanin_module._LEG_BASIS
-        monkeypatch.setitem(basis, (0, 2), basis[(0, 1)])
+        families = sklyanin_module._QUANTUM_R_LEGS
+        monkeypatch.setitem(families, (0, 2), families[(0, 1)])
     else:
         real = sklyanin_module.quantum_W
 
@@ -763,7 +799,7 @@ def test_permuted_leg_bases_are_equivalent_mutants(order, monkeypatch, tmp_path)
     # permutation similarity, which keeps its sup norm: a permutation of
     # the leg bases (here the (0,2)/(1,2) swap and a cyclic shift) cannot
     # be caught by the QYBE residual, and a mutant catalogue must not count it
-    basis = dict(sklyanin_module._LEG_BASIS)
+    families = dict(sklyanin_module._QUANTUM_R_LEGS)
     for legs, source in zip(((0, 1), (0, 2), (1, 2)), order):
-        monkeypatch.setitem(sklyanin_module._LEG_BASIS, legs, basis[source])
+        monkeypatch.setitem(sklyanin_module._QUANTUM_R_LEGS, legs, families[source])
     assert _worst_dump_sweep_residual(tmp_path) < 1e-9
