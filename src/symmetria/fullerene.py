@@ -1,6 +1,9 @@
 """The truncated icosahedron as a polyhedral graph, with the combinatorial
 checks behind the C60 model: census, Euler characteristic, 3-regularity,
-isolated pentagons, a Kekule bond assignment, and the automorphism count.
+isolated pentagons, a Kekule bond assignment (a perfect matching, by
+Edmonds' blossom algorithm), and the automorphism count (by flag
+propagation over the faces of the embedding).  Each question has one
+algorithm, exact on any graph it accepts, not only on C60.
 
 Construction is geometric: each edge of the golden-ratio icosahedron is cut
 at its 1/3 and 2/3 points, pentagons are recovered by sorting the cut points
@@ -87,6 +90,19 @@ def icosahedron() -> tuple[np.ndarray, list]:
     return verts, list(_ICO_FACES)
 
 
+def _ring(axis, points) -> list:
+    """Indices of ``points`` sorted by angle about ``axis``, measured in the
+    plane orthogonal to it."""
+    axis = axis / np.linalg.norm(axis)
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(ref @ axis) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    e1 = ref - (ref @ axis) * axis
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    return sorted(range(len(points)), key=lambda i: math.atan2(points[i] @ e2, points[i] @ e1))
+
+
 def build_truncated_icosahedron() -> PolyhedralGraph:
     """Cut every icosahedron edge at 1/3 and 2/3: 60 vertices, 90 edges,
     12 pentagons (one per original vertex), 20 hexagons (one per face)."""
@@ -112,24 +128,11 @@ def build_truncated_icosahedron() -> PolyhedralGraph:
             if a < b:
                 edges.add(tuple(sorted((index[(a, b)], index[(b, a)]))))
 
-    # pentagon at each original vertex: cut points sorted by angle in the
-    # plane orthogonal to the vertex direction
+    # pentagon at each original vertex: its cut points in angular order
     pentagons = []
     for a in range(12):
-        axis = verts[a] / np.linalg.norm(verts[a])
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(ref @ axis) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-        e1 = ref - (ref @ axis) * axis
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(axis, e1)
-
-        def angle(b, a=a, e1=e1, e2=e2):
-            d = coords[index[(a, b)]]
-            return math.atan2(d @ e2, d @ e1)
-
-        ring = sorted(neighbors[a], key=angle)
-        cycle = [index[(a, b)] for b in ring]
+        cut = [index[(a, b)] for b in neighbors[a]]
+        cycle = [cut[i] for i in _ring(verts[a], [coords[c] for c in cut])]
         pentagons.append(cycle)
         for i in range(5):
             edges.add(tuple(sorted((cycle[i], cycle[(i + 1) % 5]))))
@@ -182,48 +185,76 @@ def hex_hex_edges(g: PolyhedralGraph) -> list:
             and sizes[fs[0]] == 6 and sizes[fs[1]] == 6]
 
 
-def _augmenting_matching(n: int, adj: dict) -> dict:
-    """Matching grown by alternating-path search from unmatched vertices.
-    No blossom contraction: exact on bipartite-like cases, best effort on
-    odd cycles (callers fall back to a certified solution)."""
-    mate = {}
-    for start in range(n):
-        if start in mate:
+def _blossom_matching(n: int, adj, mate: list) -> list:
+    """Grow the matching ``mate`` (``mate[v]`` is v's partner, or -1) into a
+    maximum one by Edmonds' blossom algorithm (Edmonds 1965, *Paths, trees,
+    and flowers*); ``adj[v]`` iterates the neighbours of v.
+
+    From each unmatched root a BFS grows an alternating tree.  An edge
+    between two even vertices closes an odd cycle, whose vertices all take
+    the cycle's base as their ``base`` and turn even, so the search goes on
+    through the contracted blossom.  A root with no augmenting path keeps
+    none after later augmentations, so one pass over the roots suffices.
+    """
+    def climb(v, b, child):
+        """Re-point the odd vertices on the cycle from v down to its base b
+        at the edge that closed it; return the bases passed."""
+        passed = []
+        while base[v] != b:
+            passed += (base[v], base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return passed
+
+    for root in range(n):
+        if mate[root] >= 0:
             continue
-        # BFS alternating tree rooted at the unmatched vertex
-        parent = {start: None}
-        queue = [start]
-        found = None
-        while queue and found is None:
-            u = queue.pop(0)
-            for w in adj[u]:
-                if w not in mate and w != start:
-                    found = (u, w)
-                    break
-                if w in parent or mate.get(w) in parent:
+        base, parent = list(range(n)), [-1] * n
+        even = [v == root for v in range(n)]
+        queue, end = [root], -1
+        for v in queue:
+            for w in adj[v]:
+                if base[v] == base[w] or mate[v] == w:
                     continue
-                if w in mate:
-                    parent[w] = u
-                    parent[mate[w]] = w
+                if w == root or mate[w] >= 0 and parent[mate[w]] >= 0:
+                    # w is even too: contract the cycle at the nearest common base
+                    x, seen = base[v], {root}
+                    while x != root:
+                        seen.add(x)
+                        x = base[parent[mate[x]]]
+                    x = base[w]
+                    while x not in seen:
+                        x = base[parent[mate[x]]]
+                    blossom = set(climb(v, x, w) + climb(w, x, v))
+                    for u in range(n):
+                        if base[u] in blossom:
+                            base[u] = x
+                            if not even[u]:
+                                even[u] = True
+                                queue.append(u)
+                elif parent[w] < 0:
+                    parent[w] = v
+                    if mate[w] < 0:
+                        end = w
+                        break
+                    even[mate[w]] = True
                     queue.append(mate[w])
-        if found is None:
-            continue
-        u, w = found
-        # augment along the tree path from u back to the root
-        path = [w, u]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        for i in range(0, len(path) - 1, 2):
-            mate[path[i]] = path[i + 1]
-            mate[path[i + 1]] = path[i]
+            if end >= 0:
+                break
+        while end >= 0:  # flip the path from end back to the root
+            v = parent[end]
+            mate[end], mate[v], end = v, end, mate[v]
     return mate
 
 
 def kekule(g: PolyhedralGraph) -> dict:
     """Single/double bond assignment: a perfect matching carries the double
-    bonds.  For the truncated icosahedron the 30 hexagon-hexagon edges are
-    the canonical solution; other 3-regular graphs go through the matching
-    search."""
+    bonds.  The pairwise disjoint hexagon-hexagon edges seed the matching,
+    which Edmonds' blossom search then grows; on the truncated icosahedron
+    those 30 edges are already perfect, the canonical Kekule structure.
+    Raises ``MatchingInfeasibleError`` naming the vertices that the maximum
+    matching found leaves unmatched."""
     n = len(g.vertices)
     if n % 2 == 1:
         raise MatchingInfeasibleError(range(n))
@@ -231,17 +262,15 @@ def kekule(g: PolyhedralGraph) -> dict:
     if degrees != {3}:
         raise ValueError("bond assignment requires a 3-regular graph")
 
-    double = None
-    hh = hex_hex_edges(g)
-    touched = [v for e in hh for v in e]
-    if len(hh) * 2 == n and len(set(touched)) == n:
-        double = set(hh)
-    else:
-        mate = _augmenting_matching(n, {i: g.adjacency(i) for i in range(n)})
-        unmatched = [v for v in range(n) if v not in mate]
-        if unmatched:
-            raise MatchingInfeasibleError(unmatched)
-        double = {tuple(sorted((v, mate[v]))) for v in mate}
+    mate = [-1] * n
+    for a, b in hex_hex_edges(g):
+        if mate[a] < 0 and mate[b] < 0:
+            mate[a], mate[b] = b, a
+    mate = _blossom_matching(n, g._adj, mate)
+    unmatched = [v for v in range(n) if mate[v] < 0]
+    if unmatched:
+        raise MatchingInfeasibleError(unmatched)
+    double = {(v, mate[v]) for v in range(n) if v < mate[v]}
 
     bonds = {e: ("double" if e in double else "single") for e in g.edges}
     per_vertex = [0] * n
@@ -356,78 +385,17 @@ def _flag_count(g: PolyhedralGraph) -> int:
 
 
 def automorphism_order(g: PolyhedralGraph) -> int:
-    """Order of the combinatorial automorphism group.
-
-    A graph with faces is counted by flag propagation (``_flag_count``):
-    the result is the number of automorphisms that carry faces to faces.
-    For a polyhedral graph, 3-connected and planar with the faces of its
-    embedding, that is every automorphism, since the embedding is unique
+    """Order of the combinatorial automorphism group, by flag propagation
+    (``_flag_count``): the number of automorphisms that carry faces to
+    faces.  For a polyhedral graph, 3-connected and planar with the faces of
+    its embedding, that is every automorphism, since the embedding is unique
     (Whitney 1932) and an automorphism is fixed by the image of one flag
-    (Weinberg 1966).  Faces that do not close into a surface raise
-    ``ValueError``.
-
-    A faceless graph goes through a backtracking search over
-    adjacency-preserving bijections.  Vertices are matched in a BFS order so
-    every new vertex already has a mapped neighbor; candidates are pruned by
-    degree refined by the degrees of the neighbors.
+    (Weinberg 1966).  A graph without faces, or with faces that do not
+    close into a surface, raises ``ValueError``.
     """
-    n = len(g.vertices)
-    if n == 0:
-        return 1
-    if g.faces:
-        return _flag_count(g)
-    adj = [g.adjacency(i) for i in range(n)]
-
-    degree = [len(adj[v]) for v in range(n)]
-    invariant = [(degree[v], tuple(sorted(degree[w] for w in adj[v]))) for v in range(n)]
-    bfs = []
-    from collections import deque
-    dq = deque([0])
-    seen = {0}
-    while dq:
-        u = dq.popleft()
-        bfs.append(u)
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                dq.append(w)
-    if len(bfs) != n:
-        raise ValueError("automorphism count requires a connected graph")
-
-    count = 0
-    image = [-1] * n
-    used = [False] * n
-
-    def place(pos: int):
-        nonlocal count
-        if pos == n:
-            count += 1
-            return
-        v = bfs[pos]
-        mapped_nb = [w for w in adj[v] if image[w] >= 0]
-        if mapped_nb:
-            candidates = set(adj[image[mapped_nb[0]]])
-            for w in mapped_nb[1:]:
-                candidates &= adj[image[w]]
-        else:
-            candidates = set(range(n))
-        for cand in sorted(candidates):
-            if used[cand] or invariant[cand] != invariant[v]:
-                continue
-            # cand already neighbours the images of v's mapped neighbours;
-            # non-adjacency is preserved too exactly when cand neighbours no
-            # other used vertex.  A complete edge-preserving bijection is an
-            # automorphism anyway, so this only prunes dead partial maps.
-            if sum(used[x] for x in adj[cand]) != len(mapped_nb):
-                continue
-            image[v] = cand
-            used[cand] = True
-            place(pos + 1)
-            image[v] = -1
-            used[cand] = False
-
-    place(0)
-    return count
+    if not g.faces:
+        raise ValueError("automorphism count requires the faces of the embedding")
+    return _flag_count(g)
 
 
 def graph_to_json(g: PolyhedralGraph, bonds: dict | None = None) -> dict:
@@ -454,14 +422,7 @@ def dodecahedron_graph() -> PolyhedralGraph:
     pent_faces = []
     for v in range(12):
         incident = [i for i, f in enumerate(faces) if v in f]
-        axis = verts[v] / np.linalg.norm(verts[v])
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(ref @ axis) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-        e1 = ref - (ref @ axis) * axis
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(axis, e1)
-        incident.sort(key=lambda i: math.atan2(centroids[i] @ e2, centroids[i] @ e1))
-        pent_faces.append(incident)
+        ring = _ring(verts[v], [centroids[i] for i in incident])
+        pent_faces.append([incident[i] for i in ring])
     return PolyhedralGraph(vertices=[np.array(c) for c in centroids],
                            edges=sorted(edges), faces=pent_faces)

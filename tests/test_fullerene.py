@@ -9,7 +9,6 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from oracles import cube_graph
-from symmetria import fullerene
 from symmetria.fullerene import (
     MatchingInfeasibleError,
     PolyhedralGraph,
@@ -142,11 +141,46 @@ def test_kekule_canonical(c60):
 
 
 def test_kekule_fallback_on_other_graphs():
-    # cube: bipartite 3-regular; dodecahedron: 3-regular with odd faces
+    # no hexagons to seed the matching, so the blossom search builds all of
+    # it: the cube is bipartite, the dodecahedron has odd faces
     for g in (cube_graph(), dodecahedron_graph()):
         bonds = kekule(g)
         doubles = [e for e, k in bonds.items() if k == "double"]
         assert len(doubles) * 2 == len(g.vertices)
+
+
+def _faceless(nx_graph):
+    g = nx.convert_node_labels_to_integers(nx_graph)
+    return PolyhedralGraph(vertices=[np.zeros(3)] * g.number_of_nodes(),
+                           edges=list(g.edges), faces=[])
+
+
+def test_kekule_matches_networkx_on_random_cubic_graphs():
+    # connected bridgeless cubic graphs, so each has a perfect matching
+    # (Petersen 1891); an augmenting search without blossom contraction
+    # leaves two vertices unmatched on seeds 24, 151, 161, 211 and 252
+    for seed in range(300):
+        graph = nx.random_regular_graph(3, 60, seed=seed)
+        bonds = kekule(_faceless(graph))
+        doubles = [e for e, k in bonds.items() if k == "double"]
+        assert len(doubles) == 30, seed
+        assert sorted(v for e in doubles for v in e) == list(range(60)), seed
+        assert len(nx.max_weight_matching(graph, maxcardinality=True)) == 30, seed
+
+
+def test_kekule_cubic_graph_without_perfect_matching():
+    # three K4s, each with one edge subdivided by a vertex that joins a
+    # centre: deleting the centre leaves three odd components (Tutte), so
+    # every maximum matching misses two of the 16 vertices
+    g = nx.Graph()
+    for k in range(3):
+        a, b, c, d, mid = (5 * k + i for i in range(5))
+        g.add_edges_from([(a, c), (a, d), (b, c), (b, d), (c, d), (a, mid), (mid, b), (mid, 15)])
+    assert sorted(d for _, d in g.degree) == [3] * 16
+    with pytest.raises(MatchingInfeasibleError) as err:
+        kekule(_faceless(g))
+    assert len(err.value.unmatched) == 2
+    assert len(nx.max_weight_matching(g, maxcardinality=True)) == 7
 
 
 def test_kekule_odd_vertex_count_infeasible():
@@ -168,16 +202,9 @@ def test_automorphism_order_c60(c60):
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_automorphism_order_against_vf2(c60):
-    gm = nx.algorithms.isomorphism.GraphMatcher(nx.Graph(list(c60.edges)),
-                                                nx.Graph(list(c60.edges)))
-    assert sum(1 for _ in gm.isomorphisms_iter()) == 120
-
-
-def _faceless(nx_graph):
-    g = nx.convert_node_labels_to_integers(nx_graph)
-    return PolyhedralGraph(vertices=[np.zeros(3)] * g.number_of_nodes(),
-                           edges=list(g.edges), faces=[])
+def test_automorphism_order_against_vf2():
+    # the VF2 count is cached for the C60 flag-count cases below
+    assert _vf2_polyhedron("C60") == 120
 
 
 def _vf2_count(nx_graph):
@@ -185,34 +212,14 @@ def _vf2_count(nx_graph):
         nx_graph, nx_graph).isomorphisms_iter())
 
 
-@pytest.mark.parametrize("name,graph,order", [
-    ("petersen", nx.petersen_graph(), 120),
-    ("K4", nx.complete_graph(4), 24),
-    ("K33", nx.complete_bipartite_graph(3, 3), 72),
-    ("5-prism", nx.circular_ladder_graph(5), 20),
-    ("moebius-kantor", nx.moebius_kantor_graph(), 96),
-    ("heawood", nx.heawood_graph(), 336),
-] + [(f"cubic-12-seed{s}", nx.random_regular_graph(3, 12, seed=s), None) for s in range(5)])
-def test_automorphism_order_against_vf2_on_faceless_graphs(name, graph, order, monkeypatch):
-    expected = _vf2_count(graph)
-    if order is not None:
-        assert expected == order
-    monkeypatch.setattr(fullerene, "_flag_count", _no_flag_count)
-    assert automorphism_order(_faceless(graph)) == expected, name
-
-
-def _no_flag_count(g):
-    raise AssertionError("a faceless graph must go through the backtracking search")
-
-
-def test_automorphism_small_graphs(monkeypatch):
-    monkeypatch.setattr(fullerene, "_flag_count", _no_flag_count)
+def test_automorphism_small_graphs():
+    # the count needs the faces of an embedding; a graph without them raises
     pent = PolyhedralGraph(vertices=[np.zeros(3)] * 5,
                            edges=[(i, (i + 1) % 5) for i in range(5)], faces=[])
-    assert automorphism_order(pent) == 10
-    pair = PolyhedralGraph(vertices=[np.zeros(3)] * 2, edges=[(0, 1)], faces=[])
-    assert automorphism_order(pair) == 2
-    monkeypatch.undo()
+    empty = PolyhedralGraph(vertices=[], edges=[], faces=[])
+    for g in (pent, empty):
+        with pytest.raises(ValueError, match="faces of the embedding"):
+            automorphism_order(g)
     assert automorphism_order(cube_graph()) == 48
     # a pentagon closed by two faces: swapping them moves no vertex, so the
     # ten vertex maps are counted once each
