@@ -13,7 +13,6 @@ around each original vertex, hexagons by walking each original face.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,31 +23,30 @@ class MatchingInfeasibleError(ValueError):
         super().__init__(f"no perfect matching: unmatched vertices {self.unmatched}")
 
 
-@dataclass
 class PolyhedralGraph:
-    """Vertices with embedding coordinates, undirected edges, and face cycles."""
+    """Vertices with embedding coordinates, undirected edges, and face cycles;
+    ``edge_faces`` maps each walked edge to its faces, in walk order."""
 
-    vertices: list
-    edges: list
-    faces: list
-    _adj: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.edges = [tuple(sorted(e)) for e in self.edges]
+    def __init__(self, vertices: list, edges: list, faces: list):
+        self.vertices = vertices
+        self.edges = [tuple(sorted(e)) for e in edges]
+        self.faces = faces
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
         if any(a == b for a, b in self.edges):
             raise ValueError("self-loops are not allowed")
-        self._adj = {i: set() for i in range(len(self.vertices))}
+        self._adj = {i: set() for i in range(len(vertices))}
         for a, b in self.edges:
             self._adj[a].add(b)
             self._adj[b].add(a)
         edge_set = set(self.edges)
-        for face in self.faces:
+        self.edge_faces = {}
+        for fi, face in enumerate(faces):
             for i in range(len(face)):
                 e = tuple(sorted((face[i], face[(i + 1) % len(face)])))
                 if e not in edge_set:
                     raise ValueError(f"face {face} walks a missing edge {e}")
+                self.edge_faces.setdefault(e, []).append(fi)
 
     def adjacency(self, i: int) -> set:
         return self._adj[i]
@@ -56,18 +54,9 @@ class PolyhedralGraph:
     def degree_sequence(self) -> list:
         return sorted(len(self._adj[i]) for i in range(len(self.vertices)))
 
-    def edge_face_map(self) -> dict:
-        ef = {}
-        for fi, face in enumerate(self.faces):
-            for i in range(len(face)):
-                e = tuple(sorted((face[i], face[(i + 1) % len(face)])))
-                ef.setdefault(e, []).append(fi)
-        return ef
-
     def validate_face_cover(self):
         """Every edge must lie in exactly two faces (closed surface)."""
-        ef = self.edge_face_map()
-        bad = [e for e in self.edges if len(ef.get(e, [])) != 2]
+        bad = [e for e in self.edges if len(self.edge_faces.get(e, [])) != 2]
         if bad:
             raise ValueError(f"edges not covered by exactly two faces: {bad[:5]}")
 
@@ -169,9 +158,8 @@ def euler_check(g: PolyhedralGraph) -> int:
 def isolated_pentagon_check(g: PolyhedralGraph) -> tuple[bool, tuple | None]:
     """True iff every pentagon edge borders a hexagon; otherwise a witness
     pair of pentagon faces sharing an edge."""
-    ef = g.edge_face_map()
     sizes = [len(f) for f in g.faces]
-    for e, fs in ef.items():
+    for fs in g.edge_faces.values():
         pents = [fi for fi in fs if sizes[fi] == 5]
         if len(pents) >= 2:
             return False, (pents[0], pents[1])
@@ -179,9 +167,8 @@ def isolated_pentagon_check(g: PolyhedralGraph) -> tuple[bool, tuple | None]:
 
 
 def hex_hex_edges(g: PolyhedralGraph) -> list:
-    ef = g.edge_face_map()
     sizes = [len(f) for f in g.faces]
-    return [e for e, fs in ef.items() if len(fs) == 2
+    return [e for e, fs in g.edge_faces.items() if len(fs) == 2
             and sizes[fs[0]] == 6 and sizes[fs[1]] == 6]
 
 

@@ -11,7 +11,6 @@ exponentially deformed commutator covers the Planck-scale example.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ def _require_q(q: float) -> None:
         raise ValueError("q = 1 is the undeformed algebra; use the classical limit checks")
 
 
-@dataclass(frozen=True)
 class UqSu2Rep:
     """H, X+, X- of the q-deformed su(2) relations in a weight basis.
 
@@ -42,22 +40,18 @@ class UqSu2Rep:
     their tensor products (``coproduct_rep``) share this type.
     """
 
-    q: float
-    h: np.ndarray
-    Xp: np.ndarray
-    Xm: np.ndarray
-
-    def __post_init__(self):
-        _require_q(self.q)
-        h = np.asarray(self.h, dtype=float)
+    def __init__(self, q: float, h, Xp, Xm):
+        _require_q(q)
+        h = np.asarray(h, dtype=float)
         if h.ndim != 1 or h.size < 1 or not np.isfinite(h).all():
             raise ValueError(f"weights h must be a finite nonempty 1-D vector, got shape {h.shape}")
-        object.__setattr__(self, "h", h)
-        for name in ("Xp", "Xm"):
-            m = as_matrix(getattr(self, name))
+        self.q = q
+        self.h = h
+        for name, m in (("Xp", Xp), ("Xm", Xm)):
+            m = as_matrix(m)
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"{name} must be {self.dim}x{self.dim}, got shape {m.shape}")
-            object.__setattr__(self, name, m)
+            setattr(self, name, m)
 
     @property
     def dim(self) -> int:
@@ -185,18 +179,18 @@ def fd_weights(offsets, order: int = 1) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-@dataclass(frozen=True)
 class GridOperatorPair:
     """Position X (diagonal) and deformed momentum P = -i hbar f(X) D with
     f(x) = 1 - exp(-x/l) on a uniform grid over [-L, L].  D is the central
     9-point stencil (Fornberg 1988), applied on the interior rows only."""
 
-    N: int
-    L: float
-    hbar: float
-    l: float
-    x: np.ndarray
-    deform: np.ndarray  # diagonal of 1 - exp(-x/l)
+    def __init__(self, N: int, L: float, hbar: float, l: float, x, deform):
+        self.N = N
+        self.L = L
+        self.hbar = hbar
+        self.l = l
+        self.x = x
+        self.deform = deform  # diagonal of 1 - exp(-x/l)
 
     def interior(self) -> slice:
         return slice(self.N // 4, 3 * self.N // 4)

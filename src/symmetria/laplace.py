@@ -19,11 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import (POLAR_STENCIL, FDStencil, QuadratureRule, fd_partial, integrate_periodic,
-                       worst_of)
+from .numerics import POLAR_STENCIL, FDStencil, fd_partial, integrate_periodic, worst_of
 
-SPHERE_RULE = QuadratureRule(node_count=201)
-INTEGRAL_REP_RULE = QuadratureRule()
+# Simpson node counts of the sphere-area and integral-representation rules
+SPHERE_NODES = 201
+INTEGRAL_REP_NODES = 129
 ORIGIN_PROBE = 1e-6
 
 
@@ -74,7 +74,7 @@ def _sphere_area_by_quadrature(n: int) -> float:
     independent of the Gamma-function closed form used by gamma_fundamental."""
     area = 2.0 * math.pi
     for j in range(1, n - 1):
-        s = integrate_periodic(lambda th, j=j: np.sin(th) ** j, 0.0, math.pi, SPHERE_RULE)
+        s = integrate_periodic(lambda th, j=j: np.sin(th) ** j, 0.0, math.pi, SPHERE_NODES)
         area *= s.real
     return area
 
@@ -168,7 +168,7 @@ def integral_rep(n: int, h: int, point: Sequence[float] | np.ndarray) -> complex
     def integrand(t: np.ndarray) -> np.ndarray:
         return (zv + 1j * xv * np.cos(t) + 1j * yv * np.sin(t)) ** n * np.exp(1j * h * t)
 
-    return integrate_periodic(integrand, -math.pi, math.pi, INTEGRAL_REP_RULE)
+    return integrate_periodic(integrand, -math.pi, math.pi, INTEGRAL_REP_NODES)
 
 
 def solid_harmonic(n: int, h: int, point: Sequence[float]) -> complex:

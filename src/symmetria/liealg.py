@@ -14,7 +14,6 @@ algebra; Arnold, Mathematical Methods of Classical Mechanics).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,13 +71,13 @@ def _checked(a, shape: tuple, generators: bool = False) -> np.ndarray:
     return a.astype(np.int64)
 
 
-@dataclass(frozen=True)
 class LieStructure:
     """Bracket table {X_a, X_b} = sum_e constants[a, b, e] X_e, (n, n, n) int64."""
 
-    name: str
-    basis_labels: tuple[str, ...]
-    constants: np.ndarray
+    def __init__(self, name: str, basis_labels: tuple[str, ...], constants: np.ndarray):
+        self.name = name
+        self.basis_labels = basis_labels
+        self.constants = constants
 
     def dimension(self) -> int:
         return len(self.basis_labels)

@@ -10,7 +10,6 @@ product.  All residuals elsewhere are measured in the sup norm (max |entry|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,22 +74,10 @@ def worst_of(*values) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite Simpson on an odd number of equally spaced nodes."""
-
-    node_count: int = 129
-
-    def __post_init__(self):
-        if self.node_count < 3:
-            raise ValueError("node_count must be >= 3")
-        if self.node_count % 2 == 0:
-            raise ValueError("composite Simpson requires an odd node_count")
-
-
 def integrate_periodic(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       rule: QuadratureRule = QuadratureRule()) -> complex | np.ndarray:
-    """Composite Simpson quadrature of int_a^b f(t) dt.
+                       nodes: int = 129) -> complex | np.ndarray:
+    """Composite Simpson quadrature of int_a^b f(t) dt on ``nodes`` equally
+    spaced nodes, an odd count of at least 3.
 
     ``f`` is called once, on the array of nodes, and returns the integrand
     values on the last axis: ``(nodes,)`` gives a complex, ``(..., nodes)``
@@ -99,38 +86,40 @@ def integrate_periodic(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     ``QuadratureEvaluationError`` naming the first node (and point) that
     produced one.
     """
+    if nodes < 3:
+        raise ValueError("nodes must be >= 3")
+    if nodes % 2 == 0:
+        raise ValueError("composite Simpson requires an odd node count")
     if not b > a:
         raise ValueError("integration interval requires b > a")
-    nodes = np.linspace(a, b, rule.node_count)
-    vals = np.asarray(f(nodes), dtype=complex)
-    if vals.shape[-1:] != nodes.shape:
-        raise ValueError(f"integrand returned shape {vals.shape} for {nodes.size} nodes")
+    t = np.linspace(a, b, nodes)
+    vals = np.asarray(f(t), dtype=complex)
+    if vals.shape[-1:] != t.shape:
+        raise ValueError(f"integrand returned shape {vals.shape} for {nodes} nodes")
     bad = ~np.isfinite(vals)
     if bad.any():
         first = int(np.argmax(bad))
-        point, i = divmod(first, nodes.size)
-        raise QuadratureEvaluationError(float(nodes[i]), complex(vals.flat[first]),
+        point, i = divmod(first, nodes)
+        raise QuadratureEvaluationError(float(t[i]), complex(vals.flat[first]),
                                         point if vals.ndim > 1 else None)
-    h = (b - a) / (rule.node_count - 1)
-    w = np.ones(rule.node_count)
+    h = (b - a) / (nodes - 1)
+    w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     out = h / 3.0 * np.sum(w * vals, axis=-1)
     return complex(out) if vals.ndim == 1 else out
 
 
-@dataclass(frozen=True)
 class FDStencil:
-    """Central finite-difference stencil of order 2 or 4."""
+    """Central finite-difference stencil: order 2 or 4, a finite step > 0."""
 
-    step: float
-    order: int = 4
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.order not in (2, 4):
+    def __init__(self, step: float, order: int = 4):
+        if not 0.0 < step < math.inf:  # written so that a NaN fails
+            raise ValueError("step must be finite and positive")
+        if order not in (2, 4):
             raise ValueError("order must be 2 or 4")
+        self.step = step
+        self.order = order
 
 
 # Defaults per the numeric tuning used across the verification suites.

@@ -1,12 +1,12 @@
-"""Check records and report aggregation/rendering for the batch runner.
+"""Report rows and their aggregation/rendering for the batch runner.
 
-A Check is one named verification with an optional residual/tolerance pair;
-a CheckReport groups the checks of one suite with pass/fail tallies.
+A Row is one named verification with an optional residual/tolerance pair;
+a CheckReport groups the rows of one suite with pass/fail tallies.
 ``CheckReport.check`` is the one way a row is recorded: it times the row,
-folds its residuals, and turns a raising row into a FAIL row.  JSON output
-is deterministic: sorted keys, full float precision, and no timing fields.
-Row times are float milliseconds and appear only in the text rendering,
-which is not required to be byte-stable across runs.
+folds its residuals, turns a raising row into a FAIL row, and settles its
+status.  JSON output is deterministic: sorted keys, full float precision,
+and no timing fields.  Row times are float milliseconds and appear only in
+the text rendering, which is not required to be byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -14,76 +14,36 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .numerics import worst_of
 
 
-@dataclass
-class Check:
-    """One verification outcome.
-
-    ``passed`` is authoritative; when both residual and tolerance are
-    present, a passing check must have its residual within tolerance.  A
-    failing one may not: a failed condition fails a row whose residual is
-    small.  ``status`` may be set to "skipped" for informative, non-asserted
-    checks.
-    """
-
-    name: str
-    ref: str
-    passed: bool
-    residual: float | None = None
-    tolerance: float | None = None
-    samples: int = 1
-    detail: str = ""
-    status: str = ""
-    elapsed_ms: float | None = None
-
-    def __post_init__(self):
-        if not self.status:
-            self.status = "pass" if self.passed else "fail"
-        if self.residual is not None and self.tolerance is not None and self.status != "skipped":
-            if self.passed and not (self.residual <= self.tolerance):
-                raise ValueError(
-                    f"check {self.name!r}: passed={self.passed} inconsistent with "
-                    f"residual={self.residual} tolerance={self.tolerance}")
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_ref": self.ref,
-            "status": self.status,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "detail": self.detail,
-        }
-
-
-@dataclass
 class Row:
-    """A row being recorded by ``CheckReport.check``.
+    """One row of a report, recorded by ``CheckReport.check``.
 
     ``observe`` folds residuals with ``worst_of``, so one NaN anywhere makes
     the row's residual NaN and fails it; a residual may be an ndarray of
     per-sample residuals, folded whole.  ``require`` adds a condition that
     must hold.  With ``tol`` the row passes when its residual is at most
     ``tol``; with ``detect`` (a mutation control) when its residual exceeds
-    that threshold; with neither when every condition holds.
+    that threshold; with neither when every condition holds.  A ``skipped``
+    row is informative and asserts nothing.
     """
 
-    name: str
-    ref: str
-    tol: float | None = None
-    samples: int = 1
-    detect: float | None = None
-    detail: str = ""
-    skipped: bool = False
-    residual: float | None = field(default=None, init=False)
-    ok: bool = field(default=True, init=False)
-    elapsed_ms: float | None = field(default=None, init=False)
-    siblings: list[Row] = field(default_factory=list, init=False)
+    def __init__(self, name: str, ref: str, tol: float | None = None, samples: int = 1,
+                 detect: float | None = None, detail: str = "", skipped: bool = False):
+        self.name = name
+        self.ref = ref
+        self.tolerance = tol
+        self.samples = samples
+        self.detect = detect
+        self.detail = detail
+        self.skipped = skipped
+        self.residual = None
+        self.ok = True
+        self.status = ""
+        self.elapsed_ms = None
+        self.siblings = []
 
     def observe(self, *residuals: float) -> None:
         if self.residual is not None:
@@ -100,23 +60,34 @@ class Row:
         self.siblings.append(row)
         return row
 
-    def to_check(self) -> Check:
+    def settle(self) -> None:
+        """Set ``status``, once, after the block that fed the row ends."""
         passed = self.ok
-        detail = self.detail
         if self.detect is not None:
             passed = passed and self.residual > self.detect
-            detail = detail or f"mutation must push the residual above {self.detect:g}"
-        elif self.tol is not None:
-            passed = passed and self.residual <= self.tol
-        return Check(name=self.name, ref=self.ref, passed=passed, residual=self.residual,
-                     tolerance=self.tol, samples=self.samples, detail=detail,
-                     status="skipped" if self.skipped else "", elapsed_ms=self.elapsed_ms)
+            self.detail = self.detail or f"mutation must push the residual above {self.detect:g}"
+        elif self.tolerance is not None:
+            passed = passed and self.residual <= self.tolerance
+        self.status = "skipped" if self.skipped else "pass" if passed else "fail"
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "paper_ref": self.ref,
+            "status": self.status,
+            "residual": self.residual,
+            "tolerance": self.tolerance,
+            "samples": self.samples,
+            "detail": self.detail,
+        }
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    """The rows of one suite, in the order they were recorded."""
+
+    def __init__(self, suite: str, checks: list[Row] | None = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     @contextmanager
     def check(self, name: str, ref: str, **kwargs):
@@ -137,7 +108,10 @@ class CheckReport:
                 r.ok = False
                 r.detail = f"{type(exc).__name__}: {exc}"
         row.elapsed_ms = 1000.0 * (time.perf_counter() - t0)
-        self.checks += [r.to_check() for r in (row, *row.siblings)]
+        rows = (row, *row.siblings)
+        for r in rows:
+            r.settle()
+        self.checks += rows
 
     @property
     def total(self) -> int:

@@ -46,7 +46,6 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,28 +84,28 @@ def _build(family: tuple, w: np.ndarray) -> np.ndarray:
     return out.reshape(*w.shape[:-1], n, n)
 
 
-@dataclass(frozen=True)
 class ClassicalRParams:
-    rho: float
-    k: float
+    """Amplitude rho (finite, positive) and modulus k in [0, 1) of r(u)."""
 
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if not 0.0 <= self.k < 1.0:
+    def __init__(self, rho: float, k: float):
+        if not 0.0 < rho < math.inf:  # written so that a NaN fails
+            raise ValueError("rho must be finite and positive")
+        if not 0.0 <= k < 1.0:
             raise ValueError("modulus must lie in [0,1)")
+        self.rho = rho
+        self.k = k
 
 
-@dataclass(frozen=True)
 class QuantumRParams:
-    eta: float
-    k: float
+    """Shift eta (finite, nonzero) and modulus k in [0, 1) of R(u)."""
 
-    def __post_init__(self):
-        if self.eta == 0:
-            raise ValueError("eta must be nonzero")
-        if not 0.0 <= self.k < 1.0:
+    def __init__(self, eta: float, k: float):
+        if not (math.isfinite(eta) and eta != 0.0):
+            raise ValueError("eta must be finite and nonzero")
+        if not 0.0 <= k < 1.0:
             raise ValueError("modulus must lie in [0,1)")
+        self.eta = eta
+        self.k = k
 
 
 def _require_off_zero_lattice(u, k: float) -> None:
@@ -296,7 +295,6 @@ def qybe_residual(u, v, p: QuantumRParams):
 # Sklyanin algebra representations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SklyaninRep:
     """Generators S0..S3 as d x d matrices and the defining triple J.
 
@@ -304,18 +302,15 @@ class SklyaninRep:
     quantum: the constant sigma_0 x S_0 and the basis sigma_a x S_a
     (a = 1..3), built once with the validation."""
 
-    dim: int
-    S: tuple
-    J: tuple
-    L_family: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        S = tuple(as_matrix(g) for g in self.S)
-        if len(S) != 4 or any(g.shape != (self.dim, self.dim) for g in S):
-            raise ValueError(f"a representation needs four {self.dim}x{self.dim} generators")
-        object.__setattr__(self, "S", S)
+    def __init__(self, dim: int, S: tuple, J: tuple):
+        S = tuple(as_matrix(g) for g in S)
+        if len(S) != 4 or any(g.shape != (dim, dim) for g in S):
+            raise ValueError(f"a representation needs four {dim}x{dim} generators")
+        self.dim = dim
+        self.S = S
+        self.J = J
         flat = np.stack([kron(SIGMA[a], S[a]) for a in range(4)]).reshape(4, -1)
-        object.__setattr__(self, "L_family", (flat[0], flat[1:]))
+        self.L_family = (flat[0], flat[1:])
 
     def J_pair(self, a: int, b: int) -> float:
         """J_ab = -(J_a - J_b)/J_c with c the remaining index."""
@@ -401,32 +396,24 @@ TENSOR_BOUND = 2 ** 26
 SPEC_BOUND = 2 ** 12
 
 
-@dataclass(frozen=True)
-class PoissonTensorSpec:
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        if len(self.a) != 4 or len(self.b) != 4:
-            raise ValueError("specs are 4-vectors")
-        if not all(isinstance(z, numbers.Integral) and abs(z) <= SPEC_BOUND
-                   for z in (*self.a, *self.b)):
-            raise ValueError(f"spec entries must be integers of magnitude at most {SPEC_BOUND}")
-
-
 # eps_klij as an int64 array
 _EPS4 = np.array([[[[levi_civita(k, l, i, j) for j in range(4)] for i in range(4)]
                    for l in range(4)] for k in range(4)], dtype=np.int64)
 
 
-def poisson_tensor(spec: PoissonTensorSpec) -> np.ndarray:
+def poisson_tensor(a, b) -> np.ndarray:
     """Bracket coefficients C[k, l, i, j], an int64 array, with
     {x_k, x_l} = sum_{i<j} C[k, l, i, j] x_i x_j and
     C[k, l, i, j] = eps_klij (a_i b_j - b_i a_j): one term per unordered
     pair {i, j} (the free double sum doubles it), zero for i >= j.  For
-    k != l the only such pair is the complement i < j of {k, l}."""
-    a = np.asarray(spec.a, dtype=np.int64)
-    b = np.asarray(spec.b, dtype=np.int64)
+    k != l the only such pair is the complement i < j of {k, l}.  The specs
+    a and b are 4-vectors of integers of magnitude at most SPEC_BOUND."""
+    if len(a) != 4 or len(b) != 4:
+        raise ValueError("specs are 4-vectors")
+    if not all(isinstance(z, numbers.Integral) and abs(z) <= SPEC_BOUND for z in (*a, *b)):
+        raise ValueError(f"spec entries must be integers of magnitude at most {SPEC_BOUND}")
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     wedge = np.triu(np.multiply.outer(a, b) - np.multiply.outer(b, a), 1)
     return _EPS4 * wedge
 

@@ -23,7 +23,6 @@ use the passive form r' = -gamma v t at r = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -167,7 +166,6 @@ def _affine(L: np.ndarray, t_shift, r_shift: np.ndarray) -> np.ndarray:
 # Galilei group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GalileiElement:
     """G(R, v, xi, tau): x' = R x + v t + xi, t' = t + tau.
 
@@ -175,16 +173,11 @@ class GalileiElement:
     axis: R (M, 3, 3), v and xi (M, 3), tau (M,).  Every law below acts
     element by element on a stack."""
 
-    R: np.ndarray
-    v: np.ndarray
-    xi: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        object.__setattr__(self, "tau", _shift(self.tau))
+    def __init__(self, R, v, xi, tau):
+        self.R = np.asarray(R, dtype=float)
+        self.v = np.asarray(v, dtype=float)
+        self.xi = np.asarray(xi, dtype=float)
+        self.tau = _shift(tau)
         _require_finite("Galilei", self.R, self.tau, self.v, self.xi)
         _require(_is_proper(self.R), "Galilei rotation block must be proper orthogonal")
 
@@ -228,23 +221,17 @@ def galilei_inverse(g: GalileiElement) -> GalileiElement:
 _SMALL_V = 1e-8
 
 
-@dataclass(frozen=True)
 class PoincareElement:
     """T(a, b, v, R) factored as space shift * time shift * boost * rotation.
 
     One element, or a stack of M elements when the fields carry a leading
     axis: a and v (M, 3), b (M,), R (M, 3, 3)."""
 
-    a: np.ndarray
-    b: float
-    v: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", _shift(self.b))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
+    def __init__(self, a, b, v, R):
+        self.a = np.asarray(a, dtype=float)
+        self.b = _shift(b)
+        self.v = np.asarray(v, dtype=float)
+        self.R = np.asarray(R, dtype=float)
         _require_finite("Poincare", self.R, self.b, self.a, self.v)
         _require(vector_norm(self.v) < 1.0, "boost velocity must satisfy |v| < 1")
         _require(_is_proper(self.R), "Poincare rotation block must be proper orthogonal")
@@ -349,13 +336,13 @@ def discrete_apply(which: str, X) -> np.ndarray:
 # Conformal maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Dilation:
-    k: float
+    """x -> k x for a finite k > 0."""
 
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("dilation factor must be positive")
+    def __init__(self, k: float):
+        if not 0.0 < k < math.inf:  # written so that a NaN fails
+            raise ValueError("dilation factor must be finite and positive")
+        self.k = k
 
     def apply(self, xv) -> np.ndarray:
         return self.k * np.asarray(xv, dtype=float)
@@ -364,15 +351,11 @@ class Dilation:
         return np.asarray(xv, dtype=float) / self.k
 
 
-@dataclass(frozen=True)
 class Inversion:
     """x -> (p - x)/eta(p - x, p - x), a conformal involution for p = 0."""
 
-    pivot: np.ndarray = None
-
-    def __post_init__(self):
-        pv = np.zeros(4) if self.pivot is None else np.asarray(self.pivot, dtype=float)
-        object.__setattr__(self, "pivot", pv)
+    def __init__(self, pivot=None):
+        self.pivot = np.zeros(4) if pivot is None else np.asarray(pivot, dtype=float)
 
     def apply(self, xv) -> np.ndarray:
         d = self.pivot - np.asarray(xv, dtype=float)

@@ -6,15 +6,18 @@ configuration and returns a CheckReport whose rows are recorded with
 field of a row comes from its own keyed stream (``field_rng``), drawn as
 one block, so a sample does not depend on the sample count or on the
 other rows.  Mutation controls (``detect=``) deliberately damage
-an object and pass when the damage is detected; they carry no tolerance so
-the residual/tolerance consistency rule stays vacuous.
+an object and pass when the damage is detected; they carry no tolerance.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
+
+try:  # the builtin module: hashlib would load OpenSSL
+    from _sha256 import sha256
+except ImportError:  # CPython 3.12+ names it _sha2
+    from hashlib import sha256
 
 import numpy as np
 
@@ -27,7 +30,7 @@ SUITE_NAMES = ("rotations", "galilei", "poincare", "conformal", "laplace",
 
 
 def _salt(text: str) -> int:
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    return int.from_bytes(sha256(text.encode()).digest()[:8], "big")
 
 
 def suite_rng(seed: int, suite: str) -> np.random.Generator:
@@ -458,9 +461,8 @@ def run_fullerene(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
     with rep.check("edge_partition",
                    "bond types split sixty pentagon-hexagon from thirty hexagon-hexagon edges",
                    tol=0.0) as c:
-        ef = g.edge_face_map()
         sizes = [len(f) for f in g.faces]
-        ph = sum(1 for e, fs in ef.items() if {sizes[fs[0]], sizes[fs[1]]} == {5, 6})
+        ph = sum(1 for fs in g.edge_faces.values() if {sizes[fs[0]], sizes[fs[1]]} == {5, 6})
         c.observe(abs(ph - 60) + abs(len(hh) - 30))
 
     with rep.check("vertex_transitive_embedding", "all sites equidistant from the cage center",
@@ -622,9 +624,9 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         pairs = accepted_rows(lambda m: stream.integers(-5, 6, (m, 2, 4)),
                               lambda ab: (ab[:, 0] != ab[:, 1]).any(axis=1), 20)
         for a, b in pairs.tolist():
-            C = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=tuple(a), b=tuple(b)))
+            C = sklyanin.poisson_tensor(a, b)
             c.observe(1.0 if sklyanin.poisson_jacobi_defect(C).any() else 0.0)
-        special = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=(1, 2, 5, 9), b=(0, 1, 1, 1)))
+        special = sklyanin.poisson_tensor((1, 2, 5, 9), (0, 1, 1, 1))
         # cyclic (j,k,l): {x_k,x_l} = x_0 x_j and {x_k,x_0} = (a_j - a_l) x_j x_l
         expect = np.zeros((4, 4, 4, 4), dtype=np.int64)
         for k, l, i, j, coeff in ((1, 2, 0, 3, 1), (2, 3, 0, 1, 1), (3, 1, 0, 2, 1),

@@ -224,11 +224,11 @@ def test_criterion_7_sklyanin_suite():
         b = tuple(int(z) for z in rng.integers(-5, 6, 4))
         if a == b:
             continue
-        C = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=a, b=b))
+        C = sklyanin.poisson_tensor(a, b)
         if sklyanin.poisson_jacobi_defect(C).any():
             jacobi_ok = False
         done += 1
-    special = sklyanin.poisson_tensor(sklyanin.PoissonTensorSpec(a=(1, 2, 5, 9), b=(0, 1, 1, 1)))
+    special = sklyanin.poisson_tensor((1, 2, 5, 9), (0, 1, 1, 1))
     # {x_k, x_l} = sum_{i<j} special[k, l, i, j] x_i x_j
     term_ok = (special[1, 2, 0, 3] == 1 and special[2, 3, 0, 1] == 1
                and special[3, 1, 0, 2] == 1

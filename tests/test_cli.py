@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import symmetria
-from symmetria import sklyanin
+from symmetria import sklyanin, suites
 from symmetria.cli import main
-from symmetria.report import Check, CheckReport, render_json
+from symmetria.report import CheckReport, render_json
 
 
 def run(argv):
@@ -96,6 +96,24 @@ def test_module_entry_point_runs_without_runtime_warning():
     proc = _python("-m", "symmetria.cli", "verify", "rotations", "--samples", "5")
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_import_loads_neither_dataclasses_nor_openssl():
+    # both cost set-up time that no check needs; hashlib loads OpenSSL's
+    # _hashlib, while the builtin _sha256 (absent from CPython 3.12 on) does not
+    proc = _python("-c", "import sys, symmetria.cli; "
+                   "print(' '.join(sorted({'dataclasses', '_hashlib', '_sha256'} & set(sys.modules))))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "dataclasses" not in loaded
+    if "_sha256" in loaded:
+        assert "_hashlib" not in loaded
+
+
+def test_salt_equals_the_hashlib_sha256_prefix():
+    for key in ("rotations", "sklyanin", "compose_matches_sequential_action/pairs", "", "\u00e9"):
+        digest = hashlib.sha256(key.encode()).digest()
+        assert suites._salt(key) == int.from_bytes(digest[:8], "big"), key
 
 
 def test_unwritable_out_is_usage_error(tmp_path):
@@ -224,17 +242,14 @@ def test_dump_sweep_template_writes_json_dumps_bytes(tmp_path, monkeypatch, samp
     assert out.read_bytes() == (json.dumps(records, sort_keys=True, indent=2) + "\n").encode()
 
 
-def test_check_consistency_guard():
-    with pytest.raises(ValueError):
-        Check(name="bad", ref="r", passed=True, residual=2.0, tolerance=1.0)
-
-
 def test_report_sorted_and_counted():
-    rep = CheckReport("demo", [
-        Check(name="b", ref="r", passed=True, residual=0.0, tolerance=1.0),
-        Check(name="a", ref="r", passed=False),
-        Check(name="c", ref="r", passed=True, status="skipped"),
-    ])
+    rep = CheckReport("demo")
+    with rep.check("b", "r", tol=1.0) as c:
+        c.observe(0.0)
+    with rep.check("a", "r") as c:
+        c.require(False)
+    with rep.check("c", "r", skipped=True):
+        pass
     doc = rep.to_json()
     assert [c["name"] for c in doc["checks"]] == ["a", "b", "c"]
     assert doc["summary"] == {"total": 3, "passed": 1, "failed": 1}

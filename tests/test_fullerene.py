@@ -120,7 +120,13 @@ def test_merged_pentagon_mutation_detected(c60):
 
 
 def test_edge_partition(c60):
-    ef = c60.edge_face_map()
+    # edge_faces lists the edges in the order the faces first walk them
+    walk = {}
+    for fi, f in enumerate(c60.faces):
+        for i in range(len(f)):
+            walk.setdefault(tuple(sorted((f[i], f[(i + 1) % len(f)]))), []).append(fi)
+    ef = c60.edge_faces
+    assert list(ef.items()) == list(walk.items())
     sizes = [len(f) for f in c60.faces]
     hh = hex_hex_edges(c60)
     ph = [e for e, fs in ef.items() if {sizes[fs[0]], sizes[fs[1]]} == {5, 6}]

@@ -7,7 +7,6 @@ from symmetria.numerics import (
     CENTRAL_STENCILS,
     LAPLACIAN_STENCIL,
     FDStencil,
-    QuadratureRule,
     QuadratureEvaluationError,
     accepted_rows,
     as_matrix,
@@ -55,15 +54,15 @@ def test_kron_equals_numpy_kron_bitwise():
 
 
 def test_quadrature_rule_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(node_count=2)
-    with pytest.raises(ValueError):
-        QuadratureRule(node_count=10)
+    # composite Simpson needs an odd node count of at least 3
+    for nodes in (1, 2, 10):
+        with pytest.raises(ValueError, match="nodes|node count"):
+            integrate_periodic(np.cos, 0.0, 1.0, nodes)
+    assert abs(integrate_periodic(np.ones_like, 0.0, 1.0, 3) - 1.0) < 1e-15
 
 
 def test_integrate_cos_squared():
-    val = integrate_periodic(lambda t: np.cos(t) ** 2, -math.pi, math.pi,
-                             QuadratureRule(node_count=65))
+    val = integrate_periodic(lambda t: np.cos(t) ** 2, -math.pi, math.pi, 65)
     assert abs(val - math.pi) < 1e-10
 
 
@@ -80,9 +79,9 @@ def test_integrate_against_trapezoid_oracle():
 
 def test_integrate_convergence_order():
     f = lambda t: np.exp(np.sin(3 * t))
-    ref = integrate_periodic(f, -math.pi, math.pi, QuadratureRule(node_count=2049))
-    e1 = abs(integrate_periodic(f, -math.pi, math.pi, QuadratureRule(node_count=17)) - ref)
-    e2 = abs(integrate_periodic(f, -math.pi, math.pi, QuadratureRule(node_count=33)) - ref)
+    ref = integrate_periodic(f, -math.pi, math.pi, 2049)
+    e1 = abs(integrate_periodic(f, -math.pi, math.pi, 17) - ref)
+    e2 = abs(integrate_periodic(f, -math.pi, math.pi, 33) - ref)
     assert e2 < e1 / 8.0
 
 
@@ -92,7 +91,7 @@ def test_integrate_nonfinite_propagates_node():
             return np.where(t == 0.0, math.inf, 1.0 / t)
 
     with pytest.raises(QuadratureEvaluationError) as err:
-        integrate_periodic(f, -1.0, 1.0, QuadratureRule(node_count=5))
+        integrate_periodic(f, -1.0, 1.0, 5)
     assert err.value.node == 0.0
 
 
@@ -102,7 +101,7 @@ def test_integrate_names_the_first_of_several_nonfinite_nodes():
         return np.where(t > 0.25, math.inf, np.where(t == 0.0, math.nan, 1.0 + t))
 
     with pytest.raises(QuadratureEvaluationError) as err:
-        integrate_periodic(f, -1.0, 1.0, QuadratureRule(node_count=5))
+        integrate_periodic(f, -1.0, 1.0, 5)
     assert err.value.node == 0.0
     assert math.isnan(err.value.value.real)
 
@@ -117,11 +116,10 @@ def test_integrate_a_stack_names_the_point_and_node_of_the_first_nonfinite_value
         return vals
 
     with pytest.raises(QuadratureEvaluationError, match="of point 1") as err:
-        integrate_periodic(f, -1.0, 1.0, QuadratureRule(node_count=5))
+        integrate_periodic(f, -1.0, 1.0, 5)
     assert err.value.node == 0.5 and err.value.point == 1
     assert math.isnan(err.value.value.real)
-    finite = integrate_periodic(lambda t: np.stack((1.0 + t, t * t)), -1.0, 1.0,
-                                QuadratureRule(node_count=5))
+    finite = integrate_periodic(lambda t: np.stack((1.0 + t, t * t)), -1.0, 1.0, 5)
     assert finite.shape == (2,) and np.allclose(finite, [2.0, 2.0 / 3.0])
 
 
@@ -132,9 +130,15 @@ def test_integrand_is_called_once_on_the_node_array():
         calls.append(t)
         return np.ones_like(t)
 
-    val = integrate_periodic(f, 0.0, 2.0, QuadratureRule(node_count=9))
+    val = integrate_periodic(f, 0.0, 2.0, 9)
     assert abs(val - 2.0) < 1e-15
     assert len(calls) == 1 and np.array_equal(calls[0], np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_stencil_rejects_a_non_finite_step(bad):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        FDStencil(step=bad)
 
 
 @pytest.mark.parametrize("deriv,order,degree", [(1, 2, 2), (1, 4, 4), (2, 2, 3), (2, 4, 5)])

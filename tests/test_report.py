@@ -12,7 +12,7 @@ import numpy as np
 from symmetria import hopf, laplace, liealg, spacetime, suites
 from symmetria.cli import main as cli_main
 from symmetria.numerics import worst_of
-from symmetria.report import Check, CheckReport, Row, render_text
+from symmetria.report import CheckReport, Row, render_text
 
 NAN = math.nan
 
@@ -212,11 +212,12 @@ def test_failed_condition_with_small_residual_records_fail():
 
 
 def test_consistency_rule_rejects_only_a_pass_outside_tolerance():
-    assert Check("c", "r", passed=False, residual=1e-15, tolerance=1e-9).status == "fail"
-    assert Check("c", "r", passed=False, residual=1.0, tolerance=1e-9).status == "fail"
-    for residual in (1.0, NAN):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Check("c", "r", passed=True, residual=residual, tolerance=1e-9)
+    # the status is settled from the residual, so no row passes outside tol
+    rep = CheckReport("unit")
+    for residual in (1e-15, 1.0, NAN):
+        with rep.check("c", "r", tol=1e-9) as c:
+            c.observe(residual)
+    assert [row.status for row in rep.checks] == ["pass", "fail", "fail"]
 
 
 def test_improper_product_fails_rotation_row(monkeypatch):

@@ -18,7 +18,6 @@ from symmetria.sklyanin import (
     SIGMA,
     SWEEP_MARGIN,
     ClassicalRParams,
-    PoissonTensorSpec,
     QuantumRParams,
     SklyaninRep,
     classical_limit_probe,
@@ -252,6 +251,14 @@ def test_rll_families_match_kron_reference():
             assert sup_norm(L - _kron_reference(L_operator(x, r, p), legs, dims)) <= 1e-14, legs
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_r_params_reject_a_non_finite_rho_or_eta(bad):
+    with pytest.raises(ValueError, match="rho must be finite and positive"):
+        ClassicalRParams(rho=bad, k=0.5)
+    with pytest.raises(ValueError, match="eta must be finite and nonzero"):
+        QuantumRParams(eta=bad, k=0.5)
+
+
 def test_rep_rejects_non_finite_or_misshapen_generators():
     r = rep2()
     bad = r.S[1].copy()
@@ -358,7 +365,7 @@ def test_rll_mutation_detected():
 
 
 def test_poisson_tensor_zero_for_equal_specs():
-    C = poisson_tensor(PoissonTensorSpec(a=(1, 2, 3, 4), b=(1, 2, 3, 4)))
+    C = poisson_tensor((1, 2, 3, 4), (1, 2, 3, 4))
     assert C.shape == (4, 4, 4, 4) and not C.any()
 
 
@@ -366,7 +373,7 @@ def test_poisson_tensor_special_case_term_for_term():
     # b = (0,1,1,1), a = (1,a1,a2,a3): cyclic triples (j,k,l) give
     # {x_k,x_l} = x_0 x_j and {x_k,x_0} = (a_j - a_l) x_j x_l
     a = (1, 2, 5, 9)
-    C = poisson_tensor(PoissonTensorSpec(a=a, b=(0, 1, 1, 1)))
+    C = poisson_tensor(a, (0, 1, 1, 1))
     expect = np.zeros((4, 4, 4, 4), dtype=np.int64)
     for k, l, i, j, coeff in ((1, 2, 0, 3, 1), (2, 3, 0, 1, 1), (3, 1, 0, 2, 1),
                               (1, 0, 2, 3, a[3] - a[2]), (2, 0, 1, 3, a[1] - a[3]),
@@ -376,25 +383,27 @@ def test_poisson_tensor_special_case_term_for_term():
 
 
 def test_poisson_tensor_and_jacobi_defect_are_integer_arrays():
-    C = poisson_tensor(PoissonTensorSpec(a=(3, -1, 4, 2), b=(0, 5, -2, 1)))
+    C = poisson_tensor((3, -1, 4, 2), (0, 5, -2, 1))
     D = poisson_jacobi_defect(C)
     assert C.dtype == np.int64 and D.dtype == np.int64
     assert D.shape == (4,) * 6 and not D.any()
 
 
 def test_poisson_tensor_spec_rejects_non_integers_and_overflowing_entries():
-    with pytest.raises(ValueError):
-        PoissonTensorSpec(a=(1, 2, 3, 0.5), b=(0, 1, 1, 1))
-    with pytest.raises(ValueError):
-        PoissonTensorSpec(a=(1, 2, 3, 4097), b=(0, 1, 1, 1))
+    with pytest.raises(ValueError, match="integers"):
+        poisson_tensor((1, 2, 3, 0.5), (0, 1, 1, 1))
+    with pytest.raises(ValueError, match="integers"):
+        poisson_tensor((1, 2, 3, 4097), (0, 1, 1, 1))
+    with pytest.raises(ValueError, match="4-vectors"):
+        poisson_tensor((1, 2, 3), (0, 1, 1, 1))
     # the largest allowed entries keep the Jacobi sums exact
-    C = poisson_tensor(PoissonTensorSpec(a=(4096, -4096, 4096, 1), b=(-4096, 4096, 1, 4096)))
+    C = poisson_tensor((4096, -4096, 4096, 1), (-4096, 4096, 1, 4096))
     assert np.abs(C).max() <= sklyanin_module.TENSOR_BOUND
     assert not poisson_jacobi_defect(C).any()
 
 
 def test_jacobi_defect_rejects_non_antisymmetric_tensors():
-    C = poisson_tensor(PoissonTensorSpec(a=(1, 2, 5, 9), b=(0, 1, 1, 1)))
+    C = poisson_tensor((1, 2, 5, 9), (0, 1, 1, 1))
     C[1, 2, 0, 3] += 1
     with pytest.raises(ValueError):
         poisson_jacobi_defect(C)
@@ -414,7 +423,7 @@ def test_poisson_tensor_jacobi_exact():
         b = tuple(int(z) for z in rng.integers(-5, 6, 4))
         if a == b:
             continue
-        assert not poisson_jacobi_defect(poisson_tensor(PoissonTensorSpec(a=a, b=b))).any(), (a, b)
+        assert not poisson_jacobi_defect(poisson_tensor(a, b)).any(), (a, b)
         done += 1
 
 
@@ -426,11 +435,11 @@ def test_jacobi_defect_matches_grid_oracle():
         b = tuple(int(z) for z in rng.integers(-5, 6, 4))
         if a == b:
             continue
-        C = poisson_tensor(PoissonTensorSpec(a=a, b=b))
+        C = poisson_tensor(a, b)
         assert quadratic_jacobi_holds_on_grid(C) == (not poisson_jacobi_defect(C).any()), (a, b)
         done += 1
     # one coefficient changed (antisymmetrically) breaks the identity
-    C = poisson_tensor(PoissonTensorSpec(a=(1, 2, 5, 9), b=(0, 1, 1, 1)))
+    C = poisson_tensor((1, 2, 5, 9), (0, 1, 1, 1))
     C[1, 2, 0, 3] += 1
     C[2, 1, 0, 3] -= 1
     assert not quadratic_jacobi_holds_on_grid(C)
@@ -569,7 +578,9 @@ def test_nan_propagates_through_quadratic_relations_residual():
 
 
 def test_nan_propagates_through_classical_bracket_residual():
-    p = ClassicalRParams(rho=math.nan, k=0.5)
+    # the constructor rejects a NaN rho, so it is set past the constructor
+    p = ClassicalRParams(rho=1.0, k=0.5)
+    p.rho = math.nan
     assert math.isnan(classical_sklyanin_bracket_residual(p, 0.9, 0.4))
 
 
