@@ -48,9 +48,6 @@ class PolyhedralGraph:
                     raise ValueError(f"face {face} walks a missing edge {e}")
                 self.edge_faces.setdefault(e, []).append(fi)
 
-    def adjacency(self, i: int) -> set:
-        return self._adj[i]
-
     def degree_sequence(self) -> list:
         return sorted(len(self._adj[i]) for i in range(len(self.vertices)))
 
@@ -385,15 +382,13 @@ def automorphism_order(g: PolyhedralGraph) -> int:
     return _flag_count(g)
 
 
-def graph_to_json(g: PolyhedralGraph, bonds: dict | None = None) -> dict:
-    doc = {
+def graph_to_json(g: PolyhedralGraph, bonds: dict) -> dict:
+    return {
         "vertices": [[float(c) for c in v] for v in g.vertices],
         "edges": [[int(a), int(b)] for a, b in g.edges],
         "faces": [[int(v) for v in f] for f in g.faces],
+        "bonds": {f"{a}-{b}": kind for (a, b), kind in sorted(bonds.items())},
     }
-    if bonds is not None:
-        doc["bonds"] = {f"{a}-{b}": kind for (a, b), kind in sorted(bonds.items())}
-    return doc
 
 
 def dodecahedron_graph() -> PolyhedralGraph:

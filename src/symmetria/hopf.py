@@ -10,6 +10,7 @@ exponentially deformed commutator covers the Planck-scale example.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -52,6 +53,7 @@ class UqSu2Rep:
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"{name} must be {self.dim}x{self.dim}, got shape {m.shape}")
             setattr(self, name, m)
+        self._letters = None  # built on first use by _letters
 
     @property
     def dim(self) -> int:
@@ -73,18 +75,10 @@ def uq_su2_rep(j: float, q: float) -> UqSu2Rep:
     return UqSu2Rep(q=q, h=2.0 * m, Xp=Xp, Xm=Xp.T.conj())
 
 
-def q_power_H(rep: UqSu2Rep, exponent: float) -> np.ndarray:
-    """The diagonal of q^(exponent * H), as a vector."""
-    return rep.q ** (exponent * rep.h)
-
-
 def relations_residual(rep: UqSu2Rep) -> float:
     """Sup-norm defect of [H,X+-] = +-2 X+- and [X+,X-] = (q^H - q^-H)/(q - q^-1).
-
-    A product with the diagonal H scales the rows (H X) or the columns
-    (X H) of X, and q^(+-H) is only a diagonal to subtract, taken times the
-    reciprocal of q - 1/q: the bits of a complex division by it.
-    """
+    H X and X H scale rows and columns; q^(+-H) is a diagonal to subtract,
+    times the reciprocal of q - 1/q: the bits of a complex division by it."""
     q, h, Xp, Xm = rep.q, rep.h, rep.Xp, rep.Xm
     r1 = sup_norm(h[:, None] * Xp - Xp * h - 2.0 * Xp)
     r2 = sup_norm(h[:, None] * Xm - Xm * h + 2.0 * Xm)
@@ -93,30 +87,48 @@ def relations_residual(rep: UqSu2Rep) -> float:
     return worst_of(r1, r2, sup_norm(defect))
 
 
+# The coproduct of U_q(su2), written only here, as (left, right) letter pairs:
+# Delta(X+-) = X+- x K + K^-1 x X+-, K = q^(H/2).  H is primitive,
+# Delta(H) = H x 1 + 1 x H, so coproduct_rep adds the weights.
+DELTA = {"Xp": (("Xp", "K"), ("Kinv", "Xp")), "Xm": (("Xm", "K"), ("Kinv", "Xm"))}
+_sum = functools.partial(functools.reduce, np.add)  # a sum not started from 0
+
+
+def _letters(rep: UqSu2Rep, dense: bool = False) -> dict:
+    """X+-, K and K^-1 in rep, built once per rep: a diagonal letter as its
+    vector, or with ``dense`` as its matrix (for a Kronecker product)."""
+    if not rep._letters:
+        x = {"Xp": rep.Xp, "Xm": rep.Xm, "K": rep.q ** (0.5 * rep.h), "Kinv": rep.q ** (-0.5 * rep.h)}
+        rep._letters = {False: x, True: {k: np.diag(m) if m.ndim == 1 else m for k, m in x.items()}}
+    return rep._letters[dense]
+
+
+def _antipode(rep: UqSu2Rep) -> dict:
+    """S of each letter in rep: S(X+-) = -q^(+-1) X+-, S(K) = 1/K, S(K^-1) = K."""
+    q, x = rep.q, _letters(rep)
+    return {"Xp": -q * x["Xp"], "Xm": -(1.0 / q) * x["Xm"], "K": 1.0 / x["K"], "Kinv": x["K"]}
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for a pair of letters, one of them diagonal: a row or column scaling."""
+    return a[:, None] * b if a.ndim == 1 else a * b
+
+
 def coproduct_rep(rep: UqSu2Rep, right: UqSu2Rep | None = None) -> UqSu2Rep:
-    """Delta(H) = H x 1 + 1 x H,
-    Delta(X+-) = X+- x q^(H/2) + q^(-H/2) x X+-,
-    on rep x right (the tensor square of rep when right is omitted): the
-    representation on the tensor product, in the product weight basis."""
+    """``DELTA`` on rep x right (the tensor square of rep when right is
+    omitted): the representation on the tensor product, in the product
+    weight basis."""
     right = rep if right is None else right
     if right.q != rep.q:
         raise ValueError(f"tensor legs need one deformation parameter, got {rep.q} and {right.q}")
-    qh = np.diag(q_power_H(right, 0.5))
-    qmh = np.diag(q_power_H(rep, -0.5))
-    return UqSu2Rep(
-        q=rep.q,
-        h=(rep.h[:, None] + right.h).ravel(),
-        Xp=kron(rep.Xp, qh) + kron(qmh, right.Xp),
-        Xm=kron(rep.Xm, qh) + kron(qmh, right.Xm),
-    )
+    a_of, b_of = _letters(rep, dense=True), _letters(right, dense=True)
+    Xp, Xm = (_sum([kron(a_of[a], b_of[b]) for a, b in DELTA[x]]) for x in ("Xp", "Xm"))
+    return UqSu2Rep(q=rep.q, h=(rep.h[:, None] + right.h).ravel(), Xp=Xp, Xm=Xm)
 
 
 def coassociativity_residual(rep: UqSu2Rep) -> float:
-    """Max defect of (Delta x id)Delta = (id x Delta)Delta on H, X+, X-.
-
-    Both sides are ``coproduct_rep`` applied twice, so q^(+-H/2) on a
-    tensor leg is taken from that leg's coproduct weights.
-    """
+    """Max defect of (Delta x id)Delta = (id x Delta)Delta on H, X+, X-: both
+    sides apply ``coproduct_rep`` twice, so K on a tensor leg is that leg's."""
     square = coproduct_rep(rep)
     lhs, rhs = coproduct_rep(square, rep), coproduct_rep(rep, square)
     return worst_of(sup_norm(lhs.h - rhs.h), sup_norm(lhs.Xp - rhs.Xp),
@@ -127,15 +139,11 @@ def counit_antipode_residuals(rep: UqSu2Rep) -> dict:
     """Residuals of the counit axiom (eps x id)Delta = id and the antipode
     axiom m(S x id)Delta = unit * eps = m(id x S)Delta, in the representation.
 
-    Counit: eps(H) = eps(X+-) = 0, eps(q^(+-H/2)) = 1, which is the trivial
-    one-dimensional (spin-0) representation; (eps x id)Delta and
-    (id x eps)Delta are the coproduct with that representation on one leg.
-    Antipode: S(H) = -H, S(X+-) = -q^(+-1) X+-, S(q^(+-H/2)) = q^(-+H/2); the
-    X+ power follows from solving the 2x2 axiom, which fixes the convention.
-    On H the antipode axiom -H + H = 0 holds by construction: no residual.
+    Counit: eps(H) = eps(X+-) = 0, eps(K^(+-1)) = 1 is the spin-0 representation,
+    so (eps x id)Delta and (id x eps)Delta are the coproduct with it on one leg.
+    Antipode: the sums of S(a) b and of a S(b) over the pairs (a, b) of
+    ``DELTA``.  On H the axiom -H + H = 0 holds by construction: no residual.
     """
-    qh = q_power_H(rep, 0.5)
-    qmh = q_power_H(rep, -0.5)
     res = {}
     counit = uq_su2_rep(0.0, rep.q)
     left, right = coproduct_rep(counit, rep), coproduct_rep(rep, counit)
@@ -143,40 +151,37 @@ def counit_antipode_residuals(rep: UqSu2Rep) -> dict:
         target = getattr(rep, key)
         res[f"counit_{key}"] = worst_of(sup_norm(getattr(left, key) - target),
                                         sup_norm(getattr(right, key) - target))
-    # antipode axiom, multiply after applying S to one leg; S(q^(H/2)) = 1 / q^(H/2)
-    q = rep.q
-    SXp, SXm = -q * rep.Xp, -(1.0 / q) * rep.Xm
-    res["antipode_Xp_left"] = sup_norm(SXp * qh + qh[:, None] * rep.Xp)
-    res["antipode_Xp_right"] = sup_norm(rep.Xp * (1.0 / qh) + qmh[:, None] * SXp)
-    res["antipode_Xm_left"] = sup_norm(SXm * qh + qh[:, None] * rep.Xm)
-    res["antipode_Xm_right"] = sup_norm(rep.Xm * (1.0 / qh) + qmh[:, None] * SXm)
+    x_of, s_of = _letters(rep), _antipode(rep)
+    for x, pairs in DELTA.items():
+        res[f"antipode_{x}_left"] = sup_norm(_sum([_product(s_of[a], x_of[b]) for a, b in pairs]))
+        res[f"antipode_{x}_right"] = sup_norm(_sum([_product(x_of[a], s_of[b]) for a, b in pairs]))
     return res
 
 
 def antipode_convention_solve(q: float) -> tuple[float, float]:
     """Solve m(S x id)Delta(X+-) = 0 for S(X+-) = c+- X+- on the spin-1/2
-    representation; returns (c+, c-), expected (-q, -1/q)."""
+    representation; returns (c+, c-), expected (-q, -1/q).  The pair of
+    ``DELTA`` whose left letter is X+- gives c X+- b, the others S(a) b."""
     rep = uq_su2_rep(0.5, q)
-    qh = q_power_H(rep, 0.5)
-    # c * X q^(H/2) + q^(H/2) X = 0  =>  c = -(q^(H/2) X)_01 / (X q^(H/2))_01
-    cp = -(qh[0] * rep.Xp[0, 1]) / (rep.Xp[0, 1] * qh[1])
-    cm = -(qh[1] * rep.Xm[1, 0]) / (rep.Xm[1, 0] * qh[0])
-    return float(cp.real), float(cm.real)
+    x_of, s_of = _letters(rep), _antipode(rep)
+    cs = []
+    for x, pairs in DELTA.items():
+        unknown = _sum([_product(x_of[a], x_of[b]) for a, b in pairs if a == x])
+        known = _sum([_product(s_of[a], x_of[b]) for a, b in pairs if a != x])
+        # on spin 1/2 both sums hold one nonzero entry, at the same place
+        cs.append(float((-known.sum() / unknown.sum()).real))
+    return cs[0], cs[1]
 
 
 # ---------------------------------------------------------------------------
 # Planck-scale grid operators
 # ---------------------------------------------------------------------------
 
-def fd_weights(offsets, order: int = 1) -> np.ndarray:
-    """Finite-difference weights for the derivative of given order at 0
-    from the integer offsets (Vandermonde solve)."""
+def fd_weights(offsets) -> np.ndarray:
+    """Finite-difference weights for the first derivative at 0 from the
+    integer offsets: the Vandermonde solve V w = e_1."""
     offs = np.asarray(offsets, dtype=float)
-    n = offs.size
-    A = np.vander(offs, n, increasing=True).T
-    b = np.zeros(n)
-    b[order] = math.factorial(order)
-    return np.linalg.solve(A, b)
+    return np.linalg.solve(np.vander(offs, increasing=True).T, np.eye(offs.size)[1])
 
 
 class GridOperatorPair:
@@ -184,11 +189,10 @@ class GridOperatorPair:
     f(x) = 1 - exp(-x/l) on a uniform grid over [-L, L].  D is the central
     9-point stencil (Fornberg 1988), applied on the interior rows only."""
 
-    def __init__(self, N: int, L: float, hbar: float, l: float, x, deform):
+    def __init__(self, N: int, L: float, hbar: float, x, deform):
         self.N = N
         self.L = L
         self.hbar = hbar
-        self.l = l
         self.x = x
         self.deform = deform  # diagonal of 1 - exp(-x/l)
 
@@ -220,7 +224,7 @@ def planck_scale_ops(N: int = 256, L: float = 5.0, hbar: float = 1.0,
     if L / l > 700.0 or not math.isfinite(math.exp(L / l)):
         raise ValueError("exp(x/l) overflows double precision on this grid")
     x = np.linspace(-L, L, N)
-    return GridOperatorPair(N=N, L=L, hbar=hbar, l=l, x=x, deform=1.0 - np.exp(-x / l))
+    return GridOperatorPair(N=N, L=L, hbar=hbar, x=x, deform=1.0 - np.exp(-x / l))
 
 
 def _gaussian_probes(x: np.ndarray, L: float) -> np.ndarray:
@@ -231,11 +235,8 @@ def _gaussian_probes(x: np.ndarray, L: float) -> np.ndarray:
 
 def planck_commutator_residual(ops: GridOperatorPair) -> float:
     """Defect of [X, P] = i hbar (1 - exp(-X/l)) acting on smooth probes.
-
-    The commutator of the diagonal X with a banded derivative stencil is
-    itself banded, so the identity holds in the operator-consistency sense:
-    it is measured on Gaussian grid functions over the interior rows.
-    """
+    [X, D] is banded, so the identity holds in the operator-consistency
+    sense: it is measured on Gaussian grid functions over the interior rows."""
     inner = ops.interior()
     psi = _gaussian_probes(ops.x, ops.L)
     return abs(ops.hbar) * sup_norm(ops.commutator(psi) - ops.deform[inner] * psi[:, inner])
@@ -244,10 +245,9 @@ def planck_commutator_residual(ops: GridOperatorPair) -> float:
 def planck_coproduct_residual(ops: GridOperatorPair) -> float:
     """Defect of [Delta X, Delta P] = i hbar (1x1 - E x E), E = exp(-X/l),
     with Delta X = X x 1 + 1 x X and Delta P = P x E + 1 x P, evaluated on
-    product probes psi x phi (the tensor operators factor on those).
-
-    Only the interior block of each outer product is formed: every entry
-    there is the same product as in the full grid."""
+    product probes psi x phi (the tensor operators factor on those).  Only
+    the interior block of each outer product is formed: every entry there
+    is the same product as in the full grid."""
     inner = ops.interior()
     grid = _gaussian_probes(ops.x, ops.L)
     # per probe, on the interior: psi, [X,P] psi / (i hbar) and E psi
@@ -257,7 +257,7 @@ def planck_coproduct_residual(ops: GridOperatorPair) -> float:
     for psi, comm_psi, E_psi in probes:
         for phi, comm_phi, E_phi in probes:
             # [DX, DP](psi x phi) = ([X,P] psi) x (E phi) + psi x ([X,P] phi), over i hbar
-            lhs = np.outer(comm_psi, E_phi) + np.outer(psi, comm_phi)
-            rhs = np.outer(psi, phi) - np.outer(E_psi, E_phi)
+            lhs = comm_psi[:, None] * E_phi + psi[:, None] * comm_phi
+            rhs = psi[:, None] * phi - E_psi[:, None] * E_phi
             worst = worst_of(worst, sup_norm(lhs - rhs))
     return abs(ops.hbar) * worst

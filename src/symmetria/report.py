@@ -85,9 +85,9 @@ class Row:
 class CheckReport:
     """The rows of one suite, in the order they were recorded."""
 
-    def __init__(self, suite: str, checks: list[Row] | None = None):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     @contextmanager
     def check(self, name: str, ref: str, **kwargs):

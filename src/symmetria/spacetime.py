@@ -23,7 +23,7 @@ use the passive form r' = -gamma v t at r = 0.
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -344,44 +344,27 @@ class Dilation:
             raise ValueError("dilation factor must be finite and positive")
         self.k = k
 
-    def apply(self, xv) -> np.ndarray:
-        return self.k * np.asarray(xv, dtype=float)
-
     def inverse_apply(self, xv) -> np.ndarray:
         return np.asarray(xv, dtype=float) / self.k
 
 
 class Inversion:
-    """x -> (p - x)/eta(p - x, p - x), a conformal involution for p = 0."""
-
-    def __init__(self, pivot=None):
-        self.pivot = np.zeros(4) if pivot is None else np.asarray(pivot, dtype=float)
-
-    def apply(self, xv) -> np.ndarray:
-        d = self.pivot - np.asarray(xv, dtype=float)
-        s = minkowski_interval(d)
-        if abs(s) < 1e-8:
-            raise NullConeError(f"point {xv!r} on the null cone of the pivot")
-        return d / s
+    """x -> -x/eta(x, x), a conformal involution: its own inverse."""
 
     def inverse_apply(self, xv) -> np.ndarray:
-        # y = (p - x)/s maps back through x = p - y/eta(y,y).
         y = np.asarray(xv, dtype=float)
         s = minkowski_interval(y)
         if abs(s) < 1e-8:
             raise NullConeError(f"point {xv!r} on the null cone of the origin")
-        return self.pivot - y / s
+        return -y / s
 
 
-ConformalMap = Union[Dilation, Inversion]
-
-
-def conformal_pullback_check(cmap: ConformalMap, xv) -> tuple[float, float]:
+def conformal_pullback_check(cmap: Dilation | Inversion, xv) -> tuple[float, float]:
     """Fit J^T eta J = Omega^2 eta for the induced metric and return
     (Omega, sup-norm residual).
 
     J is the numerical Jacobian of the inverse map, so a dilation by k
-    yields Omega^2 = k^-2 and the origin-pivot inversion yields
+    yields Omega^2 = k^-2 and the inversion yields
     |Omega| = |eta(x,x)|^-1, matching the rescalings both maps induce.
     """
     xv = np.asarray(xv, dtype=float)
@@ -393,7 +376,7 @@ def conformal_pullback_check(cmap: ConformalMap, xv) -> tuple[float, float]:
         return 0.0, sup_norm(G)
     omega = math.sqrt(omega2)
     if isinstance(cmap, Inversion):
-        omega = math.copysign(omega, minkowski_interval(xv - cmap.pivot))
+        omega = math.copysign(omega, minkowski_interval(xv))
     return omega, sup_norm(G - omega2 * ETA)
 
 

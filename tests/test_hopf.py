@@ -250,18 +250,59 @@ def test_a_wrong_coproduct_fails_coassociativity(monkeypatch):
 
 
 def test_wrong_counit_is_detected(monkeypatch):
-    # eps(q^(-H/2)) = 0 instead of 1 on the trivial representation
-    real = hopf_module.q_power_H
+    # eps(K^-1) = eps(q^(-H/2)) = 0 instead of 1: the spin-0 representation's
+    # K^-1 letter zeroed
+    real = hopf_module._letters
 
-    def wrong_counit(rep, exponent):
-        out = real(rep, exponent)
-        return 0.0 * out if rep.dim == 1 and exponent < 0 else out
+    def wrong_counit(rep, dense=False):
+        out = real(rep, dense)
+        return {**out, "Kinv": 0.0 * out["Kinv"]} if rep.dim == 1 else out
 
-    monkeypatch.setattr(hopf_module, "q_power_H", wrong_counit)
+    monkeypatch.setattr(hopf_module, "_letters", wrong_counit)
     for j in (0.5, 1.0):
         res = counit_antipode_residuals(uq_su2_rep(j, 1.3))
         assert res["counit_Xp"] > 1e-3 and res["counit_Xm"] > 1e-3
         assert res["counit_h"] == 0.0
+
+
+def _antipode_residuals(res):
+    return [v for k, v in res.items() if k.startswith("antipode_")]
+
+
+def test_swapped_coproduct_legs_fail_only_the_antipode(monkeypatch):
+    # the opposite coproduct X+- x K^-1 + K x X+- is a coproduct too, so the
+    # relations and coassociativity hold; S(X+-) = -q^(+-1) X+- is not its
+    # antipode, and the antipode rows apply S to the DELTA that runs
+    from symmetria import suites
+
+    for x, pairs in list(hopf_module.DELTA.items()):
+        monkeypatch.setitem(hopf_module.DELTA, x, tuple((b, a) for a, b in pairs))
+    for q in QS:
+        for j in (0.5, 1.0):
+            rep = uq_su2_rep(j, q)
+            res = counit_antipode_residuals(rep)
+            assert min(_antipode_residuals(res)) > 1e-3, (j, q, res)
+            assert max(res["counit_h"], res["counit_Xp"], res["counit_Xm"]) < 1e-12
+            assert coassociativity_residual(rep) < 1e-10
+            assert relations_residual(coproduct_rep(rep)) < 1e-10
+    status = {row.name: row.status for row in suites.run_hopf(suites.suite_rng(42, "hopf"), 1e-9, 20).checks}
+    assert status["counit_antipode_axioms"] == "fail"
+    for name in ("deformed_su2_relations", "coproduct_is_homomorphism", "coassociativity"):
+        assert status[name] == "pass", name
+
+
+def test_wrong_antipode_is_detected(monkeypatch):
+    # S(X+-) = -q^(-+1) X+-: the powers of q exchanged
+    real = hopf_module._antipode
+
+    def wrong_antipode(rep):
+        return {**real(rep), "Xp": -(1.0 / rep.q) * rep.Xp, "Xm": -rep.q * rep.Xm}
+
+    monkeypatch.setattr(hopf_module, "_antipode", wrong_antipode)
+    for q in QS:
+        for j in (0.5, 1.0):
+            res = counit_antipode_residuals(uq_su2_rep(j, q))
+            assert min(_antipode_residuals(res)) > 1e-3, (j, q, res)
 
 
 def test_nan_propagates_through_relations_residual():

@@ -486,13 +486,13 @@ def test_inversion_pullback_matches_interval():
 
 def test_inversion_rejects_null_cone():
     with pytest.raises(NullConeError):
-        Inversion().apply(np.array([1.0, 1.0, 0.0, 0.0]))
+        Inversion().inverse_apply(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_inversion_involutive():
     inv = Inversion()
     x = np.array([0.4, 1.7, -0.6, 0.2])
-    assert np.max(np.abs(inv.apply(inv.apply(x)) - x)) < 1e-12
+    assert np.max(np.abs(inv.inverse_apply(inv.inverse_apply(x)) - x)) < 1e-12
 
 
 def test_flatness_checks():
