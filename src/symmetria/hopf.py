@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .numerics import as_matrix, kron, sup_norm, worst_of
+from .numerics import CENTRAL_STENCILS, as_matrix, kron, stencil_sum, sup_norm, worst_of
 
 
 def q_number(n: float, q: float) -> float:
@@ -126,10 +126,10 @@ def coproduct_rep(rep: UqSu2Rep, right: UqSu2Rep | None = None) -> UqSu2Rep:
     return UqSu2Rep(q=rep.q, h=(rep.h[:, None] + right.h).ravel(), Xp=Xp, Xm=Xm)
 
 
-def coassociativity_residual(rep: UqSu2Rep) -> float:
-    """Max defect of (Delta x id)Delta = (id x Delta)Delta on H, X+, X-: both
-    sides apply ``coproduct_rep`` twice, so K on a tensor leg is that leg's."""
-    square = coproduct_rep(rep)
+def coassociativity_residual(rep: UqSu2Rep, square: UqSu2Rep) -> float:
+    """Max defect of (Delta x id)Delta = (id x Delta)Delta on H, X+, X-, given
+    the square Delta(rep) = ``coproduct_rep(rep)``: both sides apply
+    ``coproduct_rep`` again, so K on a tensor leg is that leg's."""
     lhs, rhs = coproduct_rep(square, rep), coproduct_rep(rep, square)
     return worst_of(sup_norm(lhs.h - rhs.h), sup_norm(lhs.Xp - rhs.Xp),
                     sup_norm(lhs.Xm - rhs.Xm))
@@ -177,17 +177,11 @@ def antipode_convention_solve(q: float) -> tuple[float, float]:
 # Planck-scale grid operators
 # ---------------------------------------------------------------------------
 
-def fd_weights(offsets) -> np.ndarray:
-    """Finite-difference weights for the first derivative at 0 from the
-    integer offsets: the Vandermonde solve V w = e_1."""
-    offs = np.asarray(offsets, dtype=float)
-    return np.linalg.solve(np.vander(offs, increasing=True).T, np.eye(offs.size)[1])
-
-
 class GridOperatorPair:
     """Position X (diagonal) and deformed momentum P = -i hbar f(X) D with
     f(x) = 1 - exp(-x/l) on a uniform grid over [-L, L].  D is the central
-    9-point stencil (Fornberg 1988), applied on the interior rows only."""
+    9-point stencil, ``CENTRAL_STENCILS[1, 8]``, applied on the interior rows
+    only."""
 
     def __init__(self, N: int, L: float, hbar: float, x, deform):
         self.N = N
@@ -202,8 +196,9 @@ class GridOperatorPair:
     def derivative(self, psi: np.ndarray) -> np.ndarray:
         """D psi on the interior rows, the grid on the last axis of psi."""
         inner = self.interior()
-        return sum(w * psi[..., inner.start - 4 + k:inner.stop - 4 + k]
-                   for k, w in enumerate(fd_weights(range(-4, 5)))) / (self.x[1] - self.x[0])
+        offsets = CENTRAL_STENCILS[1, 8][0]
+        shifted = (psi[..., inner.start + off:inner.stop + off] for off in offsets)
+        return stencil_sum(shifted, self.x[1] - self.x[0], 1, 8)
 
     def commutator(self, psi: np.ndarray) -> np.ndarray:
         """[X, P] psi / (i hbar) = f D (X psi) - X f D psi on the interior rows:

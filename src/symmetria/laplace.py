@@ -3,12 +3,13 @@ normalization, Kelvin inversion, integral-representation solutions with
 associated Legendre factors, polar-coordinate Laplacians, and the symbol
 of the Laplace operator.
 
-Fields are plain callables on n-vectors; the fundamental solution and
-Kelvin transforms also take an (n, M) array of M points, one per column.
-Harmonicity statements are checked elsewhere by numerics.fd_laplacian.
+Fields map an (n, M) array of M points, one per column, to their M
+values; the fundamental solution and Kelvin transforms also take one
+n-vector.  Harmonicity statements are checked elsewhere by
+numerics.fd_laplacian.
 The flux derivative and the polar/spherical Laplacians are
-numerics.fd_partial stencils, and the sphere area and the integral
-representation use numerics quadrature.
+numerics.fd_partials stencils, each one field call, and the sphere area
+and the integral representation use numerics quadrature.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import POLAR_STENCIL, FDStencil, fd_partial, integrate_periodic, worst_of
+from .numerics import POLAR_STENCIL, FDStencil, fd_partials, integrate_periodic, worst_of
 
 # Simpson node counts of the sphere-area and integral-representation rules
 SPHERE_NODES = 201
@@ -86,10 +87,10 @@ def flux_through_sphere(n: int, radius: float) -> float:
     1e-3 radius and the area comes from quadrature, so a value of 1
     confirms the 1/((n-2) omega_n) normalization rather than restating it.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    d = fd_partial(lambda r: gamma_fundamental(n, float(r[0])), [radius], 0,
-                   FDStencil(step=1e-3 * radius, order=4))
+    if not 0.0 < radius < math.inf:  # written so that a NaN fails
+        raise ValueError("radius must be finite and positive")
+    d = fd_partials(lambda r: gamma_fundamental(n, r[0]), [[radius]],
+                    FDStencil(step=1e-3 * radius, order=4))[0, 0]
     return -d * _sphere_area_by_quadrature(n) * radius ** (n - 1)
 
 
@@ -201,37 +202,38 @@ def calibrate_proportionality(n: int, h: int,
     return ref, spread
 
 
-def polar_laplacian(coords: str, u: Callable[..., float], point: Sequence[float]) -> float:
+def polar_laplacian(coords: str, u: Callable[..., np.ndarray], point: Sequence[float]) -> float:
     """Laplacian through the polar (2-D) or spherical (3-D) formula with
     nested order-2 central first partials (step 1e-3).
 
     polar2d:      (1/r) [ d_r(r u_r) + d_phi(u_phi / r) ]
     spherical3d:  (1/(r^2 sin th)) [ d_r(r^2 u_r sin th)
                    + d_th(u_th sin th) + d_phi(u_phi / sin th) ]
+
+    ``u`` takes one coordinate array per axis, (r, phi) or (r, th, phi), and
+    is called once: the first partials of one inner ``fd_partials`` call
+    make the flux components that one outer call differentiates.
     """
     h = POLAR_STENCIL.step
-    # partial(f, axis) is the first partial of the field f, as a field
-    partial = lambda f, axis: lambda q: fd_partial(f, q, axis, POLAR_STENCIL)
-    field = lambda q: u(*(float(c) for c in q))
     p = np.asarray(point, dtype=float)
+    r0 = float(p[0])
     if coords == "polar2d":
-        r0 = float(p[0])
         if r0 <= 2 * h:
             raise CoordinateSingularityError("too close to the polar origin")
-        u_r, u_phi = partial(field, 0), partial(field, 1)
-        term_r = partial(lambda q: q[0] * u_r(q), 0)(p)
-        term_phi = partial(lambda q: u_phi(q) / q[0], 1)(p)
-        return (term_r + term_phi) / r0
-    if coords == "spherical3d":
-        r0, th0 = float(p[0]), float(p[1])
+        flux = lambda q, g: (q[0] * g[0], g[1] / q[0])
+    elif coords == "spherical3d":
+        th0 = float(p[1])
         if r0 <= 2 * h or math.sin(th0) <= 0.05:
             raise CoordinateSingularityError("too close to a spherical coordinate singularity")
-        u_r, u_th, u_phi = (partial(field, axis) for axis in range(3))
-        term_r = partial(lambda q: float(q[0]) ** 2 * u_r(q) * math.sin(q[1]), 0)(p)
-        term_th = partial(lambda q: u_th(q) * math.sin(q[1]), 1)(p)
-        term_phi = partial(u_phi, 2)(p) / math.sin(th0)
-        return (term_r + term_th + term_phi) / (r0 * r0 * math.sin(th0))
-    raise ValueError(f"unknown coordinate system {coords!r}")
+        flux = lambda q, g: (q[0] ** 2 * g[0] * np.sin(q[1]), g[1] * np.sin(q[1]), g[2])
+    else:
+        raise ValueError(f"unknown coordinate system {coords!r}")
+    # g[a] is the first partial of u along axis a at the points q
+    fluxes = lambda q: np.stack(flux(q, fd_partials(lambda c: u(*c), q, POLAR_STENCIL)), axis=1)
+    terms = fd_partials(fluxes, p[:, None], POLAR_STENCIL)[:, 0].diagonal()
+    if coords == "polar2d":
+        return float(terms[0] + terms[1]) / r0
+    return float(terms[0] + terms[1] + terms[2] / math.sin(th0)) / (r0 * r0 * math.sin(th0))
 
 
 def symbol(kv) -> float | np.ndarray:

@@ -1,6 +1,6 @@
 """Shared numeric substrate: dense complex matrices, periodic quadrature,
-finite-difference stencils (one call per node at a point, or one call on
-the stencil cloud of a point array), and rejection sampling.
+finite-difference stencils (one field call on the stencil cloud of a
+point array), and rejection sampling.
 
 Matrices are plain numpy arrays of complex128; ``as_matrix`` is the single
 validation gate (shape and finiteness) and ``kron`` the one Kronecker
@@ -131,42 +131,29 @@ CURVATURE_STENCIL = FDStencil(step=1e-2, order=2)
 # (derivative, order) -> (offsets, weights, divisor): f^(deriv)(x) ~=
 # sum_i weights[i] f(x + offsets[i] h) / (divisor h^deriv), the central
 # formulas of Fornberg (1988), with the terms in the order they are summed.
+# (1, 8) is the Planck grid's derivative (hopf); FDStencil takes orders 2 and 4.
 CENTRAL_STENCILS = {
     (1, 2): ((1, -1), (1.0, -1.0), 2.0),
     (1, 4): ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0), 12.0),
     (2, 2): ((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
     (2, 4): ((2, 1, 0, -1, -2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0),
+    (1, 8): ((4, 3, 2, 1, -1, -2, -3, -4),
+             (-3.0, 32.0, -168.0, 672.0, -672.0, 168.0, -32.0, 3.0), 840.0),
 }
 
 
-def _stencil_sum(nodes, stencil: FDStencil, deriv: int):
-    # sum_i weights[i] nodes[i] / (divisor h^deriv), term by term in order
-    _, weights, divisor = CENTRAL_STENCILS[deriv, stencil.order]
+def stencil_sum(nodes, step: float, deriv: int, order: int):
+    """sum_i weights[i] nodes[i] / (divisor step^deriv), term by term in
+    order, for the ``CENTRAL_STENCILS`` entry (deriv, order); nodes[i] holds
+    the values at offsets[i] steps."""
+    _, weights, divisor = CENTRAL_STENCILS[deriv, order]
     total = None
     for vals, w in zip(nodes, weights):
         term = w * vals
         total = term if total is None else total + term
     for _ in range(deriv):
-        divisor *= stencil.step
+        divisor *= step
     return total / divisor
-
-
-def fd_partial(f: Callable[[np.ndarray], float | np.ndarray], point: Sequence[float],
-               axis: int, stencil: FDStencil, deriv: int = 1) -> float | np.ndarray:
-    """The deriv-th partial of ``f`` along ``axis`` at ``point`` by the central
-    stencil of the given order; ``f`` may return a float or an array.
-
-    Exact (up to rounding) on polynomials of degree <= order + deriv - 1.
-    """
-    p = np.asarray(point, dtype=float)
-
-    def node(off):
-        q = p.copy()
-        if off:  # the centre is passed as given, a -0.0 coordinate included
-            q[axis] += off * stencil.step
-        return f(q)
-
-    return _stencil_sum(map(node, CENTRAL_STENCILS[deriv, stencil.order][0]), stencil, deriv)
 
 
 def fd_partials(f: Callable[[np.ndarray], np.ndarray], points, stencil: FDStencil,
@@ -174,37 +161,29 @@ def fd_partials(f: Callable[[np.ndarray], np.ndarray], points, stencil: FDStenci
     """Every deriv-th partial, (n, M, ...) axis first, of ``f`` at an (n, M)
     point array, from one call of ``f`` on the (n, n S M) cloud of every
     axis and stencil node; ``f`` maps (n, K) points to values with the
-    point on the leading axis.  The bits are those of ``fd_partial``."""
+    point on the leading axis.
+
+    Exact (up to rounding) on polynomials of degree <= order + deriv - 1.
+    """
     offsets = CENTRAL_STENCILS[deriv, stencil.order][0]
+    # the centre shift is -0.0, so x + shift is x there, a -0.0 coordinate included
+    shifts = np.array([off * stencil.step if off else -0.0 for off in offsets])
     p = np.asarray(points, dtype=float)
     n, m = p.shape
     cloud = np.broadcast_to(p[:, None, None], (n, n, len(offsets), m)).copy()
-    for s, off in enumerate(offsets):
-        if off:  # as in fd_partial
-            cloud[range(n), range(n), s] += off * stencil.step
+    cloud[range(n), range(n)] = p[:, None] + shifts[:, None]
     vals = np.asarray(f(cloud.reshape(n, -1)))
     vals = vals.reshape((n, len(offsets), m) + vals.shape[1:])
-    return _stencil_sum(vals.swapaxes(0, 1), stencil, deriv)
+    return stencil_sum(vals.swapaxes(0, 1), stencil.step, deriv, stencil.order)
 
 
-def fd_laplacian(field: Callable[[np.ndarray], float | np.ndarray], point: Sequence[float],
-                 stencil: FDStencil = LAPLACIAN_STENCIL) -> float | np.ndarray:
-    """Sum of second partials of ``field`` at ``point`` by central differences.
-
-    ``point`` may also be an (n, M) array of M points, one per column: the
-    field then maps such an array to its M values, is called once (see
-    ``fd_partials``), and the M Laplacians come back as one array.  Exact
-    (up to rounding) on polynomials of degree <= order + 1.
+def fd_laplacian(field: Callable[[np.ndarray], np.ndarray], points,
+                 stencil: FDStencil = LAPLACIAN_STENCIL) -> np.ndarray:
+    """The M sums of second partials of ``field`` at an (n, M) point array by
+    central differences, from one call of ``field`` (see ``fd_partials``).
+    Exact (up to rounding) on polynomials of degree <= order + 1.
     """
-    p = np.asarray(point, dtype=float)
-    if p.ndim == 1:
-        parts = [fd_partial(field, p, axis, stencil, deriv=2) for axis in range(len(p))]
-    else:
-        parts = fd_partials(field, p, stencil, deriv=2)
-    total = 0.0
-    for part in parts:
-        total += part
-    return total
+    return sum(fd_partials(field, points, stencil, deriv=2))
 
 
 def accepted_rows(draw: Callable[[int], np.ndarray], keep: Callable[[np.ndarray], np.ndarray],
@@ -225,9 +204,9 @@ def accepted_rows(draw: Callable[[int], np.ndarray], keep: Callable[[np.ndarray]
     return rows
 
 
-def fd_jacobian(mapping: Callable[[np.ndarray], Sequence[float]], point: Sequence[float],
+def fd_jacobian(mapping: Callable[[np.ndarray], np.ndarray], point: Sequence[float],
                 stencil: FDStencil = JACOBIAN_STENCIL) -> np.ndarray:
-    """n x n matrix J[i,j] ~= d mapping_i / d x_j by central differences."""
+    """n x n matrix J[i,j] ~= d mapping_i / d x_j by central differences;
+    ``mapping`` takes (n, K) points to their (n, K) images."""
     p = np.asarray(point, dtype=float)
-    vector = lambda q: np.asarray(mapping(q), dtype=float)
-    return np.stack([fd_partial(vector, p, col, stencil) for col in range(p.size)], axis=1)
+    return fd_partials(lambda q: mapping(q).T, p[:, None], stencil)[:, 0].T

@@ -6,9 +6,8 @@ factorization, both acting on (N, 4) arrays of (t, x, y, z) events by one
 kernel on their 5x5 affine matrices on (t, r, 1), the discrete inversions
 as diagonal 4x4 matrices, and conformal dilations/inversions with
 pullback-metric, flatness, and wave-operator scaling checks.  Every
-derivative is a ``numerics`` stencil; the curvature check takes the
-metric's partials on one stencil cloud (``fd_partials``) and contracts
-them by ``np.einsum``.
+derivative is one ``numerics.fd_partials`` call on a stencil cloud; the
+curvature check contracts the metric's partials by ``np.einsum``.
 
 A group element whose fields carry a leading axis of length M is a stack
 of M elements.  Rotations, boosts, composition, inversion and the event
@@ -28,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (CURVATURE_STENCIL, LAPLACIAN_STENCIL, FDStencil, fd_jacobian,
-                       fd_partial, fd_partials, sup_norm)
+                       fd_partials, sup_norm)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -352,10 +351,11 @@ class Inversion:
     """x -> -x/eta(x, x), a conformal involution: its own inverse."""
 
     def inverse_apply(self, xv) -> np.ndarray:
+        """The image of one 4-vector, or of each column of a (4, K) array."""
         y = np.asarray(xv, dtype=float)
-        s = minkowski_interval(y)
-        if abs(s) < 1e-8:
-            raise NullConeError(f"point {xv!r} on the null cone of the origin")
+        s = minkowski_interval(y.T)
+        # ~(|s| < 1e-8), not |s| >= 1e-8: a NaN point is not rejected, its image is NaN
+        _require(~(np.abs(s) < 1e-8), "point {} on the null cone of the origin", NullConeError, y.T)
         return -y / s
 
 
@@ -432,18 +432,19 @@ def conformal_flatness_check(omega_kind: str, xv) -> float:
     return abs((4.0 * r_h2 - r_h) / 3.0)
 
 
-def dalembert(field: Callable[[np.ndarray], float], xv) -> float:
-    """Wave operator -d_t^2 + laplacian: the eta-signed sum of the order-4
-    central second partials."""
-    return sum(ETA[a, a] * fd_partial(field, xv, a, LAPLACIAN_STENCIL, deriv=2)
-               for a in range(4))
+def dalembert(field: Callable[[np.ndarray], np.ndarray], points) -> np.ndarray:
+    """Wave operator -d_t^2 + laplacian at (4, M) events, as (M,) values:
+    the eta-signed sum of the order-4 central second partials."""
+    parts = fd_partials(field, points, LAPLACIAN_STENCIL, deriv=2)
+    return sum(ETA[a, a] * part for a, part in enumerate(parts))
 
 
-def dalembert_dilation_check(k: float, field: Callable[[np.ndarray], float], xv) -> float:
-    """|box(field o dilation)(x) - k^2 (box field)(k x)|, the k^-2 scaling
-    of the wave operator under x -> k x."""
-    if k <= 0:
-        raise ValueError("dilation factor must be positive")
-    xv = np.asarray(xv, dtype=float)
+def dalembert_dilation_check(k: float, field: Callable[[np.ndarray], np.ndarray],
+                             points) -> np.ndarray:
+    """|box(field o dilation)(x) - k^2 (box field)(k x)| at (4, M) events, the
+    k^-2 scaling of the wave operator under x -> k x."""
+    if not 0.0 < k < math.inf:  # written so that a NaN fails
+        raise ValueError("dilation factor must be finite and positive")
+    points = np.asarray(points, dtype=float)
     composed = lambda y: field(k * y)
-    return abs(dalembert(composed, xv) - k * k * dalembert(field, k * xv))
+    return abs(dalembert(composed, points) - k * k * dalembert(field, k * points))

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths under test: elliptic values come
 from quadrature of the defining integral plus root-finding (or mpmath's
 theta-based routines), Legendre values from explicit closed forms,
-integrals from dense trapezoid sums, and curvature from index loops over
-hand-written central differences.  The quadratic Poisson brackets, and
+integrals from dense trapezoid sums, finite differences from one field
+call per stencil node, and curvature from index loops over hand-written
+central differences.  The quadratic Poisson brackets, and
 the canonical bracket of phase-space generators, are checked by their
 values at points, not by their coefficient tensors or matrices.
 The cube is a hand-written polyhedral graph for the fullerene tests, and
@@ -20,6 +21,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from symmetria.fullerene import PolyhedralGraph
+from symmetria.numerics import CENTRAL_STENCILS
 
 
 def elliptic_K(k: float) -> float:
@@ -68,6 +70,26 @@ def legendre_closed_form(n: int, h: int, x: float) -> float:
         (4, 3): -105.0 * x * s ** 3,
     }
     return table[(n, h)]
+
+
+def fd_partial_by_nodes(f, point, axis: int, stencil, deriv: int = 1):
+    """The deriv-th partial of ``f`` along ``axis`` at ``point`` from one call
+    of ``f`` per node of the CENTRAL_STENCILS entry, the terms summed in
+    table order; ``point`` may be an (n, M) array and ``f`` may return
+    arrays.  The centre node is ``point`` as given, a -0.0 coordinate
+    included."""
+    offsets, weights, divisor = CENTRAL_STENCILS[deriv, stencil.order]
+    p = np.asarray(point, dtype=float)
+    total = None
+    for off, w in zip(offsets, weights):
+        q = p.copy()
+        if off:
+            q[axis] += off * stencil.step
+        term = w * f(q)
+        total = term if total is None else total + term
+    for _ in range(deriv):
+        divisor *= stencil.step
+    return total / divisor
 
 
 def riemann_sup_by_index_loops(omega, xv, h: float) -> float:

@@ -104,7 +104,7 @@ def test_criterion_4_laplace_suite():
         for _ in range(10):
             x = rng.normal(size=n)
             x *= rng.uniform(0.5, 3.0) / np.linalg.norm(x)
-            worst_harm = max(worst_harm, abs(fd_laplacian(f, x)))
+            worst_harm = max(worst_harm, abs(fd_laplacian(f, x[:, None])[0]))
     worst_flux = max(abs(laplace.flux_through_sphere(n, r) - 1.0)
                      for n in (2, 3, 4) for r in (1.0, 5.0))
     worst_kelvin = 0.0
@@ -113,7 +113,7 @@ def test_criterion_4_laplace_suite():
         for _ in range(5):
             x = rng.normal(size=3)
             x *= rng.uniform(1.2, 3.0) / np.linalg.norm(x)
-            worst_kelvin = max(worst_kelvin, abs(fd_laplacian(v, x)))
+            worst_kelvin = max(worst_kelvin, abs(fd_laplacian(v, x[:, None])[0]))
     worst_prop = 0.0
     for (n, h) in ((1, 0), (2, 0), (2, 1), (3, 2)):
         pts = []
@@ -123,10 +123,10 @@ def test_criterion_4_laplace_suite():
                 pts.append(cand)
         _, spread = laplace.calibrate_proportionality(n, h, pts)
         worst_prop = max(worst_prop, spread)
-    f2 = lambda x: math.sin(x[0]) * math.exp(0.4 * x[1])
-    u2 = lambda r, phi: f2(np.array([r * math.cos(phi), r * math.sin(phi)]))
+    f2 = lambda x: np.sin(x[0]) * np.exp(0.4 * x[1])
+    u2 = lambda r, phi: f2(np.array([r * np.cos(phi), r * np.sin(phi)]))
     polar_gap = abs(laplace.polar_laplacian("polar2d", u2, (1.1, 0.7))
-                    - fd_laplacian(f2, np.array([1.1 * math.cos(0.7), 1.1 * math.sin(0.7)])))
+                    - fd_laplacian(f2, np.array([[1.1 * math.cos(0.7)], [1.1 * math.sin(0.7)]]))[0])
     ok = (worst_harm < 1e-5 and worst_flux < 1e-8 and worst_kelvin < 1e-5
           and worst_prop < 1e-8 and polar_gap < 1e-4)
     report("laplace_suite", ok, time.perf_counter() - t0, 5.0,
@@ -160,8 +160,9 @@ def test_criterion_6_hopf_suite():
         for q in (0.7, 1.3, 2.0):
             rep = hopf.uq_su2_rep(j, q)
             worst_rel = max(worst_rel, hopf.relations_residual(rep))
-            worst_rel = max(worst_rel, hopf.relations_residual(hopf.coproduct_rep(rep)))
-            worst_coass = max(worst_coass, hopf.coassociativity_residual(rep))
+            square = hopf.coproduct_rep(rep)
+            worst_rel = max(worst_rel, hopf.relations_residual(square))
+            worst_coass = max(worst_coass, hopf.coassociativity_residual(rep, square))
             worst_axiom = max(worst_axiom, max(hopf.counit_antipode_residuals(rep).values()))
     cplus, cminus = hopf.antipode_convention_solve(1.3)
     convention_ok = abs(cplus + 1.3) < 1e-12 and abs(cminus + 1 / 1.3) < 1e-12

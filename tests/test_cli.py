@@ -163,7 +163,7 @@ def test_verify_all_bytes_are_pinned(tmp_path):
     assert run(["verify", "all", "--samples", "20", "--seed", "42", "--format", "json",
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "da03369ab7e42d18524163346a8be79c9a2dda1744692fa9c004577ea4f03b09")
+        "4b8ea59c3d4c158799fa338796fd214f5ed366cf4715f52727871b6fb28f12e0")
 
 
 def test_verify_deep_bytes_are_pinned(tmp_path):
@@ -173,7 +173,7 @@ def test_verify_deep_bytes_are_pinned(tmp_path):
     assert run(["verify", "all", "--samples", "250", "--seed", "42", "--format", "json",
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b496610f4aeee5c66450853ef145faeb4c688156358326245b348db64936feb1")
+        "07232a9c85358c74ac72545853c6cab57a31662d8bbfc2ec61b34987e90cfaff")
 
 
 def _modules_after_import(module: str) -> set:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from symmetria.hopf import (
     coassociativity_residual,
     coproduct_rep,
     counit_antipode_residuals,
-    fd_weights,
     planck_commutator_residual,
     planck_coproduct_residual,
     planck_scale_ops,
@@ -19,7 +19,7 @@ from symmetria.hopf import (
     relations_residual,
     uq_su2_rep,
 )
-from symmetria.numerics import sup_norm
+from symmetria.numerics import CENTRAL_STENCILS, sup_norm
 
 SPINS = (0.5, 1.0, 1.5)
 QS = (0.7, 1.3, 2.0)
@@ -113,11 +113,13 @@ def test_coproduct_classical_limit_slope():
 @pytest.mark.parametrize("j", SPINS)
 @pytest.mark.parametrize("q", QS)
 def test_coassociativity(j, q):
-    assert coassociativity_residual(uq_su2_rep(j, q)) < 1e-10
+    rep = uq_su2_rep(j, q)
+    assert coassociativity_residual(rep, coproduct_rep(rep)) < 1e-10
 
 
 def test_coassociativity_continuity_near_one():
-    assert coassociativity_residual(uq_su2_rep(0.5, 1 + 1e-8)) < 1e-7
+    rep = uq_su2_rep(0.5, 1 + 1e-8)
+    assert coassociativity_residual(rep, coproduct_rep(rep)) < 1e-7
 
 
 def test_counit_antipode_axioms():
@@ -135,9 +137,14 @@ def test_antipode_convention_from_2x2_solve():
 
 
 def test_fd_weights_order8_central():
-    w = fd_weights(range(-4, 5))
-    expected = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
-    assert sup_norm((w - expected)[None, :]) < 1e-12
+    # the table entry behind GridOperatorPair.derivative against the exact
+    # fractions of the 9-point first derivative, offsets -4..4
+    offsets, weights, divisor = CENTRAL_STENCILS[1, 8]
+    exact = dict(zip(range(-4, 5), (Fraction(1, 280), Fraction(-4, 105), Fraction(1, 5),
+                                    Fraction(-4, 5), 0, Fraction(4, 5), Fraction(-1, 5),
+                                    Fraction(4, 105), Fraction(-1, 280))))
+    assert sorted(offsets) == [-4, -3, -2, -1, 1, 2, 3, 4]
+    assert all(Fraction(w) / Fraction(divisor) == exact[off] for off, w in zip(offsets, weights))
 
 
 def test_interior_stencil_exact_on_degree8():
@@ -244,9 +251,9 @@ def test_a_wrong_coproduct_fails_coassociativity(monkeypatch):
         return UqSu2Rep(pair.q, (rep.h[:, None] + 2.0 * right.h).ravel(), pair.Xp, pair.Xm)
 
     rep = uq_su2_rep(1.0, 1.3)
-    assert coassociativity_residual(rep) < 1e-10
+    assert coassociativity_residual(rep, real(rep)) < 1e-10
     monkeypatch.setattr(hopf_module, "coproduct_rep", doubled_right_leg)
-    assert coassociativity_residual(rep) > 1.0
+    assert coassociativity_residual(rep, hopf_module.coproduct_rep(rep)) > 1.0
 
 
 def test_wrong_counit_is_detected(monkeypatch):
@@ -283,8 +290,9 @@ def test_swapped_coproduct_legs_fail_only_the_antipode(monkeypatch):
             res = counit_antipode_residuals(rep)
             assert min(_antipode_residuals(res)) > 1e-3, (j, q, res)
             assert max(res["counit_h"], res["counit_Xp"], res["counit_Xm"]) < 1e-12
-            assert coassociativity_residual(rep) < 1e-10
-            assert relations_residual(coproduct_rep(rep)) < 1e-10
+            square = coproduct_rep(rep)
+            assert coassociativity_residual(rep, square) < 1e-10
+            assert relations_residual(square) < 1e-10
     status = {row.name: row.status for row in suites.run_hopf(suites.suite_rng(42, "hopf"), 1e-9, 20).checks}
     assert status["counit_antipode_axioms"] == "fail"
     for name in ("deformed_su2_relations", "coproduct_is_homomorphism", "coassociativity"):
@@ -334,7 +342,8 @@ def test_nan_propagates_through_coassociativity(monkeypatch):
         return float("nan") if len(calls) == 2 else real(m)
 
     monkeypatch.setattr(hopf_module, "sup_norm", nan_on_second)
-    assert np.isnan(coassociativity_residual(uq_su2_rep(1.0, 1.3)))
+    rep = uq_su2_rep(1.0, 1.3)
+    assert np.isnan(coassociativity_residual(rep, coproduct_rep(rep)))
     assert len(calls) == 3
 
 

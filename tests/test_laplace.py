@@ -59,7 +59,7 @@ def test_fundamental_solution_harmonic_off_source():
         for _ in range(20):
             x = rng.normal(size=n)
             x *= rng.uniform(0.5, 3.0) / np.linalg.norm(x)
-            worst = max(worst, abs(fd_laplacian(f, x)))
+            worst = max(worst, abs(fd_laplacian(f, x[:, None])[0]))
         assert worst < 1e-6, f"n={n}"
 
 
@@ -75,6 +75,14 @@ def test_flux_unit_and_radius_independent(n, radius):
     assert abs(flux_through_sphere(n, radius) - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+def test_flux_rejects_a_bad_radius(bad):
+    # a NaN radius used to pass a radius <= 0 guard and fail in the stencil,
+    # with an error that named the step, not the radius
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        flux_through_sphere(3, bad)
+
+
 def test_kelvin_of_constant_is_inverse_radius():
     v = kelvin_invert(lambda x: 1.0, 3)
     assert abs(v(np.array([2.0, 0.0, 0.0])) - 0.5) < 1e-15
@@ -82,7 +90,7 @@ def test_kelvin_of_constant_is_inverse_radius():
     for _ in range(10):
         x = rng.normal(size=3)
         x *= rng.uniform(0.7, 2.5) / np.linalg.norm(x)
-        assert abs(fd_laplacian(v, x)) < 1e-5
+        assert abs(fd_laplacian(v, x[:, None])[0]) < 1e-5
 
 
 def test_kelvin_plane_constant_stays_constant():
@@ -96,7 +104,7 @@ def test_kelvin_of_coordinate_harmonic():
     for _ in range(10):
         x = rng.normal(size=3)
         x *= rng.uniform(1.2, 3.0) / np.linalg.norm(x)
-        assert abs(fd_laplacian(v, x)) < 1e-5
+        assert abs(fd_laplacian(v, x[:, None])[0]) < 1e-5
         # v = x1/r^3 in closed form
         r = np.linalg.norm(x)
         assert abs(v(x) - x[0] / r ** 3) < 1e-12
@@ -205,7 +213,7 @@ def test_integral_rep_harmonicity():
             f = lambda y, n=n, h=h, part=part: part(integral_rep(n, h, y))
             x = rng.normal(size=3)
             x *= 1.3 / np.linalg.norm(x)
-            assert abs(fd_laplacian(f, x, FDStencil(step=1e-2, order=4))) < 1e-5
+            assert abs(fd_laplacian(f, x[:, None], FDStencil(step=1e-2, order=4))[0]) < 1e-5
 
 
 def test_integral_rep_homogeneity_and_equivariance():
@@ -231,26 +239,26 @@ def test_polar_laplacian_2d():
 def test_polar_laplacian_3d_harmonic_fields():
     inv_r = lambda r, th, phi: 1.0 / r
     assert abs(polar_laplacian("spherical3d", inv_r, (1.7, 1.0, 0.3))) < 1e-5
-    z_field = lambda r, th, phi: r * math.cos(th)
+    z_field = lambda r, th, phi: r * np.cos(th)
     assert abs(polar_laplacian("spherical3d", z_field, (1.7, 1.0, 0.3))) < 1e-5
     with pytest.raises(CoordinateSingularityError):
         polar_laplacian("spherical3d", inv_r, (1.0, 0.01, 0.0))
 
 
 def test_polar_cartesian_agreement():
-    f2 = lambda x: math.sin(x[0]) * math.exp(0.4 * x[1]) + x[0] * x[0] * x[1]
-    u2 = lambda r, phi: f2(np.array([r * math.cos(phi), r * math.sin(phi)]))
-    cart = fd_laplacian(f2, np.array([1.1 * math.cos(0.7), 1.1 * math.sin(0.7)]))
+    f2 = lambda x: np.sin(x[0]) * np.exp(0.4 * x[1]) + x[0] * x[0] * x[1]
+    u2 = lambda r, phi: f2(np.array([r * np.cos(phi), r * np.sin(phi)]))
+    cart = fd_laplacian(f2, np.array([[1.1 * math.cos(0.7)], [1.1 * math.sin(0.7)]]))[0]
     assert abs(polar_laplacian("polar2d", u2, (1.1, 0.7)) - cart) < 1e-4
 
     f3 = lambda x: x[0] * x[1] + 0.2 * x[2] ** 3
-    u3 = lambda r, th, phi: f3(np.array([r * math.sin(th) * math.cos(phi),
-                                         r * math.sin(th) * math.sin(phi),
-                                         r * math.cos(th)]))
-    x3 = np.array([1.4 * math.sin(1.1) * math.cos(0.5),
-                   1.4 * math.sin(1.1) * math.sin(0.5),
-                   1.4 * math.cos(1.1)])
-    assert abs(polar_laplacian("spherical3d", u3, (1.4, 1.1, 0.5)) - fd_laplacian(f3, x3)) < 1e-4
+    u3 = lambda r, th, phi: f3(np.array([r * np.sin(th) * np.cos(phi),
+                                         r * np.sin(th) * np.sin(phi),
+                                         r * np.cos(th)]))
+    x3 = np.array([[1.4 * math.sin(1.1) * math.cos(0.5)],
+                   [1.4 * math.sin(1.1) * math.sin(0.5)],
+                   [1.4 * math.cos(1.1)]])
+    assert abs(polar_laplacian("spherical3d", u3, (1.4, 1.1, 0.5)) - fd_laplacian(f3, x3)[0]) < 1e-4
 
 
 def test_symbol():

@@ -487,12 +487,19 @@ def test_inversion_pullback_matches_interval():
 def test_inversion_rejects_null_cone():
     with pytest.raises(NullConeError):
         Inversion().inverse_apply(np.array([1.0, 1.0, 0.0, 0.0]))
+    # every column of a (4, K) array is tested, and the first null one named
+    cols = np.array([[2.0, 0.0, 0.0, 0.0], [0.5, 2.0, -1.0, 0.3], [1.0, 0.0, 1.0, 0.0]]).T
+    with pytest.raises(NullConeError, match=r"\(element 2\)"):
+        Inversion().inverse_apply(cols)
 
 
 def test_inversion_involutive():
     inv = Inversion()
     x = np.array([0.4, 1.7, -0.6, 0.2])
     assert np.max(np.abs(inv.inverse_apply(inv.inverse_apply(x)) - x)) < 1e-12
+    # a (4, K) array maps column by column
+    cols = np.stack((x, 2.0 * x, [2.0, 0.0, 0.0, 0.0]), axis=1)
+    assert np.array_equal(inv.inverse_apply(cols), np.stack([inv.inverse_apply(c) for c in cols.T], 1))
 
 
 def test_flatness_checks():
@@ -545,21 +552,28 @@ def test_flatness_null_cone_rejected():
 def test_dalembert_dilation_scaling():
     field = lambda y: y[1] ** 2
     for k in (0.5, 1.0, 2.0, 3.0):
-        assert dalembert_dilation_check(k, field, [0.1, 0.2, -0.3, 0.4]) < 1e-6
+        assert dalembert_dilation_check(k, field, [[0.1], [0.2], [-0.3], [0.4]])[0] < 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -2.0], ids=["nan", "inf", "zero", "negative"])
+def test_dalembert_dilation_check_rejects_a_bad_factor(bad):
+    # a NaN factor used to pass a k <= 0 guard and give a NaN residual
+    with pytest.raises(ValueError, match="finite and positive"):
+        dalembert_dilation_check(bad, lambda y: y[1] ** 2, [[0.1], [0.2], [-0.3], [0.4]])
 
 
 def test_massless_wave_stays_solution():
-    wave = lambda y: math.sin(y[0] - y[1])
-    x = np.array([0.3, 0.7, 0.0, 0.0])
+    wave = lambda y: np.sin(y[0] - y[1])
+    x = np.array([[0.3], [0.7], [0.0], [0.0]])
     for k in (1.0, 2.0):
         scaled = lambda y: wave(k * y)
-        assert abs(dalembert(scaled, x)) < 1e-6
+        assert abs(dalembert(scaled, x)[0]) < 1e-6
     # the massive combination box + m^2 does not scale homogeneously
     k = 2.0
     phi = lambda y: wave(k * y)
     lhs = dalembert(phi, x) + phi(x)
     rhs = k * k * (dalembert(wave, k * x) + wave(k * x))
-    assert abs(lhs - rhs) > 1e-3
+    assert abs(lhs - rhs)[0] > 1e-3
 
 
 # --- stacked elements ----------------------------------------------------------
