@@ -6,14 +6,13 @@ through the addition theorem and the imaginary-argument transformation
 sn(iy,k) = i sn(y,k')/cn(y,k').  The modulus convention is k (not the
 parameter m = k^2) everywhere.
 
-Arguments may be scalars or arrays.  The AGM scales depend on the modulus
-alone and are run once per call; the Landen steps then act elementwise on
-the whole array.  A scalar argument is evaluated as a one-element array.
+Arguments are arrays, a scalar being the one-element array, and results
+have the argument's shape.  The AGM scales depend on the modulus alone and
+are run once per call; the Landen steps then act elementwise on the array.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -50,19 +49,11 @@ _AGM_MAX_STEPS = 40
 
 
 def quarter_period(k: float) -> float:
-    """Complete elliptic integral K(k) by the arithmetic-geometric mean.
-
-    The modulus is checked on every call; the AGM itself is memoized, since
-    the pole search asks for the same one or two moduli on every sample."""
+    """Complete elliptic integral K(k) by the arithmetic-geometric mean."""
     if not 0.0 <= k <= 1.0:
         raise EllipticDomainError(f"modulus must lie in [0,1), got {k!r}")
     if k == 1.0:
         raise EllipticDivergenceError("K(k) diverges logarithmically as k -> 1")
-    return _agm_quarter_period(k)
-
-
-@functools.lru_cache(maxsize=64)
-def _agm_quarter_period(k: float) -> float:
     a, b = 1.0, math.sqrt(1.0 - k * k)
     for _ in range(_AGM_MAX_STEPS):
         if abs(a - b) <= _AGM_TOL * a:
@@ -72,8 +63,7 @@ def _agm_quarter_period(k: float) -> float:
 
 
 def sn_cn_dn_real(u, k: float):
-    """Simultaneous sn, cn, dn at real argument: floats for a scalar u,
-    arrays of u's shape for an array.
+    """Simultaneous sn, cn, dn at real argument, each of u's shape.
 
     Descending Landen: run the AGM scales a_n, b_n, c_n of the modulus once,
     seed the amplitude with phi_N = 2^N a_N u, then halve back down,
@@ -82,9 +72,7 @@ def sn_cn_dn_real(u, k: float):
     """
     if not 0.0 <= k <= 1.0:
         raise EllipticDomainError(f"modulus must lie in [0,1], got {k!r}")
-    x = np.asarray(u, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    x = np.atleast_1d(np.asarray(u, dtype=float))
     if k < 1e-14:
         sn, cn, dn = np.sin(x), np.cos(x), np.ones_like(x)
     elif k > 1.0 - 1e-14:
@@ -109,9 +97,7 @@ def sn_cn_dn_real(u, k: float):
         sn = np.sin(phi)
         cn = np.cos(phi)
         dn = np.sqrt((1.0 - k * k) + (k * cn) ** 2)
-    if scalar:
-        return float(sn[0]), float(cn[0]), float(dn[0])
-    return sn, cn, dn
+    return tuple(f.reshape(np.shape(u))[()] for f in (sn, cn, dn))
 
 
 def _sn_cn_dn_imag(y: np.ndarray, k: float) -> tuple:
@@ -130,8 +116,7 @@ def _complex(re, im) -> np.ndarray:
 
 
 def nearest_pole(z, k: float):
-    """Nearest point of the pole lattice iK' + 2mK + 2inK', entry by entry
-    for an array of z.
+    """Nearest point of the pole lattice iK' + 2mK + 2inK' to each entry of z.
 
     For k = 0 the lattice recedes to infinity (sin and cos are entire)."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -143,25 +128,24 @@ def nearest_pole(z, k: float):
         m = np.round(zz.real / (2.0 * K))
         n = np.round((zz.imag - Kp) / (2.0 * Kp))
         pole = _complex(2.0 * m * K, (2.0 * n + 1.0) * Kp)
-    return complex(pole[0]) if np.ndim(z) == 0 else pole
+    return pole.reshape(np.shape(z))[()]
 
 
 def sn_cn_dn_complex(z, k: float):
-    """sn, cn, dn at a complex argument, away from the pole lattice:
-    complex numbers for a scalar z, arrays of z's shape for an array.
+    """sn, cn, dn at a complex argument away from the pole lattice, each of
+    z's shape.
 
     Every argument is checked against its nearest pole first; the error
     names the first one within 1e-6 of a pole, by flat index for an array."""
     if not 0.0 <= k < 1.0:
         raise EllipticDomainError(f"modulus must lie in [0,1), got {k!r}")
-    scalar = np.ndim(z) == 0
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     pole = nearest_pole(zz, k)
     near = np.abs(zz - pole) < 1e-6
     if near.any():
         i = int(np.flatnonzero(near)[0])
         raise EllipticPoleError(complex(zz.flat[i]), complex(pole.flat[i]),
-                                None if scalar else i)
+                                i if np.ndim(z) else None)
     x, y = zz.real, zz.imag
     s1, c1, d1 = sn_cn_dn_real(x, k)
     s2, c2, d2 = _sn_cn_dn_imag(y, k)
@@ -172,7 +156,5 @@ def sn_cn_dn_complex(z, k: float):
     # on the real axis the real-argument values are exact as they stand
     real_axis = np.abs(y) < 1e-300
     sn, cn, dn = (np.where(real_axis, r, w) for r, w in ((s1, sn), (c1, cn), (d1, dn)))
-    if scalar:
-        return complex(sn[0]), complex(cn[0]), complex(dn[0])
-    return sn, cn, dn
+    return tuple(f.reshape(np.shape(z))[()] for f in (sn, cn, dn))
 

@@ -10,7 +10,7 @@ product.  All residuals elsewhere are measured in the sup norm (max |entry|).
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -80,7 +80,7 @@ def integrate_periodic(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     spaced nodes, an odd count of at least 3.
 
     ``f`` is called once, on the array of nodes, and returns the integrand
-    values on the last axis: ``(nodes,)`` gives a complex, ``(..., nodes)``
+    values on the last axis: ``(nodes,)`` gives one value, ``(..., nodes)``
     an array.  The rule converges geometrically for integrands that are
     smooth and periodic on [a, b].  A non-finite value raises
     ``QuadratureEvaluationError`` naming the first node (and point) that
@@ -106,8 +106,7 @@ def integrate_periodic(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    out = h / 3.0 * np.sum(w * vals, axis=-1)
-    return complex(out) if vals.ndim == 1 else out
+    return h / 3.0 * np.sum(w * vals, axis=-1)
 
 
 class FDStencil:
@@ -169,6 +168,8 @@ def fd_partials(f: Callable[[np.ndarray], np.ndarray], points, stencil: FDStenci
     # the centre shift is -0.0, so x + shift is x there, a -0.0 coordinate included
     shifts = np.array([off * stencil.step if off else -0.0 for off in offsets])
     p = np.asarray(points, dtype=float)
+    if p.ndim != 2:
+        raise ValueError(f"points must be an (n, M) array, got shape {p.shape}")
     n, m = p.shape
     cloud = np.broadcast_to(p[:, None, None], (n, n, len(offsets), m)).copy()
     cloud[range(n), range(n)] = p[:, None] + shifts[:, None]
@@ -204,9 +205,8 @@ def accepted_rows(draw: Callable[[int], np.ndarray], keep: Callable[[np.ndarray]
     return rows
 
 
-def fd_jacobian(mapping: Callable[[np.ndarray], np.ndarray], point: Sequence[float],
+def fd_jacobian(mapping: Callable[[np.ndarray], np.ndarray], points,
                 stencil: FDStencil = JACOBIAN_STENCIL) -> np.ndarray:
-    """n x n matrix J[i,j] ~= d mapping_i / d x_j by central differences;
-    ``mapping`` takes (n, K) points to their (n, K) images."""
-    p = np.asarray(point, dtype=float)
-    return fd_partials(lambda q: mapping(q).T, p[:, None], stencil)[:, 0].T
+    """(M, n, n) Jacobians J[m, i, j] ~= d mapping_i / d x_j at (n, M) points
+    by central differences; ``mapping`` takes (n, K) points to (n, K) images."""
+    return fd_partials(lambda q: mapping(q).T, points, stencil).transpose(1, 2, 0)

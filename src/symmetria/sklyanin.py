@@ -14,22 +14,22 @@ constant n x n matrix plus sum_a w_a B_a over constant matrices B_1..B_3,
 kept as arrays of shapes (n*n,) and (3, n*n).  r is 0 plus
 sum_a w_a sigma_a x sigma_a, R is 1 plus the same sum, and L is
 sigma_0 x S_0 plus sum_a W_a sigma_a x S_a.  One helper builds any of them
-from (..., 3) weights as const + sum_a w_a B_a.  A tensor-leg placement
-embeds a whole family once, never a sample: reshape each of its matrices
-into its four leg indices, take the outer product with the identity on
-the third leg, transpose the legs into place and reshape back.  The r and
-R families are embedded on the leg pairs (0,1), (0,2), (1,2) of
-C^2 x C^2 x C^2 at import, for the Yang-Baxter residuals; the exchange
-relation embeds R, L' and L'' once per call.  The weights are checked
-finite once per residual, before any matrix is built, and the error names
-the sample; an overflow inside the weighted sum still gives a non-finite
-residual, which fails its row.
+from (..., 3) weights as const + w @ B, one matmul.  A tensor-leg
+placement embeds a whole family once, never a sample: reshape each of its
+matrices into its four leg indices, take the outer product with the
+identity on the third leg, transpose the legs into place and reshape
+back.  The r and R families are embedded on the leg pairs (0,1), (0,2),
+(1,2) of C^2 x C^2 x C^2 at import, for the Yang-Baxter residuals; the
+exchange relation embeds R, L' and L'' once per call.  The weights are
+checked finite once per residual, before any matrix is built, and the
+error names the sample; an overflow inside the weighted sum still gives a
+non-finite residual, which fails its row.
 
-The weights, matrices and residuals take a scalar u (and v) or arrays of
-them.  A residual computes and checks the weights at u - v, u and v of
-every sample in one weight call, then builds the (B, N, N) stacks and
-their products at most ``_BLOCK`` samples at a time: one sup norm per
-sample, or a float for scalar u, v.
+The weights, matrices and residuals take arrays of u (and v), a scalar
+being the one-element array, and return results of their shape.  A
+residual computes and checks the weights at u - v, u and v of every
+sample in one weight call, then builds the (B, N, N) stacks and their
+products at most ``_BLOCK`` samples at a time: one sup norm per sample.
 
 The quadratic Poisson brackets on four coordinates (the volume-contraction
 tensors and the classical Sklyanin bracket) are dense coefficient arrays
@@ -42,7 +42,6 @@ check is exact.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -70,18 +69,12 @@ _QUANTUM_R = (np.eye(4, dtype=complex).ravel(), _SIGMA_PAIRS)
 
 
 def _build(family: tuple, w: np.ndarray) -> np.ndarray:
-    """const + w_1 B_1 + w_2 B_2 + w_3 B_3 for the flattened family
-    (const, B) and weights w of shape (..., 3): one n x n matrix per weight
-    triple, stacked over the leading axes.  Summed term by term, left to
-    right, so every entry has the bits of that written sum; ``w @ B`` would
-    fuse multiply-adds and round an entry with two non-trivial terms (as in
-    rep3's L) differently."""
+    """const + w @ B for the flattened family (const, B) and weights w of
+    shape (..., 3): one n x n matrix per weight triple, stacked over the
+    leading axes."""
     const, basis = family
     n = math.isqrt(const.size)
-    out = const + w[..., 0, None] * basis[0]
-    for a in (1, 2):
-        out += w[..., a, None] * basis[a]
-    return out.reshape(*w.shape[:-1], n, n)
+    return (const + w @ basis).reshape(*w.shape[:-1], n, n)
 
 
 class ClassicalRParams:
@@ -118,12 +111,12 @@ def _require_off_zero_lattice(u, k: float) -> None:
     if near.any():
         i = int(np.flatnonzero(near)[0])
         raise EllipticPoleError(complex(x.flat[i]), complex(zero.flat[i]),
-                                None if np.ndim(u) == 0 else i)
+                                i if np.ndim(u) else None)
 
 
 def classical_w(u, p: ClassicalRParams) -> tuple:
-    """(w1, w2, w3) = rho (1, dn, cn)/sn at (u, k); poles at sn = 0.
-    Floats for a scalar u, arrays of u's shape for an array."""
+    """(w1, w2, w3) = rho (1, dn, cn)/sn at (u, k), each of u's shape;
+    poles at sn = 0."""
     _require_off_zero_lattice(u, p.k)
     s, c, d = sn_cn_dn_real(u, p.k)
     return p.rho / s, p.rho * d / s, p.rho * c / s
@@ -205,22 +198,23 @@ def _sup_per_sample(defect, weights, u, v, p):
     _BLOCK samples.  One ``weights`` call on the stacked legs gives them
     all; its pole error names the sample a call on the failing leg would,
     and every weight must be finite (the error names the first sample that
-    is not).  A float for scalar u, v; an array of their broadcast length
-    otherwise."""
+    is not; neither names one for scalar u, v).  Residuals of the broadcast
+    shape of u and v."""
     legs = np.stack(np.broadcast_arrays(u - v, u, v))
+    shape = legs.shape[1:]
     try:
-        w = np.stack(weights(legs, p), axis=-1).reshape(3, legs[0].size, 3)
+        w = np.stack(weights(legs, p), axis=-1).reshape(3, -1, 3)
     except EllipticPoleError as err:
-        at = None if legs.ndim == 1 else err.index % (legs.size // 3)
+        at = err.index % (legs.size // 3) if shape and err.index is not None else None
         raise EllipticPoleError(err.z, err.pole, at, err.condition) from None
     finite = np.isfinite(w).all(axis=(0, 2))
     if not finite.all():
-        at = "" if legs.ndim == 1 else f" (sample {int(np.flatnonzero(~finite)[0])})"
+        at = f" (sample {int(np.flatnonzero(~finite)[0])})" if shape else ""
         raise ValueError(f"weights must be finite{at}")
     out = np.empty(w.shape[1])
     for start in range(0, len(out), _BLOCK):
         out[start:start + _BLOCK] = np.abs(defect(*w[:, start:start + _BLOCK])).max(axis=(-2, -1))
-    return float(out[0]) if legs.ndim == 1 else out
+    return out.reshape(shape)[()]
 
 
 def _cybe_defect(w12, w13, w23) -> np.ndarray:
@@ -232,34 +226,33 @@ def _cybe_defect(w12, w13, w23) -> np.ndarray:
 
 
 def cybe_residual(u, v, p: ClassicalRParams):
-    """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)]:
-    a float for scalar u, v, one residual per sample for arrays."""
+    """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)],
+    one residual per sample."""
     return _sup_per_sample(_cybe_defect, classical_w, u, v, p)
 
 
-@functools.lru_cache(maxsize=64)
-def _weights_at_shift(eta: float, k: float) -> tuple[complex, complex, complex]:
-    """sn, cn, dn at i eta: the u-independent factors of the quantum weights."""
-    return sn_cn_dn_complex(complex(0.0, eta), k)
-
-
 def quantum_W(u, p: QuantumRParams) -> tuple:
-    """(W1, W2, W3) built from sn, cn, dn at u + i eta and at i eta.
-    Complex numbers for a scalar u, arrays of u's shape for an array; a
-    scalar is evaluated as a one-element array.  Every |sn(u + i eta)| must
-    be at least 1e-12; the error names the first that is not."""
-    x = np.atleast_1d(np.asarray(u, dtype=float))
-    z = x + 1j * p.eta
-    s, c, d = sn_cn_dn_complex(z, p.k)
-    se, ce, de = _weights_at_shift(p.eta, p.k)
+    """(W1, W2, W3) of u's shape, from one ``sn_cn_dn_complex`` call at
+    u + i eta with i eta appended (a pole there names no index, as it is no
+    entry of u).  Every |sn(u + i eta)| must be at least 1e-12; the error
+    names the first that is not."""
+    z = np.atleast_1d(np.asarray(u, dtype=float)) + 1j * p.eta
+    try:
+        s, c, d = sn_cn_dn_complex(np.append(z, 1j * p.eta), p.k)
+    except EllipticPoleError as err:
+        at = err.index if np.ndim(u) and err.index < z.size else None
+        raise EllipticPoleError(err.z, err.pole, at) from None
+    # Python complex, as se / de must round as Python's division does
+    se, ce, de = complex(s[-1]), complex(c[-1]), complex(d[-1])
+    s, c, d = s[:-1], c[:-1], d[:-1]
     small = np.abs(s) < 1e-12
     if small.any():
         i = int(np.flatnonzero(small)[0])
-        raise EllipticPoleError(complex(z.flat[i]), 0j, None if np.ndim(u) == 0 else i,
+        raise EllipticPoleError(complex(z.flat[i]), 0j, i if np.ndim(u) else None,
                                 condition=f"has |sn(u + i eta)| = {abs(s.flat[i]):.3g} < 1e-12, "
                                           "a pole of the quantum weights")
     W = (se / s, (d / s) * (se / de), (c / s) * (se / ce))
-    return tuple(complex(w[0]) for w in W) if np.ndim(u) == 0 else W
+    return tuple(w.reshape(np.shape(u))[()] for w in W)
 
 
 def quantum_curve(p: QuantumRParams, u_ref=0.7) -> dict:
@@ -281,8 +274,8 @@ def quantum_R(u, p: QuantumRParams) -> np.ndarray:
 
 
 def qybe_residual(u, v, p: QuantumRParams):
-    """Sup norm of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v): a float
-    for scalar u, v, one residual per sample for arrays."""
+    """Sup norm of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v), one
+    residual per sample."""
     def defect(w12, w13, w23):
         r12, r13, r23 = (_build(_QUANTUM_R_LEGS[legs], w)
                          for legs, w in zip(_YB_LEGS, (w12, w13, w23)))
@@ -370,9 +363,9 @@ def L_operator(u, rep: SklyaninRep, p: QuantumRParams) -> np.ndarray:
 
 def rll_residual(u, v, rep: SklyaninRep, p: QuantumRParams):
     """Sup norm of R(u-v) L'(u) L''(v) - L''(v) L'(u) R(u-v) on
-    aux1 x aux2 x quantum (dimension 4 d): a float for scalar u, v, one
-    residual per sample for arrays.  R sits on the two auxiliary legs, L(u)
-    on aux1 x quantum and L(v) on aux2 x quantum."""
+    aux1 x aux2 x quantum (dimension 4 d), one residual per sample.  R sits
+    on the two auxiliary legs, L(u) on aux1 x quantum and L(v) on aux2 x
+    quantum."""
     dims = (2, 2, rep.dim)
     R_fam = _family_on_legs(_QUANTUM_R, (0, 1), dims)
     Lp_fam = _family_on_legs(rep.L_family, (0, 2), dims)
@@ -453,12 +446,12 @@ def poisson_jacobi_defect(C) -> np.ndarray:
 # Classical Sklyanin bracket check and classical limits
 # ---------------------------------------------------------------------------
 
-def classical_sklyanin_bracket_residual(p: ClassicalRParams, u: float, v: float) -> float:
+def classical_sklyanin_bracket_residual(p: ClassicalRParams, u, v):
     """Max coefficient mismatch of {L'(u), L''(v)} = [r(u-v), L'(u) L''(v)]
-    over the quadratic monomials S_m S_n, where
-    L(u) = S_0 + i sum_a w_a(u) S_a sigma_a and the Sklyanin bracket is
-    {S_a, S_0} = 2 J_bc S_b S_c, {S_a, S_b} = -2 S_0 S_c over cyclic
-    (a, b, c), J_bc from ``classical_quadric``."""
+    over the quadratic monomials S_m S_n, one per pair of the broadcast
+    u and v, where L(u) = S_0 + i sum_a w_a(u) S_a sigma_a and the Sklyanin
+    bracket is {S_a, S_0} = 2 J_bc S_b S_c, {S_a, S_b} = -2 S_0 S_c over
+    cyclic (a, b, c), J_bc from ``classical_quadric``."""
     J = classical_quadric(p)
     # {S_k, S_l} = sum_mn B[k, l, m, n] S_m S_n, one term per unordered pair
     B = np.zeros((4, 4, 4, 4))
@@ -468,19 +461,23 @@ def classical_sklyanin_bracket_residual(p: ClassicalRParams, u: float, v: float)
     B = B - B.swapaxes(0, 1)
 
     def L_coeffs(x):
-        # L(x)_ij = sum_m L[i, j, m] S_m
+        # L(x)_ij = sum_m L[..., i, j, m] S_m, per pair
         w = classical_w(x, p)
-        return np.stack([SIGMA[0]] + [1j * w[a - 1] * SIGMA[a] for a in (1, 2, 3)], axis=-1)
+        return np.stack([np.broadcast_to(SIGMA[0], x.shape + (2, 2))]
+                        + [1j * np.asarray(w[a - 1])[..., None, None] * SIGMA[a] for a in (1, 2, 3)],
+                        axis=-1)
 
+    u, v = np.broadcast_arrays(u, v)
     Lu, Lv = L_coeffs(u), L_coeffs(v)
     r = classical_r(u - v, p)
     # row (i1, i2) -> 2 i1 + i2 and column (j1, j2) -> 2 j1 + j2 of aux1 x aux2
-    lhs = np.einsum("abk,cdl,klmn->acbdmn", Lu, Lv, B).reshape(4, 4, 4, 4)
-    prod = np.einsum("abm,cdn->acbdmn", Lu, Lv).reshape(4, 4, 4, 4)
-    D = lhs - (np.einsum("rs,scmn->rcmn", r, prod) - np.einsum("rsmn,sc->rcmn", prod, r))
+    lhs = np.einsum("...abk,...cdl,klmn->...acbdmn", Lu, Lv, B).reshape(u.shape + (4,) * 4)
+    prod = np.einsum("...abm,...cdn->...acbdmn", Lu, Lv).reshape(u.shape + (4,) * 4)
+    D = lhs - (np.einsum("...rs,...scmn->...rcmn", r, prod)
+               - np.einsum("...rsmn,...sc->...rcmn", prod, r))
     # coefficient of S_m S_n: D_mn + D_nm for m < n, D_mm on the diagonal
     m, n = np.triu_indices(4)
-    return worst_of(np.abs((D + np.triu(D.swapaxes(-1, -2), 1))[..., m, n]))
+    return np.abs((D + np.triu(D.swapaxes(-1, -2), 1))[..., m, n]).max(axis=(-3, -2, -1))[()]
 
 
 def classical_limit_probe(u: float, p_base: ClassicalRParams, h_sequence) -> dict:

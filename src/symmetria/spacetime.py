@@ -26,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (CURVATURE_STENCIL, LAPLACIAN_STENCIL, FDStencil, fd_jacobian,
-                       fd_partials, sup_norm)
+from .numerics import CURVATURE_STENCIL, LAPLACIAN_STENCIL, FDStencil, fd_jacobian, fd_partials
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -39,13 +38,12 @@ class NullConeError(ValueError):
 
 
 def minkowski_interval(dx):
-    """eta(dx, dx) over the last axis: a float for one 4-vector difference
+    """eta(dx, dx) over the last axis: one value for one 4-vector difference
     (t, x, y, z), an (N,) array for an (N, 4) stack of them."""
     # contiguous, as strided rows would make the product below sum in another order
     dx = np.ascontiguousarray(dx, dtype=float)
     # a (1, 4) @ (4, 1) product per row: np.vecdot would need numpy >= 2
-    s = ((dx @ ETA)[..., None, :] @ dx[..., :, None])[..., 0, 0]
-    return float(s) if s.ndim == 0 else s
+    return ((dx @ ETA)[..., None, :] @ dx[..., :, None])[..., 0, 0][()]
 
 
 def _require(ok, message: str, error: type = ValueError, witness=None) -> None:
@@ -119,8 +117,8 @@ def classify_rotation(m, tol: float = ROTATION_TOL):
     """'proper', 'improper', or 'not_orthogonal' by the six orthonormality
     conditions on rows plus the determinant sign.  A string for one 3x3
     matrix, an array of them for an (M, 3, 3) stack."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:  # written so that a NaN fails
+        raise ValueError("tolerance must be finite and positive")
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (3, 3):
         raise ValueError("rotation candidates are 3x3")
@@ -129,7 +127,7 @@ def classify_rotation(m, tol: float = ROTATION_TOL):
     kind = np.where(orthogonal & (np.abs(det - 1.0) <= tol), "proper",
                     np.where(orthogonal & (np.abs(det + 1.0) <= tol), "improper",
                              "not_orthogonal"))
-    return str(kind) if kind.ndim == 0 else kind
+    return kind[()]
 
 
 def rotation_about(axis, angle) -> np.ndarray:
@@ -143,11 +141,6 @@ def rotation_about(axis, angle) -> np.ndarray:
                   -a[..., 1], a[..., 0], zero), axis=-1).reshape(a.shape[:-1] + (3, 3))
     angle = np.asarray(angle, dtype=float)[..., None, None]
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-
-
-def _shift(x):
-    # a time shift: a float for one element, an array for a stack
-    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
 def _affine(L: np.ndarray, t_shift, r_shift: np.ndarray) -> np.ndarray:
@@ -176,7 +169,7 @@ class GalileiElement:
         self.R = np.asarray(R, dtype=float)
         self.v = np.asarray(v, dtype=float)
         self.xi = np.asarray(xi, dtype=float)
-        self.tau = _shift(tau)
+        self.tau = np.asarray(tau, dtype=float)
         _require_finite("Galilei", self.R, self.tau, self.v, self.xi)
         _require(_is_proper(self.R), "Galilei rotation block must be proper orthogonal")
 
@@ -198,7 +191,7 @@ def galilei_compose(g2: GalileiElement, g1: GalileiElement) -> GalileiElement:
     return GalileiElement(
         R=g2.R @ g1.R,
         v=_mv(g2.R, g1.v) + g2.v,
-        xi=_mv(g2.R, g1.xi) + g2.xi + g2.v * np.asarray(g1.tau)[..., None],
+        xi=_mv(g2.R, g1.xi) + g2.xi + g2.v * g1.tau[..., None],
         tau=g2.tau + g1.tau,
     )
 
@@ -208,7 +201,7 @@ def galilei_inverse(g: GalileiElement) -> GalileiElement:
     return GalileiElement(
         R=rt,
         v=_mv(-rt, g.v),
-        xi=_mv(-rt, g.xi - g.v * np.asarray(g.tau)[..., None]),
+        xi=_mv(-rt, g.xi - g.v * g.tau[..., None]),
         tau=-g.tau,
     )
 
@@ -228,7 +221,7 @@ class PoincareElement:
 
     def __init__(self, a, b, v, R):
         self.a = np.asarray(a, dtype=float)
-        self.b = _shift(b)
+        self.b = np.asarray(b, dtype=float)
         self.v = np.asarray(v, dtype=float)
         self.R = np.asarray(R, dtype=float)
         _require_finite("Poincare", self.R, self.b, self.a, self.v)
@@ -301,7 +294,7 @@ def poincare_compose(T2: PoincareElement, T1: PoincareElement) -> PoincareElemen
     # the guards above are the constructor's |v| < 1 and proper-R tests;
     # only finiteness is left, as finite factors can compose to an inf
     composed = object.__new__(PoincareElement)
-    composed.__dict__.update(a=M[..., 1:4, 4], b=_shift(M[..., 0, 4]), v=v, R=R)
+    composed.__dict__.update(a=M[..., 1:4, 4], b=M[..., 0, 4], v=v, R=R)
     _require_finite("Poincare", R, composed.b, composed.a, v)
     return composed
 
@@ -359,25 +352,26 @@ class Inversion:
         return -y / s
 
 
-def conformal_pullback_check(cmap: Dilation | Inversion, xv) -> tuple[float, float]:
-    """Fit J^T eta J = Omega^2 eta for the induced metric and return
-    (Omega, sup-norm residual).
+def conformal_pullback_check(cmap: Dilation | Inversion, points) -> tuple[np.ndarray, np.ndarray]:
+    """Fit J^T eta J = Omega^2 eta for the induced metric at each column of
+    a (4, M) point array and return the (M,) arrays of Omega and of the
+    sup-norm residual.
 
     J is the numerical Jacobian of the inverse map, so a dilation by k
     yields Omega^2 = k^-2 and the inversion yields
     |Omega| = |eta(x,x)|^-1, matching the rescalings both maps induce.
     """
-    xv = np.asarray(xv, dtype=float)
-    J = fd_jacobian(cmap.inverse_apply, xv)
-    G = J.T @ ETA @ J
-    # least-squares scalar fit of G against eta
-    omega2 = float(np.sum(G * ETA) / np.sum(ETA * ETA))
-    if omega2 <= 0:
-        return 0.0, sup_norm(G)
-    omega = math.sqrt(omega2)
+    points = np.asarray(points, dtype=float)
+    J = fd_jacobian(cmap.inverse_apply, points)
+    G = J.swapaxes(-1, -2) @ ETA @ J
+    # least-squares scalar fit of G against eta; a fit <= 0 gives Omega = 0,
+    # and a NaN fit (written so, not as > 0) a NaN Omega and residual
+    omega2 = np.sum(G * ETA, axis=(-2, -1)) / np.sum(ETA * ETA)
+    omega2 = np.where(omega2 <= 0, 0.0, omega2)
+    omega = np.sqrt(omega2)
     if isinstance(cmap, Inversion):
-        omega = math.copysign(omega, minkowski_interval(xv))
-    return omega, sup_norm(G - omega2 * ETA)
+        omega = np.copysign(omega, minkowski_interval(points.T))
+    return omega, np.abs(G - omega2[:, None, None] * ETA).max(axis=(-2, -1))
 
 
 def _riemann_sup(omega: Callable[[np.ndarray], np.ndarray], xv: np.ndarray,

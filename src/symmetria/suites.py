@@ -271,22 +271,22 @@ def run_conformal(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
 
     with rep.check("dilation_pullback_factor", "a dilation by k rescales the metric by k^-2",
                    tol=1e-8, samples=5) as c:
-        for x in field_rng(rng, c.name, "x").normal(size=(5, 4)):
-            omega, res = spacetime.conformal_pullback_check(spacetime.Dilation(2.0), x)
-            c.observe(abs(omega * omega - 0.25), res)
+        x = field_rng(rng, c.name, "x").normal(size=(5, 4))
+        omega, res = spacetime.conformal_pullback_check(spacetime.Dilation(2.0), x.T)
+        c.observe(np.abs(omega * omega - 0.25), res)
 
     with rep.check("dilation_identity", "unit dilation leaves the metric alone", tol=1e-8) as c:
         omega, res = spacetime.conformal_pullback_check(spacetime.Dilation(1.0),
-                                                        field_rng(rng, c.name, "x").normal(size=4))
-        c.observe(abs(omega - 1.0), res)
+                                                        field_rng(rng, c.name, "x").normal(size=(4, 1)))
+        c.observe(np.abs(omega - 1.0), res)
 
     with rep.check("inversion_pullback_factor",
                    "inversion induces a conformal factor of inverse interval magnitude",
                    tol=1e-6, samples=3) as c:
-        for x in ([2.0, 0.0, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0], [0.5, 2.0, -1.0, 0.3]):
-            omega, res = spacetime.conformal_pullback_check(spacetime.Inversion(), x)
-            target = 1.0 / abs(spacetime.minkowski_interval(x))
-            c.observe(abs(abs(omega) - target), res)
+        x = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0], [0.5, 2.0, -1.0, 0.3]])
+        omega, res = spacetime.conformal_pullback_check(spacetime.Inversion(), x.T)
+        target = 1.0 / np.abs(spacetime.minkowski_interval(x))
+        c.observe(np.abs(np.abs(omega) - target), res)
 
     with rep.check("flatness_constant_rescaling", "constant rescalings of flat space stay flat",
                    tol=1e-4) as c:
@@ -639,10 +639,10 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
     with rep.check("classical_bracket_exchange_identity",
                    "the quadratic Poisson brackets reproduce the classical exchange relation",
                    tol=1e-8, samples=6) as c:
-        for (u, v) in sklyanin.sweep_samples(field_rng(rng, c.name, "pairs"), p_cl.k, 5):
-            c.observe(sklyanin.classical_sklyanin_bracket_residual(p_cl, u, v))
-        c.observe(sklyanin.classical_sklyanin_bracket_residual(
-            sklyanin.ClassicalRParams(rho=1.0, k=0.0), 0.9, 0.4))
+        u, v = sklyanin.sweep_samples(field_rng(rng, c.name, "pairs"), p_cl.k, 5).T
+        c.observe(sklyanin.classical_sklyanin_bracket_residual(p_cl, u, v),
+                  sklyanin.classical_sklyanin_bracket_residual(
+                      sklyanin.ClassicalRParams(rho=1.0, k=0.0), 0.9, 0.4))
 
     with rep.check("classical_limit_orders",
                    "quantum weights, R-matrix, and curve constants degenerate at their stated orders",

@@ -166,19 +166,6 @@ def test_quarter_period_rejects_nan_on_every_call():
             quarter_period(1.0)
 
 
-def test_quarter_period_is_memoized():
-    from symmetria.elliptic import _agm_quarter_period
-
-    k = 0.123456789
-    quarter_period(k)
-    before = _agm_quarter_period.cache_info()
-    for _ in range(5):
-        assert quarter_period(k) == quarter_period(k)
-    after = _agm_quarter_period.cache_info()
-    assert after.misses == before.misses
-    assert after.hits == before.hits + 10
-
-
 # --- array arguments ---------------------------------------------------------
 
 @pytest.mark.parametrize("k", [0.0, 5e-15, 0.4, 0.8, 1.0 - 5e-15, 1.0],

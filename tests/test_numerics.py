@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,15 @@ def test_fd_partials_of_a_tensor_field():
     assert np.abs(got - np.moveaxis(want, -1, 1)).max() < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 1)], ids=["1d", "3d"])
+def test_fd_partials_names_a_bad_point_shape(shape):
+    message = f"points must be an (n, M) array, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fd_partials(lambda y: y[0], np.zeros(shape), LAPLACIAN_STENCIL)
+    with pytest.raises(ValueError, match="points must be an"):
+        fd_jacobian(lambda y: y, np.zeros(shape))
+
+
 @pytest.mark.parametrize("deriv,order", [(1, 2), (1, 4), (2, 2), (2, 4)])
 def test_fd_partials_equals_stacked_fd_partial(deriv, order):
     # the same nodes as one field call per node, summed in the same order:
@@ -227,7 +237,7 @@ def test_every_derivative_is_one_field_call():
         evaluate(lambda *args: count.append(1) or field(*args))
         return len(count)
 
-    assert calls(lambda f: fd_jacobian(f, [0.1, 0.2, 0.3, 0.4]), lambda x: 2.0 * x) == 1
+    assert calls(lambda f: fd_jacobian(f, [[0.1], [0.2], [0.3], [0.4]]), lambda x: 2.0 * x) == 1
     assert calls(lambda f: dalembert(f, [[0.1], [0.2], [0.3], [0.4]]), lambda y: y[0] * y[1]) == 1
     assert calls(lambda u: polar_laplacian("polar2d", u, (1.3, 0.4)),
                  lambda r, phi: r * np.cos(phi)) == 1
@@ -302,10 +312,12 @@ def test_accepted_rows_replays_the_one_at_a_time_loop():
 
 
 def test_fd_jacobian_identity_and_linear():
-    ident = fd_jacobian(lambda x: x, [0.2, 0.4, -0.1])
+    ident = fd_jacobian(lambda x: x, [[0.2, 1.0], [0.4, -2.0], [-0.1, 0.5]])
+    assert ident.shape == (2, 3, 3)
     assert sup_norm(ident - np.eye(3)) < 1e-10
     M = np.array([[1.0, 2.0], [3.0, -1.0]])
-    jac = fd_jacobian(lambda x: M @ x, [0.5, 0.7])
+    jac = fd_jacobian(lambda x: M @ x, [[0.5], [0.7]])
+    assert jac.shape == (1, 2, 2)
     assert sup_norm(jac - M) < 1e-9
 
 
@@ -318,5 +330,5 @@ def test_fd_jacobian_inversion_matches_symbolic_oracle():
         s = np.sum(x * (eta @ x), axis=0)
         return -x / s
 
-    jac = fd_jacobian(inversion, [2.0, 0.0, 0.0, 0.0])
+    jac = fd_jacobian(inversion, [[2.0], [0.0], [0.0], [0.0]])[0]
     assert sup_norm(jac - np.diag([-0.25, 0.25, 0.25, 0.25])) < 1e-7

@@ -340,10 +340,11 @@ def test_L_operator_shapes_and_regular_point():
     assert sup_norm(L_operator(0.0, rep2(), p) - 2.0 * SWAP) < 1e-12
     r3 = rep3(1.0, 2.0, 3.0)
     assert L_operator(0.7, r3, p).shape == (6, 6)
-    # hand assembly at one sample point
-    W = quantum_W(0.7, p)
-    manual = np.kron(SIGMA[0], r3.S[0]) + sum(W[a - 1] * np.kron(SIGMA[a], r3.S[a])
-                                           for a in (1, 2, 3))
+    # hand assembly at one sample point, as const + w @ basis of the kron placements
+    W = np.array(quantum_W(0.7, p))
+    const = np.kron(SIGMA[0], r3.S[0]).ravel()
+    basis = np.stack([np.kron(SIGMA[a], r3.S[a]).ravel() for a in (1, 2, 3)])
+    manual = (const + W @ basis).reshape(6, 6)
     assert sup_norm(L_operator(0.7, r3, p) - manual) == 0.0
 
 
@@ -460,10 +461,15 @@ def test_jacobi_defect_coefficients_of_a_broken_bracket():
 
 
 def test_classical_bracket_exchange_identity():
+    u, v = np.array([0.9, 1.3]), np.array([0.4, 0.7])
     for k in (0.0, 0.5):
         p = ClassicalRParams(rho=1.0, k=k)
-        for (u, v) in ((0.9, 0.4), (1.3, 0.7)):
-            assert classical_sklyanin_bracket_residual(p, u, v) < 1e-8
+        got = classical_sklyanin_bracket_residual(p, u, v)
+        assert got.shape == (2,)
+        for i in range(2):
+            # an array of pairs gives, bit for bit, what each pair gives alone
+            alone = classical_sklyanin_bracket_residual(p, float(u[i]), float(v[i]))
+            assert alone < 1e-8 and alone == got[i]
 
 
 def _scaled_quadric(monkeypatch, pair, factor):
@@ -626,6 +632,29 @@ def test_batched_residuals_equal_scalar_calls_across_blocks(kind):
         want = residual(float(u[i]), float(v[i]))
         assert isinstance(want, float)
         assert abs(got[i] - want) <= 1e-14 * max(1.0, want)
+        # a scalar pair is the one-element array, bit for bit
+        assert residual(u[i:i + 1], v[i:i + 1]) == np.array([want])
+
+
+@pytest.mark.parametrize("kind", ["classical_w", "quantum_W"])
+def test_scalar_weights_are_the_one_element_array(kind):
+    weights, p = ((classical_w, ClassicalRParams(rho=1.0, k=0.5)) if kind == "classical_w"
+                  else (quantum_W, QuantumRParams(eta=0.3, k=0.5)))
+    u = sweep_samples(np.random.default_rng(82), p.k, 5)[:, 0]
+    for x in u:
+        alone = weights(float(x), p)
+        assert all(np.ndim(w) == 0 for w in alone)
+        assert alone == tuple(w[0] for w in weights(np.array([x]), p))
+
+
+def test_quantum_W_pole_at_the_shift_names_no_index():
+    # i eta on the pole lattice is no entry of u, so no sample is named
+    k = 0.5
+    p = QuantumRParams(eta=sklyanin_module.quarter_period(math.sqrt(1.0 - k * k)), k=k)
+    for u in (0.7, np.array([0.7, 1.1])):
+        with pytest.raises(EllipticPoleError) as err:
+            quantum_W(u, p)
+        assert err.value.index is None and err.value.z == 1j * p.eta
 
 
 def test_batched_pole_error_names_the_global_sample():

@@ -52,6 +52,13 @@ def test_classify_identity_and_reflection():
     assert classify_rotation(np.eye(3) * 1.001) == "not_orthogonal"
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+def test_classify_rotation_rejects_a_bad_tolerance(tol):
+    # a NaN tolerance read eye(3) as not orthogonal, an infinite one a shear as proper
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        classify_rotation(np.eye(3), tol)
+
+
 def test_rotation_product_is_proper():
     rz = rotation_about([0, 0, 1], 0.3)
     rx = rotation_about([1, 0, 0], 0.5)
@@ -468,20 +475,32 @@ def test_dilation_rejects_a_non_finite_factor(bad):
 
 def test_dilation_pullback():
     rng = np.random.default_rng(50)
-    for _ in range(5):
-        omega, res = conformal_pullback_check(Dilation(2.0), rng.normal(size=4))
-        assert abs(omega * omega - 0.25) < 1e-8
-        assert res < 1e-8
-    omega, res = conformal_pullback_check(Dilation(1.0), rng.normal(size=4))
+    omega, res = conformal_pullback_check(Dilation(2.0), rng.normal(size=(5, 4)).T)
+    assert omega.shape == res.shape == (5,)
+    assert (np.abs(omega * omega - 0.25) < 1e-8).all()
+    assert (res < 1e-8).all()
+    (omega,), (res,) = conformal_pullback_check(Dilation(1.0), rng.normal(size=(4, 1)))
     assert abs(omega - 1.0) < 1e-10 and res < 1e-8
 
 
 def test_inversion_pullback_matches_interval():
-    omega, res = conformal_pullback_check(Inversion(), [2.0, 0.0, 0.0, 0.0])
+    (omega,), (res,) = conformal_pullback_check(Inversion(), [[2.0], [0.0], [0.0], [0.0]])
     assert abs(abs(omega) - 0.25) < 1e-6
     assert res < 1e-6
     # omega carries the sign of the interval inside the light cone
     assert omega < 0.0
+
+
+@pytest.mark.parametrize("cmap", [Dilation(2.0), Inversion()], ids=["dilation", "inversion"])
+def test_pullback_nan_column_stays_nan_beside_finite_ones(cmap):
+    # a NaN fit gives a NaN omega and residual, which fail the row; the
+    # finite columns are bit for bit what each gives alone
+    x = np.array([[2.0, 0.0, 0.0, 0.0], [math.nan, 1.0, 0.0, 0.0], [0.5, 2.0, -1.0, 0.3]]).T
+    omega, res = conformal_pullback_check(cmap, x)
+    assert math.isnan(omega[1]) and math.isnan(res[1])
+    for j in (0, 2):
+        alone = conformal_pullback_check(cmap, x[:, j:j + 1])
+        assert (omega[j], res[j]) == (alone[0][0], alone[1][0])
 
 
 def test_inversion_rejects_null_cone():
