@@ -147,6 +147,14 @@ def test_dump_algebra_bytes_are_frozen(tmp_path):
         "26420b0b93dad682669eedaf252e31810e15755d6850abd8ffca34ad1bb4ac57")
 
 
+def test_dump_graph_bytes_are_pinned(tmp_path):
+    # the C60 coordinates, edges, faces (pentagons in ring-sort order) and bonds
+    out = tmp_path / "graph.json"
+    assert run(["dump", "graph", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e06486272dd75a5d5ebce02ae71b0be2faae8465798f3df1b8e4e7929efdb1e7")
+
+
 def test_dump_sweep_bytes_are_pinned(tmp_path):
     # sweep_samples draws its (u, v) pairs as blocks; they, and so the
     # records, are the pairs of the loop that drew one scalar at a time
