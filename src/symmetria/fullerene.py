@@ -76,60 +76,41 @@ def icosahedron() -> tuple[np.ndarray, list]:
     return verts, list(_ICO_FACES)
 
 
-def _ring(axis, points) -> list:
-    """Indices of ``points`` sorted by angle about ``axis``, measured in the
-    plane orthogonal to it."""
-    axis = axis / np.linalg.norm(axis)
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(ref @ axis) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    e1 = ref - (ref @ axis) * axis
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    return sorted(range(len(points)), key=lambda i: math.atan2(points[i] @ e2, points[i] @ e1))
+def _rings(axes, points) -> np.ndarray:
+    """For each of the (R, 3) ``axes``, the indices of its (P, 3) row of
+    ``points``, an (R, P, 3) array, sorted by angle about the axis, measured
+    in the plane orthogonal to it: an (R, P) array from one stable argsort."""
+    axes = axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+    # reference direction x, or y for an axis within acos(0.9) of x
+    ref = np.where(np.abs(axes[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    e1 = ref - (ref * axes).sum(axis=-1, keepdims=True) * axes
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    e2 = np.cross(axes, e1)
+    return np.argsort(np.arctan2(points @ e2[:, :, None], points @ e1[:, :, None])[..., 0],
+                      axis=-1, kind="stable")
 
 
 def build_truncated_icosahedron() -> PolyhedralGraph:
     """Cut every icosahedron edge at 1/3 and 2/3: 60 vertices, 90 edges,
     12 pentagons (one per original vertex), 20 hexagons (one per face)."""
     verts, faces = icosahedron()
-    neighbors = {i: set() for i in range(12)}
-    for f in faces:
-        for i in range(3):
-            a, b = f[i], f[(i + 1) % 3]
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-
-    # one cut point per directed icosahedron edge, at 1/3 toward the head
-    index = {}
-    coords = []
-    for a in range(12):
-        for b in sorted(neighbors[a]):
-            index[(a, b)] = len(coords)
-            coords.append(verts[a] + (verts[b] - verts[a]) / 3.0)
-
-    edges = set()
-    for a in range(12):
-        for b in neighbors[a]:
-            if a < b:
-                edges.add(tuple(sorted((index[(a, b)], index[(b, a)]))))
+    # the five neighbours b of each vertex a, ascending: cut point 5a + s is
+    # on the edge to nbr[a, s], at 1/3 toward it
+    directed = {(f[i - 1], f[i]) for f in faces for i in range(3)}
+    nbr = np.array(sorted(directed | {(b, a) for a, b in directed}))[:, 1].reshape(12, 5)
+    index = {(a, int(b)): 5 * a + s for (a, s), b in np.ndenumerate(nbr)}
+    coords = (verts[:, None] + (verts[nbr] - verts[:, None]) / 3.0).reshape(60, 3)
+    edges = {tuple(sorted((index[(a, b)], index[(b, a)]))) for a, b in index if a < b}
 
     # pentagon at each original vertex: its cut points in angular order
-    pentagons = []
-    for a in range(12):
-        cut = [index[(a, b)] for b in neighbors[a]]
-        cycle = [cut[i] for i in _ring(verts[a], [coords[c] for c in cut])]
-        pentagons.append(cycle)
-        for i in range(5):
-            edges.add(tuple(sorted((cycle[i], cycle[(i + 1) % 5]))))
+    pentagons = (5 * np.arange(12)[:, None] + _rings(verts, coords.reshape(12, 5, 3))).tolist()
+    edges |= {tuple(sorted((cycle[i - 1], cycle[i]))) for cycle in pentagons for i in range(5)}
 
     # hexagon around each original face: walk its boundary
-    hexagons = []
-    for (a, b, c) in faces:
-        hexagons.append([index[(a, b)], index[(b, a)], index[(b, c)],
-                         index[(c, b)], index[(c, a)], index[(a, c)]])
+    hexagons = [[index[(a, b)], index[(b, a)], index[(b, c)], index[(c, b)], index[(c, a)], index[(a, c)]]
+                for (a, b, c) in faces]
 
-    graph = PolyhedralGraph(vertices=[np.array(p) for p in coords],
+    graph = PolyhedralGraph(vertices=list(coords),
                             edges=sorted(edges),
                             faces=pentagons + hexagons)
     graph.validate_face_cover()
@@ -395,16 +376,13 @@ def dodecahedron_graph() -> PolyhedralGraph:
     """Test fixture: the regular dodecahedron (dual of the icosahedron),
     whose 12 pentagons all touch other pentagons."""
     verts, faces = icosahedron()
-    centroids = [np.mean(verts[list(f)], axis=0) for f in faces]
-    edges = set()
-    for i, f in enumerate(faces):
-        for j, g in enumerate(faces):
-            if i < j and len(set(f) & set(g)) == 2:
-                edges.add((i, j))
-    pent_faces = []
-    for v in range(12):
-        incident = [i for i, f in enumerate(faces) if v in f]
-        ring = _ring(verts[v], [centroids[i] for i in incident])
-        pent_faces.append([incident[i] for i in ring])
-    return PolyhedralGraph(vertices=[np.array(c) for c in centroids],
-                           edges=sorted(edges), faces=pent_faces)
+    F = np.array(faces)
+    centroids = verts[F].mean(axis=1)
+    incidence = np.zeros((20, 12), dtype=np.int64)
+    incidence[np.arange(20)[:, None], F] = 1
+    # faces sharing two vertices share an edge; the five faces at each vertex ring it
+    edges = np.argwhere(np.triu(incidence @ incidence.T == 2, 1))
+    incident = np.nonzero(incidence.T)[1].reshape(12, 5)
+    rings = np.take_along_axis(incident, _rings(verts, centroids[incident]), axis=1)
+    return PolyhedralGraph(vertices=list(centroids), edges=edges.tolist(),
+                           faces=rings.tolist())

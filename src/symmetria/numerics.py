@@ -74,6 +74,18 @@ def worst_of(*values) -> float:
     return out
 
 
+def require(ok, message: str, error: type = ValueError, witness=None) -> None:
+    """Raise error(message) unless every entry of the boolean array `ok`
+    holds.  In a stack the message names the first element that fails, and
+    a `{}` in it shows `witness` at that element."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        at = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+        if witness is not None:
+            message = message.format(repr(witness[at]))
+        raise error(message + ("" if not at else f" (element {at[0] if len(at) == 1 else at})"))
+
+
 def integrate_periodic(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                        nodes: int = 129) -> complex | np.ndarray:
     """Composite Simpson quadrature of int_a^b f(t) dt on ``nodes`` equally

@@ -35,22 +35,23 @@ The quadratic Poisson brackets on four coordinates (the volume-contraction
 tensors and the classical Sklyanin bracket) are dense coefficient arrays
 B[k, l, m, n], with {x_k, x_l} = sum_mn B[k, l, m, n] x_m x_n.  Their
 identities (Jacobi, the classical exchange relation) have fixed degree, so
-each is one ``np.einsum`` contraction whose result is the array of monomial
-coefficients.  The volume-contraction tensors are int64, and their Jacobi
-check is exact.
+each is a fixed contraction whose result is the array of monomial
+coefficients.  The volume-contraction tensors are int64, built for a whole
+(..., 4) stack of specs in one call, and their Jacobi check is exact: it
+computes only the 80 independent coefficients (4 triples i < j < k times
+20 monomials m <= n <= p) per tensor, for a whole stack at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 
 from .elliptic import EllipticPoleError, quarter_period, sn_cn_dn_complex, sn_cn_dn_real
 from .liealg import levi_civita
-from .numerics import accepted_rows, as_matrix, kron, sup_norm, worst_of
+from .numerics import accepted_rows, as_matrix, kron, require, sup_norm, worst_of
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -383,8 +384,10 @@ def rll_residual(u, v, rep: SklyaninRep, p: QuantumRParams):
 # ---------------------------------------------------------------------------
 
 # Largest |entry| of a bracket tensor: every int64 sum in
-# poisson_jacobi_defect stays below 864 * TENSOR_BOUND**2 < 2**63.  Spec
-# entries up to SPEC_BOUND give |a_i b_j - b_i a_j| <= 2 * SPEC_BOUND**2.
+# poisson_jacobi_defect stays at most 144 * TENSOR_BOUND**2 < 2**63 (4 terms
+# of l times G's factor 2, 3 cyclic terms, at most 6 orderings of a
+# monomial).  Spec entries up to SPEC_BOUND give
+# |a_i b_j - b_i a_j| <= 2 * SPEC_BOUND**2.
 TENSOR_BOUND = 2 ** 26
 SPEC_BOUND = 2 ** 12
 
@@ -395,51 +398,70 @@ _EPS4 = np.array([[[[levi_civita(k, l, i, j) for j in range(4)] for i in range(4
 
 
 def poisson_tensor(a, b) -> np.ndarray:
-    """Bracket coefficients C[k, l, i, j], an int64 array, with
+    """Bracket coefficients C[..., k, l, i, j], an int64 array, with
     {x_k, x_l} = sum_{i<j} C[k, l, i, j] x_i x_j and
     C[k, l, i, j] = eps_klij (a_i b_j - b_i a_j): one term per unordered
     pair {i, j} (the free double sum doubles it), zero for i >= j.  For
     k != l the only such pair is the complement i < j of {k, l}.  The specs
-    a and b are 4-vectors of integers of magnitude at most SPEC_BOUND."""
-    if len(a) != 4 or len(b) != 4:
+    a and b are (..., 4) arrays of integers of magnitude at most SPEC_BOUND,
+    one tensor per spec pair of their broadcast leading axes; the error
+    names the first pair that is out of range."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
         raise ValueError("specs are 4-vectors")
-    if not all(isinstance(z, numbers.Integral) and abs(z) <= SPEC_BOUND for z in (*a, *b)):
-        raise ValueError(f"spec entries must be integers of magnitude at most {SPEC_BOUND}")
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    wedge = np.triu(np.multiply.outer(a, b) - np.multiply.outer(b, a), 1)
-    return _EPS4 * wedge
+    message = f"spec entries must be integers of magnitude at most {SPEC_BOUND}"
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+        raise ValueError(message)
+    require(((-SPEC_BOUND <= a) & (a <= SPEC_BOUND) & (-SPEC_BOUND <= b) & (b <= SPEC_BOUND))
+            .all(axis=-1), message)
+    a, b = a.astype(np.int64)[..., :, None], b.astype(np.int64)[..., :, None]
+    wedge = np.triu(a * b.swapaxes(-1, -2) - b * a.swapaxes(-1, -2), 1)
+    return _EPS4 * wedge[..., None, None, :, :]
 
 
-# Number of distinct orderings of (m, n, p) for m <= n <= p, zero otherwise:
-# a symmetric cubic coefficient array summed over all six orderings, times
-# this and divided by 6, gives the coefficient of the monomial x_m x_n x_p.
-_ORDERINGS = np.array([[[len(set(itertools.permutations((m, n, q)))) if m <= n <= q else 0
-                         for q in range(4)] for n in range(4)] for m in range(4)], dtype=np.int64)
+# The independent Jacobi coefficients: the cyclic sum is totally
+# antisymmetric in (i, j, k) and symmetric in its monomial (m, n, p), so
+# the 4 triples i < j < k and the 20 monomials m <= n <= p determine it.
+# Triple t takes {x_a, {x_b, x_c}} over its three cyclic (a, (b, c)),
+# columns 3t..3t+2 of _CYCLIC_ABC; _MONOMIAL[16m + 4n + p, q] is 1 when
+# (m, n, p) orders monomial q, and every (m, n, p) orders exactly one.
+_CYCLIC_ABC = np.array([t[r:] + t[:r] for t in itertools.combinations(range(4), 3)
+                        for r in range(3)]).T
+_MONOMIAL_INDEX = {q: i for i, q in enumerate(itertools.combinations_with_replacement(range(4), 3))}
+_MONOMIAL = np.eye(20, dtype=np.int64)[[_MONOMIAL_INDEX[tuple(sorted(mnp))]
+                                        for mnp in itertools.product(range(4), repeat=3)]]
 
 
 def poisson_jacobi_defect(C) -> np.ndarray:
     """Monomial coefficients of the cyclic sums
     {x_i, {x_j, x_k}} + {x_j, {x_k, x_i}} + {x_k, {x_i, x_j}} for the
-    quadratic bracket {x_k, x_l} = sum_ij C[k, l, i, j] x_i x_j: an int64
-    array D[i, j, k, m, n, p] holding the coefficient of x_m x_n x_p for
-    m <= n <= p (zero elsewhere).  All zeros certifies the Jacobi identity,
-    exactly; it holds for every tensor from the volume-contraction
-    construction.  C must be an integer array antisymmetric in (k, l) with
-    entries at most TENSOR_BOUND in magnitude."""
+    quadratic bracket {x_k, x_l} = sum_ij C[..., k, l, i, j] x_i x_j: an
+    int64 array D[..., t, q] holding, for the t-th triple i < j < k of
+    ``itertools.combinations`` and the q-th monomial x_m x_n x_p, m <= n <= p,
+    of ``itertools.combinations_with_replacement``, its coefficient.  These
+    80 determine every other coefficient (0 on a repeated index, and the
+    sign of the permutation to the sorted triple), so all zeros certifies
+    the Jacobi identity, exactly; it holds for every tensor from the
+    volume-contraction construction.  C is one (4, 4, 4, 4) tensor or a
+    stack of them; each must be an integer tensor antisymmetric in (k, l)
+    with entries at most TENSOR_BOUND in magnitude, and the error names the
+    first that is not."""
     C = np.asarray(C)
-    if (C.dtype.kind not in "iu" or C.min() < -TENSOR_BOUND or C.max() > TENSOR_BOUND
-            or (C + C.swapaxes(0, 1)).any()):
-        raise ValueError("expected an integer tensor antisymmetric in its first two indices, "
-                         f"with entries at most {TENSOR_BOUND} in magnitude")
+    message = ("expected an integer tensor antisymmetric in its first two indices, "
+               f"with entries at most {TENSOR_BOUND} in magnitude")
+    if C.dtype.kind not in "iu" or C.shape[-4:] != (4, 4, 4, 4):
+        raise ValueError(message)
+    require(((-TENSOR_BOUND <= C) & (C <= TENSOR_BOUND) & (C == -C.swapaxes(-4, -3)))
+            .all(axis=(-4, -3, -2, -1)), message)
     C = C.astype(np.int64)
-    # d_l {x_j, x_k} = sum_p G[j, k, l, p] x_p, and {x_i, g} = sum_l {x_i, x_l} d_l g
+    # d_l {x_b, x_c} = sum_p G[b, c, l, p] x_p, and {x_a, g} = sum_l {x_a, x_l} d_l g
     G = C + C.swapaxes(-1, -2)
-    T = np.einsum("ilmn,jklp->ijkmnp", C, G)
-    cyclic = T + T.transpose(2, 0, 1, 3, 4, 5) + T.transpose(1, 2, 0, 3, 4, 5)
-    sym = sum(cyclic.transpose(0, 1, 2, *(3 + q for q in perm))
-              for perm in itertools.permutations(range(3)))
-    return sym * _ORDERINGS // 6
+    # T[..., x, mn, p] = sum_l C[a, l, m, n] G[b, c, l, p] for the x-th cyclic
+    # (a, (b, c)): one (16, 4) @ (4, 4) product each
+    a, b, c = _CYCLIC_ABC
+    batch = C.shape[:-4]
+    T = C[..., a, :, :, :].reshape(*batch, 12, 4, 16).swapaxes(-1, -2) @ G[..., b, c, :, :]
+    return T.reshape(*batch, 4, 3, 64).sum(axis=-2) @ _MONOMIAL
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import CURVATURE_STENCIL, LAPLACIAN_STENCIL, FDStencil, fd_jacobian, fd_partials
+from .numerics import (CURVATURE_STENCIL, LAPLACIAN_STENCIL, FDStencil, fd_jacobian, fd_partials,
+                       require)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -44,18 +45,6 @@ def minkowski_interval(dx):
     dx = np.ascontiguousarray(dx, dtype=float)
     # a (1, 4) @ (4, 1) product per row: np.vecdot would need numpy >= 2
     return ((dx @ ETA)[..., None, :] @ dx[..., :, None])[..., 0, 0][()]
-
-
-def _require(ok, message: str, error: type = ValueError, witness=None) -> None:
-    """Raise error(message) unless every entry of the boolean array `ok`
-    holds.  In a stack the message names the first element that fails, and
-    a `{}` in it shows `witness` at that element."""
-    ok = np.asarray(ok)
-    if not ok.all():
-        at = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
-        if witness is not None:
-            message = message.format(repr(witness[at]))
-        raise error(message + ("" if not at else f" (element {at[0] if len(at) == 1 else at})"))
 
 
 def vector_norm(x) -> np.ndarray:
@@ -78,8 +67,8 @@ def _events(X, batch: tuple) -> np.ndarray:
     if X.ndim != len(batch) + 2 or X.shape[:len(batch)] != batch or X.shape[-1] != 4:
         raise ValueError("events must be an (N, 4) array of finite (t, x, y, z) rows "
                          f"per element, got shape {X.shape}")
-    _require(np.isfinite(X).all(axis=(-2, -1)),
-             "events must be an (N, 4) array of finite (t, x, y, z) rows")
+    require(np.isfinite(X).all(axis=(-2, -1)),
+            "events must be an (N, 4) array of finite (t, x, y, z) rows")
     return X
 
 
@@ -96,7 +85,7 @@ def _require_finite(group: str, R: np.ndarray, shift, *vectors: np.ndarray) -> N
     finite = np.isfinite(shift) & np.isfinite(R).all(axis=(-2, -1))
     for x in vectors:
         finite = finite & np.isfinite(x).all(axis=-1)
-    _require(finite, f"{group} parameters must be finite")
+    require(finite, f"{group} parameters must be finite")
 
 
 def _gram_defect_det(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +160,7 @@ class GalileiElement:
         self.xi = np.asarray(xi, dtype=float)
         self.tau = np.asarray(tau, dtype=float)
         _require_finite("Galilei", self.R, self.tau, self.v, self.xi)
-        _require(_is_proper(self.R), "Galilei rotation block must be proper orthogonal")
+        require(_is_proper(self.R), "Galilei rotation block must be proper orthogonal")
 
     @staticmethod
     def identity() -> "GalileiElement":
@@ -225,8 +214,8 @@ class PoincareElement:
         self.v = np.asarray(v, dtype=float)
         self.R = np.asarray(R, dtype=float)
         _require_finite("Poincare", self.R, self.b, self.a, self.v)
-        _require(vector_norm(self.v) < 1.0, "boost velocity must satisfy |v| < 1")
-        _require(_is_proper(self.R), "Poincare rotation block must be proper orthogonal")
+        require(vector_norm(self.v) < 1.0, "boost velocity must satisfy |v| < 1")
+        require(_is_proper(self.R), "Poincare rotation block must be proper orthogonal")
 
     @staticmethod
     def identity() -> "PoincareElement":
@@ -279,18 +268,18 @@ def poincare_compose(T2: PoincareElement, T1: PoincareElement) -> PoincareElemen
     L = M[..., :4, :4]
     gamma = L[..., 0, 0]
     # Written as x <= bound, not x > bound, so that a NaN fails every guard.
-    _require(1.0 - 1e-12 <= gamma, "invalid time-time entry {} in composition",
-             CompositionError, gamma)
+    require(1.0 - 1e-12 <= gamma, "invalid time-time entry {} in composition",
+            CompositionError, gamma)
     v = -L[..., 1:, 0] / gamma[..., None]
-    _require(vector_norm(v) < 1.0, "extracted boost velocity |v| >= 1: {}", CompositionError, v)
+    require(vector_norm(v) < 1.0, "extracted boost velocity |v| >= 1: {}", CompositionError, v)
     D = boost_matrix(-v) @ L
     R = D[..., 1:, 1:]
     # NaN-sticky, like worst_of: np.maximum keeps a NaN from any term
     residual = np.maximum(np.maximum(np.abs(D[..., 0, 1:]).max(axis=-1),
                                      np.abs(D[..., 1:, 0]).max(axis=-1)),
                           np.abs(D[..., 0, 0] - 1.0))
-    _require((residual <= 1e-8) & _is_proper(R),
-             "composed element does not factor as boost * rotation", CompositionError)
+    require((residual <= 1e-8) & _is_proper(R),
+            "composed element does not factor as boost * rotation", CompositionError)
     # the guards above are the constructor's |v| < 1 and proper-R tests;
     # only finiteness is left, as finite factors can compose to an inf
     composed = object.__new__(PoincareElement)
@@ -348,7 +337,7 @@ class Inversion:
         y = np.asarray(xv, dtype=float)
         s = minkowski_interval(y.T)
         # ~(|s| < 1e-8), not |s| >= 1e-8: a NaN point is not rejected, its image is NaN
-        _require(~(np.abs(s) < 1e-8), "point {} on the null cone of the origin", NullConeError, y.T)
+        require(~(np.abs(s) < 1e-8), "point {} on the null cone of the origin", NullConeError, y.T)
         return -y / s
 
 

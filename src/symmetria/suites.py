@@ -468,8 +468,8 @@ def run_fullerene(rng: np.random.Generator, tol: float, samples: int) -> CheckRe
 
     with rep.check("vertex_transitive_embedding", "all sites equidistant from the cage center",
                    tol=1e-9, samples=60) as c:
-        centroid = np.mean(np.array([v for v in g.vertices]), axis=0)
-        c.observe(np.ptp([float(np.linalg.norm(v - centroid)) for v in g.vertices]))
+        sites = np.array(g.vertices)
+        c.observe(np.ptp(spacetime.vector_norm(sites - sites.mean(axis=0))))
 
     with rep.check("automorphism_order",
                    "the truncated icosahedron realizes full icosahedral symmetry", tol=0.0) as c:
@@ -625,9 +625,8 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         stream = field_rng(rng, c.name, "a b")
         pairs = accepted_rows(lambda m: stream.integers(-5, 6, (m, 2, 4)),
                               lambda ab: (ab[:, 0] != ab[:, 1]).any(axis=1), 20)
-        for a, b in pairs.tolist():
-            C = sklyanin.poisson_tensor(a, b)
-            c.observe(1.0 if sklyanin.poisson_jacobi_defect(C).any() else 0.0)
+        defect = sklyanin.poisson_jacobi_defect(sklyanin.poisson_tensor(pairs[:, 0], pairs[:, 1]))
+        c.observe(defect.any(axis=(-2, -1)).astype(float))
         special = sklyanin.poisson_tensor((1, 2, 5, 9), (0, 1, 1, 1))
         # cyclic (j,k,l): {x_k,x_l} = x_0 x_j and {x_k,x_0} = (a_j - a_l) x_j x_l
         expect = np.zeros((4, 4, 4, 4), dtype=np.int64)

@@ -7,10 +7,13 @@ integrals from dense trapezoid sums, finite differences from one field
 call per stencil node, and curvature from index loops over hand-written
 central differences.  The quadratic Poisson brackets, and
 the canonical bracket of phase-space generators, are checked by their
-values at points, not by their coefficient tensors or matrices.
-The cube is a hand-written polyhedral graph for the fullerene tests, and
-the Yang-Baxter sweep pairs come from the scalar loop that drew them one
-pair at a time.
+values at points, not by their coefficient tensors or matrices; the
+reduced Jacobi defect is checked against the full 4,096-coefficient
+array, summed over every triple and every ordering of each monomial.
+The cube is a hand-written polyhedral graph for the fullerene tests, the
+ring order of a polyhedron's faces comes from a Python sort of one ring at
+a time, and the Yang-Baxter sweep pairs come from the scalar loop that
+drew them one pair at a time.
 """
 
 import itertools
@@ -166,6 +169,26 @@ def quadratic_jacobi_holds_on_grid(C) -> bool:
     return True
 
 
+# Number of distinct orderings of (m, n, p) for m <= n <= p, zero otherwise
+_ORDERINGS = np.array([[[len(set(itertools.permutations((m, n, q)))) if m <= n <= q else 0
+                         for q in range(4)] for n in range(4)] for m in range(4)], dtype=np.int64)
+
+
+def full_jacobi_defect(C) -> np.ndarray:
+    """D[i, j, k, m, n, p]: the coefficient of x_m x_n x_p (m <= n <= p,
+    zero elsewhere) in {x_i, {x_j, x_k}} + cyclic for the bracket
+    {x_k, x_l} = sum_ij C[k, l, i, j] x_i x_j, for every (i, j, k).  One
+    einsum over all triples, symmetrized over all six orderings of the
+    monomial, then scaled by its number of distinct orderings over 6."""
+    C = np.asarray(C, dtype=np.int64)
+    G = C + C.swapaxes(-1, -2)
+    T = np.einsum("ilmn,jklp->ijkmnp", C, G)
+    cyclic = T + T.transpose(2, 0, 1, 3, 4, 5) + T.transpose(1, 2, 0, 3, 4, 5)
+    sym = sum(cyclic.transpose(0, 1, 2, *(3 + q for q in perm))
+              for perm in itertools.permutations(range(3)))
+    return sym * _ORDERINGS // 6
+
+
 def canonical_bracket_matches_at_points(Qf, Qg, R, rng, points: int = 30) -> bool:
     """Whether 1/2 w^T R w equals the canonical bracket
     sum_mu (df/dx^mu dg/dp_mu - df/dp_mu dg/dx^mu) of f = 1/2 w^T Qf w and
@@ -277,3 +300,17 @@ def cube_graph() -> PolyhedralGraph:
         [idx(0, 0, 1), idx(0, 1, 1), idx(1, 1, 1), idx(1, 0, 1)],
     ]
     return PolyhedralGraph(vertices=verts, edges=edges, faces=faces)
+
+
+def ring_by_sorted_atan2(axis, points) -> list:
+    """Indices of ``points`` sorted by angle about ``axis``, one Python sort
+    of atan2 keys, in the plane spanned by the axis-orthogonal part of x (of
+    y when the axis is within acos(0.9) of x) and its cross product."""
+    axis = axis / np.linalg.norm(axis)
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(ref @ axis) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    e1 = ref - (ref @ axis) * axis
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    return sorted(range(len(points)), key=lambda i: math.atan2(points[i] @ e2, points[i] @ e1))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from oracles import cube_graph
+from oracles import cube_graph, ring_by_sorted_atan2
 from symmetria.fullerene import (
     MatchingInfeasibleError,
     PolyhedralGraph,
@@ -22,6 +22,7 @@ from symmetria.fullerene import (
     icosahedron,
     isolated_pentagon_check,
     kekule,
+    _rings,
 )
 
 
@@ -108,6 +109,28 @@ def test_dodecahedron_violates_isolation():
     assert euler_check(d) == 2
     ok, witness = isolated_pentagon_check(d)
     assert not ok and witness is not None
+    # dual edges: the pairs of icosahedron faces that share two vertices
+    _, faces = icosahedron()
+    assert d.edges == [(i, j) for i, j in itertools.combinations(range(20), 2)
+                       if len(set(faces[i]) & set(faces[j])) == 2]
+
+
+def test_rings_match_a_sort_of_one_ring_at_a_time():
+    rng = np.random.default_rng(83)
+    axes = rng.normal(size=(500, 3))
+    # a third near x, where the reference direction switches to y
+    near_x = np.arange(500) % 3 == 0
+    axes[near_x, 1:] = rng.uniform(-0.3, 0.3, (near_x.sum(), 2))
+    axes[near_x, 0] = rng.choice((-1.0, 1.0), near_x.sum()) * rng.uniform(1.0, 2.0, near_x.sum())
+    axes *= rng.uniform(0.1, 10.0, (500, 1))
+    ratio = np.abs(axes[:, 0]) / np.linalg.norm(axes, axis=1)
+    assert (ratio[near_x] > 0.9).all()
+    for size in (5, 6):
+        points = rng.normal(size=(500, size, 3))
+        got = _rings(axes, points)
+        assert got.shape == (500, size)
+        for axis, ring, order in zip(axes, points, got):
+            assert order.tolist() == ring_by_sorted_atan2(axis, ring)
 
 
 def test_merged_pentagon_mutation_detected(c60):

@@ -6,8 +6,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import (classical_weights, quadratic_jacobi_holds_on_grid, sklyanin_exchange_defect,
-                     sweep_samples_by_scalar_loop)
+from oracles import (classical_weights, full_jacobi_defect, quadratic_jacobi_holds_on_grid,
+                     sklyanin_exchange_defect, sweep_samples_by_scalar_loop)
 
 from symmetria import cli, suites
 from symmetria import sklyanin as sklyanin_module
@@ -40,6 +40,10 @@ from symmetria.sklyanin import (
     L_operator,
     _on_legs,
 )
+
+# the reduced Jacobi defect's axes: triples i < j < k and monomials m <= n <= p
+TRIPLES = list(itertools.combinations(range(4), 3))
+MONOMIALS = list(itertools.combinations_with_replacement(range(4), 3))
 
 SWAP = np.zeros((4, 4), dtype=complex)
 for i in range(2):
@@ -387,7 +391,8 @@ def test_poisson_tensor_and_jacobi_defect_are_integer_arrays():
     C = poisson_tensor((3, -1, 4, 2), (0, 5, -2, 1))
     D = poisson_jacobi_defect(C)
     assert C.dtype == np.int64 and D.dtype == np.int64
-    assert D.shape == (4,) * 6 and not D.any()
+    assert D.shape == (4, 20) and not D.any()
+    assert not full_jacobi_defect(C).any()
 
 
 def test_poisson_tensor_spec_rejects_non_integers_and_overflowing_entries():
@@ -455,9 +460,75 @@ def test_jacobi_defect_coefficients_of_a_broken_bracket():
     C[0, 1, 1, 2], C[1, 0, 1, 2] = 1, -1
     C[1, 2, 0, 2], C[2, 1, 0, 2] = 1, -1
     D = poisson_jacobi_defect(C)
-    assert D[0, 1, 2, 0, 2, 2] == -1 and np.count_nonzero(D[0, 1, 2]) == 1
-    assert D[1, 2, 0, 0, 2, 2] == -1 and D[1, 0, 2, 0, 2, 2] == 1
+    t, q = TRIPLES.index((0, 1, 2)), MONOMIALS.index((0, 2, 2))
+    assert D[t, q] == -1 and np.count_nonzero(D[t]) == 1
+    # the permuted triples, which the reduced array does not hold
+    full = full_jacobi_defect(C)
+    assert full[1, 2, 0, 0, 2, 2] == -1 and full[1, 0, 2, 0, 2, 2] == 1
     assert not quadratic_jacobi_holds_on_grid(C)
+
+
+def random_antisymmetric_tensors(rng, count: int) -> np.ndarray:
+    """(count, 4, 4, 4, 4) int64 tensors antisymmetric in (k, l), entries in -3..3."""
+    upper = np.triu(np.ones((4, 4), dtype=bool), 1)[:, :, None, None]
+    C = np.where(upper, rng.integers(-3, 4, (count, 4, 4, 4, 4)), 0)
+    return C - C.swapaxes(1, 2)
+
+
+def test_jacobi_defect_matches_the_full_coefficient_array():
+    # the cyclic sum is totally antisymmetric in (i, j, k) and symmetric in
+    # its monomial: the 4 x 20 reduced entries give every entry of the full
+    # array, which is zero unless m <= n <= p
+    sign = np.zeros((4, 4, 4), dtype=np.int64)
+    triple = np.zeros((4, 4, 4), dtype=np.intp)
+    for t, ijk in enumerate(TRIPLES):
+        for perm in itertools.permutations(range(3)):
+            at = tuple(ijk[q] for q in perm)
+            sign[at] = (-1) ** sum(perm[x] > perm[y] for x, y in itertools.combinations(range(3), 2))
+            triple[at] = t
+    sorted_mnp = np.zeros((4, 4, 4), dtype=bool)
+    monomial = np.zeros((4, 4, 4), dtype=np.intp)
+    for q, mnp in enumerate(MONOMIALS):
+        sorted_mnp[mnp], monomial[mnp] = True, q
+    rng = np.random.default_rng(79)
+    broken = 0
+    for C in random_antisymmetric_tensors(rng, 200):
+        D, full = poisson_jacobi_defect(C), full_jacobi_defect(C)
+        for t, (i, j, k) in enumerate(TRIPLES):
+            for q, (m, n, p) in enumerate(MONOMIALS):
+                assert D[t, q] == full[i, j, k, m, n, p]
+        expect = (sign[:, :, :, None, None, None] * sorted_mnp
+                  * D[triple[:, :, :, None, None, None], monomial])
+        assert np.array_equal(full, expect)
+        assert D.any() == full.any()
+        broken += bool(D.any())
+    assert broken >= 150
+
+
+def test_jacobi_defect_of_a_stack_is_the_defect_of_each_tensor():
+    rng = np.random.default_rng(81)
+    specs = rng.integers(-5, 6, (6, 2, 4))
+    C = poisson_tensor(specs[:, 0], specs[:, 1])
+    assert C.shape == (6, 4, 4, 4, 4)
+    for s in range(6):
+        assert np.array_equal(C[s], poisson_tensor(*specs[s].tolist()))
+    broken = random_antisymmetric_tensors(rng, 12).reshape(3, 4, 4, 4, 4, 4)
+    for stack in (C, broken):
+        D = poisson_jacobi_defect(stack)
+        assert D.shape == stack.shape[:-4] + (4, 20)
+        for at in np.ndindex(stack.shape[:-4]):
+            assert np.array_equal(D[at], poisson_jacobi_defect(stack[at]))
+
+
+def test_jacobi_defect_of_a_stack_names_the_bad_tensor():
+    C = poisson_tensor(np.tile((1, 2, 5, 9), (10, 1)), np.tile((0, 1, 1, 1), (10, 1)))
+    C[7, 1, 2, 0, 3] += 1
+    with pytest.raises(ValueError, match=r"antisymmetric .* \(element 7\)$"):
+        poisson_jacobi_defect(C)
+    b = np.tile((0, 1, 1, 1), (5, 1))
+    b[3, 3] = 4097
+    with pytest.raises(ValueError, match=r"magnitude at most 4096 \(element 3\)$"):
+        poisson_tensor(np.ones((5, 4), dtype=int), b)
 
 
 def test_classical_bracket_exchange_identity():
