@@ -37,9 +37,9 @@ B[k, l, m, n], with {x_k, x_l} = sum_mn B[k, l, m, n] x_m x_n.  Their
 identities (Jacobi, the classical exchange relation) have fixed degree, so
 each is a fixed contraction whose result is the array of monomial
 coefficients.  The volume-contraction tensors are int64, built for a whole
-(..., 4) stack of specs in one call, and their Jacobi check is exact: it
-computes only the 80 independent coefficients (4 triples i < j < k times
-20 monomials m <= n <= p) per tensor, for a whole stack at once.
+(..., 4) stack of specs in one call, and their Jacobi check is exact and
+stacked too: it computes only the 80 independent coefficients (4 triples
+i < j < k times 20 monomials m <= n <= p) of each tensor.
 """
 
 from __future__ import annotations
@@ -414,8 +414,8 @@ def poisson_tensor(a, b) -> np.ndarray:
         raise ValueError(message)
     require(((-SPEC_BOUND <= a) & (a <= SPEC_BOUND) & (-SPEC_BOUND <= b) & (b <= SPEC_BOUND))
             .all(axis=-1), message)
-    a, b = a.astype(np.int64)[..., :, None], b.astype(np.int64)[..., :, None]
-    wedge = np.triu(a * b.swapaxes(-1, -2) - b * a.swapaxes(-1, -2), 1)
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    wedge = np.triu(a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :], 1)
     return _EPS4 * wedge[..., None, None, :, :]
 
 
