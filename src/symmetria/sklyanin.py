@@ -18,18 +18,25 @@ from (..., 3) weights as const + w @ B, one matmul.  A tensor-leg
 placement embeds a whole family once, never a sample: reshape each of its
 matrices into its four leg indices, take the outer product with the
 identity on the third leg, transpose the legs into place and reshape
-back.  The r and R families are embedded on the leg pairs (0,1), (0,2),
-(1,2) of C^2 x C^2 x C^2 at import, for the Yang-Baxter residuals; the
-exchange relation embeds R, L' and L'' once per call.  The weights are
-checked finite once per residual, before any matrix is built, and the
-error names the sample; an overflow inside the weighted sum still gives a
-non-finite residual, which fails its row.
+back.
+
+The Yang-Baxter and exchange-relation defects are trilinear in the
+weights x = (1, w) of their three factors: sum_abc x12_a x13_b x23_c D_abc
+over products D_abc of the embedded family matrices.  A product table
+keeps only the D_abc that are not the zero matrix (for Pauli legs, where
+the Pauli strings do not commute): 24 of 64 for QYBE, 18 for CYBE, 24 and
+48 for the exchange relation on rep2 and rep3.  The QYBE and CYBE tables
+are built at import from the families embedded on the leg pairs (0,1),
+(0,2), (1,2) of C^2 x C^2 x C^2; the exchange relation's on a
+representation's first ``rll_residual`` call.
 
 The weights, matrices and residuals take arrays of u (and v), a scalar
 being the one-element array, and return results of their shape.  A
 residual computes and checks the weights at u - v, u and v of every
-sample in one weight call, then builds the (B, N, N) stacks and their
-products at most ``_BLOCK`` samples at a time: one sup norm per sample.
+sample in one weight call (the error names the sample), then, at most
+``_BLOCK`` samples at a time, forms the coefficients of its table's rows
+and one (B, K) @ (K, N*N) matmul: one sup norm per sample.  An overflow
+inside the sum gives a non-finite residual, which fails its row.
 
 The quadratic Poisson brackets on four coordinates (the volume-contraction
 tensors and the classical Sklyanin bracket) are dense coefficient arrays
@@ -181,26 +188,58 @@ def _family_on_legs(family: tuple, legs: tuple[int, int], dims: tuple[int, int, 
     return flat[0], flat[1:]
 
 
-# The leg pairs of R12, R13, R23, and the r and R families embedded on each
-# of them in C^2 x C^2 x C^2 once.
+def _triple_table(f12: tuple, f13: tuple, f23: tuple) -> tuple:
+    """The product table (i1, i2, i3, rows) of A B C - C B A for A, B, C
+    from the embedded families f12, f13, f23: the (a, b, c) at which
+    D_abc = F12[a] F13[b] F23[c] - F23[c] F13[b] F12[a] (F[0] the const,
+    F[a] = B_a) is not the zero matrix, and those D_abc as (K, N*N) rows."""
+    n = math.isqrt(f12[0].size)
+    A, B, C = (np.concatenate((const[None], basis)).reshape(4, n, n) for const, basis in (f12, f13, f23))
+    rows = (A[:, None, None] @ B[:, None] @ C - C @ B[:, None] @ A[:, None, None]).reshape(64, -1)
+    keep = np.flatnonzero(rows.any(axis=1))
+    return (*np.unravel_index(keep, (4, 4, 4)), rows[keep])
+
+
+def _commutator_table(f12: tuple, f13: tuple, f23: tuple) -> tuple:
+    """The product table of [A, B] + [A, C] + [B, C] for the embedded
+    families f12, f13, f23 of const 0: the rows of degree two, an index 0,
+    of the triple table of 1 + A, 1 + B, 1 + C."""
+    one = np.eye(math.isqrt(f12[0].size), dtype=complex).ravel()
+    i1, i2, i3, rows = _triple_table(*((one, basis) for _, basis in (f12, f13, f23)))
+    quadratic = i1 * i2 * i3 == 0
+    return i1[quadratic], i2[quadratic], i3[quadratic], rows[quadratic]
+
+
+# The leg pairs of R12, R13, R23, the r and R families embedded on each of
+# them in C^2 x C^2 x C^2, and the CYBE and QYBE product tables, once.
 _YB_LEGS = ((0, 1), (0, 2), (1, 2))
 _CLASSICAL_R_LEGS = {legs: _family_on_legs(_CLASSICAL_R, legs, (2, 2, 2)) for legs in _YB_LEGS}
 _QUANTUM_R_LEGS = {legs: _family_on_legs(_QUANTUM_R, legs, (2, 2, 2)) for legs in _YB_LEGS}
+_CYBE_TABLE = _commutator_table(*(_CLASSICAL_R_LEGS[legs] for legs in _YB_LEGS))
+_QYBE_TABLE = _triple_table(*(_QUANTUM_R_LEGS[legs] for legs in _YB_LEGS))
 
 
-# Samples per block of the batched residuals: bounds the (block, 8, 8)
-# temporaries of a long sweep.
+# Samples per block of the batched residuals: bounds the (block, K)
+# coefficient and (block, N*N) defect temporaries of a long sweep.
 _BLOCK = 128
 
 
-def _sup_per_sample(defect, weights, u, v, p):
-    """Sup norm per sample of defect(w12, w13, w23), the (len, N, N) defect
-    stack built from the (len, 3) weights at u - v, u and v of at most
-    _BLOCK samples.  One ``weights`` call on the stacked legs gives them
-    all; its pole error names the sample a call on the failing leg would,
-    and every weight must be finite (the error names the first sample that
-    is not; neither names one for scalar u, v).  Residuals of the broadcast
-    shape of u and v."""
+def _table_sup(table: tuple, w: np.ndarray) -> np.ndarray:
+    """Sup norm per sample of sum_abc x12_a x13_b x23_c D_abc over the
+    product table's rows, x = (1, w) from the (3, B, 3) weights at u - v, u
+    and v: one (B, K) @ (K, N*N) matmul."""
+    i1, i2, i3, rows = table
+    x12, x13, x23 = np.concatenate((np.ones_like(w[..., :1]), w), axis=-1)
+    return np.abs((x12[:, i1] * x13[:, i2] * x23[:, i3]) @ rows).max(axis=-1)
+
+
+def _sup_per_sample(table, weights, u, v, p):
+    """Sup norm per sample of the product table's defect at the weights at
+    u - v, u and v, _BLOCK samples per ``_table_sup``.  One ``weights`` call
+    on the stacked legs gives them all; its pole error names the sample a
+    call on the failing leg would, and every weight must be finite (the
+    error names the first sample that is not; neither names one for scalar
+    u, v).  Residuals of the broadcast shape of u and v."""
     legs = np.stack(np.broadcast_arrays(u - v, u, v))
     shape = legs.shape[1:]
     try:
@@ -214,22 +253,14 @@ def _sup_per_sample(defect, weights, u, v, p):
         raise ValueError(f"weights must be finite{at}")
     out = np.empty(w.shape[1])
     for start in range(0, len(out), _BLOCK):
-        out[start:start + _BLOCK] = np.abs(defect(*w[:, start:start + _BLOCK])).max(axis=(-2, -1))
+        out[start:start + _BLOCK] = _table_sup(table, w[:, start:start + _BLOCK])
     return out.reshape(shape)[()]
-
-
-def _cybe_defect(w12, w13, w23) -> np.ndarray:
-    """[r12, r13] + [r12, r23] + [r13, r23] from the (B, 3) classical
-    weights at u - v, u and v: a (B, 8, 8) stack."""
-    r12, r13, r23 = (_build(_CLASSICAL_R_LEGS[legs], w)
-                     for legs, w in zip(_YB_LEGS, (w12, w13, w23)))
-    return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
 
 
 def cybe_residual(u, v, p: ClassicalRParams):
     """Sup norm of [r12(u-v), r13(u)] + [r12(u-v), r23(v)] + [r13(u), r23(v)],
     one residual per sample."""
-    return _sup_per_sample(_cybe_defect, classical_w, u, v, p)
+    return _sup_per_sample(_CYBE_TABLE, classical_w, u, v, p)
 
 
 def quantum_W(u, p: QuantumRParams) -> tuple:
@@ -277,12 +308,7 @@ def quantum_R(u, p: QuantumRParams) -> np.ndarray:
 def qybe_residual(u, v, p: QuantumRParams):
     """Sup norm of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v), one
     residual per sample."""
-    def defect(w12, w13, w23):
-        r12, r13, r23 = (_build(_QUANTUM_R_LEGS[legs], w)
-                         for legs, w in zip(_YB_LEGS, (w12, w13, w23)))
-        return r12 @ r13 @ r23 - r23 @ r13 @ r12
-
-    return _sup_per_sample(defect, quantum_W, u, v, p)
+    return _sup_per_sample(_QYBE_TABLE, quantum_W, u, v, p)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +331,7 @@ class SklyaninRep:
         self.J = J
         flat = np.stack([kron(SIGMA[a], S[a]) for a in range(4)]).reshape(4, -1)
         self.L_family = (flat[0], flat[1:])
+        self._rll_table = None  # built on first use by _rll_table
 
     def J_pair(self, a: int, b: int) -> float:
         """J_ab = -(J_a - J_b)/J_c with c the remaining index."""
@@ -362,21 +389,23 @@ def L_operator(u, rep: SklyaninRep, p: QuantumRParams) -> np.ndarray:
     return _build(rep.L_family, np.stack(quantum_W(u, p), axis=-1))
 
 
+def _rll_table(rep: SklyaninRep) -> tuple:
+    """The product table of R L' L'' - L'' L' R on aux1 x aux2 x quantum
+    (legs as in ``rll_residual``), built once per rep."""
+    if rep._rll_table is None:
+        dims = (2, 2, rep.dim)
+        rep._rll_table = _triple_table(_family_on_legs(_QUANTUM_R, (0, 1), dims),
+                                       _family_on_legs(rep.L_family, (0, 2), dims),
+                                       _family_on_legs(rep.L_family, (1, 2), dims))
+    return rep._rll_table
+
+
 def rll_residual(u, v, rep: SklyaninRep, p: QuantumRParams):
     """Sup norm of R(u-v) L'(u) L''(v) - L''(v) L'(u) R(u-v) on
     aux1 x aux2 x quantum (dimension 4 d), one residual per sample.  R sits
     on the two auxiliary legs, L(u) on aux1 x quantum and L(v) on aux2 x
     quantum."""
-    dims = (2, 2, rep.dim)
-    R_fam = _family_on_legs(_QUANTUM_R, (0, 1), dims)
-    Lp_fam = _family_on_legs(rep.L_family, (0, 2), dims)
-    Lpp_fam = _family_on_legs(rep.L_family, (1, 2), dims)
-
-    def defect(w_uv, w_u, w_v):
-        R, Lp, Lpp = _build(R_fam, w_uv), _build(Lp_fam, w_u), _build(Lpp_fam, w_v)
-        return R @ Lp @ Lpp - Lpp @ Lp @ R
-
-    return _sup_per_sample(defect, quantum_W, u, v, p)
+    return _sup_per_sample(_rll_table(rep), quantum_W, u, v, p)
 
 
 # ---------------------------------------------------------------------------

@@ -660,7 +660,7 @@ def run_sklyanin(rng: np.random.Generator, tol: float, samples: int) -> CheckRep
         u, v = 1.1, 0.4
         w = np.stack(sklyanin.classical_w(np.array([u - v, u, v]), p_cl), axis=-1)[:, None]
         w[0, 0, 0] *= 1.01
-        c.observe(sup_norm(sklyanin._cybe_defect(*w)))
+        c.observe(sklyanin._table_sup(sklyanin._CYBE_TABLE, w))
 
     r3 = sklyanin.rep3(1.0, 2.0, 3.0)
     with rep.check("mutation_control_flipped_generator",

@@ -10,6 +10,10 @@ the canonical bracket of phase-space generators, are checked by their
 values at points, not by their coefficient tensors or matrices; the
 reduced Jacobi defect is checked against the full 4,096-coefficient
 array, summed over every triple and every ordering of each monomial.
+The Yang-Baxter and exchange-relation product tables are checked against
+dense defects: every operator placed on its legs by Kronecker products of
+its product-basis expansion, and every product formed one pair of
+matrices at a time.
 The cube is a hand-written polyhedral graph for the fullerene tests, the
 ring order of a polyhedron's faces comes from a Python sort of one ring at
 a time, and the Yang-Baxter sweep pairs come from the scalar loop that
@@ -256,6 +260,41 @@ def sklyanin_exchange_defect(u: float, v: float, rho: float, k: float, J: dict,
                        sum(S[kk] * dv[kk] for kk in range(4)))
         worst = max(worst, float(np.max(np.abs(lhs - (r @ prod - prod @ r)))))
     return worst
+
+
+def kron_reference(m, legs, dims=(2, 2, 2)):
+    """m, acting on factors legs[0] x legs[1] of a three-factor space with
+    factor dimensions ``dims``: expanded in the product basis e_ij x e_kl of
+    its two factors, each factor placed on its leg with plain Kronecker
+    products, the identity on the third."""
+    a, b = dims[legs[0]], dims[legs[1]]
+    out = 0
+    for i, j, k, l in itertools.product(range(a), range(a), range(b), range(b)):
+        ops = [np.eye(d, dtype=complex) for d in dims]
+        ops[legs[0]] = np.outer(np.eye(a)[i], np.eye(a)[j])
+        ops[legs[1]] = np.outer(np.eye(b)[k], np.eye(b)[l])
+        out = out + m[b * i + k, b * j + l] * np.kron(np.kron(ops[0], ops[1]), ops[2])
+    return out
+
+
+def dense_defects(f12, f13, f23, dims=(2, 2, 2), commutators=False) -> np.ndarray:
+    """D[a, b, c], a (4, 4, 4, N, N) array, for the two-leg matrix families
+    f12, f13, f23 (four matrices each, the constant then B_1..B_3) placed by
+    ``kron_reference`` on the legs (0,1), (0,2), (1,2): A B C - C B A of
+    A = f12[a], B = f13[b], C = f23[c], or with ``commutators`` [A, B] at
+    (a, b, 0), [A, C] at (a, 0, c) and [B, C] at (0, b, c) for a, b, c >= 1
+    (the constants, zero for r, are not read)."""
+    A, B, C = ([kron_reference(m, legs, dims) for m in f]
+               for f, legs in ((f12, (0, 1)), (f13, (0, 2)), (f23, (1, 2))))
+    n = A[0].shape[0]
+    D = np.zeros((4, 4, 4, n, n), dtype=complex)
+    for a, b, c in itertools.product(range(4), repeat=3):
+        if not commutators:
+            D[a, b, c] = A[a] @ B[b] @ C[c] - C[c] @ B[b] @ A[a]
+        elif (a, b, c).count(0) == 1:
+            X, Y = ((A[a], B[b]) if c == 0 else (A[a], C[c]) if b == 0 else (B[b], C[c]))
+            D[a, b, c] = X @ Y - Y @ X
+    return D
 
 
 def sweep_samples_by_scalar_loop(rng, k: float, count: int, K: float, margin: float) -> list:

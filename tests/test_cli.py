@@ -161,7 +161,7 @@ def test_dump_sweep_bytes_are_pinned(tmp_path):
     out = tmp_path / "sweep.json"
     assert run(["dump", "sweep", "--samples", "1000", "--seed", "42", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "77d784a6fb684d50e7903b5dec3dcdb5c85b603617f25c5438f7654605e264f8")
+        "8a6c9782b9657a1f8beee75c8a0c6805cb51dd42c2da868a511dd8136a77ef78")
 
 
 def test_verify_all_bytes_are_pinned(tmp_path):
@@ -171,7 +171,7 @@ def test_verify_all_bytes_are_pinned(tmp_path):
     assert run(["verify", "all", "--samples", "20", "--seed", "42", "--format", "json",
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4b8ea59c3d4c158799fa338796fd214f5ed366cf4715f52727871b6fb28f12e0")
+        "4d16a6d143105e73cd97d97ee42be27743b63152d6df6c6f58f92970d4831e43")
 
 
 def test_verify_deep_bytes_are_pinned(tmp_path):
@@ -181,7 +181,7 @@ def test_verify_deep_bytes_are_pinned(tmp_path):
     assert run(["verify", "all", "--samples", "250", "--seed", "42", "--format", "json",
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "07232a9c85358c74ac72545853c6cab57a31662d8bbfc2ec61b34987e90cfaff")
+        "c8763d242868d70a0ec377512eee18296306ab2bfafb82ec7aa6cc3e072b0f29")
 
 
 def _modules_after_import(module: str) -> set:

@@ -6,8 +6,9 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import (classical_weights, full_jacobi_defect, quadratic_jacobi_holds_on_grid,
-                     sklyanin_exchange_defect, sweep_samples_by_scalar_loop)
+from oracles import (classical_weights, dense_defects, full_jacobi_defect, kron_reference,
+                     quadratic_jacobi_holds_on_grid, sklyanin_exchange_defect,
+                     sweep_samples_by_scalar_loop)
 
 from symmetria import cli, suites
 from symmetria import sklyanin as sklyanin_module
@@ -193,19 +194,6 @@ def test_qybe_v0_braid_reduction():
     assert sup_norm(r12 @ r13 @ p23 - p23 @ r13 @ r12) < 1e-12
 
 
-def _kron_reference(m, legs, dims=(2, 2, 2)):
-    # expand m in the product basis e_ij x e_kl of its two factors and place
-    # each factor on its leg with plain Kronecker products
-    a, b = dims[legs[0]], dims[legs[1]]
-    out = 0
-    for i, j, k, l in itertools.product(range(a), range(a), range(b), range(b)):
-        ops = [np.eye(d, dtype=complex) for d in dims]
-        ops[legs[0]] = np.outer(np.eye(a)[i], np.eye(a)[j])
-        ops[legs[1]] = np.outer(np.eye(b)[k], np.eye(b)[l])
-        out = out + m[b * i + k, b * j + l] * np.kron(np.kron(ops[0], ops[1]), ops[2])
-    return out
-
-
 def test_on_legs_matches_kron_reference():
     rng = np.random.default_rng(77)
     for _ in range(5):
@@ -214,14 +202,14 @@ def test_on_legs_matches_kron_reference():
         assert sup_norm(_on_legs(m4, (1, 2), (2, 2, 2)) - np.kron(np.eye(2), m4)) <= 1e-14
         for legs in ((0, 1), (0, 2), (1, 2), (2, 0)):
             got = _on_legs(m4, legs, (2, 2, 2))
-            assert sup_norm(got - _kron_reference(m4, legs)) <= 1e-14, legs
+            assert sup_norm(got - kron_reference(m4, legs)) <= 1e-14, legs
     # an aux x quantum operator of rep3's shape, and a leading batch axis
     m6 = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
     for legs in ((0, 2), (1, 2)):
         got = _on_legs(m6, legs, (2, 2, 3))
         assert got.shape == (2, 12, 12)
         for i in range(2):
-            assert sup_norm(got[i] - _kron_reference(m6[i], legs, (2, 2, 3))) <= 1e-14, legs
+            assert sup_norm(got[i] - kron_reference(m6[i], legs, (2, 2, 3))) <= 1e-14, legs
 
 
 def test_on_legs_rejects_invalid_legs():
@@ -244,7 +232,7 @@ def test_rll_families_match_kron_reference():
         dims = (2, 2, r.dim)
         R = built(sklyanin_module._QUANTUM_R, (0, 1), dims, u - v)
         assert sup_norm(R - np.kron(quantum_R(u - v, p), np.eye(r.dim))) <= 1e-14
-        assert sup_norm(R - _kron_reference(quantum_R(u - v, p), (0, 1), dims)) <= 1e-14
+        assert sup_norm(R - kron_reference(quantum_R(u - v, p), (0, 1), dims)) <= 1e-14
         for legs, x in (((0, 2), u), ((1, 2), v)):
             L = built(r.L_family, legs, dims, x)
             w = (1.0,) + quantum_W(x, p)
@@ -252,7 +240,7 @@ def test_rll_families_match_kron_reference():
                 lambda s: np.kron(np.eye(2), s))
             ref = sum(w[a] * np.kron(aux(SIGMA[a]), r.S[a]) for a in range(4))
             assert sup_norm(L - ref) <= 1e-14, legs
-            assert sup_norm(L - _kron_reference(L_operator(x, r, p), legs, dims)) <= 1e-14, legs
+            assert sup_norm(L - kron_reference(L_operator(x, r, p), legs, dims)) <= 1e-14, legs
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -677,7 +665,7 @@ def test_qybe_per_sample_vector_matches_kron_embedding():
     assert got.shape == (5,)
     for i in range(5):
         r12 = np.kron(quantum_R(u[i] - v[i], p), np.eye(2))
-        r13 = _kron_reference(quantum_R(u[i], p), (0, 2))
+        r13 = kron_reference(quantum_R(u[i], p), (0, 2))
         r23 = np.kron(np.eye(2), quantum_R(v[i], p))
         want = sup_norm(r12 @ r13 @ r23 - r23 @ r13 @ r12)
         assert abs(got[i] - want) <= 1e-13
@@ -780,48 +768,45 @@ def test_leg_basis_is_the_kron_placement_of_each_sigma_pair():
             assert const.shape == (64,) and basis.shape == (3, 64)
             assert np.array_equal(const.reshape(8, 8), one * np.eye(8)), legs
             for a in (1, 2, 3):
-                want = _kron_reference(np.kron(SIGMA[a], SIGMA[a]), legs)
+                want = kron_reference(np.kron(SIGMA[a], SIGMA[a]), legs)
                 assert np.array_equal(basis[a - 1].reshape(8, 8), want), (legs, a)
 
 
 @pytest.mark.parametrize("kind", ["qybe", "cybe"])
 def test_leg_basis_stacks_equal_embedded_matrices_across_blocks(kind, monkeypatch):
-    # three blocks, the last one partial: every stack the residual builds
-    # is the embedding of quantum_R (classical_r) at u - v, u or v, and
-    # every residual is the sup norm of the products of those embeddings
+    # three blocks, the last one partial: every residual is the sup norm of
+    # the dense products of quantum_R (classical_r) embedded at u - v, u and
+    # v, up to the rounding of a different sum order, relative to the
+    # largest entry of the products the defect subtracts
     n, block = 300, sklyanin_module._BLOCK
     assert 2 * block < n <= 3 * block
     if kind == "qybe":
-        p, matrix = QuantumRParams(eta=0.3, k=0.5), quantum_R
-        residual, families = qybe_residual, sklyanin_module._QUANTUM_R_LEGS
+        p, matrix, residual = QuantumRParams(eta=0.3, k=0.5), quantum_R, qybe_residual
 
-        def defect(r12, r13, r23):
-            return r12 @ r13 @ r23 - r23 @ r13 @ r12
+        def products(r12, r13, r23):
+            return r12 @ r13 @ r23, r23 @ r13 @ r12
     else:
-        p, matrix = ClassicalRParams(rho=1.0, k=0.5), classical_r
-        residual, families = cybe_residual, sklyanin_module._CLASSICAL_R_LEGS
+        p, matrix, residual = ClassicalRParams(rho=1.0, k=0.5), classical_r, cybe_residual
 
-        def defect(r12, r13, r23):
-            return (r12 @ r13 - r13 @ r12) + (r12 @ r23 - r23 @ r12) + (r13 @ r23 - r23 @ r13)
+        def products(r12, r13, r23):
+            return r12 @ r13, r13 @ r12, r12 @ r23, r23 @ r12, r13 @ r23, r23 @ r13
     u, v = sweep_samples(np.random.default_rng(82), p.k, n).T
-    want = {legs: _on_legs(matrix(x, p), legs, (2, 2, 2))
-            for legs, x in (((0, 1), u - v), ((0, 2), u), ((1, 2), v))}
-    built = {legs: [] for legs in families}
-    real = sklyanin_module._build
+    terms = products(*(_on_legs(matrix(x, p), legs, (2, 2, 2))
+                       for legs, x in (((0, 1), u - v), ((0, 2), u), ((1, 2), v))))
+    ref = np.abs(sum(a - b for a, b in zip(terms[::2], terms[1::2]))).max(axis=(1, 2))
+    scale = np.max([np.abs(t).max(axis=(1, 2)) for t in terms], axis=0)
+    sizes = []
+    real = sklyanin_module._table_sup
 
-    def recording(family, w):
-        out = real(family, w)
-        built[next(legs for legs, f in families.items() if f is family)].append(out)
-        return out
+    def recording(table, w):
+        sizes.append(w.shape[1])
+        return real(table, w)
 
-    monkeypatch.setattr(sklyanin_module, "_build", recording)
+    monkeypatch.setattr(sklyanin_module, "_table_sup", recording)
     got = residual(u, v, p)
-    for legs, blocks in built.items():
-        assert [len(b) for b in blocks] == [block, block, n - 2 * block]
-        assert np.array_equal(np.concatenate(blocks), want[legs]), legs
-    ref = [np.abs(defect(*(want[legs][i] for legs in ((0, 1), (0, 2), (1, 2))))).max()
-           for i in range(n)]
-    assert np.array_equal(got, ref)
+    assert sizes == [block, block, n - 2 * block]
+    assert got.shape == (n,)
+    assert (np.abs(got - ref) <= 1e-14 * np.maximum(1.0, scale)).all()
 
 
 def _residual_of(kind: str):
@@ -832,7 +817,8 @@ def _residual_of(kind: str):
     p = QuantumRParams(eta=0.3, k=0.5)
     if kind == "qybe":
         return "quantum_W", p, lambda u, v: qybe_residual(u, v, p)
-    return "quantum_W", p, lambda u, v: rll_residual(u, v, rep3(1.0, 2.0, 3.0), p)
+    rep = rep3(1.0, 2.0, 3.0)
+    return "quantum_W", p, lambda u, v: rll_residual(u, v, rep, p)
 
 
 @pytest.mark.parametrize("kind", ["cybe", "qybe", "rll"])
@@ -860,9 +846,9 @@ def test_leg_basis_stack_names_the_first_non_finite_operator(kind, sample, monke
 
 @pytest.mark.parametrize("kind, embeddings", [("cybe", 0), ("qybe", 0), ("rll", 3)])
 def test_residuals_embed_no_sample(kind, embeddings, monkeypatch):
-    # the Yang-Baxter families are embedded at import and the exchange
-    # relation's three once per call, whatever the number of blocks
-    _, p, residual = _residual_of(kind)
+    # the Yang-Baxter product tables are built at import, and the exchange
+    # relation's from three embeddings on a representation's first call,
+    # never again for that representation, whatever the number of blocks
     calls = []
     real = sklyanin_module._on_legs
 
@@ -872,10 +858,12 @@ def test_residuals_embed_no_sample(kind, embeddings, monkeypatch):
 
     monkeypatch.setattr(sklyanin_module, "_on_legs", counting)
     for n in (20, 300):
-        calls.clear()
+        _, p, residual = _residual_of(kind)
         u, v = sweep_samples(np.random.default_rng(84), p.k, n).T
-        assert residual(u, v).shape == (n,)
-        assert len(calls) == embeddings, (n, calls)
+        for expected in (embeddings, 0):
+            calls.clear()
+            assert residual(u, v).shape == (n,)
+            assert len(calls) == expected, (n, calls)
 
 
 def _worst_dump_sweep_residual(tmp_path) -> float:
@@ -884,14 +872,21 @@ def _worst_dump_sweep_residual(tmp_path) -> float:
     return max(rec["residual"] for rec in json.loads(out.read_text()))
 
 
+def _qybe_table_of(monkeypatch, sources):
+    """Rebuild _QYBE_TABLE by the table builder from the leg families
+    looked up on ``sources`` in place of (0,1), (0,2), (1,2)."""
+    families = sklyanin_module._QUANTUM_R_LEGS
+    monkeypatch.setattr(sklyanin_module, "_QYBE_TABLE",
+                        sklyanin_module._triple_table(*(families[legs] for legs in sources)))
+
+
 @pytest.mark.parametrize("mutant", ["r13_on_legs_01", "W1_scaled"])
 def test_dump_sweep_detects_leg_basis_and_weight_mutants(mutant, monkeypatch, tmp_path):
-    # the pre-embedded path is not true by construction: r13 looked up on
-    # the wrong leg pair, or one weight off in its 4th digit, breaks the QYBE
+    # the product table is not true by construction: r13 taken from the
+    # wrong leg pair, or one weight off in its 4th digit, breaks the QYBE
     assert _worst_dump_sweep_residual(tmp_path) < 1e-9
     if mutant == "r13_on_legs_01":
-        families = sklyanin_module._QUANTUM_R_LEGS
-        monkeypatch.setitem(families, (0, 2), families[(0, 1)])
+        _qybe_table_of(monkeypatch, ((0, 1), (0, 1), (1, 2)))
     else:
         real = sklyanin_module.quantum_W
 
@@ -910,7 +905,58 @@ def test_permuted_leg_bases_are_equivalent_mutants(order, monkeypatch, tmp_path)
     # permutation similarity, which keeps its sup norm: a permutation of
     # the leg bases (here the (0,2)/(1,2) swap and a cyclic shift) cannot
     # be caught by the QYBE residual, and a mutant catalogue must not count it
-    families = dict(sklyanin_module._QUANTUM_R_LEGS)
-    for legs, source in zip(((0, 1), (0, 2), (1, 2)), order):
-        monkeypatch.setitem(sklyanin_module._QUANTUM_R_LEGS, legs, families[source])
+    rows = sklyanin_module._QYBE_TABLE[3]
+    _qybe_table_of(monkeypatch, order)
+    assert not np.array_equal(sklyanin_module._QYBE_TABLE[3], rows)
     assert _worst_dump_sweep_residual(tmp_path) < 1e-9
+
+
+def test_rll_residual_detects_L_on_the_wrong_legs(monkeypatch):
+    # L'' embedded on aux1 x quantum, (0, 2), in place of aux2 x quantum
+    p = QuantumRParams(eta=0.3, k=0.5)
+    u, v = sweep_samples(np.random.default_rng(86), p.k, 50).T
+    assert rll_residual(u, v, rep2(), p).max() < 1e-9
+    real = sklyanin_module._family_on_legs
+
+    def misplaced(family, legs, dims):
+        return real(family, (0, 2) if legs == (1, 2) else legs, dims)
+
+    monkeypatch.setattr(sklyanin_module, "_family_on_legs", misplaced)
+    assert rll_residual(u, v, rep2(), p).max() > 1e-9
+
+
+def _table_and_oracle(kind: str):
+    """(product table, dense oracle D[a, b, c], kept-row count) of one
+    residual's defect."""
+    quantum = [np.eye(4, dtype=complex)] + [np.kron(s, s) for s in SIGMA[1:]]
+    if kind == "qybe":
+        return sklyanin_module._QYBE_TABLE, dense_defects(quantum, quantum, quantum), 24
+    if kind == "cybe":
+        classical = [np.zeros((4, 4), dtype=complex)] + quantum[1:]
+        return (sklyanin_module._CYBE_TABLE,
+                dense_defects(classical, classical, classical, commutators=True), 18)
+    rep, kept = (rep2(), 24) if kind == "rll2" else (rep3(1.0, 2.0, 3.0), 48)
+    L = [np.kron(SIGMA[a], rep.S[a]) for a in range(4)]
+    return (sklyanin_module._rll_table(rep),
+            dense_defects(quantum, L, L, dims=(2, 2, rep.dim)), kept)
+
+
+@pytest.mark.parametrize("kind", ["qybe", "cybe", "rll2", "rll3"])
+def test_product_tables_match_the_dense_oracle(kind):
+    # the kept rows are the oracle's D_abc, exactly where its entries are
+    # small integers; every dropped (a, b, c) is exactly 0 in the oracle
+    (i1, i2, i3, rows), D, kept = _table_and_oracle(kind)
+    assert rows.shape == (kept, D.shape[-1] ** 2)
+    want = D[i1, i2, i3].reshape(kept, -1)
+    integer = ((np.abs(want) <= 16) & (want.real == np.round(want.real))
+               & (want.imag == np.round(want.imag)))
+    assert np.array_equal(rows[integer], want[integer])
+    assert (np.abs(rows - want) <= 1e-14 * np.maximum(1.0, np.abs(want))).all()
+    dropped = np.ones((4, 4, 4), dtype=bool)
+    dropped[i1, i2, i3] = False
+    assert not D[dropped].any()
+    assert D[~dropped].reshape(kept, -1).any(axis=1).all()
+    if kind in ("qybe", "cybe", "rll2"):
+        assert integer.all()
+    if kind == "qybe":
+        assert set(np.unique(rows)) == {-2.0, 0.0, 2.0}
