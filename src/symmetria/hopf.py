@@ -94,24 +94,20 @@ DELTA = {"Xp": (("Xp", "K"), ("Kinv", "Xp")), "Xm": (("Xm", "K"), ("Kinv", "Xm")
 _sum = functools.partial(functools.reduce, np.add)  # a sum not started from 0
 
 
-def _letters(rep: UqSu2Rep, dense: bool = False) -> dict:
-    """X+-, K and K^-1 in rep, built once per rep: a diagonal letter as its
-    vector, or with ``dense`` as its matrix (for a Kronecker product)."""
+def _letters(rep: UqSu2Rep) -> dict:
+    """X+-, K and K^-1 in rep as matrices, built once per rep: K = q^(H/2)
+    and K^-1 = q^(-H/2) are diagonal."""
     if not rep._letters:
-        x = {"Xp": rep.Xp, "Xm": rep.Xm, "K": rep.q ** (0.5 * rep.h), "Kinv": rep.q ** (-0.5 * rep.h)}
-        rep._letters = {False: x, True: {k: np.diag(m) if m.ndim == 1 else m for k, m in x.items()}}
-    return rep._letters[dense]
+        rep._letters = {"Xp": rep.Xp, "Xm": rep.Xm, "K": np.diag(rep.q ** (0.5 * rep.h)),
+                        "Kinv": np.diag(rep.q ** (-0.5 * rep.h))}
+    return rep._letters
 
 
 def _antipode(rep: UqSu2Rep) -> dict:
     """S of each letter in rep: S(X+-) = -q^(+-1) X+-, S(K) = 1/K, S(K^-1) = K."""
     q, x = rep.q, _letters(rep)
-    return {"Xp": -q * x["Xp"], "Xm": -(1.0 / q) * x["Xm"], "K": 1.0 / x["K"], "Kinv": x["K"]}
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b for a pair of letters, one of them diagonal: a row or column scaling."""
-    return a[:, None] * b if a.ndim == 1 else a * b
+    return {"Xp": -q * x["Xp"], "Xm": -(1.0 / q) * x["Xm"],
+            "K": np.diag(1.0 / x["K"].diagonal()), "Kinv": x["K"]}
 
 
 def coproduct_rep(rep: UqSu2Rep, right: UqSu2Rep | None = None) -> UqSu2Rep:
@@ -121,7 +117,7 @@ def coproduct_rep(rep: UqSu2Rep, right: UqSu2Rep | None = None) -> UqSu2Rep:
     right = rep if right is None else right
     if right.q != rep.q:
         raise ValueError(f"tensor legs need one deformation parameter, got {rep.q} and {right.q}")
-    a_of, b_of = _letters(rep, dense=True), _letters(right, dense=True)
+    a_of, b_of = _letters(rep), _letters(right)
     Xp, Xm = (_sum([kron(a_of[a], b_of[b]) for a, b in DELTA[x]]) for x in ("Xp", "Xm"))
     return UqSu2Rep(q=rep.q, h=(rep.h[:, None] + right.h).ravel(), Xp=Xp, Xm=Xm)
 
@@ -153,8 +149,8 @@ def counit_antipode_residuals(rep: UqSu2Rep) -> dict:
                                         sup_norm(getattr(right, key) - target))
     x_of, s_of = _letters(rep), _antipode(rep)
     for x, pairs in DELTA.items():
-        res[f"antipode_{x}_left"] = sup_norm(_sum([_product(s_of[a], x_of[b]) for a, b in pairs]))
-        res[f"antipode_{x}_right"] = sup_norm(_sum([_product(x_of[a], s_of[b]) for a, b in pairs]))
+        res[f"antipode_{x}_left"] = sup_norm(_sum([s_of[a] @ x_of[b] for a, b in pairs]))
+        res[f"antipode_{x}_right"] = sup_norm(_sum([x_of[a] @ s_of[b] for a, b in pairs]))
     return res
 
 
@@ -166,8 +162,8 @@ def antipode_convention_solve(q: float) -> tuple[float, float]:
     x_of, s_of = _letters(rep), _antipode(rep)
     cs = []
     for x, pairs in DELTA.items():
-        unknown = _sum([_product(x_of[a], x_of[b]) for a, b in pairs if a == x])
-        known = _sum([_product(s_of[a], x_of[b]) for a, b in pairs if a != x])
+        unknown = _sum([x_of[a] @ x_of[b] for a, b in pairs if a == x])
+        known = _sum([s_of[a] @ x_of[b] for a, b in pairs if a != x])
         # on spin 1/2 both sums hold one nonzero entry, at the same place
         cs.append(float((-known.sum() / unknown.sum()).real))
     return cs[0], cs[1]

@@ -1,12 +1,11 @@
 """Harmonic-function toolkit: fundamental solutions with their flux
-normalization, Kelvin inversion, integral-representation solutions with
-associated Legendre factors, polar-coordinate Laplacians, and the symbol
-of the Laplace operator.
+normalization, Kelvin inversion, integral-representation solutions and
+the solid harmonics (Cartesian polynomials) they are proportional to,
+polar-coordinate Laplacians, and the symbol of the Laplace operator.
 
 Fields map an (n, M) array of M points, one per column, to their M
-values; the fundamental solution and Kelvin transforms also take one
-n-vector.  Harmonicity statements are checked elsewhere by
-numerics.fd_laplacian.
+values; each of them also takes one n-vector.  Harmonicity statements
+are checked elsewhere by numerics.fd_laplacian.
 The flux derivative and the polar/spherical Laplacians are
 numerics.fd_partials stencils, each one field call, and the sphere area
 and the integral representation use numerics quadrature.
@@ -14,13 +13,13 @@ and the integral representation use numerics quadrature.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import POLAR_STENCIL, FDStencil, fd_partials, integrate_periodic, worst_of
+from .numerics import (POLAR_STENCIL, FDStencil, fd_partials, integrate_periodic, require,
+                       worst_of)
 
 # Simpson node counts of the sphere-area and integral-representation rules
 SPHERE_NODES = 201
@@ -122,39 +121,6 @@ def exterior_family_regular_at_origin(a: float) -> bool:
     return abs(v(ORIGIN_PROBE)) < 10.0 * (abs(a) + 1.0)
 
 
-def legendre(n: int, h: int, xval: float) -> float:
-    """Associated Legendre P_{n,h}(x) by the stable upward recurrence,
-    Condon-Shortley phase included."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if abs(h) > n:
-        raise ValueError(f"order |h| = {abs(h)} exceeds degree {n}")
-    if not -1.0 <= xval <= 1.0:
-        raise ValueError("argument must lie in [-1, 1]")
-    m = abs(h)
-    # seed: P_m^m, then P_{m+1}^m, then the three-term recurrence in degree
-    pmm = 1.0
-    if m > 0:
-        s = math.sqrt(max(0.0, 1.0 - xval * xval))
-        fact = 1.0
-        for _ in range(m):
-            pmm *= -fact * s
-            fact += 2.0
-    if n == m:
-        out = pmm
-    else:
-        pm1 = xval * (2 * m + 1) * pmm
-        if n == m + 1:
-            out = pm1
-        else:
-            for ell in range(m + 2, n + 1):
-                pmm, pm1 = pm1, (xval * (2 * ell - 1) * pm1 - (ell + m - 1) * pmm) / (ell - m)
-            out = pm1
-    if h < 0:
-        out *= (-1) ** m * math.factorial(n - m) / math.factorial(n + m)
-    return out
-
-
 def integral_rep(n: int, h: int, point: Sequence[float] | np.ndarray) -> complex | np.ndarray:
     """int_{-pi}^{pi} (z + i x cos t + i y sin t)^n e^{i h t} dt.
 
@@ -172,14 +138,28 @@ def integral_rep(n: int, h: int, point: Sequence[float] | np.ndarray) -> complex
     return integrate_periodic(integrand, -math.pi, math.pi, INTEGRAL_REP_NODES)
 
 
-def solid_harmonic(n: int, h: int, point: Sequence[float]) -> complex:
-    """r^n e^{i h phi} P_{n,h}(cos theta) in Cartesian coordinates."""
-    xv, yv, zv = (float(c) for c in point)
-    r = math.sqrt(xv * xv + yv * yv + zv * zv)
-    if r == 0.0:
-        return complex(1.0 if n == 0 else 0.0)
-    phi = math.atan2(yv, xv)
-    return r ** n * cmath.exp(1j * h * phi) * legendre(n, h, zv / r)
+def solid_harmonic(n: int, h: int, points: Sequence[float] | np.ndarray) -> complex | np.ndarray:
+    """r^n e^{i h phi} P_{n,h}(cos theta) (Condon-Shortley phase) as the
+    polynomial it is; a (3, M) array of M points gives their M values.
+
+    With m = |h|: seed (-1)^m (2m-1)!! (x + iy)^m, then the recurrence
+    Y_l = ((2l-1) z Y_{l-1} - (l+m-1) r^2 Y_{l-2}) / (l-m), free of the
+    sqrt(1 - (z/r)^2) that cancels near the z axis; h < 0 is
+    (-1)^m (n-m)!/(n+m)! times the conjugate."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    m = abs(h)
+    if m > n:
+        raise ValueError(f"order |h| = {m} exceeds degree {n}")
+    p = np.asarray(points, dtype=float)
+    xv, yv, zv = p.reshape(3, -1)
+    r2 = xv * xv + yv * yv + zv * zv
+    prev, out = 0.0, (-1) ** m * math.prod(range(1, 2 * m, 2)) * (xv + 1j * yv) ** m
+    for ell in range(m + 1, n + 1):
+        prev, out = out, ((2 * ell - 1) * zv * out - (ell + m - 1) * r2 * prev) / (ell - m)
+    if h < 0:
+        out = (-1) ** m * math.factorial(n - m) / math.factorial(n + m) * out.conj()
+    return out.reshape(p.shape[1:])[()]
 
 
 def calibrate_proportionality(n: int, h: int,
@@ -187,19 +167,12 @@ def calibrate_proportionality(n: int, h: int,
     """Fit the constant c(n,h) relating integral_rep to solid_harmonic at the
     first point and return (c, max relative deviation over the rest)."""
     points = np.asarray(points, dtype=float)
-    ref = None
-    spread = 0.0
-    # Python complex: numpy's complex128 division rounds differently
-    for pt, num in zip(points, integral_rep(n, h, points.T).tolist()):
-        den = solid_harmonic(n, h, pt)
-        if abs(den) < 1e-9:
-            raise ValueError(f"reference harmonic vanishes near {pt!r}; pick another sample")
-        ratio = num / den
-        if ref is None:
-            ref = ratio
-        else:
-            spread = worst_of(spread, abs(ratio - ref) / abs(ref))
-    return ref, spread
+    num = integral_rep(n, h, points.T)
+    den = solid_harmonic(n, h, points.T)
+    require(np.abs(den) >= 1e-9, "reference harmonic vanishes near {}; pick another sample",
+            witness=points)
+    ratio = num / den
+    return complex(ratio[0]), worst_of(0.0, np.abs(ratio[1:] - ratio[0]) / abs(ratio[0]))
 
 
 def polar_laplacian(coords: str, u: Callable[..., np.ndarray], point: Sequence[float]) -> float:

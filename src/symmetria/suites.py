@@ -372,10 +372,8 @@ def run_laplace(rng: np.random.Generator, tol: float, samples: int) -> CheckRepo
         for (n, h) in ((1, 0), (2, 0), (2, 1), (3, 2)):
             # points where the reference harmonic is not near a node
             stream = field_rng(rng, c.name, f"points n={n} h={h}")
-            pts = accepted_rows(
-                lambda m: 1.5 * stream.normal(size=(m, 3)),
-                lambda x: np.array([abs(laplace.solid_harmonic(n, h, p)) > 1e-2 for p in x],
-                                   dtype=bool), 8)
+            pts = accepted_rows(lambda m: 1.5 * stream.normal(size=(m, 3)),
+                                lambda x: np.abs(laplace.solid_harmonic(n, h, x.T)) > 1e-2, 8)
             c.observe(laplace.calibrate_proportionality(n, h, pts)[1])
 
     with rep.check("integral_representation_harmonic",

@@ -3,13 +3,14 @@
 These deliberately avoid the code paths under test: elliptic values come
 from quadrature of the defining integral plus root-finding (or mpmath's
 theta-based routines), Legendre values from explicit closed forms,
-integrals from dense trapezoid sums, finite differences from one field
-call per stencil node, and curvature from index loops over hand-written
-central differences.  The quadratic Poisson brackets, and
-the canonical bracket of phase-space generators, are checked by their
-values at points, not by their coefficient tensors or matrices; the
-reduced Jacobi defect is checked against the full 4,096-coefficient
-array, summed over every triple and every ordering of each monomial.
+solid harmonics from the spherical form r^n e^{i h phi} P_{n,h}(z/r) with
+a scalar associated Legendre recurrence, integrals from dense trapezoid
+sums, finite differences from one field call per stencil node, and
+curvature from index loops over hand-written central differences.  The
+quadratic Poisson brackets, and the canonical bracket of phase-space
+generators, are checked by their values at points, not by their
+coefficient tensors or matrices; the reduced Jacobi defect is checked
+against the full 4,096-coefficient array, summed over every triple and every ordering of each monomial.
 The Yang-Baxter and exchange-relation product tables are checked against
 dense defects: every operator placed on its legs by Kronecker products of
 its product-basis expansion, and every product formed one pair of
@@ -20,6 +21,7 @@ a time, and the Yang-Baxter sweep pairs come from the scalar loop that
 drew them one pair at a time.
 """
 
+import cmath
 import itertools
 import math
 
@@ -77,6 +79,50 @@ def legendre_closed_form(n: int, h: int, x: float) -> float:
         (4, 3): -105.0 * x * s ** 3,
     }
     return table[(n, h)]
+
+
+def legendre(n: int, h: int, xval: float) -> float:
+    """Associated Legendre P_{n,h}(x) by the stable upward recurrence,
+    Condon-Shortley phase included."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if abs(h) > n:
+        raise ValueError(f"order |h| = {abs(h)} exceeds degree {n}")
+    if not -1.0 <= xval <= 1.0:
+        raise ValueError("argument must lie in [-1, 1]")
+    m = abs(h)
+    # seed: P_m^m, then P_{m+1}^m, then the three-term recurrence in degree
+    pmm = 1.0
+    if m > 0:
+        s = math.sqrt(max(0.0, 1.0 - xval * xval))
+        fact = 1.0
+        for _ in range(m):
+            pmm *= -fact * s
+            fact += 2.0
+    if n == m:
+        out = pmm
+    else:
+        pm1 = xval * (2 * m + 1) * pmm
+        if n == m + 1:
+            out = pm1
+        else:
+            for ell in range(m + 2, n + 1):
+                pmm, pm1 = pm1, (xval * (2 * ell - 1) * pm1 - (ell + m - 1) * pmm) / (ell - m)
+            out = pm1
+    if h < 0:
+        out *= (-1) ** m * math.factorial(n - m) / math.factorial(n + m)
+    return out
+
+
+def solid_harmonic_spherical(n: int, h: int, point) -> complex:
+    """r^n e^{i h phi} P_{n,h}(cos theta) at one point through its polar
+    angles; sqrt(1 - (z/r)^2) cancels near the z axis."""
+    xv, yv, zv = (float(c) for c in point)
+    r = math.sqrt(xv * xv + yv * yv + zv * zv)
+    if r == 0.0:
+        return complex(1.0 if n == 0 else 0.0)
+    phi = math.atan2(yv, xv)
+    return r ** n * cmath.exp(1j * h * phi) * legendre(n, h, zv / r)
 
 
 def fd_partial_by_nodes(f, point, axis: int, stencil, deriv: int = 1):

@@ -171,7 +171,7 @@ def test_verify_all_bytes_are_pinned(tmp_path):
     assert run(["verify", "all", "--samples", "20", "--seed", "42", "--format", "json",
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4d16a6d143105e73cd97d97ee42be27743b63152d6df6c6f58f92970d4831e43")
+        "c5c41a649a7105aee2cf9e83f57811be851bf4a83d8607d2d8b705bd9da13d9d")
 
 
 def test_verify_deep_bytes_are_pinned(tmp_path):
@@ -181,7 +181,7 @@ def test_verify_deep_bytes_are_pinned(tmp_path):
     assert run(["verify", "all", "--samples", "250", "--seed", "42", "--format", "json",
                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c8763d242868d70a0ec377512eee18296306ab2bfafb82ec7aa6cc3e072b0f29")
+        "b7eab23238ff82bc0d24ea808948662356870bee7104948ff878442e5a1772c5")
 
 
 def _modules_after_import(module: str) -> set:

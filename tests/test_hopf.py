@@ -261,8 +261,8 @@ def test_wrong_counit_is_detected(monkeypatch):
     # K^-1 letter zeroed
     real = hopf_module._letters
 
-    def wrong_counit(rep, dense=False):
-        out = real(rep, dense)
+    def wrong_counit(rep):
+        out = real(rep)
         return {**out, "Kinv": 0.0 * out["Kinv"]} if rep.dim == 1 else out
 
     monkeypatch.setattr(hopf_module, "_letters", wrong_counit)

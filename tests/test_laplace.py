@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
 from symmetria import laplace as laplace_module
+from symmetria import suites
 from symmetria.laplace import (
     CoordinateSingularityError,
     SingularPointError,
@@ -17,16 +19,15 @@ from symmetria.laplace import (
     gamma_fundamental,
     integral_rep,
     kelvin_invert,
-    legendre,
     polar_laplacian,
     solid_harmonic,
     symbol,
     unit_sphere_area,
 )
-from symmetria.numerics import FDStencil, fd_laplacian
+from symmetria.numerics import FDStencil, accepted_rows, fd_laplacian
 from symmetria.spacetime import rotation_about
 
-from oracles import legendre_closed_form
+from oracles import legendre_closed_form, solid_harmonic_spherical
 
 
 def test_gamma_values():
@@ -131,17 +132,25 @@ def test_exterior_family():
     assert not exterior_family_regular_at_origin(0.0)
 
 
+def _unit(t):
+    """The unit points (sqrt(1 - t^2), 0, t), one per column for an array t:
+    there a solid harmonic is the Legendre value P_{n,h}(t)."""
+    t = np.asarray(t, dtype=float)
+    return np.stack((np.sqrt(1.0 - t * t), np.zeros_like(t), t))
+
+
 def test_legendre_low_orders():
-    assert abs(legendre(1, 0, 0.3) - 0.3) < 1e-15
-    assert abs(legendre(2, 0, 0.5) + 0.125) < 1e-15
-    assert legendre(2, 1, 0.0) == 0.0
+    assert abs(solid_harmonic(1, 0, _unit(0.3)) - 0.3) < 1e-15
+    assert abs(solid_harmonic(2, 0, _unit(0.5)) + 0.125) < 1e-15
+    assert solid_harmonic(2, 1, _unit(0.0)) == 0.0
 
 
 def test_legendre_against_closed_forms():
     xs = (-0.9, -0.3, 0.0, 0.4, 0.8)
     for (n, h) in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (4, 3)):
-        for x in xs:
-            assert abs(legendre(n, h, x) - legendre_closed_form(n, h, x)) < 1e-12
+        vals = solid_harmonic(n, h, _unit(xs))
+        for x, val in zip(xs, vals):
+            assert abs(val - legendre_closed_form(n, h, x)) < 1e-12
 
 
 def test_legendre_against_scipy_including_negative_order():
@@ -151,9 +160,58 @@ def test_legendre_against_scipy_including_negative_order():
         h = int(rng.integers(-n, n + 1)) if n else 0
         x = float(rng.uniform(-1, 1))
         ref = scipy.special.lpmv(h, n, x)
-        assert abs(legendre(n, h, x) - ref) < 1e-11 * (1 + abs(ref))
+        assert abs(solid_harmonic(n, h, _unit(x)) - ref) < 1e-11 * (1 + abs(ref))
     with pytest.raises(ValueError):
-        legendre(2, 3, 0.1)
+        solid_harmonic(2, 3, _unit(0.1))
+    with pytest.raises(ValueError):
+        solid_harmonic(-1, 0, _unit(0.1))
+
+
+@pytest.mark.parametrize("n,h", [(0, 0), (1, 0), (2, 1), (3, 2), (4, -3), (5, -1)])
+def test_solid_harmonic_on_a_point_array_equals_the_pointwise_calls(n, h):
+    points = np.random.default_rng(68).normal(size=(3, 30))
+    block = solid_harmonic(n, h, points)
+    assert block.shape == (30,)
+    assert np.array_equal(block, [solid_harmonic(n, h, p) for p in points.T])
+
+
+@pytest.mark.parametrize("n,h", [(1, 1), (2, 1), (3, 2), (4, -3)])
+def test_solid_harmonic_is_accurate_near_the_z_axis(n, h):
+    # 50 points 1e-6..1e-2 off the axis, where sqrt(1 - (z/r)^2) of the
+    # spherical form cancels; mpmath's Ferrers function at 40 digits is the
+    # reference, taken at order -m (no Gamma-function pole to step around)
+    # with P_{n,m} = (-1)^m (n+m)!/(n-m)! P_{n,-m}
+    m = abs(h)
+    scale = 1 if h < 0 else (-1) ** m * math.factorial(n + m) // math.factorial(n - m)
+    rng = np.random.default_rng(69)
+    rho = 10.0 ** rng.uniform(-6.0, -2.0, 50)
+    phi = rng.uniform(-math.pi, math.pi, 50)
+    z = rng.choice((-1.0, 1.0), 50) * rng.uniform(0.5, 2.0, 50)
+    points = np.stack((rho * np.cos(phi), rho * np.sin(phi), z))
+    vals = solid_harmonic(n, h, points)
+    with mpmath.workdps(40):
+        for (xv, yv, zv), val in zip(points.T, vals):
+            mx, my, mz = mpmath.mpf(xv), mpmath.mpf(yv), mpmath.mpf(zv)
+            r = mpmath.sqrt(mx * mx + my * my + mz * mz)
+            phase = (mpmath.mpc(mx, my) / mpmath.sqrt(mx * mx + my * my)) ** h
+            ref = r ** n * phase * scale * mpmath.legenp(n, -m, mz / r, type=2)
+            assert abs(val - complex(ref)) <= 1e-14 * abs(complex(ref)), (xv, yv, zv)
+
+
+def test_proportionality_row_accepts_the_points_of_the_spherical_reference():
+    # the array mask keeps the fixed draw order: at seeds 0..99 it accepts
+    # the points the per-point spherical form accepts
+    row = "integral_representation_proportionality"
+    for seed in range(100):
+        rng = suites.suite_rng(seed, "laplace")
+        for (n, h) in ((1, 0), (2, 0), (2, 1), (3, 2)):
+            picked = []
+            for keep in (lambda x: np.abs(solid_harmonic(n, h, x.T)) > 1e-2,
+                         lambda x: np.array([abs(solid_harmonic_spherical(n, h, p)) > 1e-2
+                                             for p in x], dtype=bool)):
+                stream = suites.field_rng(rng, row, f"points n={n} h={h}")
+                picked.append(accepted_rows(lambda m: 1.5 * stream.normal(size=(m, 3)), keep, 8))
+            assert np.array_equal(*picked), (seed, n, h)
 
 
 def test_integral_rep_reference_values():
@@ -204,6 +262,12 @@ def test_integral_rep_proportionality():
     # hand value: at h = 0 the x,y terms integrate out, c(1,0) = 2 pi
     c10, _ = calibrate_proportionality(1, 0, [(0.1, -0.4, 1.2), (0.9, 0.2, -0.7)])
     assert abs(c10 - 2 * math.pi) < 1e-10
+
+
+def test_calibrate_proportionality_names_a_vanishing_point():
+    # (1, 1, 0) lies on the nodal plane z = 0 of the (1, 0) harmonic
+    with pytest.raises(ValueError, match=r"\(element 1\)$"):
+        calibrate_proportionality(1, 0, [(0.1, -0.4, 1.2), (1.0, 1.0, 0.0)])
 
 
 def test_integral_rep_harmonicity():
